@@ -1,25 +1,25 @@
-//! Incremental-maintenance benchmark: full refit vs rank-one updates.
+//! Incremental-maintenance benchmark: rank-one updates vs a full refit.
 //!
 //! Replays an append-only online trace (one new observation per iteration,
-//! exactly the periodic-execution pattern of §3.1) twice through
-//! `ConfigGenerator::suggest` — once with incremental surrogate maintenance
-//! enabled and once in full-refit mode (`OTUNE_INCREMENTAL=0` semantics) —
-//! and times the suggest call in a window before each history-size
-//! checkpoint. Both arms share the policy state machine (warm-started
-//! hyperparameters, scheduled re-searches, cached jitter level), so they
-//! must choose bitwise-identical configurations along the whole trace; the
-//! incremental arm only replaces the per-iteration O(n³) covariance
-//! rebuild + refactorization with an O(n²) factor extension. Results land
-//! in `BENCH_refit_latency.json` under the results directory.
+//! exactly the periodic-execution pattern of §3.1) through
+//! `ConfigGenerator::suggest` and times the suggest call in a window before
+//! each history-size checkpoint. At each checkpoint it then times the
+//! surrogate maintenance step alone, at the GP level: the two models a
+//! store fitted on the history absorb one appended observation through
+//! `GaussianProcess::update` (an O(n²) factor extension), against the
+//! baseline of refitting both models from scratch at the same
+//! hyperparameters (`GpConfig { optimize_hypers: false, warm_hyper }`, the
+//! oracle the incremental path is bitwise-equal to). Results land in
+//! `BENCH_refit_latency.json` under the results directory.
 //!
 //! Scale knobs: `OTUNE_BENCH_QUICK=1` shrinks reps and trace length for CI
 //! smoke runs; `OTUNE_RESULTS_DIR` moves the output.
 
 use otune_bench::{mean, percentile, results_dir, Table};
-use otune_bo::{Observation, SurrogateStore};
+use otune_bo::{surrogate_kinds, Observation, SurrogateStore};
 use otune_core::objective::resource_fn_for;
 use otune_core::{ConfigGenerator, Constraints, GeneratorOptions, SuggestionSource};
-use otune_gp::IncrementalPolicy;
+use otune_gp::{GaussianProcess, GpConfig, IncrementalPolicy};
 use otune_pool::Pool;
 use otune_space::{spark_space, ClusterScale, ConfigSpace, Configuration};
 use otune_sparksim::{hibench_task, ClusterSpec, HibenchTask, SimJob};
@@ -32,6 +32,8 @@ use std::time::Instant;
 const WINDOW: usize = 3;
 /// Observations seeding the trace before the first suggest.
 const N_SEED: usize = 5;
+/// Seed shared by the trace's generator and the timed surrogate fits.
+const SEED: u64 = 7;
 
 #[derive(Serialize)]
 struct Entry {
@@ -79,11 +81,19 @@ fn observe(job: &SimJob, config: Configuration, t: u64) -> Observation {
     }
 }
 
+/// The maintenance policy under test: default schedule, with the LML
+/// trigger disarmed so no checkpoint coincides with a full search.
+fn policy() -> IncrementalPolicy {
+    IncrementalPolicy {
+        lml_degradation: f64::INFINITY,
+        ..IncrementalPolicy::default()
+    }
+}
+
 /// Replay the trace once; return per-checkpoint suggest latencies and the
 /// configuration chosen at every iteration (the determinism cross-check).
 fn run_trace(
     space: &ConfigSpace,
-    incremental: bool,
     checkpoints: &[usize],
     latencies: &mut [Vec<f64>],
 ) -> (Vec<Configuration>, Vec<Observation>) {
@@ -93,19 +103,13 @@ fn run_trace(
     // Land every iteration on the BO path: no initial design, no AGD.
     opts.n_init = 0;
     opts.n_agd = 0;
-    // Identical scheduled re-search points in both arms; the LML trigger is
-    // disarmed so no checkpoint coincides with a full hyperparameter search.
-    opts.incremental = IncrementalPolicy {
-        enabled: incremental,
-        lml_degradation: f64::INFINITY,
-        ..IncrementalPolicy::default()
-    };
+    opts.incremental = policy();
     let worst_seed_rt = 1.5 * 3600.0;
     opts.constraints = Constraints {
         t_max: Some(worst_seed_rt),
         r_max: None,
     };
-    opts.seed = 7;
+    opts.seed = SEED;
     opts.pool = Pool::new(4);
     let ranking = (0..space.len()).collect();
     let mut g = ConfigGenerator::new(space.clone(), opts, ranking, resource_fn_for(space));
@@ -132,10 +136,12 @@ fn run_trace(
     (choices, hist)
 }
 
-/// Time the surrogate maintenance step in isolation: a store warmed on
-/// `hist[..n-1]` absorbs the `n`-th observation. With incremental
-/// maintenance that is a rank-one factor extension; in full-refit mode the
-/// same policy state rebuilds the covariance and refactors from scratch.
+/// Time the surrogate maintenance step in isolation, at the GP level so
+/// both arms do the same work: the two models a store fitted on
+/// `hist[..n-1]` absorb the `n`-th observation. `incremental` times
+/// `GaussianProcess::update` (rank-one factor extension, no re-search) on
+/// clones of the warmed models; otherwise both models are refitted from
+/// scratch on `hist[..n]` at the warmed hyperparameters.
 fn timed_refits(
     space: &ConfigSpace,
     hist: &[Observation],
@@ -143,24 +149,58 @@ fn timed_refits(
     n_obs: usize,
     reps: usize,
 ) -> Vec<f64> {
-    let policy = IncrementalPolicy {
-        enabled: incremental,
-        lml_degradation: f64::INFINITY,
-        ..IncrementalPolicy::default()
-    };
     let telemetry = otune_core::telemetry::Telemetry::disabled();
     let pool = Pool::new(4);
+    let kinds = surrogate_kinds(space, 0);
+    // The trace carries no context features.
+    let x: Vec<Vec<f64>> = hist[..n_obs]
+        .iter()
+        .map(|o| space.encode(&o.config))
+        .collect();
+    let runtime: Vec<f64> = hist[..n_obs].iter().map(|o| o.runtime).collect();
+    let objective: Vec<f64> = hist[..n_obs].iter().map(|o| o.objective).collect();
+    let same_hyper = |gp: &GaussianProcess| GpConfig {
+        optimize_hypers: false,
+        warm_hyper: Some(gp.kernel().hyper),
+        seed: SEED,
+        ..GpConfig::default()
+    };
+    let mut store = SurrogateStore::new(policy());
+    let (rt_gp, obj_gp) = store
+        .prepare(space, &hist[..n_obs - 1], SEED, &telemetry, &pool)
+        .expect("warm-up fit");
+    let warmed = [(&*rt_gp, &runtime), (&*obj_gp, &objective)];
     let mut samples = Vec::with_capacity(reps);
     for _ in 0..reps {
-        let mut store = SurrogateStore::new(policy);
-        store
-            .prepare(space, &hist[..n_obs - 1], 7, &telemetry, &pool)
-            .expect("warm-up fit");
-        let start = Instant::now();
-        store
-            .prepare(space, &hist[..n_obs], 7, &telemetry, &pool)
-            .expect("maintenance step");
-        samples.push(start.elapsed().as_secs_f64());
+        if incremental {
+            let mut models: Vec<_> = warmed
+                .iter()
+                .map(|(gp, y)| ((*gp).clone(), same_hyper(gp), y[n_obs - 1]))
+                .collect();
+            let start = Instant::now();
+            for (gp, cfg, y_new) in &mut models {
+                gp.update(
+                    x[n_obs - 1].clone(),
+                    *y_new,
+                    &IncrementalPolicy::never_research(),
+                    *cfg,
+                    &pool,
+                )
+                .expect("rank-one update");
+            }
+            samples.push(start.elapsed().as_secs_f64());
+        } else {
+            let refits: Vec<_> = warmed
+                .iter()
+                .map(|(gp, y)| (x.clone(), *y, same_hyper(gp)))
+                .collect();
+            let start = Instant::now();
+            for (x, y, cfg) in refits {
+                GaussianProcess::fit_with_pool(kinds.clone(), x, y, cfg, &pool)
+                    .expect("same-hyper full refit");
+            }
+            samples.push(start.elapsed().as_secs_f64());
+        }
     }
     samples
 }
@@ -171,27 +211,24 @@ fn main() {
     let checkpoints: &[usize] = if quick { &[10, 30] } else { &[10, 30, 100] };
     let space = spark_space(ClusterScale::hibench());
 
-    let mut lat_inc: Vec<Vec<f64>> = vec![Vec::new(); checkpoints.len()];
-    let mut lat_full: Vec<Vec<f64>> = vec![Vec::new(); checkpoints.len()];
+    let mut latencies: Vec<Vec<f64>> = vec![Vec::new(); checkpoints.len()];
     let mut choices: Vec<Vec<Configuration>> = Vec::new();
     let mut trace: Vec<Observation> = Vec::new();
     for _ in 0..reps {
-        let (c, h) = run_trace(&space, true, checkpoints, &mut lat_inc);
+        let (c, h) = run_trace(&space, checkpoints, &mut latencies);
         choices.push(c);
         trace = h;
-        let (c, _) = run_trace(&space, false, checkpoints, &mut lat_full);
-        choices.push(c);
     }
     for other in &choices[1..] {
         assert_eq!(
             &choices[0], other,
-            "both maintenance modes must walk an identical suggestion trace"
+            "repeated replays must walk an identical suggestion trace"
         );
     }
 
     let refit_reps = if quick { 3 } else { 7 };
     let mut table = Table::new(
-        "Append-only trace — incremental vs full refit",
+        "Append-only trace — incremental vs same-hyper full refit",
         &[
             "n_obs",
             "mode",
@@ -208,9 +245,10 @@ fn main() {
         let refit_inc = timed_refits(&space, &trace, true, n_obs, refit_reps);
         let speedup = mean(&refit_full) / mean(&refit_inc);
         last_pair = (mean(&refit_inc), mean(&refit_full));
-        for (label, sug, refit, inc, sp) in [
-            ("full", &lat_full[ci], &refit_full, false, None),
-            ("incremental", &lat_inc[ci], &refit_inc, true, Some(speedup)),
+        let sug = &latencies[ci];
+        for (label, refit, inc, sp) in [
+            ("full", &refit_full, false, None),
+            ("incremental", &refit_inc, true, Some(speedup)),
         ] {
             table.row(vec![
                 n_obs.to_string(),
@@ -250,10 +288,12 @@ fn main() {
         space_dims: space.len(),
         reps,
         quick,
-        note: "append-only trace; both modes share the hyper-search schedule \
-               and choose bitwise-identical configurations — only the factor \
-               maintenance differs. refit_* times the maintenance step alone \
-               (absorbing one appended observation into both fitted models)",
+        note: "append-only trace through the one production maintenance path; \
+               suggest_* is that trace's suggest latency, shared by both rows. \
+               refit_* times the maintenance step alone (absorbing one appended \
+               observation into both fitted models) at the GP level: \
+               incremental = GaussianProcess::update rank-one factor extension, \
+               full = same-hyper GaussianProcess::fit_with_pool of both models",
         results: entries,
     };
     std::fs::write(

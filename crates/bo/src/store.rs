@@ -197,9 +197,7 @@ impl SurrogateCache {
                         Ok(outcome) => {
                             telemetry.incr(match outcome {
                                 UpdateOutcome::Incremental => metric::SURROGATE_INCREMENTAL_UPDATES,
-                                UpdateOutcome::Refactored | UpdateOutcome::JitterInvalidated => {
-                                    metric::SURROGATE_FULL_REFITS
-                                }
+                                UpdateOutcome::JitterInvalidated => metric::SURROGATE_FULL_REFITS,
                                 UpdateOutcome::HyperSearch(_) => metric::GP_HYPER_SEARCHES,
                             });
                             self.fps.push(fp);
@@ -468,7 +466,7 @@ mod tests {
         let obs = make_obs(&s, 12);
         let telemetry = registryd();
         // Disable re-searches so the extension path is pure.
-        let policy = IncrementalPolicy::never_research(true);
+        let policy = IncrementalPolicy::never_research();
         let mut cache = SurrogateCache::new(SurrogateInput::Runtime, policy);
         cache
             .prepare(&s, &obs[..10], 0, &telemetry, Pool::global())
@@ -604,37 +602,49 @@ mod tests {
         assert!(!snap.counters.contains_key(metric::SUBSET_GP_ACTIVATIONS));
     }
 
+    /// The two ways to maintain a surrogate — point-by-point under the
+    /// default policy, or one same-hyper full refit of the whole history
+    /// (the test-only oracle) — build bitwise-identical models.
     #[test]
     fn both_modes_build_identical_models() {
         let s = space();
         let obs = make_obs(&s, 14);
         let telemetry = Telemetry::disabled();
-        let mut arms = [true, false].map(|enabled| {
-            SurrogateCache::new(
-                SurrogateInput::Objective,
-                IncrementalPolicy {
-                    enabled,
-                    ..IncrementalPolicy::default()
-                },
-            )
-        });
-        let probe = encode_with_context(&s, &obs[0].config, &[0.3]);
-        let mut preds = Vec::new();
-        for cache in &mut arms {
-            cache
-                .prepare(&s, &obs[..3], 0, &telemetry, Pool::global())
-                .unwrap();
-            let mut gp = None;
-            for n in 4..=obs.len() {
-                gp = Some(
-                    cache
-                        .prepare(&s, &obs[..n], 0, &telemetry, Pool::global())
-                        .unwrap(),
-                );
-            }
-            let (m, v) = gp.unwrap().predict(&probe);
-            preds.push((m.to_bits(), v.to_bits()));
+        let mut cache =
+            SurrogateCache::new(SurrogateInput::Objective, IncrementalPolicy::default());
+        cache
+            .prepare(&s, &obs[..3], 0, &telemetry, Pool::global())
+            .unwrap();
+        let mut gp = None;
+        for n in 4..=obs.len() {
+            gp = Some(
+                cache
+                    .prepare(&s, &obs[..n], 0, &telemetry, Pool::global())
+                    .unwrap(),
+            );
         }
-        assert_eq!(preds[0], preds[1]);
+        let gp = gp.unwrap();
+        let x: Vec<Vec<f64>> = obs
+            .iter()
+            .map(|o| encode_with_context(&s, &o.config, &o.context))
+            .collect();
+        let y: Vec<f64> = obs.iter().map(|o| o.objective).collect();
+        let full = GaussianProcess::fit_with_pool(
+            surrogate_kinds(&s, 1),
+            x,
+            &y,
+            GpConfig {
+                optimize_hypers: false,
+                warm_hyper: Some(gp.kernel().hyper),
+                ..GpConfig::default()
+            },
+            Pool::global(),
+        )
+        .unwrap();
+        let probe = encode_with_context(&s, &obs[0].config, &[0.3]);
+        let (m_inc, v_inc) = gp.predict(&probe);
+        let (m_full, v_full) = full.predict(&probe);
+        assert_eq!(m_inc.to_bits(), m_full.to_bits());
+        assert_eq!(v_inc.to_bits(), v_full.to_bits());
     }
 }

@@ -5,8 +5,8 @@ use otune_baselines::{CherryPick, Dac, Locat, RandomSearch, Rfhoc, Tuneful, Tune
 use otune_bo::Observation;
 use otune_core::fleet::{FleetOptions, FleetReport, FleetRequest};
 use otune_core::telemetry::{
-    attribute, chrome_trace_json, prometheus_text, read_jsonl, read_jsonl_lossy, spans_from_events,
-    AttributionReport, EventKind, JsonlSink, MetricsSnapshot, SyncPolicy, Telemetry,
+    attribute, chrome_trace_json, prometheus_text, read_healed, read_jsonl, spans_from_events,
+    AttributionReport, Event, EventKind, JsonlSink, MetricsSnapshot, SyncPolicy, Telemetry,
 };
 use otune_core::{Objective, OnlineTuneController, OnlineTuner, TaskHandle, TunerOptions};
 use otune_forest::Fanova;
@@ -1169,8 +1169,8 @@ fn stats_cmd(file: &str, json: bool, prom: bool, out: &mut dyn Write) -> std::io
 /// optionally write them as a Chrome-trace/Perfetto JSON file, and print
 /// per-phase latency attribution.
 fn trace_cmd(file: &str, out_path: Option<&str>, out: &mut dyn Write) -> std::io::Result<i32> {
-    let (events, torn) = match read_jsonl_lossy(file) {
-        Ok(r) => r,
+    let (events, torn) = match read_healed::<Event>(file) {
+        Ok(h) => (h.items, h.torn_lines),
         Err(e) => {
             writeln!(out, "cannot read {file}: {e}")?;
             return Ok(2);
@@ -1261,8 +1261,8 @@ fn top_cmd(file: &str, watch: Option<f64>, out: &mut dyn Write) -> std::io::Resu
 }
 
 fn render_top(file: &str, out: &mut dyn Write) -> std::io::Result<i32> {
-    let (events, torn) = match read_jsonl_lossy(file) {
-        Ok(r) => r,
+    let (events, torn) = match read_healed::<Event>(file) {
+        Ok(h) => (h.items, h.torn_lines),
         Err(e) => {
             writeln!(out, "cannot read {file}: {e}")?;
             return Ok(2);

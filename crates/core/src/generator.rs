@@ -117,7 +117,7 @@ impl GeneratorOptions {
             subspace: SubspaceParams::paper_defaults(n_params),
             candidates: CandidateParams::default(),
             fanova_period: 5,
-            incremental: IncrementalPolicy::from_env(),
+            incremental: IncrementalPolicy::default(),
             sparse: SparseGpConfig::from_env(),
             seed: 0,
             pool: Pool::from_env(),

@@ -60,7 +60,7 @@ pub use fleet::{FleetOptions, FleetReport, FleetRequest, SHARDS_ENV};
 pub use generator::{ConfigGenerator, GeneratorOptions, Suggestion, SuggestionSource};
 pub use objective::{Constraints, Objective};
 pub use otune_gp::SparseGpConfig;
-pub use repository::{DataRepository, SnapshotLog, SnapshotRecovery};
+pub use repository::DataRepository;
 pub use snapshot::{PendingSuggestion, ResumeError, TunerSnapshot};
 pub use tuner::{OnlineTuner, TunerOptions};
 

@@ -8,12 +8,9 @@
 use crate::snapshot::TunerSnapshot;
 use otune_bo::Observation;
 use otune_meta::TaskRecord;
-use otune_telemetry::{BatchedWriter, SyncPolicy};
-use parking_lot::{Mutex, RwLock};
+use parking_lot::RwLock;
 use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
-use std::path::{Path, PathBuf};
-use std::sync::Arc;
 
 #[derive(Debug, Default, Serialize, Deserialize)]
 struct Repo {
@@ -132,177 +129,6 @@ impl DataRepository {
         Ok(DataRepository {
             inner: RwLock::new(repo),
         })
-    }
-}
-
-/// Append-only JSONL log of tuner snapshots: one snapshot per line,
-/// appended after every observation through the shared group-commit
-/// writer ([`otune_telemetry::BatchedWriter`]). Under the default
-/// [`SyncPolicy::Every`] each append is fsynced before returning — the
-/// legacy cadence — so a crash mid-run loses at most the in-flight line;
-/// lazier policies (`batch:N`, `barrier`) stage lines in memory and pay
-/// one `sync_data` per batch, with [`SnapshotLog::flush`] as the
-/// explicit durability barrier. [`SnapshotLog::load_last`] tolerates a
-/// torn trailing write — it returns the newest line that still parses —
-/// and a torn tail is *healed* (newline-terminated) by the next append
-/// instead of being glued onto.
-#[derive(Debug, Clone)]
-pub struct SnapshotLog {
-    path: PathBuf,
-    policy: SyncPolicy,
-    /// Lazily opened on first append so constructing a log never touches
-    /// the filesystem; shared across clones so batching spans them.
-    writer: Arc<Mutex<Option<BatchedWriter>>>,
-}
-
-impl SnapshotLog {
-    /// A log at the given path (created on first append), with the sync
-    /// cadence taken from `OTUNE_JOURNAL_SYNC` (default: every line).
-    pub fn new(path: impl Into<PathBuf>) -> Self {
-        SnapshotLog::with_policy(path, SyncPolicy::from_env())
-    }
-
-    /// A log with an explicit sync policy.
-    pub fn with_policy(path: impl Into<PathBuf>, policy: SyncPolicy) -> Self {
-        SnapshotLog {
-            path: path.into(),
-            policy,
-            writer: Arc::new(Mutex::new(None)),
-        }
-    }
-
-    /// The log's path.
-    pub fn path(&self) -> &Path {
-        &self.path
-    }
-
-    /// The sync policy appends are written under.
-    pub fn policy(&self) -> SyncPolicy {
-        self.policy
-    }
-
-    /// Append one snapshot as a JSON line. Under [`SyncPolicy::Every`]
-    /// the line is durable when this returns; under lazier policies it
-    /// may be staged until the batch fills or [`SnapshotLog::flush`].
-    pub fn append(&self, snap: &TunerSnapshot) -> std::io::Result<()> {
-        let line = serde_json::to_string(snap)
-            .map_err(|e| std::io::Error::new(std::io::ErrorKind::InvalidData, e.to_string()))?;
-        let mut guard = self.writer.lock();
-        let writer = match guard.as_mut() {
-            Some(w) => w,
-            None => guard.insert(BatchedWriter::open(&self.path, self.policy)?),
-        };
-        writer.append_line(&line)?;
-        Ok(())
-    }
-
-    /// Sync barrier: every appended snapshot is durable when this
-    /// returns. Free when nothing is staged (so the default `every`
-    /// policy pays no extra fsyncs).
-    pub fn flush(&self) -> std::io::Result<()> {
-        if let Some(w) = self.writer.lock().as_mut() {
-            w.barrier()?;
-        }
-        Ok(())
-    }
-
-    /// Snapshots staged in memory but not yet flushed (0 under the
-    /// default `every` policy).
-    pub fn pending_lines(&self) -> usize {
-        self.writer.lock().as_ref().map_or(0, |w| w.pending_lines())
-    }
-
-    /// The newest snapshot that parses, skipping a torn or corrupt tail.
-    /// A missing file is `Ok(None)` (nothing to resume); an unreadable
-    /// file is an error. Use [`SnapshotLog::load_last_recovered`] when the
-    /// caller needs to know whether (and how many) lines were skipped.
-    pub fn load_last(&self) -> std::io::Result<Option<TunerSnapshot>> {
-        Ok(self.load_last_recovered()?.into_snapshot())
-    }
-
-    /// [`SnapshotLog::load_last`] with the loss surfaced: the result says
-    /// whether the newest snapshot was read cleanly or recovered past
-    /// torn/corrupt lines, and how many lines were skipped. A missing
-    /// file is a clean `None`.
-    pub fn load_last_recovered(&self) -> std::io::Result<SnapshotRecovery> {
-        // Reads are recovery points: drain any staged batch first so the
-        // caller never resumes from behind its own appends.
-        self.flush()?;
-        let text = match std::fs::read_to_string(&self.path) {
-            Ok(t) => t,
-            Err(e) if e.kind() == std::io::ErrorKind::NotFound => {
-                return Ok(SnapshotRecovery::Clean(None))
-            }
-            Err(e) => return Err(e),
-        };
-        let mut snapshot = None;
-        let mut skipped = 0u64;
-        for line in text.lines().rev().filter(|l| !l.trim().is_empty()) {
-            match serde_json::from_str::<TunerSnapshot>(line) {
-                Ok(s) => {
-                    snapshot = Some(s);
-                    break;
-                }
-                Err(_) => skipped += 1,
-            }
-        }
-        Ok(if skipped == 0 {
-            SnapshotRecovery::Clean(snapshot)
-        } else {
-            SnapshotRecovery::RecoveredWithLoss {
-                snapshot,
-                skipped_lines: skipped,
-            }
-        })
-    }
-
-    /// [`SnapshotLog::load_last_recovered`] that also bumps the
-    /// `journal_torn_tails` counter on the given telemetry handle when
-    /// lines had to be skipped, so recovery-with-loss is never silent.
-    pub fn load_last_counted(
-        &self,
-        telemetry: &otune_telemetry::Telemetry,
-    ) -> std::io::Result<SnapshotRecovery> {
-        let recovery = self.load_last_recovered()?;
-        if let SnapshotRecovery::RecoveredWithLoss { skipped_lines, .. } = &recovery {
-            telemetry.add(otune_telemetry::metric::JOURNAL_TORN_TAILS, *skipped_lines);
-        }
-        Ok(recovery)
-    }
-}
-
-/// Outcome of a [`SnapshotLog`] load: either every trailing line parsed
-/// cleanly, or the newest parseable snapshot was recovered past torn or
-/// corrupt lines (whose count is reported, never swallowed).
-#[derive(Debug, Clone)]
-pub enum SnapshotRecovery {
-    /// The newest line parsed (or the log was missing/empty): no loss.
-    Clean(Option<TunerSnapshot>),
-    /// `skipped_lines` torn/corrupt trailing lines were skipped to reach
-    /// the newest parseable snapshot (`None` when no line parses at all).
-    RecoveredWithLoss {
-        /// The newest snapshot that still parses.
-        snapshot: Option<TunerSnapshot>,
-        /// Unparseable lines skipped on the way (≥ 1).
-        skipped_lines: u64,
-    },
-}
-
-impl SnapshotRecovery {
-    /// The recovered snapshot, discarding the loss information.
-    pub fn into_snapshot(self) -> Option<TunerSnapshot> {
-        match self {
-            SnapshotRecovery::Clean(s) => s,
-            SnapshotRecovery::RecoveredWithLoss { snapshot, .. } => snapshot,
-        }
-    }
-
-    /// Lines that had to be skipped (0 for a clean load).
-    pub fn skipped_lines(&self) -> u64 {
-        match self {
-            SnapshotRecovery::Clean(_) => 0,
-            SnapshotRecovery::RecoveredWithLoss { skipped_lines, .. } => *skipped_lines,
-        }
     }
 }
 
@@ -539,81 +365,6 @@ mod tests {
                 let _ = DataRepository::import_json(&junk);
             }
         }
-    }
-
-    #[test]
-    fn snapshot_log_appends_and_loads_last() {
-        use std::io::Write;
-        let path = std::env::temp_dir().join(format!("otune-snaplog-{}.jsonl", std::process::id()));
-        let _ = std::fs::remove_file(&path);
-        let log = SnapshotLog::new(&path);
-        assert!(log.load_last().unwrap().is_none(), "missing file is None");
-        log.append(&snap("t", 2)).unwrap();
-        log.append(&snap("t", 4)).unwrap();
-        assert_eq!(log.load_last().unwrap().unwrap().history.len(), 4);
-        // A torn trailing write is skipped, not fatal.
-        let mut file = std::fs::OpenOptions::new()
-            .append(true)
-            .open(&path)
-            .unwrap();
-        write!(file, "{{\"task_id\": \"t\", \"seed\"").unwrap();
-        drop(file);
-        assert_eq!(log.load_last().unwrap().unwrap().history.len(), 4);
-        std::fs::remove_file(&path).unwrap();
-    }
-
-    #[test]
-    fn snapshot_log_batches_under_lazy_policy_and_flushes_on_load() {
-        let path =
-            std::env::temp_dir().join(format!("otune-snaplog-batch-{}.jsonl", std::process::id()));
-        let _ = std::fs::remove_file(&path);
-        let log = SnapshotLog::with_policy(&path, SyncPolicy::Batch(3));
-        log.append(&snap("t", 1)).unwrap();
-        log.append(&snap("t", 2)).unwrap();
-        assert_eq!(log.pending_lines(), 2, "staged, not yet on disk");
-        assert!(!path.exists() || std::fs::read_to_string(&path).unwrap().is_empty());
-        // A load is a recovery point: it drains the staged batch first.
-        assert_eq!(log.load_last().unwrap().unwrap().history.len(), 2);
-        assert_eq!(log.pending_lines(), 0);
-        assert_eq!(
-            std::fs::read_to_string(&path).unwrap().lines().count(),
-            2,
-            "both staged lines flushed by the read barrier"
-        );
-        std::fs::remove_file(&path).unwrap();
-    }
-
-    #[test]
-    fn snapshot_log_heals_a_torn_tail_instead_of_gluing() {
-        let path =
-            std::env::temp_dir().join(format!("otune-snaplog-heal-{}.jsonl", std::process::id()));
-        let _ = std::fs::remove_file(&path);
-        std::fs::write(&path, "{\"torn").unwrap();
-        let log = SnapshotLog::new(&path);
-        log.append(&snap("t", 3)).unwrap();
-        let text = std::fs::read_to_string(&path).unwrap();
-        assert_eq!(text.lines().count(), 2, "torn tail got its own line");
-        assert!(
-            text.starts_with("{\"torn\n"),
-            "tail healed, not glued: {text}"
-        );
-        assert_eq!(log.load_last().unwrap().unwrap().history.len(), 3);
-        std::fs::remove_file(&path).unwrap();
-    }
-
-    #[test]
-    fn snapshot_log_clones_share_one_writer() {
-        let path =
-            std::env::temp_dir().join(format!("otune-snaplog-clone-{}.jsonl", std::process::id()));
-        let _ = std::fs::remove_file(&path);
-        let log = SnapshotLog::with_policy(&path, SyncPolicy::Barrier);
-        let other = log.clone();
-        log.append(&snap("t", 1)).unwrap();
-        other.append(&snap("t", 2)).unwrap();
-        assert_eq!(log.pending_lines(), 2, "clones stage into the same batch");
-        other.flush().unwrap();
-        assert_eq!(std::fs::read_to_string(&path).unwrap().lines().count(), 2);
-        std::fs::remove_file(&path).unwrap();
     }
 
     #[test]

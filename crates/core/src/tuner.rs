@@ -83,8 +83,7 @@ pub struct TunerOptions {
     /// Candidate-generation parameters.
     pub candidates: CandidateParams,
     /// Surrogate maintenance across iterations (rank-one factor updates,
-    /// warm-started hyperparameter re-searches, fit caches). Defaults to
-    /// [`IncrementalPolicy::from_env`] (`OTUNE_INCREMENTAL`).
+    /// warm-started hyperparameter re-searches, fit caches).
     pub incremental: IncrementalPolicy,
     /// Local-subset sparse GP for large histories (`None` = always exact).
     /// Defaults to [`SparseGpConfig::from_env`] (`OTUNE_SPARSE_GP`).
@@ -121,7 +120,7 @@ impl Default for TunerOptions {
             failure_penalty: 2.0,
             subspace: None,
             candidates: CandidateParams::default(),
-            incremental: IncrementalPolicy::from_env(),
+            incremental: IncrementalPolicy::default(),
             sparse_gp: SparseGpConfig::from_env(),
             seed: 0,
             pool: Pool::from_env(),

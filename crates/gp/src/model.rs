@@ -85,18 +85,14 @@ impl Default for GpConfig {
 /// hyperparameter re-search runs only every [`refit_period`] updates or
 /// when the per-observation log marginal likelihood falls more than
 /// [`lml_degradation`] nats below the value recorded at the last full
-/// search. With `enabled == false` the same policy decisions are made
-/// (so both modes stay bitwise-identical) but the factor is rebuilt from
-/// scratch at the current hyperparameters — the `OTUNE_INCREMENTAL=0`
-/// baseline that isolates exactly the rank-one-update optimization.
+/// search. The extended model is bitwise-identical to a same-hyper full
+/// refit (`GpConfig { optimize_hypers: false, warm_hyper: Some(..) }`),
+/// which the proptests use as the oracle.
 ///
 /// [`refit_period`]: IncrementalPolicy::refit_period
 /// [`lml_degradation`]: IncrementalPolicy::lml_degradation
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct IncrementalPolicy {
-    /// Reuse the cached factor via rank-one extension (`true`) or rebuild
-    /// it from scratch at the same hyperparameters (`false`).
-    pub enabled: bool,
     /// Run a full hyperparameter re-search every this many updates
     /// (0 disables scheduled re-searches).
     pub refit_period: usize,
@@ -108,7 +104,6 @@ pub struct IncrementalPolicy {
 impl Default for IncrementalPolicy {
     fn default() -> Self {
         IncrementalPolicy {
-            enabled: true,
             refit_period: 16,
             lml_degradation: 1.0,
         }
@@ -116,30 +111,10 @@ impl Default for IncrementalPolicy {
 }
 
 impl IncrementalPolicy {
-    /// Defaults, with `enabled` read from `OTUNE_INCREMENTAL` (any value
-    /// other than `0` — including unset — enables factor reuse).
-    pub fn from_env() -> Self {
-        let enabled = std::env::var("OTUNE_INCREMENTAL").map_or(true, |v| v != "0");
-        IncrementalPolicy {
-            enabled,
-            ..IncrementalPolicy::default()
-        }
-    }
-
-    /// The full-refit baseline: identical policy decisions, no factor
-    /// reuse.
-    pub fn full_refit() -> Self {
-        IncrementalPolicy {
-            enabled: false,
-            ..IncrementalPolicy::default()
-        }
-    }
-
     /// Never re-search hyperparameters — for fixed-hyper models that are
     /// extended point-by-point (e.g. progressive-validation fits).
-    pub fn never_research(enabled: bool) -> Self {
+    pub fn never_research() -> Self {
         IncrementalPolicy {
-            enabled,
             refit_period: 0,
             lml_degradation: f64::INFINITY,
         }
@@ -151,10 +126,6 @@ impl IncrementalPolicy {
 pub enum UpdateOutcome {
     /// O(n²) rank-one extension of the cached factor, hypers unchanged.
     Incremental,
-    /// From-scratch refactorization at the current hyperparameters and
-    /// jitter (the `enabled == false` baseline) — bitwise-identical
-    /// model state to [`UpdateOutcome::Incremental`].
-    Refactored,
     /// The cached jitter level could not absorb the new row; the factor
     /// was rebuilt with a fresh jitter ladder (hypers unchanged).
     JitterInvalidated,
@@ -418,38 +389,28 @@ impl GaussianProcess {
 
     /// The noisy covariance `K + τ²I` over the training inputs.
     ///
-    /// With blocked kernels enabled (the default), the lower triangle is
-    /// assembled row-by-row on the packed kind-grouped layout, four
-    /// entries per pass; each entry performs the identical operation
-    /// sequence as [`MixedKernel::eval`], so both paths produce
-    /// bitwise-identical matrices (pinned by proptests).
+    /// The lower triangle is assembled row-by-row on the packed
+    /// kind-grouped layout, four entries per pass; each entry performs the
+    /// identical operation sequence as [`MixedKernel::eval`], so the
+    /// matrix is bitwise-identical to evaluating the kernel pair by pair
+    /// (pinned by proptests).
     fn build_cov(kernel: &MixedKernel, x: &[Vec<f64>]) -> Result<Matrix, GpError> {
+        thread_local! {
+            static SCRATCH: RefCell<(PackedSet, Vec<f64>)> = RefCell::new(Default::default());
+        }
         let n = x.len();
         let mut k = Matrix::zeros(n, n);
-        if otune_linalg::simd::enabled() {
-            thread_local! {
-                static SCRATCH: RefCell<(PackedSet, Vec<f64>)> = RefCell::new(Default::default());
-            }
-            SCRATCH.with(|s| {
-                let (packed, hamming) = &mut *s.borrow_mut();
-                kernel.pack_rows(x.iter().map(Vec::as_slice), packed);
-                kernel.hamming_table_into(packed.n_cat(), hamming);
-                for i in 0..n {
-                    kernel.eval_rows_packed(packed.row(i), packed, i + 1, hamming, k.row_mut(i));
-                }
-            });
+        SCRATCH.with(|s| {
+            let (packed, hamming) = &mut *s.borrow_mut();
+            kernel.pack_rows(x.iter().map(Vec::as_slice), packed);
+            kernel.hamming_table_into(packed.n_cat(), hamming);
             for i in 0..n {
-                for j in 0..i {
-                    k[(j, i)] = k[(i, j)];
-                }
+                kernel.eval_rows_packed(packed.row(i), packed, i + 1, hamming, k.row_mut(i));
             }
-        } else {
-            for i in 0..n {
-                for j in 0..=i {
-                    let v = kernel.eval(&x[i], &x[j]);
-                    k[(i, j)] = v;
-                    k[(j, i)] = v;
-                }
+        });
+        for i in 0..n {
+            for j in 0..i {
+                k[(j, i)] = k[(i, j)];
             }
         }
         k.add_diagonal(kernel.hyper.noise_var)?;
@@ -480,15 +441,14 @@ impl GaussianProcess {
     /// Absorb one new observation, reusing the fitted hyperparameters.
     ///
     /// The common path grows the cached Cholesky factor by one row in
-    /// O(n²) (`policy.enabled`) or rebuilds it from scratch at the stored
-    /// jitter level (`!policy.enabled`, the `OTUNE_INCREMENTAL=0`
-    /// baseline); both produce bitwise-identical model state, because the
-    /// extension replays exactly the floating-point operations of a
-    /// from-scratch factorization at the same jitter. A full pooled
-    /// hyperparameter re-search — warm-started from the current winner —
-    /// runs instead when `policy.refit_period` updates have accumulated,
-    /// or afterwards when the per-observation LML has degraded more than
-    /// `policy.lml_degradation` nats below the last full-search value.
+    /// O(n²). The model state is bitwise-identical to a same-hyper full
+    /// refit, because the extension replays exactly the floating-point
+    /// operations of a from-scratch factorization at the same jitter. A
+    /// full pooled hyperparameter re-search — warm-started from the
+    /// current winner — runs instead when `policy.refit_period` updates
+    /// have accumulated, or afterwards when the per-observation LML has
+    /// degraded more than `policy.lml_degradation` nats below the last
+    /// full-search value.
     ///
     /// On error the new observation is rolled back and the model remains
     /// the previous valid fit. A failed *degradation* re-search is not an
@@ -540,7 +500,7 @@ impl GaussianProcess {
 
         let snapshot = self.chol.clone();
         let extend_span = telemetry.trace_span("chol_extend");
-        let outcome = match self.regrow_factor(policy.enabled) {
+        let outcome = match self.regrow_factor() {
             Ok(outcome) => outcome,
             Err(e) => {
                 self.x.pop();
@@ -570,39 +530,27 @@ impl GaussianProcess {
     }
 
     /// Grow the factor for the just-appended observation at the current
-    /// hyperparameters. Both modes replay the stored jitter level; the
-    /// full jitter ladder runs only when that level no longer suffices,
-    /// and because appending a row leaves the leading pivots untouched,
-    /// the fixed-level attempt fails in both modes at the same point.
-    fn regrow_factor(&mut self, reuse_factor: bool) -> Result<UpdateOutcome, GpError> {
+    /// hyperparameters, replaying the stored jitter level. The full
+    /// jitter ladder runs only when that level no longer suffices;
+    /// because appending a row leaves the leading pivots untouched, a
+    /// from-scratch refactor at the stored level would fail at the same
+    /// point.
+    fn regrow_factor(&mut self) -> Result<UpdateOutcome, GpError> {
         let n = self.x.len() - 1;
-        if reuse_factor {
-            // Row i = n of the covariance, in the same evaluation order
-            // (and argument order) as `build_cov`.
-            let x_new = &self.x[n];
-            let mut row: Vec<f64> = self.x[..n]
-                .iter()
-                .map(|xj| self.kernel.eval(x_new, xj))
-                .collect();
-            row.push(self.kernel.eval(x_new, x_new) + self.kernel.hyper.noise_var);
-            match self.chol.extend_with_row(&row) {
-                Ok(()) => return Ok(UpdateOutcome::Incremental),
-                Err(LinalgError::NotPositiveDefinite { .. }) => {}
-                Err(e) => return Err(e.into()),
-            }
-        } else {
-            let k = Self::build_cov(&self.kernel, &self.x)?;
-            match Cholesky::decompose_with_jitter(&k, self.chol.jitter()) {
-                Ok(chol) => {
-                    self.chol = chol;
-                    return Ok(UpdateOutcome::Refactored);
-                }
-                Err(LinalgError::NotPositiveDefinite { .. }) => {}
-                Err(e) => return Err(e.into()),
-            }
+        // Row i = n of the covariance, in the same evaluation order (and
+        // argument order) as `build_cov`.
+        let x_new = &self.x[n];
+        let mut row: Vec<f64> = self.x[..n]
+            .iter()
+            .map(|xj| self.kernel.eval(x_new, xj))
+            .collect();
+        row.push(self.kernel.eval(x_new, x_new) + self.kernel.hyper.noise_var);
+        match self.chol.extend_with_row(&row) {
+            Ok(()) => return Ok(UpdateOutcome::Incremental),
+            Err(LinalgError::NotPositiveDefinite { .. }) => {}
+            Err(e) => return Err(e.into()),
         }
-        // Shared fallback: the stored jitter level is invalidated, rerun
-        // the full ladder (identical in both modes).
+        // The stored jitter level is invalidated: rerun the full ladder.
         let k = Self::build_cov(&self.kernel, &self.x)?;
         self.chol = Cholesky::decompose(&k)?;
         Ok(UpdateOutcome::JitterInvalidated)
@@ -780,44 +728,29 @@ impl GaussianProcess {
         }
         scratch.mean.clear();
         scratch.mean.resize(m, 0.0);
-        if otune_linalg::simd::enabled() {
-            // Blocked cross-kernel assembly: pack both sides by feature
-            // kind, then stream each train row against four candidates at
-            // a time. Per (i, j) pair the operation sequence matches the
-            // scalar `eval` loop exactly, and the mean accumulates its
-            // `i` terms in the same ascending order — bitwise-identical
-            // output, one branch-free pass per row.
-            self.kernel
-                .pack_rows(self.x.iter().map(Vec::as_slice), &mut scratch.train_packed);
-            self.kernel
-                .pack_rows(xs.iter().map(Vec::as_slice), &mut scratch.cand_packed);
-            self.kernel
-                .hamming_table_into(scratch.cand_packed.n_cat(), &mut scratch.hamming);
-            for i in 0..n {
-                let alpha_i = self.alpha[i];
-                let row = scratch.kc.row_mut(i);
-                self.kernel.eval_rows_packed(
-                    scratch.train_packed.row(i),
-                    &scratch.cand_packed,
-                    m,
-                    &scratch.hamming,
-                    row,
-                );
-                for (mj, &k) in scratch.mean.iter_mut().zip(row.iter()) {
-                    *mj += k * alpha_i;
-                }
-            }
-        } else {
-            for i in 0..n {
-                let xi = &self.x[i];
-                let alpha_i = self.alpha[i];
-                let row = scratch.kc.row_mut(i);
-                for (j, x) in xs.iter().enumerate() {
-                    debug_assert_eq!(x.len(), self.kernel.dim());
-                    let k = self.kernel.eval(xi, x);
-                    row[j] = k;
-                    scratch.mean[j] += k * alpha_i;
-                }
+        // Blocked cross-kernel assembly: pack both sides by feature kind,
+        // then stream each train row against four candidates at a time.
+        // Per (i, j) pair the operation sequence matches `eval` exactly,
+        // and the mean accumulates its `i` terms in the same ascending
+        // order — bitwise-identical output, one branch-free pass per row.
+        self.kernel
+            .pack_rows(self.x.iter().map(Vec::as_slice), &mut scratch.train_packed);
+        self.kernel
+            .pack_rows(xs.iter().map(Vec::as_slice), &mut scratch.cand_packed);
+        self.kernel
+            .hamming_table_into(scratch.cand_packed.n_cat(), &mut scratch.hamming);
+        for i in 0..n {
+            let alpha_i = self.alpha[i];
+            let row = scratch.kc.row_mut(i);
+            self.kernel.eval_rows_packed(
+                scratch.train_packed.row(i),
+                &scratch.cand_packed,
+                m,
+                &scratch.hamming,
+                row,
+            );
+            for (mj, &k) in scratch.mean.iter_mut().zip(row.iter()) {
+                *mj += k * alpha_i;
             }
         }
         // Kc now holds the cross-kernel; overwrite it with V = L⁻¹ Kc.

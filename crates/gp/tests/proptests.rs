@@ -176,7 +176,7 @@ proptest! {
 
         let mut inc = GaussianProcess::fit(kinds.clone(), x[..n - 1].to_vec(), &y[..n - 1], cfg)
             .unwrap();
-        let policy = IncrementalPolicy::never_research(true);
+        let policy = IncrementalPolicy::never_research();
         inc.update(x[n - 1].clone(), y[n - 1], &policy, cfg, otune_pool::Pool::global())
             .unwrap();
 

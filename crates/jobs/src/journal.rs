@@ -13,7 +13,7 @@
 //!
 //! A journal is the base file plus rotated siblings `<base>.0001`,
 //! `<base>.0002`, … — a new segment starts once the current one crosses
-//! [`SEGMENT_ENV`] bytes (default 8 MiB; large enough that short
+//! 8 MiB (large enough that short
 //! campaigns stay single-file and byte-identical to the unsegmented
 //! format). Loads read every segment, order entries by `seq`, and drop
 //! duplicate seqs (first occurrence wins) — which also makes a crash
@@ -40,23 +40,12 @@
 //!   resume repairs by re-driving the lost waves deterministically.
 
 use crate::event::{JobEvent, JournalEntry};
-use otune_telemetry::{metric, BatchedWriter, SyncPolicy, Telemetry, WriterMetrics};
+use otune_telemetry::{metric, read_healed, BatchedWriter, SyncPolicy, Telemetry, WriterMetrics};
 use std::io;
 use std::path::{Path, PathBuf};
 
-/// Environment variable overriding the segment rotation threshold in
-/// bytes (default 8 MiB).
-pub const SEGMENT_ENV: &str = "OTUNE_JOURNAL_SEGMENT_BYTES";
-
-const DEFAULT_SEGMENT_BYTES: u64 = 8 * 1024 * 1024;
-
-fn segment_bytes_from_env() -> u64 {
-    std::env::var(SEGMENT_ENV)
-        .ok()
-        .and_then(|s| s.trim().parse::<u64>().ok())
-        .filter(|&n| n > 0)
-        .unwrap_or(DEFAULT_SEGMENT_BYTES)
-}
+/// Segment rotation threshold in bytes.
+const SEGMENT_BYTES: u64 = 8 * 1024 * 1024;
 
 /// Append handle over a (possibly segmented) journal.
 pub struct Journal {
@@ -127,7 +116,7 @@ impl Journal {
             base: path.to_path_buf(),
             writer,
             segment,
-            segment_bytes: segment_bytes_from_env(),
+            segment_bytes: SEGMENT_BYTES,
             telemetry: Telemetry::disabled(),
             crash_at_fsync: None,
             fsyncs_closed: 0,
@@ -198,8 +187,7 @@ impl Journal {
         self.writer.barrier()
     }
 
-    /// Override the segment rotation threshold (tests; production reads
-    /// [`SEGMENT_ENV`] at open).
+    /// Override the 8 MiB segment rotation threshold (tests).
     pub fn set_segment_bytes(&mut self, bytes: u64) {
         self.segment_bytes = bytes.max(1);
     }
@@ -268,22 +256,17 @@ impl Journal {
     /// with duplicate seqs dropped (first occurrence wins). A missing
     /// journal is an empty load; torn or corrupt lines (including
     /// invalid UTF-8 from a torn write) are skipped and counted, never a
-    /// panic.
+    /// panic and never decoded with a byte silently replaced.
     pub fn load(path: &Path) -> io::Result<JournalLoad> {
         let mut load = JournalLoad::default();
         for segment in Self::segments(path)? {
-            let bytes = match std::fs::read(&segment) {
-                Ok(b) => b,
+            let healed = match read_healed::<JournalEntry>(&segment) {
+                Ok(h) => h,
                 Err(e) if e.kind() == io::ErrorKind::NotFound => continue,
                 Err(e) => return Err(e),
             };
-            let text = String::from_utf8_lossy(&bytes);
-            for line in text.lines().filter(|l| !l.trim().is_empty()) {
-                match serde_json::from_str::<JournalEntry>(line) {
-                    Ok(entry) => load.entries.push(entry),
-                    Err(_) => load.torn_lines += 1,
-                }
-            }
+            load.entries.extend(healed.items);
+            load.torn_lines += healed.torn_lines;
         }
         load.entries.sort_by_key(|e| e.seq);
         load.entries.dedup_by_key(|e| e.seq);
@@ -448,6 +431,36 @@ mod tests {
         let load = Journal::load(&path).unwrap();
         assert_eq!(load.entries, vec![entry(1), entry(3)]);
         assert_eq!(load.torn_lines, 1);
+    }
+
+    #[test]
+    fn bad_bytes_cost_their_line_and_are_never_rewritten() {
+        let failed = |seq: u64, status: &str| JournalEntry {
+            seq,
+            event: JobEvent::TaskFailed {
+                task: 0,
+                wave: seq,
+                attempt: 1,
+                status: status.to_string(),
+            },
+        };
+        let line = |e: &JournalEntry| serde_json::to_vec(e).unwrap();
+        // A 0xFF byte inside a string field mid-file: decoding it lossily
+        // would accept seq 2 with a U+FFFD in its status.
+        let mut bad = line(&failed(2, "oom"));
+        let at = bad.windows(3).position(|w| w == b"oom").unwrap();
+        bad[at + 1] = 0xFF;
+        // A tail torn inside a multi-byte character.
+        let mut torn = line(&failed(4, "ö"));
+        torn.truncate(torn.iter().position(|&b| b == 0xC3).unwrap() + 1);
+        let (one, three) = (line(&entry(1)), line(&entry(3)));
+        for lines in [[&one, &bad, &three], [&one, &three, &torn]] {
+            let path = tmp("badbytes");
+            std::fs::write(&path, lines.map(Vec::as_slice).join(&b'\n')).unwrap();
+            let load = Journal::load(&path).unwrap();
+            assert_eq!(load.entries, vec![entry(1), entry(3)]);
+            assert_eq!(load.torn_lines, 1);
+        }
     }
 
     #[test]

@@ -54,5 +54,5 @@ pub use engine::{ItemResult, JobEngine, JobError, PendingItem, PendingWave, CRAS
 pub use event::{
     DlqEntry, FailureRecord, FleetSummary, ItemOutcome, JobEvent, JournalEntry, TaskSummary,
 };
-pub use journal::{CompactionReport, Journal, JournalLoad, SEGMENT_ENV};
+pub use journal::{CompactionReport, Journal, JournalLoad};
 pub use spec::{CampaignSpec, TaskFault};

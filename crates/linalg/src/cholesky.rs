@@ -90,63 +90,18 @@ impl Cholesky {
     /// observed; the upper triangle stays zero from the initial
     /// allocation.
     ///
-    /// Dispatches to the 4-lane blocked panel kernel unless `OTUNE_SIMD=0`;
-    /// both paths produce bitwise-identical factors (pinned by proptests).
-    fn try_factor_into(
-        a: &Matrix,
-        jitter: f64,
-        l: &mut Matrix,
-    ) -> std::result::Result<(), (usize, f64)> {
-        if crate::simd::enabled() {
-            Self::try_factor_into_blocked(a, jitter, l)
-        } else {
-            Self::try_factor_into_scalar(a, jitter, l)
-        }
-    }
-
-    /// Scalar reference factorization loop. Kept verbatim as the bitwise
-    /// ground truth the blocked kernel is tested against.
+    /// Blocked panel kernel: row `i`'s off-diagonal entries are produced
+    /// four at a time. For a lane block `j0..j0+4` the shared prefix
+    /// `k < j0` runs in lockstep — one load of `l[i][k]` feeds four
+    /// independent accumulators — and each lane then finishes its short
+    /// tail `k = j0..j` sequentially, because those terms read row-`i`
+    /// entries the earlier lanes of the same block just wrote. Every entry
+    /// `(i, j)` therefore still subtracts its `k` terms in ascending order
+    /// exactly like [`Cholesky::try_factor_into_scalar`], so the factor is
+    /// bitwise identical (pinned by proptests); the lockstep prefix is
+    /// where the 4-wide ILP (and autovectorization) comes from.
     #[doc(hidden)]
-    pub fn try_factor_into_scalar(
-        a: &Matrix,
-        jitter: f64,
-        l: &mut Matrix,
-    ) -> std::result::Result<(), (usize, f64)> {
-        let n = a.rows();
-        for i in 0..n {
-            for j in 0..=i {
-                let mut sum = a[(i, j)];
-                if i == j {
-                    sum += jitter;
-                }
-                for k in 0..j {
-                    sum -= l[(i, k)] * l[(j, k)];
-                }
-                if i == j {
-                    if sum <= 0.0 || !sum.is_finite() {
-                        return Err((i, sum - jitter));
-                    }
-                    l[(i, j)] = sum.sqrt();
-                } else {
-                    l[(i, j)] = sum / l[(j, j)];
-                }
-            }
-        }
-        Ok(())
-    }
-
-    /// Blocked factorization panel: row `i`'s off-diagonal entries are
-    /// produced four at a time. For a lane block `j0..j0+4` the shared
-    /// prefix `k < j0` runs in lockstep — one load of `l[i][k]` feeds
-    /// four independent accumulators — and each lane then finishes its
-    /// short tail `k = j0..j` sequentially, because those terms read
-    /// row-`i` entries the earlier lanes of the same block just wrote.
-    /// Every entry `(i, j)` therefore still subtracts its `k` terms in
-    /// ascending order exactly like the scalar loop, so the factor is
-    /// bitwise identical; the lockstep prefix is where the 4-wide ILP
-    /// (and autovectorization) comes from.
-    #[doc(hidden)]
-    pub fn try_factor_into_blocked(
+    pub fn try_factor_into(
         a: &Matrix,
         jitter: f64,
         l: &mut Matrix,
@@ -210,16 +165,47 @@ impl Cholesky {
         Ok(())
     }
 
+    /// Scalar reference factorization loop: the test-only bitwise ground
+    /// truth for [`Cholesky::try_factor_into`].
+    #[doc(hidden)]
+    pub fn try_factor_into_scalar(
+        a: &Matrix,
+        jitter: f64,
+        l: &mut Matrix,
+    ) -> std::result::Result<(), (usize, f64)> {
+        let n = a.rows();
+        for i in 0..n {
+            for j in 0..=i {
+                let mut sum = a[(i, j)];
+                if i == j {
+                    sum += jitter;
+                }
+                for k in 0..j {
+                    sum -= l[(i, k)] * l[(j, k)];
+                }
+                if i == j {
+                    if sum <= 0.0 || !sum.is_finite() {
+                        return Err((i, sum - jitter));
+                    }
+                    l[(i, j)] = sum.sqrt();
+                } else {
+                    l[(i, j)] = sum / l[(j, j)];
+                }
+            }
+        }
+        Ok(())
+    }
+
     /// Factor `a` at one *fixed* jitter level, without the retry ladder.
     ///
-    /// This is the replay primitive behind incremental surrogate
-    /// maintenance: refactoring a grown covariance matrix at the jitter
-    /// the cached factor already carries performs the exact
-    /// floating-point operation sequence of the cached prefix rows plus
+    /// The test oracle for incremental surrogate maintenance:
+    /// refactoring a grown covariance matrix at the jitter the cached
+    /// factor already carries performs the exact floating-point
+    /// operation sequence of the cached prefix rows plus
     /// [`Cholesky::extend_with_row`] for the appended rows, so the two
-    /// paths agree bitwise. Fails with
-    /// [`LinalgError::NotPositiveDefinite`] instead of escalating the
-    /// jitter — the caller decides whether to fall back to the ladder.
+    /// agree bitwise. Fails with [`LinalgError::NotPositiveDefinite`]
+    /// instead of escalating the jitter.
+    #[doc(hidden)]
     pub fn decompose_with_jitter(a: &Matrix, jitter: f64) -> Result<Self> {
         if !a.is_square() {
             return Err(LinalgError::NotSquare { shape: a.shape() });
@@ -353,50 +339,14 @@ impl Cholesky {
     /// element-wise — so batched and per-vector solves agree bitwise.
     /// The batched layout just turns the inner loop into contiguous row
     /// operations.
+    ///
+    /// The kernel is register-blocked: four `k` terms per pass over row
+    /// `i`, applied as four *separate* subtractions in ascending-`k`
+    /// order — the identical operation sequence per output element as
+    /// [`Cholesky::solve_lower_batch_in_place_scalar`], with 4× less
+    /// traffic on the output row. Bitwise-identical results, pinned by
+    /// proptests.
     pub fn solve_lower_batch_in_place(&self, b: &mut Matrix) -> Result<()> {
-        if crate::simd::enabled() {
-            self.solve_lower_batch_in_place_blocked(b)
-        } else {
-            self.solve_lower_batch_in_place_scalar(b)
-        }
-    }
-
-    /// Scalar reference multi-RHS forward substitution. Kept verbatim as
-    /// the bitwise ground truth for the register-blocked kernel.
-    #[doc(hidden)]
-    pub fn solve_lower_batch_in_place_scalar(&self, b: &mut Matrix) -> Result<()> {
-        let n = self.l.rows();
-        if b.rows() != n {
-            return Err(LinalgError::ShapeMismatch {
-                left: (n, n),
-                right: b.shape(),
-            });
-        }
-        let m = b.cols();
-        for i in 0..n {
-            let (prev, row_i) = b.rows_split_mut(i);
-            for k in 0..i {
-                let lik = self.l[(i, k)];
-                let yk = &prev[k * m..(k + 1) * m];
-                for (o, &v) in row_i.iter_mut().zip(yk) {
-                    *o -= lik * v;
-                }
-            }
-            let d = self.l[(i, i)];
-            for o in row_i.iter_mut() {
-                *o /= d;
-            }
-        }
-        Ok(())
-    }
-
-    /// Register-blocked multi-RHS forward substitution: four `k` terms
-    /// per pass over row `i`, applied as four *separate* subtractions in
-    /// ascending-`k` order — the identical operation sequence per output
-    /// element as the scalar kernel, with 4× less traffic on the output
-    /// row. Bitwise-identical results, pinned by proptests.
-    #[doc(hidden)]
-    pub fn solve_lower_batch_in_place_blocked(&self, b: &mut Matrix) -> Result<()> {
         const LANES: usize = crate::simd::LANES;
         let n = self.l.rows();
         if b.rows() != n {
@@ -444,6 +394,35 @@ impl Cholesky {
             }
         }
         crate::simd::record_blocks(blocks);
+        Ok(())
+    }
+
+    /// Scalar reference multi-RHS forward substitution: the test-only
+    /// bitwise ground truth for [`Cholesky::solve_lower_batch_in_place`].
+    #[doc(hidden)]
+    pub fn solve_lower_batch_in_place_scalar(&self, b: &mut Matrix) -> Result<()> {
+        let n = self.l.rows();
+        if b.rows() != n {
+            return Err(LinalgError::ShapeMismatch {
+                left: (n, n),
+                right: b.shape(),
+            });
+        }
+        let m = b.cols();
+        for i in 0..n {
+            let (prev, row_i) = b.rows_split_mut(i);
+            for k in 0..i {
+                let lik = self.l[(i, k)];
+                let yk = &prev[k * m..(k + 1) * m];
+                for (o, &v) in row_i.iter_mut().zip(yk) {
+                    *o -= lik * v;
+                }
+            }
+            let d = self.l[(i, i)];
+            for o in row_i.iter_mut() {
+                *o /= d;
+            }
+        }
         Ok(())
     }
 

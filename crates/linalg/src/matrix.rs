@@ -177,56 +177,13 @@ impl Matrix {
     /// resident. Each output element accumulates its `k` terms in ascending
     /// order from `0.0`, so the result is bitwise identical to the naive
     /// triple loop (and to [`Matrix::matmul_into`]).
-    pub fn matmul(&self, other: &Matrix) -> Result<Matrix> {
-        if crate::simd::enabled() {
-            self.matmul_blocked(other)
-        } else {
-            self.matmul_scalar(other)
-        }
-    }
-
-    /// Scalar reference product: transposed-B tiles with one fold per
-    /// output. Kept verbatim as the bitwise ground truth for the 4-wide
-    /// microkernel.
-    #[doc(hidden)]
-    pub fn matmul_scalar(&self, other: &Matrix) -> Result<Matrix> {
-        if self.cols != other.rows {
-            return Err(LinalgError::ShapeMismatch {
-                left: self.shape(),
-                right: other.shape(),
-            });
-        }
-        let mut out = Matrix::zeros(self.rows, other.cols);
-        let bt = other.transpose();
-        for i0 in (0..self.rows).step_by(MATMUL_BLOCK) {
-            let i_end = (i0 + MATMUL_BLOCK).min(self.rows);
-            for j0 in (0..bt.rows).step_by(MATMUL_BLOCK) {
-                let j_end = (j0 + MATMUL_BLOCK).min(bt.rows);
-                for i in i0..i_end {
-                    let arow = &self.data[i * self.cols..(i + 1) * self.cols];
-                    let orow = &mut out.data[i * bt.rows..(i + 1) * bt.rows];
-                    for (o, j) in orow[j0..j_end].iter_mut().zip(j0..) {
-                        // Explicit 0.0 seed: `Sum<f64>` seeds differently on
-                        // signed zeros, which would break bitwise equality
-                        // with the accumulate-in-place kernels.
-                        *o = arow
-                            .iter()
-                            .zip(bt.row(j))
-                            .fold(0.0, |acc, (&x, &y)| acc + x * y);
-                    }
-                }
-            }
-        }
-        Ok(out)
-    }
-
-    /// 4-wide microkernel product: inside each tile, four output columns
+    ///
+    /// Inside each tile a 4-wide microkernel lets four output columns
     /// share one streaming pass over the A row, each accumulating its own
     /// ascending-`k` sum from `0.0` — the same per-output operation order
-    /// as [`Matrix::matmul_scalar`], so results are bitwise identical
-    /// while one A-row load feeds four independent FMA chains.
-    #[doc(hidden)]
-    pub fn matmul_blocked(&self, other: &Matrix) -> Result<Matrix> {
+    /// as [`Matrix::matmul_scalar`], so one A-row load feeds four
+    /// independent FMA chains without changing a bit.
+    pub fn matmul(&self, other: &Matrix) -> Result<Matrix> {
         const LANES: usize = crate::simd::LANES;
         if self.cols != other.rows {
             return Err(LinalgError::ShapeMismatch {
@@ -271,6 +228,41 @@ impl Matrix {
             }
         }
         crate::simd::record_blocks(blocks);
+        Ok(out)
+    }
+
+    /// Scalar reference product: transposed-B tiles with one fold per
+    /// output. The test-only bitwise ground truth for the 4-wide
+    /// microkernel in [`Matrix::matmul`].
+    #[doc(hidden)]
+    pub fn matmul_scalar(&self, other: &Matrix) -> Result<Matrix> {
+        if self.cols != other.rows {
+            return Err(LinalgError::ShapeMismatch {
+                left: self.shape(),
+                right: other.shape(),
+            });
+        }
+        let mut out = Matrix::zeros(self.rows, other.cols);
+        let bt = other.transpose();
+        for i0 in (0..self.rows).step_by(MATMUL_BLOCK) {
+            let i_end = (i0 + MATMUL_BLOCK).min(self.rows);
+            for j0 in (0..bt.rows).step_by(MATMUL_BLOCK) {
+                let j_end = (j0 + MATMUL_BLOCK).min(bt.rows);
+                for i in i0..i_end {
+                    let arow = &self.data[i * self.cols..(i + 1) * self.cols];
+                    let orow = &mut out.data[i * bt.rows..(i + 1) * bt.rows];
+                    for (o, j) in orow[j0..j_end].iter_mut().zip(j0..) {
+                        // Explicit 0.0 seed: `Sum<f64>` seeds differently on
+                        // signed zeros, which would break bitwise equality
+                        // with the accumulate-in-place kernels.
+                        *o = arow
+                            .iter()
+                            .zip(bt.row(j))
+                            .fold(0.0, |acc, (&x, &y)| acc + x * y);
+                    }
+                }
+            }
+        }
         Ok(out)
     }
 

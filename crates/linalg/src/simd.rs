@@ -1,4 +1,4 @@
-//! Runtime dispatch and accounting for the SIMD-style blocked kernels.
+//! Accounting for the SIMD-style blocked kernels.
 //!
 //! The blocked kernels in this crate ([`Cholesky`] factorization panels,
 //! multi-RHS triangular solves, [`Matrix::matmul`] microkernels, and the
@@ -12,21 +12,15 @@
 //! dependent FMA chains run in lockstep instead of one, which is where
 //! the serial-math-bound suggest path spends its time.
 //!
-//! Dispatch is process-wide: `OTUNE_SIMD=0` forces every kernel onto its
-//! scalar reference loop (the blocked path is the default). Because the
-//! two paths are bitwise identical by construction — and pinned by
-//! `to_bits` proptests — the switch only exists for benchmarking and for
-//! bisecting miscompiles, not for correctness.
+//! The blocked kernels are the only production path. The scalar
+//! reference loops (`try_factor_into_scalar`,
+//! `solve_lower_batch_in_place_scalar`, `matmul_scalar`) are kept as
+//! hidden oracles that the `to_bits` proptests compare against.
 //!
 //! [`Cholesky`]: crate::Cholesky
 //! [`Matrix::matmul`]: crate::Matrix::matmul
 
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::OnceLock;
-
-/// Environment variable controlling blocked-kernel dispatch. Any value
-/// other than `0`/`false`/`off` (case-insensitive) leaves blocking on.
-pub const SIMD_ENV: &str = "OTUNE_SIMD";
 
 /// Lane width of the blocked kernels: 4 independent f64 accumulators,
 /// matching one AVX2 register (and two NEON registers) so the lockstep
@@ -36,20 +30,6 @@ pub const LANES: usize = 4;
 
 /// Process-wide count of 4-lane blocks executed by blocked kernels.
 static SIMD_BLOCKS: AtomicU64 = AtomicU64::new(0);
-
-/// Whether the blocked kernels are enabled (decided once per process
-/// from [`SIMD_ENV`]; defaults to enabled).
-pub fn enabled() -> bool {
-    static ENABLED: OnceLock<bool> = OnceLock::new();
-    *ENABLED.get_or_init(|| {
-        std::env::var(SIMD_ENV)
-            .map(|v| {
-                let v = v.trim().to_ascii_lowercase();
-                !(v == "0" || v == "false" || v == "off")
-            })
-            .unwrap_or(true)
-    })
-}
 
 /// Add `n` executed lane blocks to the process-wide counter. Kernels
 /// batch their counts locally and call this once per invocation, so the
@@ -77,11 +57,5 @@ mod tests {
         record_blocks(3);
         record_blocks(0); // no-op, must not panic
         assert!(blocks() >= before + 3);
-    }
-
-    #[test]
-    fn enabled_is_stable() {
-        // Whatever the environment says, repeated calls agree.
-        assert_eq!(enabled(), enabled());
     }
 }

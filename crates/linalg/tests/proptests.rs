@@ -205,7 +205,7 @@ proptest! {
         let mut scalar = Matrix::zeros(n, n);
         let mut blocked = Matrix::zeros(n, n);
         let rs = Cholesky::try_factor_into_scalar(&a, jitter, &mut scalar);
-        let rb = Cholesky::try_factor_into_blocked(&a, jitter, &mut blocked);
+        let rb = Cholesky::try_factor_into(&a, jitter, &mut blocked);
         prop_assert_eq!(rs, rb);
         for i in 0..n {
             for j in 0..=i {
@@ -227,7 +227,7 @@ proptest! {
         let mut scalar = rhs.clone();
         let mut blocked = rhs;
         ch.solve_lower_batch_in_place_scalar(&mut scalar).unwrap();
-        ch.solve_lower_batch_in_place_blocked(&mut blocked).unwrap();
+        ch.solve_lower_batch_in_place(&mut blocked).unwrap();
         for i in 0..n {
             for j in 0..m {
                 prop_assert_eq!(blocked[(i, j)].to_bits(), scalar[(i, j)].to_bits());
@@ -243,7 +243,7 @@ proptest! {
         let a = Matrix::from_vec(r, k, splitmix_entries(seed, r * k)).unwrap();
         let b = Matrix::from_vec(k, c, splitmix_entries(seed ^ 0xBEEF, k * c)).unwrap();
         let scalar = a.matmul_scalar(&b).unwrap();
-        let blocked = a.matmul_blocked(&b).unwrap();
+        let blocked = a.matmul(&b).unwrap();
         for i in 0..r {
             for j in 0..c {
                 prop_assert_eq!(blocked[(i, j)].to_bits(), scalar[(i, j)].to_bits());

@@ -176,7 +176,7 @@ impl MetaCache {
         }
 
         let kinds = surrogate_kinds(space, 0);
-        let policy = IncrementalPolicy::never_research(self.policy.enabled);
+        let policy = IncrementalPolicy::never_research();
         let cfg = GpConfig {
             optimize_hypers: false,
             seed,
@@ -348,25 +348,33 @@ mod tests {
         assert_eq!(snap.counters[metric::META_LOO_MEMO_HITS], 6);
     }
 
+    /// The incrementally extended fold model and a fixed-hyper full refit
+    /// per fold (the test-only oracle) give the same weight, bit for bit.
     #[test]
     fn both_policy_modes_agree_on_weight() {
         let s = space();
         let history = obs(&s, 12, 5);
         let tm = Telemetry::disabled();
-        let weights: Vec<u64> = [true, false]
-            .into_iter()
-            .map(|enabled| {
-                let mut cache = MetaCache::new(IncrementalPolicy {
-                    enabled,
-                    ..IncrementalPolicy::default()
-                });
-                let mut w = 0.0;
-                for n in 4..=history.len() {
-                    w = cache.target_weight(&s, &history[..n], 0, &tm);
-                }
-                w.to_bits()
-            })
-            .collect();
-        assert_eq!(weights[0], weights[1]);
+        let mut cache = MetaCache::new(IncrementalPolicy::default());
+        let mut w = 0.0;
+        for n in 4..=history.len() {
+            w = cache.target_weight(&s, &history[..n], 0, &tm);
+        }
+
+        let cfg = GpConfig {
+            optimize_hypers: false,
+            ..GpConfig::default()
+        };
+        let (mut preds, mut truth) = (Vec::new(), Vec::new());
+        for k in 3..history.len() {
+            let xt = history[..k].iter().map(|o| s.encode(&o.config)).collect();
+            let yt: Vec<f64> = history[..k].iter().map(|o| o.objective).collect();
+            let gp = GaussianProcess::fit(surrogate_kinds(&s, 0), xt, &yt, cfg).unwrap();
+            preds.push(gp.predict_mean(&s.encode(&history[k].config)));
+            truth.push(history[k].objective);
+        }
+        let lo = preds.len().saturating_sub(WEIGHT_FOLD_WINDOW);
+        let oracle = ((kendall_tau(&preds[lo..], &truth[lo..]) + 1.0) / 2.0).clamp(0.05, 1.0);
+        assert_eq!(w.to_bits(), oracle.to_bits());
     }
 }

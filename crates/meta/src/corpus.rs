@@ -29,7 +29,7 @@
 //! given the same corpus file.
 
 use otune_space::{ConfigSpace, Configuration};
-use otune_telemetry::{metric, BatchedWriter, SyncPolicy, Telemetry, WriterMetrics};
+use otune_telemetry::{metric, read_healed, BatchedWriter, SyncPolicy, Telemetry, WriterMetrics};
 use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
 use std::io;
@@ -130,25 +130,22 @@ impl TuningCorpus {
     /// and skipped, never fatal. A missing file is an empty corpus.
     pub fn open(path: impl Into<PathBuf>) -> io::Result<Self> {
         let path = path.into();
-        let text = match std::fs::read_to_string(&path) {
-            Ok(t) => t,
-            Err(e) if e.kind() == io::ErrorKind::NotFound => String::new(),
-            Err(e) => return Err(e),
-        };
         let mut corpus = TuningCorpus {
-            path: Some(path),
+            path: Some(path.clone()),
             ..TuningCorpus::default()
         };
-        for line in text.lines() {
-            if line.trim().is_empty() {
-                continue;
-            }
-            match serde_json::from_str::<CorpusLine>(line) {
-                Ok(CorpusLine::Record(r)) => corpus.records.push(r),
+        let healed = match read_healed::<CorpusLine>(&path) {
+            Ok(h) => h,
+            Err(e) if e.kind() == io::ErrorKind::NotFound => return Ok(corpus),
+            Err(e) => return Err(e),
+        };
+        corpus.torn = healed.torn_lines as usize;
+        for line in healed.items {
+            match line {
+                CorpusLine::Record(r) => corpus.records.push(r),
                 // The newest stats line wins: `persist_stats` appends a
                 // fresh one as the corpus grows.
-                Ok(CorpusLine::Stats(s)) => corpus.stats = Some(s),
-                Err(_) => corpus.torn += 1,
+                CorpusLine::Stats(s) => corpus.stats = Some(s),
             }
         }
         Ok(corpus)
@@ -634,6 +631,27 @@ mod tests {
         let mut back = back;
         back.append(record("c", vec![2.0], 0.5, 4, 7.0)).unwrap();
         assert_eq!(TuningCorpus::open(&path).unwrap().len(), 2);
+
+        // Byte-level damage costs exactly its line, never the file: a
+        // 0xFF byte inside a task id mid-file, and a tail torn inside a
+        // non-ASCII task id.
+        let line = |task: &str| {
+            let r = record(task, vec![0.0], 0.2, 2, 1.0);
+            serde_json::to_vec(&CorpusLine::Record(r)).unwrap()
+        };
+        let mut bad = line("bad");
+        let at = bad.windows(3).position(|w| w == b"bad").unwrap();
+        bad[at + 1] = 0xFF;
+        let mut torn = line("tâche");
+        torn.truncate(torn.iter().position(|&b| b == 0xC3).unwrap() + 1);
+        let (a, b) = (line("a"), line("b"));
+        for lines in [[&a, &bad, &b], [&a, &b, &torn]] {
+            std::fs::write(&path, lines.map(Vec::as_slice).join(&b'\n')).unwrap();
+            let back = TuningCorpus::open(&path).unwrap();
+            let tasks: Vec<&str> = back.records().iter().map(|r| r.task_id.as_str()).collect();
+            assert_eq!(tasks, ["a", "b"]);
+            assert_eq!(back.torn_lines(), 1);
+        }
     }
 
     #[test]

@@ -51,7 +51,7 @@ impl EnsembleSurrogate {
         n_sample: usize,
         seed: u64,
     ) -> Option<Self> {
-        let mut cache = MetaCache::new(IncrementalPolicy::from_env());
+        let mut cache = MetaCache::new(IncrementalPolicy::default());
         Self::build_cached(
             space,
             base_tasks,

@@ -31,15 +31,12 @@ pub const THREADS_ENV: &str = "OTUNE_THREADS";
 /// Upper bound on workers; guards against absurd env values.
 const MAX_THREADS: usize = 256;
 
-/// Environment variable overriding the adaptive serial cutoff
-/// (estimated nanoseconds of total map work below which
-/// [`Pool::map_adaptive`] stays on the caller thread).
-pub const SERIAL_CUTOFF_ENV: &str = "OTUNE_POOL_CUTOFF_NS";
-
-/// Default adaptive serial cutoff: scoped spawning costs a few tens of
-/// microseconds per map, so maps estimated under ~400µs of total work
-/// lose more to dispatch than they gain from width.
-const DEFAULT_SERIAL_CUTOFF_NS: u64 = 400_000;
+/// Adaptive serial cutoff: estimated nanoseconds of total map work below
+/// which [`Pool::map_adaptive`] stays on the caller thread. Scoped
+/// spawning costs a few tens of microseconds per map, so maps estimated
+/// under ~400µs of total work lose more to dispatch than they gain from
+/// width.
+const SERIAL_CUTOFF_NS: u64 = 400_000;
 
 /// Monotonic usage counters, shared by all clones of a [`Pool`].
 #[derive(Debug, Default)]
@@ -66,18 +63,6 @@ pub struct PoolStatsSnapshot {
     pub sequential_maps: u64,
     /// `map_adaptive` invocations inlined by the work-estimate cutoff.
     pub serial_cutoff_maps: u64,
-}
-
-/// The adaptive serial cutoff in estimated nanoseconds, read once per
-/// process from [`SERIAL_CUTOFF_ENV`].
-fn serial_cutoff_ns() -> u64 {
-    static CUTOFF: OnceLock<u64> = OnceLock::new();
-    *CUTOFF.get_or_init(|| {
-        std::env::var(SERIAL_CUTOFF_ENV)
-            .ok()
-            .and_then(|v| v.trim().parse::<u64>().ok())
-            .unwrap_or(DEFAULT_SERIAL_CUTOFF_NS)
-    })
 }
 
 /// A deterministic scoped worker pool.
@@ -148,8 +133,8 @@ impl Pool {
     }
 
     /// [`Pool::map`] with an adaptive serial cutoff: when the estimated
-    /// total work (`per_item_cost_ns × items`) is below the cutoff
-    /// (`OTUNE_POOL_CUTOFF_NS`, default 400µs), run inline on the caller
+    /// total work (`per_item_cost_ns × items`) is below the 400µs
+    /// cutoff, run inline on the caller
     /// thread instead of dispatching workers — at that scale the scoped
     /// spawn costs more than the parallelism recovers, which is why
     /// width-4 pools historically *lost* to width-1 on small GP fits.
@@ -166,7 +151,7 @@ impl Pool {
         F: Fn(usize, &T) -> R + Sync,
     {
         let total = per_item_cost_ns.saturating_mul(items.len() as u64);
-        if self.threads > 1 && items.len() > 1 && total < serial_cutoff_ns() {
+        if self.threads > 1 && items.len() > 1 && total < SERIAL_CUTOFF_NS {
             self.stats
                 .serial_cutoff_maps
                 .fetch_add(1, Ordering::Relaxed);

@@ -1,12 +1,14 @@
-//! Shared group-commit writer for append-only JSONL durability surfaces.
+//! Shared group-commit writer and torn-tail-tolerant reader for
+//! append-only JSONL durability surfaces.
 //!
-//! Three surfaces persist line-oriented JSON with crash tolerance: the
-//! job journal (`otune-jobs`), the snapshot log (`otune-core`), and the
-//! tuning corpus (`otune-meta`). Before this module each paid one
-//! `write` + `sync_data` per line — at fleet scale the fsync, not the
-//! tuning math, bounds wave throughput. [`BatchedWriter`] gives all
-//! three one code path: appends land in an in-memory batch buffer and a
+//! Two surfaces persist line-oriented JSON with crash tolerance: the job
+//! journal (`otune-jobs`) and the tuning corpus (`otune-meta`). Paying
+//! one `write` + `sync_data` per line makes the fsync, not the tuning
+//! math, bound wave throughput at fleet scale. [`BatchedWriter`] gives
+//! both one code path: appends land in an in-memory batch buffer and a
 //! single `sync_data` covers the whole batch when it flushes.
+//! [`read_healed`] is the one reader for these files and for telemetry
+//! event streams: it keeps every line that decodes and counts the rest.
 //!
 //! The [`SyncPolicy`] decides when a flush happens:
 //!
@@ -27,7 +29,7 @@
 
 use crate::Telemetry;
 use std::fs::{File, OpenOptions};
-use std::io::{self, Read, Seek, SeekFrom, Write};
+use std::io::{self, BufRead, BufReader, Read, Seek, SeekFrom, Write};
 use std::path::{Path, PathBuf};
 
 /// Environment variable selecting the journal sync policy:
@@ -313,6 +315,41 @@ impl Drop for BatchedWriter {
     }
 }
 
+/// What [`read_healed`] recovered from one JSONL file.
+#[derive(Debug, Clone, PartialEq)]
+pub struct Healed<T> {
+    /// Every line that decoded, in file order.
+    pub items: Vec<T>,
+    /// Non-blank lines that were not valid UTF-8 or did not decode as
+    /// `T`: a torn tail from a crashed append, or interior corruption.
+    pub torn_lines: u64,
+}
+
+/// Read a JSONL file, keeping every line that decodes as `T` and
+/// counting every other non-blank line as torn. Each line is checked on
+/// its own with strict UTF-8, so one bad byte costs exactly its line:
+/// never the whole file, and never a silently rewritten value. I/O
+/// errors, `NotFound` included, are returned unchanged so each caller
+/// decides what a missing file means.
+pub fn read_healed<T: serde::Deserialize>(path: impl AsRef<Path>) -> io::Result<Healed<T>> {
+    let reader = BufReader::new(File::open(path)?);
+    let mut healed = Healed {
+        items: Vec::new(),
+        torn_lines: 0,
+    };
+    for line in reader.split(b'\n') {
+        let line = line?;
+        if line.trim_ascii().is_empty() {
+            continue;
+        }
+        match serde_json::from_slice(&line) {
+            Ok(item) => healed.items.push(item),
+            Err(_) => healed.torn_lines += 1,
+        }
+    }
+    Ok(healed)
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -445,6 +482,30 @@ mod tests {
         w.barrier().unwrap();
         assert_eq!(w.logical_len(), 4);
         assert_eq!(std::fs::metadata(&path).unwrap().len(), 4);
+    }
+
+    #[test]
+    fn read_healed_costs_one_bad_byte_exactly_its_line() {
+        let path = tmp("healed");
+        let _ = std::fs::remove_file(&path);
+        assert_eq!(
+            read_healed::<String>(&path).unwrap_err().kind(),
+            io::ErrorKind::NotFound,
+            "a missing file is left to the caller"
+        );
+        // Line 2 carries a 0xFF byte inside its string; the tail is torn
+        // in the middle of a two-byte character (é = 0xC3 0xA9).
+        let mut bytes = b"\"a\"\n\n\"b\xFFc\"\n  \n\"d\"\n\"\xC3".to_vec();
+        std::fs::write(&path, &bytes).unwrap();
+        let healed = read_healed::<String>(&path).unwrap();
+        assert_eq!(healed.items, vec!["a".to_string(), "d".to_string()]);
+        assert_eq!(healed.torn_lines, 2, "bad byte + torn tail");
+        // Healed tail: the complete character decodes again.
+        bytes.extend_from_slice(b"\xA9\"\n");
+        std::fs::write(&path, &bytes).unwrap();
+        let healed = read_healed::<String>(&path).unwrap();
+        assert_eq!(healed.items.last().map(String::as_str), Some("é"));
+        assert_eq!(healed.torn_lines, 1);
     }
 
     #[test]

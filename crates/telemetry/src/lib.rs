@@ -26,11 +26,13 @@ mod sink;
 mod span;
 mod trace;
 
-pub use durable::{BatchedWriter, SyncPolicy, WriterMetrics, CRASH_FSYNC_PREFIX, SYNC_ENV};
+pub use durable::{
+    read_healed, BatchedWriter, Healed, SyncPolicy, WriterMetrics, CRASH_FSYNC_PREFIX, SYNC_ENV,
+};
 pub use event::{Event, EventKind, ResizeDirection, StopReason, SuggestionKind};
 pub use export::{chrome_trace_json, prometheus_text};
 pub use metrics::{metric, Histogram, HistogramSnapshot, MetricsRegistry, MetricsSnapshot};
-pub use sink::{read_jsonl, read_jsonl_lossy, EventSink, JsonlSink, NullSink, RingBufferSink};
+pub use sink::{read_jsonl, EventSink, JsonlSink, NullSink, RingBufferSink};
 pub use span::Span;
 pub use trace::{
     attribute, spans_from_events, structural_key, trace_key, AttributionReport, PhaseRow,

@@ -36,8 +36,8 @@ pub mod metric {
     pub const SURROGATE_CACHE_MISSES: &str = "surrogate_cache_misses";
     /// Counter: observations absorbed by O(n²) incremental updates.
     pub const SURROGATE_INCREMENTAL_UPDATES: &str = "surrogate_incremental_updates";
-    /// Counter: full refactorizations at fixed hyperparameters (the
-    /// `OTUNE_INCREMENTAL=0` baseline path plus jitter invalidations).
+    /// Counter: full refactorizations at fixed hyperparameters, run when
+    /// the cached jitter level cannot absorb an appended observation.
     pub const SURROGATE_FULL_REFITS: &str = "surrogate_full_refits";
     /// Counter: full hyperparameter re-searches (scheduled or
     /// LML-degradation triggered).
@@ -91,7 +91,7 @@ pub mod metric {
     /// replaced the exact surrogate (history past the sparse threshold).
     pub const SUBSET_GP_ACTIVATIONS: &str = "subset_gp_activations";
     /// Gauge: cumulative 4-lane blocks executed by the SIMD-style
-    /// linalg/kernel paths (0 when `OTUNE_SIMD=0` forces scalar).
+    /// linalg/kernel paths in this process.
     pub const SIMD_BLOCKS: &str = "simd_blocks";
     /// Counter: zero-execution first suggestions served from the corpus
     /// retrieval index (a neighbor cleared the similarity threshold).
@@ -116,8 +116,8 @@ pub mod metric {
     pub const JOB_CHECKPOINTS: &str = "job_checkpoints";
     /// Counter: campaign reconstructions from a job journal.
     pub const JOB_RESUMES: &str = "job_resumes";
-    /// Counter: torn or corrupt JSONL journal lines skipped by lossy
-    /// loads (snapshot logs and job journals).
+    /// Counter: torn or corrupt job-journal lines skipped when a
+    /// `JobEngine` opens its journal (`Journal::load` via `read_healed`).
     pub const JOURNAL_TORN_TAILS: &str = "journal_torn_tails";
     /// Counter: group-commit batches flushed by batched journal writers
     /// (one batch may cover many appended lines).

@@ -102,8 +102,9 @@ impl EventSink for RingBufferSink {
 }
 
 /// Buffered JSONL file sink: one JSON object per line, flushed on
-/// [`flush`](EventSink::flush) and on drop. Replay with [`read_jsonl`]
-/// or `otune events`.
+/// [`flush`](EventSink::flush) and on drop. Replay with [`read_jsonl`],
+/// [`read_healed`](crate::read_healed) (tolerates a crash-torn tail), or
+/// `otune events`.
 pub struct JsonlSink {
     writer: Mutex<BufWriter<File>>,
     dropped: AtomicU64,
@@ -174,28 +175,6 @@ pub fn read_jsonl<P: AsRef<Path>>(path: P) -> io::Result<Vec<Event>> {
     Ok(events)
 }
 
-/// Read an event stream tolerating torn or corrupt lines (a crash
-/// mid-write leaves a truncated tail; concurrent writers can interleave
-/// garbage). Parseable events are returned oldest first together with
-/// the number of skipped lines — mirrors `SnapshotLog`'s crash-recovery
-/// contract: damage is reported, never silently swallowed.
-pub fn read_jsonl_lossy<P: AsRef<Path>>(path: P) -> io::Result<(Vec<Event>, u64)> {
-    let reader = BufReader::new(File::open(path)?);
-    let mut events = Vec::new();
-    let mut skipped = 0u64;
-    for line in reader.lines() {
-        let line = line?;
-        if line.trim().is_empty() {
-            continue;
-        }
-        match serde_json::from_str::<Event>(&line) {
-            Ok(event) => events.push(event),
-            Err(_) => skipped += 1,
-        }
-    }
-    Ok((events, skipped))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -264,9 +243,9 @@ mod tests {
         let good = serde_json::to_string(&ev(0)).unwrap();
         let torn = &good[..good.len() / 2]; // crash mid-write
         std::fs::write(&path, format!("{good}\nnot json\n{good}\n{torn}")).unwrap();
-        let (events, skipped) = read_jsonl_lossy(&path).unwrap();
-        assert_eq!(events.len(), 2);
-        assert_eq!(skipped, 2, "garbage line + torn tail");
+        let healed = crate::read_healed::<Event>(&path).unwrap();
+        assert_eq!(healed.items.len(), 2);
+        assert_eq!(healed.torn_lines, 2, "garbage line + torn tail");
         std::fs::remove_file(&path).ok();
     }
 

@@ -2,10 +2,10 @@
 //! concurrent emitters. The observability contract is that capture never
 //! takes down (or blocks) the tuning path and losses are *counted*, never
 //! silent — these tests drive the sinks to their failure edges and check
-//! the dropped counters and the lossy reader against them.
+//! the dropped counters and the healing reader against them.
 
 use otune_telemetry::{
-    metric, read_jsonl_lossy, Event, EventKind, JsonlSink, RingBufferSink, Telemetry,
+    metric, read_healed, Event, EventKind, Healed, JsonlSink, RingBufferSink, Telemetry,
 };
 use std::io::Write;
 use std::sync::Arc;
@@ -48,13 +48,38 @@ fn lossy_reader_survives_torn_tail_and_mid_stream_corruption() {
     rewritten.push_str("\n{\"task\":\"y\""); // torn final record, no newline
     std::fs::write(&path, rewritten).unwrap();
 
-    let (events, dropped) = read_jsonl_lossy(&path).unwrap();
+    let Healed {
+        items: events,
+        torn_lines,
+    } = read_healed::<Event>(&path).unwrap();
     assert_eq!(events.len(), 18, "both corrupt lines and the tail skipped");
-    assert_eq!(dropped, 3, "every unreadable line is counted");
+    assert_eq!(torn_lines, 3, "every unreadable line is counted");
     // The surviving events are intact and still ordered.
     let seqs: Vec<u64> = events.iter().map(|e| e.seq).collect();
     assert!(seqs.windows(2).all(|w| w[0] < w[1]));
     assert!(!seqs.contains(&7) && !seqs.contains(&13));
+
+    // Byte-level damage costs exactly one line each: a 0xFF byte inside
+    // one event's task string, or a tail torn inside a multi-byte task
+    // id, never rejects the rest of the stream.
+    let line = |task: &str| {
+        let mut e = event(1);
+        e.task = task.to_string();
+        serde_json::to_vec(&e).unwrap()
+    };
+    let mut bad_byte = line("task-x");
+    let at = bad_byte.windows(6).position(|w| w == b"task-x").unwrap();
+    bad_byte[at + 5] = 0xFF;
+    let mut torn_tail = line("täsk");
+    torn_tail.truncate(torn_tail.iter().position(|&b| b == 0xC3).unwrap() + 1);
+    let (a, b) = (line("a"), line("b"));
+    for lines in [[&a, &bad_byte, &b], [&a, &b, &torn_tail]] {
+        std::fs::write(&path, lines.map(Vec::as_slice).join(&b'\n')).unwrap();
+        let healed = read_healed::<Event>(&path).unwrap();
+        let tasks: Vec<&str> = healed.items.iter().map(|e| e.task.as_str()).collect();
+        assert_eq!(tasks, ["a", "b"]);
+        assert_eq!(healed.torn_lines, 1);
+    }
 }
 
 #[test]
@@ -77,8 +102,11 @@ fn jsonl_sink_under_concurrent_fleet_waves_loses_nothing() {
         }
     });
     telemetry.flush();
-    let (events, torn) = read_jsonl_lossy(&path).unwrap();
-    assert_eq!(torn, 0, "interleaved writers must not tear lines");
+    let Healed {
+        items: events,
+        torn_lines,
+    } = read_healed::<Event>(&path).unwrap();
+    assert_eq!(torn_lines, 0, "interleaved writers must not tear lines");
     assert_eq!(events.len(), (waves * workers) as usize);
     // The shared sequence is a total order: every seq appears exactly once.
     let mut seqs: Vec<u64> = events.iter().map(|e| e.seq).collect();
@@ -138,9 +166,9 @@ fn reader_reports_unreadable_empty_segments() {
     writeln!(f).unwrap();
     write!(f, "{{\"task\"").unwrap();
     drop(f);
-    let (events, dropped) = read_jsonl_lossy(&path).unwrap();
-    assert!(events.is_empty());
+    let healed = read_healed::<Event>(&path).unwrap();
+    assert!(healed.items.is_empty());
     // The blank line is skipped silently (not data), the two torn lines
     // are counted.
-    assert_eq!(dropped, 2);
+    assert_eq!(healed.torn_lines, 2);
 }

@@ -1,9 +1,9 @@
 //! Kill-and-resume crash recovery: a tuner that snapshots after every
 //! observation and is "killed" and resumed at every iteration boundary
-//! must reproduce the uninterrupted run's suggestion trace bitwise, and
-//! the snapshot JSONL log must survive torn writes.
+//! must reproduce the uninterrupted run's suggestion trace bitwise, also
+//! when the snapshot has been through its JSON persistence format.
 
-use otune_core::{OnlineTuner, SnapshotLog, TunerOptions};
+use otune_core::{OnlineTuner, TunerOptions, TunerSnapshot};
 use otune_space::{spark_space, ClusterScale, ConfigSpace, Configuration};
 use otune_sparksim::{hibench_task, ClusterSpec, FaultKind, FaultProfile, HibenchTask, SimJob};
 use otune_telemetry::{metric, EventKind, Telemetry};
@@ -129,24 +129,18 @@ fn resume_through_the_jsonl_log_counts_and_emits() {
     let t_max = 2.0 * baseline.runtime_s;
     let job = job(seed, t_max);
 
-    let path = std::env::temp_dir().join(format!(
-        "otune-resume-integration-{}.jsonl",
-        std::process::id()
-    ));
-    let _ = std::fs::remove_file(&path);
-    let log = SnapshotLog::new(&path);
-
-    // First "process": 8 iterations, snapshotting after each observe.
+    // First "process": 8 iterations, then a snapshot in the JSON form the
+    // job journal checkpoints.
     let mut tuner = seeded_tuner(seed, t_max, baseline.runtime_s, baseline.resource);
     for t in 1..=8u64 {
         step(&mut tuner, &job, t);
-        log.append(&tuner.snapshot("wc")).unwrap();
     }
+    let persisted = serde_json::to_string(&tuner.snapshot("wc")).unwrap();
     let before_kill: Vec<_> = tuner.history().iter().map(|o| o.config.clone()).collect();
     drop(tuner); // the "crash"
 
-    // Second "process": load the newest snapshot and keep going.
-    let snap = log.load_last().unwrap().expect("snapshots were written");
+    // Second "process": decode the newest snapshot and keep going.
+    let snap: TunerSnapshot = serde_json::from_str(&persisted).unwrap();
     assert_eq!(snap.task_id, "wc");
     let (telemetry, sink) = Telemetry::ring(64);
     let mut tuner = OnlineTuner::resume(space(), opts(seed, t_max), &snap, telemetry.clone())
@@ -172,6 +166,4 @@ fn resume_through_the_jsonl_log_counts_and_emits() {
     assert_eq!(tuner.history().len(), 1 + BUDGET);
     let best = tuner.best().expect("incumbent exists");
     assert!(!best.failed);
-
-    std::fs::remove_file(&path).ok();
 }

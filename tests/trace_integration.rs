@@ -8,7 +8,7 @@
 use otune_core::fleet::{FleetOptions, FleetReport, FleetRequest};
 use otune_core::prelude::*;
 use otune_core::telemetry::{
-    read_jsonl_lossy, spans_from_events, structural_key, JsonlSink, SpanRecord,
+    read_healed, spans_from_events, structural_key, Event, JsonlSink, SpanRecord,
 };
 use otune_core::TaskHandle;
 use otune_pool::Pool;
@@ -227,9 +227,9 @@ fn jsonl_stream_reconstructs_the_in_memory_trace() {
     let telemetry = drive_fleet(telemetry, 2, 2);
     telemetry.flush();
 
-    let (events, torn) = read_jsonl_lossy(&path).unwrap();
-    assert_eq!(torn, 0);
-    let rebuilt = spans_from_events(&events);
+    let healed = read_healed::<Event>(&path).unwrap();
+    assert_eq!(healed.torn_lines, 0);
+    let rebuilt = spans_from_events(&healed.items);
     let in_memory = telemetry.traces();
     assert_eq!(rebuilt.len(), in_memory.len());
     assert_eq!(
