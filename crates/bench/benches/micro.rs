@@ -43,6 +43,8 @@ fn bench_gp(c: &mut Criterion) {
 
         // The acquisition hot path: hundreds of candidates per iteration.
         let (candidates, _) = training_data(860, 31, 3);
+        let flat = candidates.concat();
+        let rows = otune_gp::Rows::new(&flat, 31);
         group.bench_with_input(BenchmarkId::new("predict-scalar-loop", n), &n, |b, _| {
             b.iter(|| {
                 let out: Vec<(f64, f64)> = candidates
@@ -53,11 +55,11 @@ fn bench_gp(c: &mut Criterion) {
             })
         });
         group.bench_with_input(BenchmarkId::new("predict-batch", n), &n, |b, _| {
-            b.iter(|| black_box(gp.predict_batch(black_box(&candidates))))
+            b.iter(|| black_box(gp.predict_batch(black_box(rows))))
         });
         let pool = Pool::new(4);
         group.bench_with_input(BenchmarkId::new("predict-batch-pooled4", n), &n, |b, _| {
-            b.iter(|| black_box(gp.predict_batch_pooled(black_box(&candidates), &pool)))
+            b.iter(|| black_box(gp.predict_batch_pooled(black_box(rows), &pool)))
         });
         group.bench_with_input(BenchmarkId::new("fit-pooled4", n), &n, |b, _| {
             b.iter(|| {

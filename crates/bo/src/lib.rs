@@ -33,7 +33,8 @@ pub use acquisition::{
 pub use agd::Agd;
 pub use observation::{best_observation, Observation};
 pub use optimizer::{
-    maximize_eic, maximize_eic_with, AcquisitionChoice, CandidateParams, EicObjective,
+    distinct_feasible, fill_candidates, maximize_eic, maximize_eic_with, AcquisitionChoice,
+    CandidateParams, EicObjective,
 };
 pub use safe::SafeRegion;
 pub use store::{history_fingerprint, observation_fingerprint, SurrogateCache, SurrogateStore};

@@ -4,12 +4,14 @@
 use crate::acquisition::{eic, expected_improvement, prob_below};
 use crate::safe::SafeRegion;
 use crate::surrogate::Predictor;
-use otune_gp::GaussianProcess;
+use otune_gp::{GaussianProcess, Rows};
 use otune_pool::Pool;
-use otune_space::{Configuration, Subspace};
+use otune_space::{CandidateRows, Configuration, Subspace};
 use otune_telemetry::{metric, Telemetry};
 use rand::rngs::StdRng;
+use rand::Rng;
 use std::collections::HashSet;
+use std::hash::{BuildHasherDefault, Hash, Hasher};
 
 /// Candidate-generation parameters.
 #[derive(Debug, Clone, Copy)]
@@ -65,7 +67,7 @@ impl EicObjective<'_> {
     /// prediction paths. Per point this combines the same predictions with
     /// the same arithmetic as [`EicObjective::eval`], so the scores match
     /// the scalar path exactly for every pool width.
-    pub fn eval_batch(&self, xs: &[Vec<f64>], pool: &Pool) -> Vec<f64> {
+    pub fn eval_batch(&self, xs: Rows<'_>, pool: &Pool) -> Vec<f64> {
         self.eval_batch_reusing(xs, Vec::new(), pool)
     }
 
@@ -77,7 +79,7 @@ impl EicObjective<'_> {
     /// predicted here as usual.
     pub fn eval_batch_reusing(
         &self,
-        xs: &[Vec<f64>],
+        xs: Rows<'_>,
         mut reuse: Vec<Option<Vec<(f64, f64)>>>,
         pool: &Pool,
     ) -> Vec<f64> {
@@ -154,11 +156,16 @@ pub fn maximize_eic(
 /// histogram) and counts candidates rejected by the GP safe region
 /// (`safe_region_rejections` counter).
 ///
-/// Safe-region screening and EIC scoring run through the surrogates'
-/// batched prediction paths in parallel chunks; winners are selected by
-/// folding scores in candidate order, which reproduces the sequential
-/// first-max (and first-min for the fallback) tie-breaking exactly. The
-/// returned choice is therefore identical for every pool width.
+/// The candidates live in one flat [`CandidateRows`] matrix and are
+/// never materialised as configurations: deduplication compares value
+/// words, the analytic filter decodes only the rows it tests, screening
+/// and scoring read row views of the matrix, and only the winner is
+/// decoded. Safe-region screening and EIC scoring run through the
+/// surrogates' batched prediction paths in parallel chunks; winners are
+/// selected by folding scores in candidate order, which reproduces the
+/// sequential first-max (and first-min for the fallback) tie-breaking
+/// exactly. The returned choice is therefore identical for every pool
+/// width.
 #[allow(clippy::too_many_arguments)]
 pub fn maximize_eic_with(
     sub: &Subspace,
@@ -173,21 +180,14 @@ pub fn maximize_eic_with(
     pool: &Pool,
 ) -> AcquisitionChoice {
     let _trace = telemetry.trace_span("eic_maximize");
+    let space = sub.space();
     let gen_span = telemetry.trace_span("candidate_gen");
-    let mut candidates: Vec<Configuration> = sub.sample_n(params.n_random, rng);
-    if let Some(inc) = incumbent {
-        for i in 0..params.n_local {
-            let scale = params.local_scale * [1.0, 0.4, 0.15][i % 3];
-            candidates.push(sub.neighbor(inc, scale, rng));
-        }
-    }
+    let mut rows = CandidateRows::default();
+    fill_candidates(sub, context, incumbent, params, rng, &mut rows);
     gen_span.finish();
 
-    // Dedup and apply analytic constraints.
-    let mut seen = HashSet::new();
-    candidates
-        .retain(|c| seen.insert(c.dedup_key_fast()) && analytic_feasible.is_none_or(|f| f(c)));
-    if candidates.is_empty() {
+    let kept = distinct_feasible(sub, &rows, analytic_feasible);
+    if kept.is_empty() {
         // Analytic constraints rejected everything — fall back to the
         // incumbent or the sub-space base.
         let config = incumbent.cloned().unwrap_or_else(|| sub.base().clone());
@@ -197,16 +197,8 @@ pub fn maximize_eic_with(
             from_safe_region: false,
         };
     }
-
-    let space = sub.space();
-    let encoded: Vec<Vec<f64>> = candidates
-        .iter()
-        .map(|c| {
-            let mut v = space.encode(c);
-            v.extend_from_slice(context);
-            v
-        })
-        .collect();
+    let matrix = Rows::new(rows.encoded(), rows.width());
+    let candidates = matrix.select(&kept);
 
     // Safe-region screening: batched upper bounds per region, violations
     // accumulated in region order (the same sum order as per-candidate
@@ -218,28 +210,21 @@ pub fn maximize_eic_with(
     // the screen already computed and are reused instead of re-predicted.
     let screen_span = telemetry.trace_span("safe_screen");
     let mut region_preds: Vec<Vec<(f64, f64)>> = Vec::with_capacity(safe_regions.len());
-    let violations: Vec<f64> = if safe_regions.is_empty() {
-        vec![0.0; encoded.len()]
-    } else {
-        let mut total = vec![0.0; encoded.len()];
-        for region in safe_regions {
-            let preds = region.surrogate().predict_batch_pooled(&encoded, pool);
-            for (acc, &(m, v)) in total.iter_mut().zip(&preds) {
-                *acc += region.violation_from(m, v);
-            }
-            region_preds.push(preds);
+    let mut violations = vec![0.0; kept.len()];
+    for region in safe_regions {
+        let preds = region.surrogate().predict_batch_pooled(candidates, pool);
+        for (acc, &(m, v)) in violations.iter_mut().zip(&preds) {
+            *acc += region.violation_from(m, v);
         }
-        total
-    };
-
+        region_preds.push(preds);
+    }
     screen_span.finish();
 
     // EIC is scored only for the safe survivors, exactly as the scalar
-    // loop did — so `eic_evals_per_iter` keeps its meaning.
-    let safe_idx: Vec<usize> = (0..encoded.len())
-        .filter(|&i| violations[i] <= 0.0)
-        .collect();
-    let safe_xs: Vec<Vec<f64>> = safe_idx.iter().map(|&i| encoded[i].clone()).collect();
+    // loop did — so `eic_evals_per_iter` keeps its meaning. `safe` holds
+    // positions in `kept`; `safe_rows` the matching matrix rows.
+    let safe: Vec<usize> = (0..kept.len()).filter(|&j| violations[j] <= 0.0).collect();
+    let safe_rows: Vec<usize> = safe.iter().map(|&j| kept[j]).collect();
     let reuse: Vec<Option<Vec<(f64, f64)>>> = objective
         .constraints
         .iter()
@@ -247,45 +232,122 @@ pub fn maximize_eic_with(
             safe_regions
                 .iter()
                 .position(|r| std::ptr::eq(gp, r.surrogate()))
-                .map(|ri| safe_idx.iter().map(|&i| region_preds[ri][i]).collect())
+                .map(|ri| safe.iter().map(|&j| region_preds[ri][j]).collect())
         })
         .collect();
     let score_span = telemetry.trace_span("eic_score");
-    let scores = objective.eval_batch_reusing(&safe_xs, reuse, pool);
+    let scores = objective.eval_batch_reusing(matrix.select(&safe_rows), reuse, pool);
     score_span.finish();
 
     // Fold in candidate order: first-max among safe candidates, first-min
     // violation among unsafe ones — the sequential tie-breaking.
     let mut best_safe: Option<(usize, f64)> = None;
-    for (&i, &v) in safe_idx.iter().zip(&scores) {
+    for (&j, &v) in safe.iter().zip(&scores) {
         if best_safe.is_none_or(|(_, b)| v > b) {
-            best_safe = Some((i, v));
+            best_safe = Some((j, v));
         }
     }
     let mut least_violation: Option<(usize, f64)> = None;
-    for (i, &violation) in violations.iter().enumerate() {
+    for (j, &violation) in violations.iter().enumerate() {
         if violation > 0.0 && least_violation.is_none_or(|(_, b)| violation < b) {
-            least_violation = Some((i, violation));
+            least_violation = Some((j, violation));
         }
     }
-    let n_evals = safe_idx.len() as u64;
-    let n_rejected = (encoded.len() - safe_idx.len()) as u64;
+    let n_evals = safe.len() as u64;
+    let n_rejected = (kept.len() - safe.len()) as u64;
     telemetry.observe(metric::EIC_EVALS_PER_ITER, n_evals as f64);
     telemetry.add(metric::SAFE_REGION_REJECTIONS, n_rejected);
 
-    if let Some((i, v)) = best_safe {
-        AcquisitionChoice {
-            config: candidates[i].clone(),
-            eic: v,
-            from_safe_region: true,
+    let (j, eic, from_safe_region) = match best_safe {
+        Some((j, v)) => (j, v, true),
+        None => {
+            let (j, _) = least_violation.expect("candidates is non-empty");
+            (j, 0.0, false)
         }
-    } else {
-        let (i, _) = least_violation.expect("candidates is non-empty");
-        AcquisitionChoice {
-            config: candidates[i].clone(),
-            eic: 0.0,
-            from_safe_region: false,
+    };
+    AcquisitionChoice {
+        config: space.decode_words(rows.words(kept[j])),
+        eic,
+        from_safe_region,
+    }
+}
+
+/// Fill `rows` with the EIC candidate set over `sub`: `params.n_random`
+/// uniform samples, then (given an incumbent) `params.n_local` local
+/// perturbations of it at scales cycling through 1, 0.4 and 0.15 ×
+/// `params.local_scale`. Every row is followed by `context`.
+pub fn fill_candidates(
+    sub: &Subspace,
+    context: &[f64],
+    incumbent: Option<&Configuration>,
+    params: CandidateParams,
+    rng: &mut impl Rng,
+    rows: &mut CandidateRows,
+) {
+    rows.reset(sub.space().len(), context);
+    sub.push_samples(params.n_random, rng, rows);
+    if let Some(inc) = incumbent {
+        let scales = (0..params.n_local).map(|i| params.local_scale * [1.0, 0.4, 0.15][i % 3]);
+        sub.push_neighbors(inc, scales, rng, rows);
+    }
+}
+
+/// Indices of the rows that are the first occurrence of their
+/// configuration (equal value words) and pass `analytic_feasible`, in
+/// row order. Deduplication comes first: a row the filter rejects still
+/// claims its configuration, so its later duplicates are dropped without
+/// being tested. Each tested row is decoded into one reused
+/// configuration.
+pub fn distinct_feasible(
+    sub: &Subspace,
+    rows: &CandidateRows,
+    analytic_feasible: Option<&dyn Fn(&Configuration) -> bool>,
+) -> Vec<usize> {
+    let mut seen: HashSet<Words<'_>, BuildHasherDefault<WordHasher>> =
+        HashSet::with_capacity_and_hasher(rows.len(), Default::default());
+    let mut probe = sub.base().clone();
+    (0..rows.len())
+        .filter(|&i| {
+            seen.insert(Words(rows.words(i)))
+                && analytic_feasible.is_none_or(|f| {
+                    sub.space().decode_words_into(rows.words(i), &mut probe);
+                    f(&probe)
+                })
+        })
+        .collect()
+}
+
+/// A candidate's value words as a dedup-set key, hashed word by word.
+#[derive(PartialEq, Eq)]
+struct Words<'a>(&'a [u64]);
+
+impl Hash for Words<'_> {
+    fn hash<H: Hasher>(&self, state: &mut H) {
+        for &word in self.0 {
+            state.write_u64(word);
         }
+    }
+}
+
+/// Multiply-rotate word hasher (the FxHash mix) for the dedup set. The
+/// keys are exact value words the sampler produced, never adversarial,
+/// so SipHash's flooding resistance buys nothing on this hot path.
+#[derive(Default)]
+struct WordHasher(u64);
+
+impl Hasher for WordHasher {
+    fn write(&mut self, bytes: &[u8]) {
+        for &byte in bytes {
+            self.write_u64(u64::from(byte));
+        }
+    }
+
+    fn write_u64(&mut self, word: u64) {
+        self.0 = (self.0.rotate_left(5) ^ word).wrapping_mul(0x51_7c_c1_b7_27_22_0a_95);
+    }
+
+    fn finish(&self) -> u64 {
+        self.0
     }
 }
 
@@ -467,6 +529,65 @@ mod tests {
     }
 
     #[test]
+    fn rejected_candidate_keeps_its_duplicates_out() {
+        // Six distinct configurations, so almost every candidate is a
+        // duplicate. The filter rejects a configuration the first time
+        // it is asked and accepts it afterwards: only if deduplication
+        // runs first (a rejected row still claims its configuration) are
+        // all candidates dropped, leaving the base as the fallback.
+        let s = ConfigSpace::new(vec![
+            Parameter::boolean("flag", false),
+            Parameter::categorical("codec", &["lz4", "snappy", "zstd"], 0),
+        ]);
+        let sub = Subspace::full(&s, s.default_configuration()).unwrap();
+        let gp = objective_gp_over(&s);
+        let obj = EicObjective {
+            objective_gp: &gp,
+            y_best: 0.5,
+            constraints: vec![],
+        };
+        let asked = std::cell::RefCell::new(Vec::<Configuration>::new());
+        let first_time_rejected = |c: &Configuration| {
+            let mut asked = asked.borrow_mut();
+            let seen = asked.contains(c);
+            asked.push(c.clone());
+            seen
+        };
+        let mut rng = StdRng::seed_from_u64(11);
+        let choice = maximize_eic(
+            &sub,
+            &[],
+            &obj,
+            &[],
+            Some(&first_time_rejected),
+            None,
+            CandidateParams {
+                n_random: 60,
+                n_local: 0,
+                local_scale: 0.1,
+            },
+            &mut rng,
+        );
+        let asked = asked.into_inner();
+        assert!(asked.len() <= 6, "each configuration is tested once");
+        assert!(asked.len() >= 2, "the samples cover several configurations");
+        assert_eq!(choice.config, s.default_configuration());
+        assert!(!choice.from_safe_region);
+        assert_eq!(choice.eic, 0.0);
+    }
+
+    /// A GP over `space`'s encoding with a target that varies by point.
+    fn objective_gp_over(space: &ConfigSpace) -> GaussianProcess {
+        let mut rng = StdRng::seed_from_u64(1);
+        let x: Vec<Vec<f64>> = (0..8)
+            .map(|_| space.encode(&space.sample(&mut rng)))
+            .collect();
+        let y: Vec<f64> = x.iter().map(|v| v.iter().sum()).collect();
+        let kinds = crate::surrogate::surrogate_kinds(space, 0);
+        GaussianProcess::fit(kinds, x, &y, GpConfig::default()).unwrap()
+    }
+
+    #[test]
     fn probabilistic_constraint_downweights_risky_zone() {
         let s = space();
         let sub = Subspace::full(&s, s.default_configuration()).unwrap();
@@ -576,7 +697,7 @@ mod tests {
             )
         };
         let seq = run(&Pool::sequential());
-        for width in [2, 4, 8] {
+        for width in [1, 2, 4, 8] {
             let par = run(&Pool::new(width));
             assert_eq!(seq.config, par.config, "width {width}");
             assert_eq!(seq.eic.to_bits(), par.eic.to_bits(), "width {width}");

@@ -7,7 +7,7 @@
 //! intersection of per-constraint regions; intersection is just `all()`
 //! over [`SafeRegion::is_safe`] checks.
 
-use otune_gp::GaussianProcess;
+use otune_gp::{GaussianProcess, Rows};
 use otune_pool::Pool;
 
 /// One constraint's safe region.
@@ -49,7 +49,7 @@ impl<'a> SafeRegion<'a> {
 
     /// [`SafeRegion::violation`] over many points via the surrogate's
     /// batched prediction path; identical to per-point calls.
-    pub fn violations(&self, xs: &[Vec<f64>], pool: &Pool) -> Vec<f64> {
+    pub fn violations(&self, xs: Rows<'_>, pool: &Pool) -> Vec<f64> {
         self.surrogate
             .predict_batch_pooled(xs, pool)
             .into_iter()
@@ -113,6 +113,17 @@ mod tests {
         for i in 0..20 {
             let x = [i as f64 / 19.0];
             assert!(cautious.upper_bound(&x) >= bold.upper_bound(&x));
+        }
+    }
+
+    #[test]
+    fn batched_violations_match_per_point() {
+        let gp = runtime_gp();
+        let region = SafeRegion::new(&gp, 300.0, 1.0);
+        let xs: Vec<f64> = (0..40).map(|i| i as f64 / 39.0).collect();
+        let batch = region.violations(Rows::new(&xs, 1), &Pool::new(2));
+        for (x, v) in xs.iter().zip(batch) {
+            assert_eq!(v.to_bits(), region.violation(&[*x]).to_bits());
         }
     }
 

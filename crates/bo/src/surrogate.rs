@@ -1,7 +1,7 @@
 //! Fitting mixed-kernel GPs on configuration runhistory.
 
 use crate::observation::Observation;
-use otune_gp::{FeatureKind, GaussianProcess, GpConfig, GpError};
+use otune_gp::{FeatureKind, GaussianProcess, GpConfig, GpError, Rows};
 use otune_pool::Pool;
 use otune_space::{ConfigSpace, Configuration, DimKind};
 use otune_telemetry::{metric, Telemetry};
@@ -18,7 +18,7 @@ pub trait Predictor {
     /// [`Predictor::predict`] calls would — batching and parallelism are
     /// layout optimizations, never semantic ones — so results cannot
     /// depend on the pool width.
-    fn predict_many(&self, xs: &[Vec<f64>], pool: &Pool) -> Vec<(f64, f64)> {
+    fn predict_many(&self, xs: Rows<'_>, pool: &Pool) -> Vec<(f64, f64)> {
         let _ = pool;
         xs.iter().map(|x| self.predict(x)).collect()
     }
@@ -29,7 +29,7 @@ impl Predictor for GaussianProcess {
         GaussianProcess::predict(self, x)
     }
 
-    fn predict_many(&self, xs: &[Vec<f64>], pool: &Pool) -> Vec<(f64, f64)> {
+    fn predict_many(&self, xs: Rows<'_>, pool: &Pool) -> Vec<(f64, f64)> {
         self.predict_batch_pooled(xs, pool)
     }
 }

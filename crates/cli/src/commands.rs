@@ -1766,6 +1766,139 @@ mod tests {
         assert!(text.contains("paused at wave 1"), "{text}");
     }
 
+    /// A serve script that snapshots the journal just before handing out
+    /// each line, i.e. once the previous command has been fully applied.
+    struct JournalWatch {
+        lines: std::vec::IntoIter<String>,
+        line: Vec<u8>,
+        pos: usize,
+        journal: std::path::PathBuf,
+        before: Vec<Vec<u8>>,
+    }
+
+    impl std::io::Read for JournalWatch {
+        fn read(&mut self, buf: &mut [u8]) -> std::io::Result<usize> {
+            let n = std::io::Read::read(&mut std::io::BufRead::fill_buf(self)?, buf)?;
+            std::io::BufRead::consume(self, n);
+            Ok(n)
+        }
+    }
+
+    impl std::io::BufRead for JournalWatch {
+        fn fill_buf(&mut self) -> std::io::Result<&[u8]> {
+            if self.pos == self.line.len() {
+                if let Some(next) = self.lines.next() {
+                    self.before.push(std::fs::read(&self.journal)?);
+                    self.line = format!("{next}\n").into_bytes();
+                    self.pos = 0;
+                }
+            }
+            Ok(&self.line[self.pos..])
+        }
+
+        fn consume(&mut self, n: usize) {
+            self.pos += n;
+        }
+    }
+
+    #[test]
+    fn serve_loop_rejects_unusable_reports_without_side_effects() {
+        let journal = serve_dir("hostile").join("journal.jsonl");
+        let _ = std::fs::remove_file(&journal);
+        let (t, _s) = otune_core::telemetry::Telemetry::ring(1024);
+        let mut engine = JobEngine::start(small_spec(), &journal, t).unwrap();
+        engine.suggest_wave().unwrap();
+        let results = engine.execute_pending().unwrap();
+        // Render the batch with one item's fields replaced by raw JSON
+        // text, so values serde would never write (1e400) can be sent.
+        let hostile = |task: usize, runtime: &str, resource: &str, status: &str| {
+            let items: Vec<String> = results
+                .iter()
+                .map(|r| {
+                    let (rt, res, st) = if r.task == task {
+                        (runtime.to_string(), resource.to_string(), status)
+                    } else {
+                        (
+                            r.runtime_s.to_string(),
+                            r.resource.to_string(),
+                            r.status.as_str(),
+                        )
+                    };
+                    format!(
+                        "{{\"task\":{},\"runtime_s\":{rt},\"resource\":{res},\"status\":\"{st}\"}}",
+                        r.task
+                    )
+                })
+                .collect();
+            format!("report [{}]", items.join(","))
+        };
+        let bad = [
+            (
+                hostile(0, "1e400", "10.0", "success"),
+                "task 0 has unusable runtime_s inf",
+            ),
+            (
+                hostile(0, "-5.0", "10.0", "success"),
+                "task 0 has unusable runtime_s -5",
+            ),
+            (
+                hostile(0, "0.0", "10.0", "success"),
+                "task 0 has unusable runtime_s 0",
+            ),
+            (
+                hostile(1, "3.0", "-1e400", "oom_killed"),
+                "task 1 has unusable resource -inf",
+            ),
+            (
+                hostile(1, "-0.5", "1.0", "timeout_killed"),
+                "task 1 has unusable runtime_s -0.5",
+            ),
+            (
+                hostile(0, "3.0", "10.0", "exploded"),
+                "task 0 has unusable status \"exploded\"",
+            ),
+        ];
+        let mut lines: Vec<String> = bad.iter().map(|(line, _)| line.clone()).collect();
+        lines.push(format!(
+            "report {}",
+            serde_json::to_string(&results).unwrap()
+        ));
+        lines.push("status".to_string());
+        let mut script = JournalWatch {
+            lines: lines.into_iter(),
+            line: Vec::new(),
+            pos: 0,
+            journal: journal.clone(),
+            before: Vec::new(),
+        };
+        let mut buf = Vec::new();
+        let code = serve_loop(&mut engine, &mut script, &mut buf).unwrap();
+        assert_eq!(code, 0);
+        let text = String::from_utf8(buf).unwrap();
+        let replies: Vec<&str> = text.lines().collect();
+        for (i, (_, reason)) in bad.iter().enumerate() {
+            assert!(replies[i].starts_with("error:"), "{text}");
+            assert!(replies[i].contains(reason), "line {i}: {text}");
+        }
+        // No hostile line touched the journal; the corrected report did.
+        let before = &script.before;
+        assert_eq!(before.len(), bad.len() + 2);
+        for (i, snapshot) in before.iter().enumerate().take(bad.len() + 1) {
+            assert!(
+                snapshot == &before[0],
+                "hostile line {i} changed the journal"
+            );
+        }
+        assert_eq!(replies[bad.len()], "wave 0 reported", "{text}");
+        assert!(before[bad.len() + 1].len() > before[0].len());
+        assert!(text.contains("paused at wave 1"), "{text}");
+
+        drop(engine);
+        let reopened = JobEngine::open(&journal, Telemetry::disabled()).unwrap();
+        assert_eq!(reopened.wave_cursor(), 1);
+        assert!(reopened.pending().is_none());
+    }
+
     #[test]
     fn jobs_list_gc_and_compact_manage_a_journal_dir() {
         let dir = serve_dir("jobs-cmd");

@@ -139,6 +139,52 @@ pub enum TunerError {
     /// suggestion. The pending suggestion stays pending; the report is
     /// rejected instead of poisoning the runhistory (or panicking).
     SuggestionMismatch,
+    /// A reported measurement is unusable (see [`check_measurement`]).
+    /// The report is rejected before anything is recorded and the
+    /// suggestion stays pending.
+    InvalidMeasurement {
+        /// `runtime_s`, `resource` or `context`.
+        field: &'static str,
+        /// The offending value as reported (`inf`, `NaN`, `-5`, …).
+        value: String,
+    },
+}
+
+/// Check one measurement reported for a run: it must be finite, and
+/// `> 0` — or `>= 0` for a killed run (`failed`), whose partial runtime
+/// or resource may be zero. The tuner takes logs of these values and the
+/// job journal stores them as JSON numbers (which cannot hold `inf` or
+/// `NaN`), so anything else would be silently turned into the best or an
+/// unreadable observation.
+pub fn check_measurement(field: &'static str, value: f64, failed: bool) -> Result<(), TunerError> {
+    let usable = value.is_finite() && (value > 0.0 || (failed && value == 0.0));
+    if usable {
+        Ok(())
+    } else {
+        Err(TunerError::InvalidMeasurement {
+            field,
+            value: value.to_string(),
+        })
+    }
+}
+
+/// Check a whole report: runtime and resource per [`check_measurement`],
+/// and every context value finite.
+fn check_report(
+    runtime_s: f64,
+    resource: f64,
+    context: &[f64],
+    failed: bool,
+) -> Result<(), TunerError> {
+    check_measurement("runtime_s", runtime_s, failed)?;
+    check_measurement("resource", resource, failed)?;
+    match context.iter().find(|v| !v.is_finite()) {
+        Some(v) => Err(TunerError::InvalidMeasurement {
+            field: "context",
+            value: v.to_string(),
+        }),
+        None => Ok(()),
+    }
 }
 
 impl std::fmt::Display for TunerError {
@@ -153,6 +199,9 @@ impl std::fmt::Display for TunerError {
                     f,
                     "observed configuration does not match the pending suggestion"
                 )
+            }
+            TunerError::InvalidMeasurement { field, value } => {
+                write!(f, "unusable measurement: {field} = {value}")
             }
         }
     }
@@ -458,8 +507,9 @@ impl OnlineTuner {
     }
 
     /// Report the execution result of the pending suggestion (Step 2 of
-    /// Figure 1). `runtime_s` and `resource` come from the platform;
-    /// `context` must match what was passed to [`OnlineTuner::suggest`].
+    /// Figure 1). `runtime_s` and `resource` come from the platform and
+    /// must be finite and positive; `context` must match what was passed
+    /// to [`OnlineTuner::suggest`].
     pub fn observe(
         &mut self,
         config: Configuration,
@@ -467,6 +517,7 @@ impl OnlineTuner {
         resource: f64,
         context: &[f64],
     ) -> Result<(), TunerError> {
+        check_report(runtime_s, resource, context, false)?;
         let pending = self.pending.take().ok_or(TunerError::NoPendingSuggestion)?;
         if pending.config != config {
             self.pending = Some(pending);
@@ -511,6 +562,8 @@ impl OnlineTuner {
     /// runtime GP pessimistic there and makes the observation infeasible
     /// for the safe region, the incumbent, and the sub-space success
     /// counter (the EIC retreats instead of refitting on garbage).
+    /// `partial_runtime_s` and `resource` must be finite and
+    /// non-negative.
     pub fn observe_failed(
         &mut self,
         config: Configuration,
@@ -518,6 +571,7 @@ impl OnlineTuner {
         resource: f64,
         context: &[f64],
     ) -> Result<(), TunerError> {
+        check_report(partial_runtime_s, resource, context, true)?;
         let pending = self.pending.take().ok_or(TunerError::NoPendingSuggestion)?;
         if pending.config != config {
             self.pending = Some(pending);
@@ -923,6 +977,51 @@ mod tests {
         );
         // The pending suggestion survived the bad reports.
         tuner.observe(cfg, 1.0, 1.0, &[]).unwrap();
+        assert_eq!(tuner.history().len(), 1);
+    }
+
+    #[test]
+    fn unusable_measurements_are_rejected_and_keep_pending() {
+        let mut tuner = make_tuner(TunerOptions::default());
+        let cfg = tuner.suggest(&[]).unwrap();
+        let invalid = |field: &'static str, value: &str| TunerError::InvalidMeasurement {
+            field,
+            value: value.into(),
+        };
+        for (rt, r, field, value) in [
+            (f64::INFINITY, 1.0, "runtime_s", "inf"),
+            (f64::NAN, 1.0, "runtime_s", "NaN"),
+            (-5.0, 1.0, "runtime_s", "-5"),
+            (0.0, 1.0, "runtime_s", "0"),
+            (1.0, f64::NEG_INFINITY, "resource", "-inf"),
+            (1.0, 0.0, "resource", "0"),
+        ] {
+            assert_eq!(
+                tuner.observe(cfg.clone(), rt, r, &[]).unwrap_err(),
+                invalid(field, value)
+            );
+        }
+        assert_eq!(
+            tuner
+                .observe(cfg.clone(), 1.0, 1.0, &[f64::NAN])
+                .unwrap_err(),
+            invalid("context", "NaN")
+        );
+        assert_eq!(
+            tuner
+                .observe_failed(cfg.clone(), -1.0, 1.0, &[])
+                .unwrap_err(),
+            invalid("runtime_s", "-1")
+        );
+        assert_eq!(
+            tuner
+                .observe_failed(cfg.clone(), 1.0, f64::NAN, &[])
+                .unwrap_err(),
+            invalid("resource", "NaN")
+        );
+        assert!(tuner.history().is_empty());
+        // A killed run may report zero; the pending suggestion survived.
+        tuner.observe_failed(cfg, 0.0, 0.0, &[]).unwrap();
         assert_eq!(tuner.history().len(), 1);
     }
 

@@ -23,5 +23,6 @@ pub use model::{
     GaussianProcess, GpBatchScratch, GpConfig, GpError, GpScratch, IncrementalPolicy,
     SearchTrigger, UpdateOutcome,
 };
+pub use otune_linalg::Rows;
 pub use sparse::{select_local_subset, SparseGpConfig};
 pub use stats::{norm_cdf, norm_pdf};

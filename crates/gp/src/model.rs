@@ -2,7 +2,7 @@
 
 use crate::kernel::{FeatureKind, KernelHyper, MixedKernel, PackedSet};
 use crate::sparse::{select_local_subset, SparseGpConfig};
-use otune_linalg::{Cholesky, LinalgError, Matrix};
+use otune_linalg::{Cholesky, LinalgError, Matrix, Rows};
 use otune_pool::Pool;
 use otune_telemetry::Telemetry;
 use rand::rngs::StdRng;
@@ -692,7 +692,7 @@ impl GaussianProcess {
     /// Batch prediction over `xs`, sequential. Bitwise-identical to
     /// calling [`GaussianProcess::predict`] per point (see
     /// [`GaussianProcess::predict_batch_into`]).
-    pub fn predict_batch(&self, xs: &[Vec<f64>]) -> Vec<(f64, f64)> {
+    pub fn predict_batch(&self, xs: Rows<'_>) -> Vec<(f64, f64)> {
         let mut out = Vec::new();
         self.predict_batch_into(xs, &mut GpBatchScratch::default(), &mut out);
         out
@@ -713,7 +713,7 @@ impl GaussianProcess {
     /// per-candidate heap allocation zero.
     pub fn predict_batch_into(
         &self,
-        xs: &[Vec<f64>],
+        xs: Rows<'_>,
         scratch: &mut GpBatchScratch,
         out: &mut Vec<(f64, f64)>,
     ) {
@@ -735,8 +735,7 @@ impl GaussianProcess {
         // order — bitwise-identical output, one branch-free pass per row.
         self.kernel
             .pack_rows(self.x.iter().map(Vec::as_slice), &mut scratch.train_packed);
-        self.kernel
-            .pack_rows(xs.iter().map(Vec::as_slice), &mut scratch.cand_packed);
+        self.kernel.pack_rows(xs.iter(), &mut scratch.cand_packed);
         self.kernel
             .hamming_table_into(scratch.cand_packed.n_cat(), &mut scratch.hamming);
         for i in 0..n {
@@ -779,7 +778,7 @@ impl GaussianProcess {
     /// Chunking never changes any candidate's result (each is a pure
     /// function of that candidate), so the output is identical for every
     /// pool width.
-    pub fn predict_batch_pooled(&self, xs: &[Vec<f64>], pool: &Pool) -> Vec<(f64, f64)> {
+    pub fn predict_batch_pooled(&self, xs: Rows<'_>, pool: &Pool) -> Vec<(f64, f64)> {
         // Below this many candidates per worker the scoped-spawn overhead
         // outweighs the kernel/solve work.
         const MIN_CHUNK: usize = 16;
@@ -788,8 +787,8 @@ impl GaussianProcess {
             return self.predict_batch(xs);
         }
         let chunk = m.div_ceil(pool.threads() * 2).max(MIN_CHUNK);
-        let chunks: Vec<&[Vec<f64>]> = xs.chunks(chunk).collect();
-        let parts = pool.map(&chunks, |_, part| {
+        let chunks = xs.chunks(chunk);
+        let parts = pool.map(&chunks, |_, &part| {
             let mut out = Vec::with_capacity(part.len());
             self.predict_batch_into(part, &mut GpBatchScratch::default(), &mut out);
             out
@@ -998,8 +997,7 @@ mod tests {
         let x = grid_1d(6);
         let y: Vec<f64> = x.iter().map(|v| v[0] * v[0]).collect();
         let gp = GaussianProcess::fit(numeric_kinds(1), x, &y, GpConfig::default()).unwrap();
-        let pts = vec![vec![0.1], vec![0.9]];
-        let batch = gp.predict_batch(&pts);
+        let batch = gp.predict_batch(Rows::new(&[0.1, 0.9], 1));
         assert_eq!(batch[0], gp.predict(&[0.1]));
         assert_eq!(batch[1], gp.predict(&[0.9]));
     }

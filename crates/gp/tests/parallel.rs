@@ -2,7 +2,7 @@
 //! batched prediction must match scalar prediction, and the fitted model
 //! must not depend on the worker-pool width.
 
-use otune_gp::{FeatureKind, GaussianProcess, GpBatchScratch, GpConfig, GpScratch};
+use otune_gp::{FeatureKind, GaussianProcess, GpBatchScratch, GpConfig, GpScratch, Rows};
 use otune_pool::Pool;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -40,12 +40,21 @@ fn candidates(m: usize, seed: u64) -> Vec<Vec<f64>> {
     training_data(m, seed).0
 }
 
+/// The candidate rows as one row-major buffer (the batched paths' input).
+fn flat(cands: &[Vec<f64>]) -> Vec<f64> {
+    cands.concat()
+}
+
+fn rows(flat: &[f64]) -> Rows<'_> {
+    Rows::new(flat, mixed_kinds().len())
+}
+
 #[test]
 fn predict_batch_matches_scalar_sequence() {
     let (x, y) = training_data(25, 7);
     let gp = GaussianProcess::fit(mixed_kinds(), x, &y, GpConfig::default()).unwrap();
     let cands = candidates(100, 99);
-    let batch = gp.predict_batch(&cands);
+    let batch = gp.predict_batch(rows(&flat(&cands)));
     assert_eq!(batch.len(), cands.len());
     for (c, &(bm, bv)) in cands.iter().zip(&batch) {
         let (sm, sv) = gp.predict(c);
@@ -62,10 +71,10 @@ fn predict_batch_matches_scalar_sequence() {
 fn pooled_prediction_is_width_invariant() {
     let (x, y) = training_data(20, 3);
     let gp = GaussianProcess::fit(mixed_kinds(), x, &y, GpConfig::default()).unwrap();
-    let cands = candidates(257, 11);
-    let seq = gp.predict_batch_pooled(&cands, &Pool::sequential());
+    let cands = flat(&candidates(257, 11));
+    let seq = gp.predict_batch_pooled(rows(&cands), &Pool::sequential());
     for width in [2, 4, 8] {
-        let par = gp.predict_batch_pooled(&cands, &Pool::new(width));
+        let par = gp.predict_batch_pooled(rows(&cands), &Pool::new(width));
         for (a, b) in seq.iter().zip(&par) {
             assert_eq!(a.0.to_bits(), b.0.to_bits(), "width {width}");
             assert_eq!(a.1.to_bits(), b.1.to_bits(), "width {width}");
@@ -91,7 +100,7 @@ fn batch_scratch_reuse_across_shapes_is_safe() {
     let mut out = Vec::new();
     for m in [40, 3, 0, 17] {
         let cands = candidates(m, 31 + m as u64);
-        gp.predict_batch_into(&cands, &mut scratch, &mut out);
+        gp.predict_batch_into(rows(&flat(&cands)), &mut scratch, &mut out);
         assert_eq!(out.len(), m);
         for (c, &(bm, bv)) in cands.iter().zip(&out) {
             let (sm, sv) = gp.predict(c);

@@ -21,12 +21,15 @@ use crate::event::{
 };
 use crate::journal::Journal;
 use crate::spec::CampaignSpec;
+use otune_core::tuner::check_measurement;
 use otune_core::{
     ControllerError, FleetOptions, FleetRequest, OnlineTuneController, ResumeError, TaskHandle,
     TunerOptions,
 };
 use otune_space::{spark_space, ClusterScale, ConfigSpace, Configuration};
-use otune_sparksim::{hibench_task, ClusterSpec, FaultProfile, HibenchTask, ScriptedFault, SimJob};
+use otune_sparksim::{
+    hibench_task, ClusterSpec, ExecutionStatus, FaultProfile, HibenchTask, ScriptedFault, SimJob,
+};
 use otune_telemetry::{metric, EventKind, SyncPolicy, Telemetry};
 use serde::{Deserialize, Serialize};
 use std::path::Path;
@@ -107,6 +110,26 @@ impl ItemResult {
     pub fn is_failure(&self) -> bool {
         matches!(self.status.as_str(), "oom_killed" | "timeout_killed")
     }
+
+    /// Reject a result the campaign could not apply or journal exactly:
+    /// the status must be an [`ExecutionStatus::label`], and runtime and
+    /// resource must pass [`check_measurement`] (finite; `> 0`, or
+    /// `>= 0` for a killed run).
+    pub fn validate(&self) -> Result<(), JobError> {
+        let invalid = |field, value| JobError::InvalidResult {
+            task: self.task,
+            field,
+            value,
+        };
+        if !ExecutionStatus::LABELS.contains(&self.status.as_str()) {
+            return Err(invalid("status", format!("{:?}", self.status)));
+        }
+        for (field, value) in [("runtime_s", self.runtime_s), ("resource", self.resource)] {
+            check_measurement(field, value, self.is_failure())
+                .map_err(|_| invalid(field, value.to_string()))?;
+        }
+        Ok(())
+    }
 }
 
 /// Job engine errors.
@@ -133,6 +156,17 @@ pub enum JobError {
     UnknownReportTask {
         /// The unexpected task index.
         task: usize,
+    },
+    /// A reported result carries a value the tuner cannot learn from or
+    /// the journal cannot store (see [`ItemResult::validate`]). Nothing
+    /// was applied; the wave stays pending.
+    InvalidResult {
+        /// The reporting task index.
+        task: usize,
+        /// `status`, `runtime_s` or `resource`.
+        field: &'static str,
+        /// The offending value as reported.
+        value: String,
     },
     /// A checkpoint's task list does not match the spec's tasks.
     CheckpointMismatch {
@@ -181,6 +215,9 @@ impl std::fmt::Display for JobError {
             }
             JobError::UnknownReportTask { task } => {
                 write!(f, "report names task {task} with no pending item")
+            }
+            JobError::InvalidResult { task, field, value } => {
+                write!(f, "report for task {task} has unusable {field} {value}")
             }
             JobError::CheckpointMismatch { task } => {
                 write!(f, "checkpoint task {task} does not match the campaign spec")
@@ -678,16 +715,22 @@ impl JobEngine {
     }
 
     /// Report a wave's results. The batch must cover every pending item
-    /// exactly. Observations are fed to the tuners (censored for failed
-    /// runs), the retry/DLQ policy is applied, and the wave commits with
-    /// a `WaveCompleted` journal append; a periodic checkpoint and/or the
-    /// job's completion follow per the spec.
+    /// exactly, and every result must pass [`ItemResult::validate`]; a
+    /// rejected batch changes nothing and leaves the wave pending, so the
+    /// caller can resend it. Observations are fed to the tuners (censored for
+    /// failed runs), the retry/DLQ policy is applied, and the wave commits
+    /// with a `WaveCompleted` journal append; a periodic checkpoint and/or
+    /// the job's completion follow per the spec.
     pub fn report_wave(&mut self, results: &[ItemResult]) -> Result<u64, JobError> {
         let pending = self.pending.take().ok_or(JobError::NoPendingWave)?;
         for r in results {
             if !pending.items.iter().any(|it| it.task == r.task) {
                 self.pending = Some(pending);
                 return Err(JobError::UnknownReportTask { task: r.task });
+            }
+            if let Err(e) = r.validate() {
+                self.pending = Some(pending);
+                return Err(e);
             }
         }
         let mut batch = Vec::with_capacity(pending.items.len());

@@ -10,10 +10,12 @@
 
 mod cholesky;
 mod matrix;
+mod rows;
 pub mod simd;
 
 pub use cholesky::Cholesky;
 pub use matrix::Matrix;
+pub use rows::Rows;
 
 /// Errors produced by linear-algebra routines.
 #[derive(Debug, Clone, PartialEq)]

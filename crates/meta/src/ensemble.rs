@@ -184,7 +184,7 @@ impl otune_bo::Predictor for EnsembleSurrogate {
     /// GP path, and the mixture is accumulated per point in member order —
     /// the same arithmetic sequence as the scalar path, so results match
     /// per-point `predict` calls exactly for every pool width.
-    fn predict_many(&self, xs: &[Vec<f64>], pool: &otune_pool::Pool) -> Vec<(f64, f64)> {
+    fn predict_many(&self, xs: otune_gp::Rows<'_>, pool: &otune_pool::Pool) -> Vec<(f64, f64)> {
         let m = xs.len();
         let mut mean_z = vec![0.0; m];
         let mut var_z = vec![0.0; m];
@@ -338,10 +338,12 @@ mod tests {
         ];
         let target = record(&s, "t", 10, 3, target_fn).observations;
         let ens = EnsembleSurrogate::build(&s, &bases, &target, 40, 0).unwrap();
-        let xs: Vec<Vec<f64>> = (0..64).map(|i| vec![i as f64 / 63.0]).collect();
+        let xs: Vec<f64> = (0..64).map(|i| i as f64 / 63.0).collect();
+        let rows = otune_gp::Rows::new(&xs, 1);
         for width in [1, 4] {
-            let batch = otune_bo::Predictor::predict_many(&ens, &xs, &otune_pool::Pool::new(width));
-            for (x, &(bm, bv)) in xs.iter().zip(&batch) {
+            let batch =
+                otune_bo::Predictor::predict_many(&ens, rows, &otune_pool::Pool::new(width));
+            for (x, &(bm, bv)) in rows.iter().zip(&batch) {
                 let (sm, sv) = ens.predict(x);
                 assert_eq!(bm.to_bits(), sm.to_bits(), "width {width}");
                 assert_eq!(bv.to_bits(), sv.to_bits(), "width {width}");

@@ -68,24 +68,6 @@ impl Configuration {
         }
         s
     }
-
-    /// Integer dedup key: a `(tag, payload)` pair per value, equal exactly
-    /// when [`dedup_key`](Self::dedup_key) strings are equal (floats compare
-    /// by bit pattern, which coincides with their full-precision rendering
-    /// for every finite value the decoders produce). Hashing machine words
-    /// instead of formatting floats keeps deduplication off the
-    /// per-suggest critical path.
-    pub fn dedup_key_fast(&self) -> Vec<(u8, u64)> {
-        self.values
-            .iter()
-            .map(|v| match v {
-                ParamValue::Int(x) => (0u8, *x as u64),
-                ParamValue::Float(x) => (1u8, x.to_bits()),
-                ParamValue::Categorical(x) => (2u8, *x as u64),
-                ParamValue::Bool(x) => (3u8, u64::from(*x)),
-            })
-            .collect()
-    }
 }
 
 impl std::ops::Index<usize> for Configuration {
@@ -123,20 +105,30 @@ mod tests {
 
     #[test]
     fn fast_key_matches_string_key_equality() {
-        let configs = [
-            Configuration::new(vec![ParamValue::Int(3), ParamValue::Bool(true)]),
-            Configuration::new(vec![ParamValue::Int(3), ParamValue::Bool(false)]),
-            Configuration::new(vec![ParamValue::Float(3.0), ParamValue::Bool(true)]),
-            Configuration::new(vec![ParamValue::Float(3.0 + 1e-15), ParamValue::Bool(true)]),
-            Configuration::new(vec![ParamValue::Float(-0.0), ParamValue::Bool(true)]),
-            Configuration::new(vec![ParamValue::Float(0.0), ParamValue::Bool(true)]),
-            Configuration::new(vec![ParamValue::Categorical(2), ParamValue::Bool(true)]),
-        ];
+        // The fast key is the row of value words the candidate
+        // deduplication compares; within one space (fixed domain per
+        // dimension) it must agree with the string key.
+        let words = |c: &Configuration| -> Vec<u64> {
+            c.values().iter().map(ParamValue::to_word).collect()
+        };
+        let mut configs = Vec::new();
+        for f in [3.0, 3.0 + 1e-15, -0.0, 0.0] {
+            for i in [3, -3] {
+                for (cat, b) in [(0, true), (2, true), (2, false)] {
+                    configs.push(Configuration::new(vec![
+                        ParamValue::Float(f),
+                        ParamValue::Int(i),
+                        ParamValue::Categorical(cat),
+                        ParamValue::Bool(b),
+                    ]));
+                }
+            }
+        }
         for a in &configs {
             for b in &configs {
                 assert_eq!(
                     a.dedup_key() == b.dedup_key(),
-                    a.dedup_key_fast() == b.dedup_key_fast(),
+                    words(a) == words(b),
                     "key equivalence diverged for {a:?} vs {b:?}"
                 );
             }

@@ -24,7 +24,7 @@ pub use halton::HaltonSequence;
 pub use param::{Domain, ParamValue, Parameter};
 pub use space::{ConfigSpace, DimKind};
 pub use spark::{spark_param_names, spark_space, ClusterScale, SparkParam};
-pub use subspace::Subspace;
+pub use subspace::{CandidateRows, Subspace};
 
 /// Errors from configuration-space operations.
 #[derive(Debug, Clone, PartialEq, Eq)]

@@ -1,6 +1,7 @@
 //! Parameter domains and values.
 
 use crate::{Result, SpaceError};
+use rand::Rng;
 use serde::{Deserialize, Serialize};
 
 /// The domain `Λⁱ` of a single Spark parameter.
@@ -93,13 +94,63 @@ impl Domain {
     /// categorical choices map to `idx / (k - 1)` — only equality of encoded
     /// values is meaningful for them.
     pub fn encode(&self, value: &ParamValue) -> f64 {
+        self.encode_with(None, value)
+    }
+
+    /// Map a unit-interval coordinate back into the domain (inverse of
+    /// [`Domain::encode`] up to rounding for discrete domains).
+    pub fn decode(&self, u: f64) -> ParamValue {
+        self.decode_with(None, u)
+    }
+
+    /// Where the unit coordinate `u` lands after a decode/encode round
+    /// trip, `encode(decode(u))`, together with the decoded value's
+    /// [word](ParamValue::to_word).
+    ///
+    /// Not idempotent in general: for float domains a second `snap` can
+    /// move the coordinate by an ulp, so chains of decodes must be
+    /// replayed snap for snap.
+    pub fn snap(&self, u: f64) -> (f64, u64) {
+        self.snap_with(None, u)
+    }
+
+    /// The value a [word](ParamValue::to_word) of this domain stands for.
+    pub fn from_word(&self, word: u64) -> ParamValue {
+        match self {
+            Domain::Int { .. } => ParamValue::Int(word as i64),
+            Domain::Float { .. } => ParamValue::Float(f64::from_bits(word)),
+            Domain::Categorical { .. } => ParamValue::Categorical(word as usize),
+            Domain::Bool => ParamValue::Bool(word != 0),
+        }
+    }
+
+    /// A numeric domain's scale with its logarithms taken, for loops that
+    /// map many coordinates of one dimension (`None` for discrete
+    /// domains). Passing it to the `*_with` methods gives the same bits
+    /// as the plain methods, which build it per call.
+    pub(crate) fn scale(&self) -> Option<Scale> {
+        match *self {
+            Domain::Int { lo, hi, log } => Some(Scale::new(lo as f64, hi as f64, log)),
+            Domain::Float { lo, hi, log } => Some(Scale::new(lo, hi, log)),
+            Domain::Categorical { .. } | Domain::Bool => None,
+        }
+    }
+
+    /// [`Domain::snap`] with a prepared [`Domain::scale`].
+    pub(crate) fn snap_with(&self, scale: Option<Scale>, u: f64) -> (f64, u64) {
+        let value = self.decode_with(scale, u);
+        (self.encode_with(scale, &value), value.to_word())
+    }
+
+    /// [`Domain::encode`] with an optional prepared [`Domain::scale`].
+    pub(crate) fn encode_with(&self, scale: Option<Scale>, value: &ParamValue) -> f64 {
         match (self, value) {
-            (Domain::Int { lo, hi, log }, ParamValue::Int(v)) => {
-                encode_numeric(*v as f64, *lo as f64, *hi as f64, *log)
-            }
-            (Domain::Float { lo, hi, log }, ParamValue::Float(v)) => {
-                encode_numeric(*v, *lo, *hi, *log)
-            }
+            (Domain::Int { lo, hi, log }, ParamValue::Int(v)) => scale
+                .unwrap_or_else(|| Scale::new(*lo as f64, *hi as f64, *log))
+                .encode(*v as f64),
+            (Domain::Float { lo, hi, log }, ParamValue::Float(v)) => scale
+                .unwrap_or_else(|| Scale::new(*lo, *hi, *log))
+                .encode(*v),
             (Domain::Categorical { choices }, ParamValue::Categorical(idx)) => {
                 if choices.len() <= 1 {
                     0.0
@@ -120,17 +171,17 @@ impl Domain {
         }
     }
 
-    /// Map a unit-interval coordinate back into the domain (inverse of
-    /// [`Domain::encode`] up to rounding for discrete domains).
-    pub fn decode(&self, u: f64) -> ParamValue {
+    /// [`Domain::decode`] with an optional prepared [`Domain::scale`].
+    fn decode_with(&self, scale: Option<Scale>, u: f64) -> ParamValue {
         let u = u.clamp(0.0, 1.0);
         match self {
             Domain::Int { lo, hi, log } => {
-                let x = decode_numeric(u, *lo as f64, *hi as f64, *log);
-                ParamValue::Int((x.round() as i64).clamp(*lo, *hi))
+                let scale = scale.unwrap_or_else(|| Scale::new(*lo as f64, *hi as f64, *log));
+                ParamValue::Int((scale.decode(u).round() as i64).clamp(*lo, *hi))
             }
             Domain::Float { lo, hi, log } => {
-                ParamValue::Float(decode_numeric(u, *lo, *hi, *log).clamp(*lo, *hi))
+                let scale = scale.unwrap_or_else(|| Scale::new(*lo, *hi, *log));
+                ParamValue::Float(scale.decode(u).clamp(*lo, *hi))
             }
             Domain::Categorical { choices } => {
                 if choices.len() <= 1 {
@@ -143,29 +194,77 @@ impl Domain {
             Domain::Bool => ParamValue::Bool(u >= 0.5),
         }
     }
+
+    /// One coordinate of a local perturbation with step `scale` (see
+    /// [`Subspace::neighbor`](crate::Subspace::neighbor)): numeric
+    /// coordinates take a Gaussian step of standard deviation `scale` in
+    /// encoded space, discrete ones resample with probability `scale`.
+    pub(crate) fn perturb(&self, u: f64, scale: f64, rng: &mut impl Rng) -> f64 {
+        if self.is_numeric() {
+            // Box–Muller keeps us independent of rand_distr.
+            let (a, b): (f64, f64) = (rng.gen::<f64>().max(1e-12), rng.gen());
+            let gauss = (-2.0 * a.ln()).sqrt() * (2.0 * std::f64::consts::PI * b).cos();
+            (u + gauss * scale).clamp(0.0, 1.0)
+        } else if rng.gen::<f64>() < scale {
+            rng.gen()
+        } else {
+            u
+        }
+    }
+
+    /// Draw exactly what [`Domain::perturb`] draws without computing the
+    /// step, for coordinates whose perturbation is discarded.
+    pub(crate) fn skip_perturb(&self, scale: f64, rng: &mut impl Rng) {
+        if self.is_numeric() {
+            rng.gen::<f64>();
+            rng.gen::<f64>();
+        } else if rng.gen::<f64>() < scale {
+            rng.gen::<f64>();
+        }
+    }
 }
 
-fn encode_numeric(v: f64, lo: f64, hi: f64, log: bool) -> f64 {
-    if hi <= lo {
-        return 0.0;
-    }
-    let t = if log {
-        debug_assert!(lo > 0.0, "log domains require positive bounds");
-        (v.ln() - lo.ln()) / (hi.ln() - lo.ln())
-    } else {
-        (v - lo) / (hi - lo)
-    };
-    t.clamp(0.0, 1.0)
+/// (Log-)linear map of a numeric range `[lo, hi]` onto `[0, 1]`, with
+/// the logarithms of the bounds taken once.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct Scale {
+    lo: f64,
+    hi: f64,
+    /// `(ln lo, ln hi)` on log scales.
+    ln: Option<(f64, f64)>,
 }
 
-fn decode_numeric(u: f64, lo: f64, hi: f64, log: bool) -> f64 {
-    if hi <= lo {
-        return lo;
+impl Scale {
+    fn new(lo: f64, hi: f64, log: bool) -> Self {
+        Scale {
+            lo,
+            hi,
+            ln: log.then(|| (lo.ln(), hi.ln())),
+        }
     }
-    if log {
-        (lo.ln() + u * (hi.ln() - lo.ln())).exp()
-    } else {
-        lo + u * (hi - lo)
+
+    fn encode(&self, v: f64) -> f64 {
+        if self.hi <= self.lo {
+            return 0.0;
+        }
+        let t = match self.ln {
+            Some((ln_lo, ln_hi)) => {
+                debug_assert!(self.lo > 0.0, "log domains require positive bounds");
+                (v.ln() - ln_lo) / (ln_hi - ln_lo)
+            }
+            None => (v - self.lo) / (self.hi - self.lo),
+        };
+        t.clamp(0.0, 1.0)
+    }
+
+    fn decode(&self, u: f64) -> f64 {
+        if self.hi <= self.lo {
+            return self.lo;
+        }
+        match self.ln {
+            Some((ln_lo, ln_hi)) => (ln_lo + u * (ln_hi - ln_lo)).exp(),
+            None => self.lo + u * (self.hi - self.lo),
+        }
     }
 }
 
@@ -229,6 +328,21 @@ impl ParamValue {
         match self {
             ParamValue::Categorical(i) => Some(*i),
             _ => None,
+        }
+    }
+
+    /// The value as one machine word: the integer, index or flag, or
+    /// the float's bit pattern. Within one domain two values are equal
+    /// exactly when their words are (floats compare by bits, so `-0.0`
+    /// and `0.0` differ, as in [`Configuration::dedup_key`]).
+    ///
+    /// [`Configuration::dedup_key`]: crate::Configuration::dedup_key
+    pub fn to_word(&self) -> u64 {
+        match self {
+            ParamValue::Int(v) => *v as u64,
+            ParamValue::Float(v) => v.to_bits(),
+            ParamValue::Categorical(idx) => *idx as u64,
+            ParamValue::Bool(b) => u64::from(*b),
         }
     }
 }
@@ -487,6 +601,61 @@ mod tests {
         .is_err());
         let p = Parameter::int("spark.executor.cores", 1, 8, 2);
         assert_eq!(p.default, ParamValue::Int(2));
+    }
+
+    #[test]
+    fn words_round_trip_values() {
+        let domains = [
+            (
+                Domain::Int {
+                    lo: -5,
+                    hi: 5,
+                    log: false,
+                },
+                ParamValue::Int(-3),
+            ),
+            (
+                Domain::Float {
+                    lo: -1.0,
+                    hi: 1.0,
+                    log: false,
+                },
+                ParamValue::Float(-0.0),
+            ),
+            (
+                Domain::Categorical {
+                    choices: vec!["a".into(), "b".into()],
+                },
+                ParamValue::Categorical(1),
+            ),
+            (Domain::Bool, ParamValue::Bool(true)),
+        ];
+        for (d, v) in domains {
+            assert_eq!(d.from_word(v.to_word()), v);
+        }
+        assert_ne!(
+            ParamValue::Float(0.0).to_word(),
+            ParamValue::Float(-0.0).to_word()
+        );
+    }
+
+    #[test]
+    fn snap_is_the_decode_encode_round_trip() {
+        let d = Domain::Float {
+            lo: 0.1,
+            hi: 900.0,
+            log: true,
+        };
+        for u in [0.0, 0.123456789, 0.5, 0.999, 1.0] {
+            let v = d.decode(u);
+            assert_eq!(d.snap(u), (d.encode(&v), v.to_word()));
+        }
+        let i = Domain::Int {
+            lo: 1,
+            hi: 10,
+            log: false,
+        };
+        assert_eq!(i.snap(0.52), (5.0 / 9.0, 6));
     }
 
     #[test]

@@ -157,27 +157,27 @@ impl ConfigSpace {
         self.decode(&h.next_point())
     }
 
-    /// A local perturbation of `config`: each numeric dimension moves by a
-    /// Gaussian step of standard deviation `scale` in encoded space; each
-    /// discrete dimension resamples with probability `scale`.
-    pub fn neighbor(
-        &self,
-        config: &Configuration,
-        scale: f64,
-        rng: &mut impl Rng,
-    ) -> Configuration {
-        let mut u = self.encode(config);
-        for (i, p) in self.params.iter().enumerate() {
-            if p.domain.is_numeric() {
-                // Box–Muller keeps us independent of rand_distr.
-                let (a, b): (f64, f64) = (rng.gen::<f64>().max(1e-12), rng.gen());
-                let gauss = (-2.0 * a.ln()).sqrt() * (2.0 * std::f64::consts::PI * b).cos();
-                u[i] = (u[i] + gauss * scale).clamp(0.0, 1.0);
-            } else if rng.gen::<f64>() < scale {
-                u[i] = rng.gen();
-            }
+    /// Rebuild a configuration from its value words, one
+    /// [`ParamValue::to_word`] per parameter.
+    pub fn decode_words(&self, words: &[u64]) -> Configuration {
+        debug_assert_eq!(words.len(), self.params.len());
+        Configuration::new(
+            self.params
+                .iter()
+                .zip(words)
+                .map(|(p, &w)| p.domain.from_word(w))
+                .collect(),
+        )
+    }
+
+    /// [`ConfigSpace::decode_words`] into an existing configuration of
+    /// this space, reusing its storage.
+    pub fn decode_words_into(&self, words: &[u64], config: &mut Configuration) {
+        debug_assert_eq!(words.len(), self.params.len());
+        debug_assert_eq!(config.len(), self.params.len());
+        for (i, (p, &w)) in self.params.iter().zip(words).enumerate() {
+            config.set(i, p.domain.from_word(w));
         }
-        self.decode(&u)
     }
 }
 
@@ -292,14 +292,15 @@ mod tests {
         let s = toy_space();
         let mut rng = StdRng::seed_from_u64(9);
         let base = s.default_configuration();
+        let sub = crate::Subspace::full(&s, base.clone()).unwrap();
         for _ in 0..100 {
-            let n = s.neighbor(&base, 0.05, &mut rng);
+            let n = sub.neighbor(&base, 0.05, &mut rng);
             s.validate(&n).unwrap();
         }
         // With a tiny scale, the int parameter should rarely move far.
         let far = (0..100)
             .filter(|_| {
-                let n = s.neighbor(&base, 0.01, &mut rng);
+                let n = sub.neighbor(&base, 0.01, &mut rng);
                 (n[0].as_int().unwrap() - 4).abs() > 4
             })
             .count();

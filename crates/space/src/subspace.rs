@@ -6,6 +6,7 @@
 //! remaining `K` free dimensions. `Λ_sub = Λ¹ × … × Λᴷ` with the indices
 //! chosen by fANOVA importance ranking.
 
+use crate::param::Scale;
 use crate::{ConfigSpace, Configuration, HaltonSequence, Result, SpaceError};
 use rand::Rng;
 
@@ -102,13 +103,17 @@ impl Subspace {
 
     /// Uniform random configuration within the sub-space.
     pub fn sample(&self, rng: &mut impl Rng) -> Configuration {
-        let u: Vec<f64> = (0..self.free.len()).map(|_| rng.gen::<f64>()).collect();
-        self.lift(&u)
+        self.sample_n(1, rng).remove(0)
     }
 
-    /// `n` uniform random configurations within the sub-space.
+    /// `n` uniform random configurations within the sub-space: the
+    /// decoded rows of [`Subspace::push_samples`].
     pub fn sample_n(&self, n: usize, rng: &mut impl Rng) -> Vec<Configuration> {
-        (0..n).map(|_| self.sample(rng)).collect()
+        let mut rows = CandidateRows::new(self.space.len(), &[]);
+        self.push_samples(n, rng, &mut rows);
+        (0..n)
+            .map(|i| self.space.decode_words(rows.words(i)))
+            .collect()
     }
 
     /// `n` low-discrepancy configurations within the sub-space.
@@ -117,22 +122,186 @@ impl Subspace {
         h.take_points(n).iter().map(|u| self.lift(u)).collect()
     }
 
-    /// A local perturbation of `config` moving only free dimensions.
+    /// A local perturbation of `config` moving only free dimensions: each
+    /// numeric dimension moves by a Gaussian step of standard deviation
+    /// `scale` in encoded space, each discrete one resamples with
+    /// probability `scale`. The decoded row of
+    /// [`Subspace::push_neighbors`].
     pub fn neighbor(
         &self,
         config: &Configuration,
         scale: f64,
         rng: &mut impl Rng,
     ) -> Configuration {
-        let perturbed = self.space.neighbor(config, scale, rng);
-        // Keep frozen dims from `config` (not from base: local search may
-        // walk around any configuration inside the sub-space).
-        let mut u = self.space.encode(config);
-        let pu = self.space.encode(&perturbed);
-        for &i in &self.free {
-            u[i] = pu[i];
+        let mut rows = CandidateRows::new(self.space.len(), &[]);
+        self.push_neighbors(config, [scale], rng, &mut rows);
+        self.space.decode_words(rows.words(0))
+    }
+
+    /// Append `n` uniform random rows to `rows`.
+    ///
+    /// Row for row this is a decode of `u ~ U[0,1)^K` on the free dims
+    /// with the base's encoding on frozen dims, then an encode — so every
+    /// coordinate is one [`Domain::snap`](crate::Domain::snap): `snap(u)`
+    /// on free dims, `snap(encode(base))` on frozen ones. The RNG draws
+    /// one `f64` per free dim per row, in free-index order.
+    pub fn push_samples(&self, n: usize, rng: &mut impl Rng, rows: &mut CandidateRows) {
+        let prepared = self.prepared_scales();
+        let (enc, words) = self.snapped(&prepared, &self.base);
+        rows.reserve(n);
+        for _ in 0..n {
+            let (row_enc, row_words) = rows.push(&enc, &words);
+            for &d in &self.free {
+                let domain = &self.space.param(d).domain;
+                (row_enc[d], row_words[d]) = domain.snap_with(prepared[d], rng.gen::<f64>());
+            }
         }
-        self.space.decode(&u)
+    }
+
+    /// Append one local perturbation of `center` per scale to `rows`.
+    ///
+    /// Each row perturbs the full encoding of `center`, decodes it, and
+    /// keeps the free dims' re-encoding over `center`'s encoding before
+    /// decoding again, so free coordinates take two snaps,
+    /// `snap(snap(u'))`, and frozen ones `snap(encode(center))`. The RNG
+    /// draws for every dimension in space order (two uniforms per numeric
+    /// dim, one or two per discrete dim); frozen dims only skip the step
+    /// arithmetic.
+    pub fn push_neighbors(
+        &self,
+        center: &Configuration,
+        scales: impl IntoIterator<Item = f64>,
+        rng: &mut impl Rng,
+        rows: &mut CandidateRows,
+    ) {
+        let prepared = self.prepared_scales();
+        let origin = self.space.encode(center);
+        let (enc, words) = self.snapped(&prepared, center);
+        let mut free = vec![false; self.space.len()];
+        for &d in &self.free {
+            free[d] = true;
+        }
+        let scales = scales.into_iter();
+        rows.reserve(scales.size_hint().0);
+        for scale in scales {
+            let (row_enc, row_words) = rows.push(&enc, &words);
+            for (d, p) in self.space.params().iter().enumerate() {
+                if free[d] {
+                    let u = p.domain.perturb(origin[d], scale, rng);
+                    let once = p.domain.snap_with(prepared[d], u).0;
+                    (row_enc[d], row_words[d]) = p.domain.snap_with(prepared[d], once);
+                } else {
+                    p.domain.skip_perturb(scale, rng);
+                }
+            }
+        }
+    }
+
+    /// Every dimension's prepared scale (see `Domain::scale`).
+    fn prepared_scales(&self) -> Vec<Option<Scale>> {
+        self.space
+            .params()
+            .iter()
+            .map(|p| p.domain.scale())
+            .collect()
+    }
+
+    /// Every dimension of `config` snapped: `snap(encode(value))`.
+    fn snapped(&self, prepared: &[Option<Scale>], config: &Configuration) -> (Vec<f64>, Vec<u64>) {
+        self.space
+            .params()
+            .iter()
+            .zip(prepared)
+            .zip(config.values())
+            .map(|((p, &scale), v)| p.domain.snap_with(scale, p.domain.encode_with(scale, v)))
+            .unzip()
+    }
+}
+
+/// Candidate configurations as a flat matrix, filled by
+/// [`Subspace::push_samples`] and [`Subspace::push_neighbors`].
+///
+/// Row `i` is stored twice, both row-major: its unit-cube encoding
+/// followed by the fixed context columns ([`CandidateRows::encoded`],
+/// the surrogate input), and its decoded values as one
+/// [word](crate::ParamValue::to_word) per dimension
+/// ([`CandidateRows::words`], exact identity for deduplication and
+/// decoding). Reusing one `CandidateRows` across fills reuses its
+/// buffers.
+#[derive(Debug, Clone, Default)]
+pub struct CandidateRows {
+    dims: usize,
+    context: Vec<f64>,
+    len: usize,
+    encoded: Vec<f64>,
+    words: Vec<u64>,
+}
+
+impl CandidateRows {
+    /// An empty matrix for a space of `dims` parameters, every row
+    /// followed by `context`.
+    pub fn new(dims: usize, context: &[f64]) -> Self {
+        let mut rows = CandidateRows::default();
+        rows.reset(dims, context);
+        rows
+    }
+
+    /// Drop every row and start over with new dimensions and context,
+    /// keeping the allocations.
+    pub fn reset(&mut self, dims: usize, context: &[f64]) {
+        self.dims = dims;
+        self.context.clear();
+        self.context.extend_from_slice(context);
+        self.len = 0;
+        self.encoded.clear();
+        self.words.clear();
+    }
+
+    /// Number of rows.
+    pub fn len(&self) -> usize {
+        self.len
+    }
+
+    /// Whether there are no rows.
+    pub fn is_empty(&self) -> bool {
+        self.len == 0
+    }
+
+    /// Values per encoded row: the dimensions plus the context columns.
+    pub fn width(&self) -> usize {
+        self.dims + self.context.len()
+    }
+
+    /// Every encoded row, row-major, [`width`](Self::width) values each.
+    pub fn encoded(&self) -> &[f64] {
+        &self.encoded
+    }
+
+    /// The value words of row `i`.
+    pub fn words(&self, i: usize) -> &[u64] {
+        &self.words[i * self.dims..(i + 1) * self.dims]
+    }
+
+    fn reserve(&mut self, rows: usize) {
+        self.encoded.reserve(rows * self.width());
+        self.words.reserve(rows * self.dims);
+    }
+
+    /// Append a row initialised to `enc`/`words` and return its
+    /// configuration part for the caller to overwrite.
+    fn push(&mut self, enc: &[f64], words: &[u64]) -> (&mut [f64], &mut [u64]) {
+        debug_assert_eq!(enc.len(), self.dims);
+        debug_assert_eq!(words.len(), self.dims);
+        let start = self.encoded.len();
+        self.encoded.extend_from_slice(enc);
+        self.encoded.extend_from_slice(&self.context);
+        self.words.extend_from_slice(words);
+        self.len += 1;
+        let w0 = self.words.len() - self.dims;
+        (
+            &mut self.encoded[start..start + self.dims],
+            &mut self.words[w0..],
+        )
     }
 }
 

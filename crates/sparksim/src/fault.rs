@@ -85,6 +85,15 @@ impl ExecutionStatus {
         )
     }
 
+    /// Every [`ExecutionStatus::label`], in declaration order.
+    pub const LABELS: [&'static str; 5] = [
+        "success",
+        "oom_killed",
+        "straggler",
+        "lost_executor",
+        "timeout_killed",
+    ];
+
     /// Short stable label for logs and CLI output.
     pub fn label(&self) -> &'static str {
         match self {
@@ -320,6 +329,19 @@ mod tests {
             .map(|i| FaultProfile::new(10).with_rates(0.3, 0.2, 0.1).decide(i))
             .collect();
         assert_ne!(a, c);
+    }
+
+    #[test]
+    fn labels_list_every_status() {
+        let statuses = [
+            ExecutionStatus::Success,
+            ExecutionStatus::OomKilled { progress: 0.5 },
+            ExecutionStatus::Straggler { slowdown: 2.0 },
+            ExecutionStatus::LostExecutor { restarts: 1 },
+            ExecutionStatus::TimeoutKilled { t_max_s: 60.0 },
+        ];
+        let labels: Vec<&str> = statuses.iter().map(ExecutionStatus::label).collect();
+        assert_eq!(labels, ExecutionStatus::LABELS);
     }
 
     #[test]
