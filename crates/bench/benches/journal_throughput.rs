@@ -3,30 +3,25 @@
 //!
 //! Each wave journals one small per-item audit record per task (the
 //! failure/retry path's append granularity), one `WaveCompleted` entry
-//! embedding every outcome, and one checkpoint followed by the engine's
-//! sync barrier. Three arms replay the identical stream of events:
+//! embedding every outcome, and the engine's checkpoint — a
+//! `CheckpointCreated` commit marker followed by a sync barrier. Three
+//! arms replay the identical stream of events under different sync
+//! policies:
 //!
-//! * `every-full` — the legacy contract: one fsync per append, every
-//!   checkpoint full (all 200 task snapshots).
-//! * `batch8-delta` — group commit (`batch:8`) with delta checkpoints:
-//!   a full base every 8th checkpoint, deltas carrying only the ~8
-//!   changed tasks between.
-//! * `barrier-delta` — fsyncs only at the checkpoint barriers, delta
-//!   checkpoints.
+//! * `every` — the legacy contract: one fsync per append.
+//! * `batch8` — group commit (`batch:8`): one fsync per eight appends,
+//!   plus the checkpoint barrier.
+//! * `barrier` — fsyncs only at the checkpoint barriers.
 //!
-//! The acceptance bar (`OTUNE_BENCH_ASSERT=1`): `batch8-delta` must
-//! lift wave throughput ≥ 5× over `every-full` at 200 tasks (≥ 2× in
+//! The acceptance bar (`OTUNE_BENCH_ASSERT=1`): `batch8` must lift wave
+//! throughput ≥ 5× over `every` at 200 tasks (≥ 2× in
 //! `OTUNE_BENCH_QUICK=1` smoke runs, which shrink the wave count).
 //! Results land in `BENCH_journal_throughput.json` under the results
 //! directory; `OTUNE_RESULTS_DIR` moves the output.
 
 use otune_bench::{results_dir, Table};
-use otune_bo::Observation;
 use otune_core::telemetry::SyncPolicy;
-use otune_core::TunerSnapshot;
-use otune_jobs::{
-    CheckpointDelta, ItemOutcome, JobCheckpoint, JobEvent, Journal, JournalEntry, TaskCheckpoint,
-};
+use otune_jobs::{ItemOutcome, JobCheckpoint, JobEvent, Journal, JournalEntry};
 use otune_space::{ConfigSpace, Parameter};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -35,12 +30,6 @@ use std::time::Instant;
 
 /// Campaign width (the acceptance bar is stated at 200 tasks).
 const N_TASKS: usize = 200;
-/// Runhistory length carried per task snapshot.
-const HISTORY: usize = 4;
-/// Tasks whose fingerprint "changed" per delta checkpoint.
-const CHANGED_PER_DELTA: usize = 8;
-/// Full-checkpoint cadence of the delta arms (mirrors `--full-every 8`).
-const FULL_EVERY: usize = 8;
 
 fn toy_space() -> ConfigSpace {
     ConfigSpace::new(vec![
@@ -49,50 +38,8 @@ fn toy_space() -> ConfigSpace {
     ])
 }
 
-/// One task's snapshot at one wave — sized like a live tuner's state.
-fn synth_snapshot(space: &ConfigSpace, task: usize, wave: usize) -> TunerSnapshot {
-    let mut rng = StdRng::seed_from_u64((task * 1000 + wave) as u64);
-    let history = (0..HISTORY)
-        .map(|i| {
-            let config = space.sample(&mut rng);
-            Observation {
-                failed: false,
-                objective: 100.0 + (task + i) as f64,
-                runtime: 50.0 + wave as f64,
-                resource: 10.0,
-                context: vec![],
-                config,
-            }
-        })
-        .collect();
-    TunerSnapshot {
-        task_id: format!("task-{task}"),
-        seed: 4242,
-        budget: 32,
-        history,
-        seeded_idx: vec![],
-        pending: None,
-        stopped: false,
-        degraded_streak: 0,
-        failure_streak: 0,
-        restarts: 0,
-        round_iterations: wave,
-        own_records: vec![],
-    }
-}
-
-fn task_checkpoint(space: &ConfigSpace, task: usize, wave: usize) -> TaskCheckpoint {
-    TaskCheckpoint {
-        task,
-        task_id: format!("task-{task}"),
-        snapshot: synth_snapshot(space, task, wave),
-        ledger: vec![],
-        dead: false,
-    }
-}
-
 /// The per-wave event stream shared by every arm: per-item audit
-/// records plus the embedding `WaveCompleted`.
+/// records, the embedding `WaveCompleted`, and the checkpoint marker.
 fn wave_events(space: &ConfigSpace, wave: usize) -> Vec<JobEvent> {
     let mut rng = StdRng::seed_from_u64(wave as u64);
     let mut events: Vec<JobEvent> = (0..N_TASKS)
@@ -119,36 +66,12 @@ fn wave_events(space: &ConfigSpace, wave: usize) -> Vec<JobEvent> {
         wave: wave as u64,
         outcomes,
     });
+    events.push(JobEvent::CheckpointCreated {
+        checkpoint: JobCheckpoint {
+            wave_cursor: wave as u64 + 1,
+        },
+    });
     events
-}
-
-/// The wave's checkpoint event: full (all tasks) or a delta carrying
-/// only the changed slice over the last full base.
-fn checkpoint_event(space: &ConfigSpace, wave: usize, delta_mode: bool, base_seq: u64) -> JobEvent {
-    if delta_mode && !wave.is_multiple_of(FULL_EVERY) {
-        let changed = (0..CHANGED_PER_DELTA)
-            .map(|i| task_checkpoint(space, (wave * CHANGED_PER_DELTA + i) % N_TASKS, wave))
-            .collect();
-        JobEvent::CheckpointDelta {
-            delta: CheckpointDelta {
-                wave_cursor: wave as u64 + 1,
-                base_seq,
-                changed,
-                dlq: vec![],
-            },
-        }
-    } else {
-        let tasks = (0..N_TASKS)
-            .map(|task| task_checkpoint(space, task, wave))
-            .collect();
-        JobEvent::CheckpointCreated {
-            checkpoint: JobCheckpoint {
-                wave_cursor: wave as u64 + 1,
-                tasks,
-                dlq: vec![],
-            },
-        }
-    }
 }
 
 struct ArmResult {
@@ -160,12 +83,8 @@ struct ArmResult {
 /// Replay `waves` synthetic waves through a journal under `policy`,
 /// with the engine's barrier after every checkpoint. Returns wall time,
 /// fsyncs paid, and bytes written.
-fn run_arm(name: &str, policy: SyncPolicy, delta_mode: bool, waves: usize) -> ArmResult {
-    let dir = std::env::temp_dir().join(format!(
-        "otune-jthr-{}-{}",
-        name.replace(':', "-"),
-        std::process::id()
-    ));
+fn run_arm(name: &str, policy: SyncPolicy, waves: usize) -> ArmResult {
+    let dir = std::env::temp_dir().join(format!("otune-jthr-{name}-{}", std::process::id()));
     std::fs::create_dir_all(&dir).expect("temp dir");
     let path = dir.join("journal.jsonl");
     let _ = std::fs::remove_file(&path);
@@ -173,32 +92,19 @@ fn run_arm(name: &str, policy: SyncPolicy, delta_mode: bool, waves: usize) -> Ar
     let space = toy_space();
     // Build the event stream up front so the timed loop measures the
     // journal (serialize + write + sync), not workload synthesis.
-    let mut stream: Vec<(JobEvent, bool)> = Vec::new();
-    let mut base_seq = 1u64; // the full checkpoint every delta overlays
-    let mut seq = 0u64;
-    for wave in 0..waves {
-        for event in wave_events(&space, wave) {
-            seq += 1;
-            stream.push((event, false));
-        }
-        seq += 1;
-        let event = checkpoint_event(&space, wave, delta_mode, base_seq);
-        if matches!(event, JobEvent::CheckpointCreated { .. }) {
-            base_seq = seq;
-        }
-        stream.push((event, true)); // checkpoint: barrier after
-    }
+    let stream: Vec<JobEvent> = (0..waves).flat_map(|w| wave_events(&space, w)).collect();
 
     let mut journal = Journal::open_with(&path, policy).expect("journal opens");
     let start = Instant::now();
-    for (i, (event, barrier)) in stream.into_iter().enumerate() {
+    for (i, event) in stream.into_iter().enumerate() {
+        let checkpoint = matches!(event, JobEvent::CheckpointCreated { .. });
         journal
             .append(&JournalEntry {
                 seq: i as u64 + 1,
                 event,
             })
             .expect("append");
-        if barrier {
+        if checkpoint {
             journal.barrier().expect("barrier");
         }
     }
@@ -225,7 +131,6 @@ fn run_arm(name: &str, policy: SyncPolicy, delta_mode: bool, waves: usize) -> Ar
 struct Entry {
     arm: &'static str,
     policy: &'static str,
-    checkpoint_mode: &'static str,
     waves_per_s: f64,
     fsyncs: u64,
     bytes_written: u64,
@@ -237,8 +142,6 @@ struct Report {
     bench: &'static str,
     n_tasks: usize,
     waves: usize,
-    full_every: usize,
-    changed_per_delta: usize,
     quick: bool,
     note: &'static str,
     speedup_batch_vs_every: f64,
@@ -251,37 +154,29 @@ fn main() {
     let assert_targets = std::env::var("OTUNE_BENCH_ASSERT").is_ok_and(|v| v != "0");
     let waves = if quick { 4 } else { 16 };
 
-    let arms: [(&'static str, &'static str, &'static str, ArmResult); 3] = [
+    let arms: [(&'static str, &'static str, ArmResult); 3] = [
+        ("every", "every", run_arm("every", SyncPolicy::Every, waves)),
         (
-            "every-full",
-            "every",
-            "full",
-            run_arm("every-full", SyncPolicy::Every, false, waves),
-        ),
-        (
-            "batch8-delta",
+            "batch8",
             "batch:8",
-            "delta",
-            run_arm("batch8-delta", SyncPolicy::Batch(8), true, waves),
+            run_arm("batch8", SyncPolicy::Batch(8), waves),
         ),
         (
-            "barrier-delta",
             "barrier",
-            "delta",
-            run_arm("barrier-delta", SyncPolicy::Barrier, true, waves),
+            "barrier",
+            run_arm("barrier", SyncPolicy::Barrier, waves),
         ),
     ];
 
     let mut table = Table::new(
         "Journal throughput — durable waves/sec at 200 tasks",
-        &["arm", "policy", "ckpt", "waves/s", "fsyncs", "MiB"],
+        &["arm", "policy", "waves/s", "fsyncs", "MiB"],
     );
     let mut entries = Vec::new();
-    for (arm, policy, mode, res) in &arms {
+    for (arm, policy, res) in &arms {
         table.row(vec![
             arm.to_string(),
             policy.to_string(),
-            mode.to_string(),
             format!("{:.1}", waves as f64 / res.wall_s),
             res.fsyncs.to_string(),
             format!("{:.1}", res.bytes as f64 / (1024.0 * 1024.0)),
@@ -289,7 +184,6 @@ fn main() {
         entries.push(Entry {
             arm,
             policy,
-            checkpoint_mode: mode,
             waves_per_s: waves as f64 / res.wall_s,
             fsyncs: res.fsyncs,
             bytes_written: res.bytes,
@@ -298,24 +192,21 @@ fn main() {
     }
     table.print();
 
-    let speedup_batch = arms[0].3.wall_s / arms[1].3.wall_s;
-    let speedup_barrier = arms[0].3.wall_s / arms[2].3.wall_s;
-    println!(
-        "group commit + delta checkpoints: batch:8 {speedup_batch:.2}x, \
-         barrier {speedup_barrier:.2}x over every+full"
-    );
+    let speedup_batch = arms[0].2.wall_s / arms[1].2.wall_s;
+    let speedup_barrier = arms[0].2.wall_s / arms[2].2.wall_s;
+    println!("group commit: batch:8 {speedup_batch:.2}x, barrier {speedup_barrier:.2}x over every");
     assert!(
-        arms[1].3.fsyncs < arms[0].3.fsyncs && arms[2].3.fsyncs < arms[1].3.fsyncs,
+        arms[1].2.fsyncs < arms[0].2.fsyncs && arms[2].2.fsyncs < arms[1].2.fsyncs,
         "fsync counts must strictly shrink across arms: {} / {} / {}",
-        arms[0].3.fsyncs,
-        arms[1].3.fsyncs,
-        arms[2].3.fsyncs,
+        arms[0].2.fsyncs,
+        arms[1].2.fsyncs,
+        arms[2].2.fsyncs,
     );
     if assert_targets {
         let floor = if quick { 2.0 } else { 5.0 };
         assert!(
             speedup_batch >= floor,
-            "batch:8 + delta speedup is only {speedup_batch:.2}x (floor {floor}x)"
+            "batch:8 speedup is only {speedup_batch:.2}x (floor {floor}x)"
         );
     }
 
@@ -324,14 +215,11 @@ fn main() {
         bench: "journal_throughput",
         n_tasks: N_TASKS,
         waves,
-        full_every: FULL_EVERY,
-        changed_per_delta: CHANGED_PER_DELTA,
         quick,
         note: "per wave: one audit append per task, one WaveCompleted with \
-               every outcome, one checkpoint + sync barrier. every-full pays \
-               one fsync per append and serializes all 200 snapshots per \
-               checkpoint; the delta arms group-commit appends and carry only \
-               the changed tasks between periodic full bases",
+               every outcome, one checkpoint marker + sync barrier. every pays \
+               one fsync per append; batch8 group-commits eight appends per \
+               fsync; barrier fsyncs only at the checkpoint barriers",
         speedup_batch_vs_every: speedup_batch,
         speedup_barrier_vs_every: speedup_barrier,
         results: entries,

@@ -86,8 +86,8 @@ pub enum Command {
         beta: f64,
         /// Consecutive failures before a task is dead-lettered.
         max_retries: usize,
-        /// Journal a checkpoint every N completed waves (0 = only on
-        /// pause/completion).
+        /// Journal a checkpoint (commit marker + sync barrier) every N
+        /// completed waves (0 = none).
         checkpoint_every: u64,
         /// Optional stochastic fault-injection spec applied to every task
         /// (see [`otune_sparksim::FaultProfile::parse`]).
@@ -102,9 +102,6 @@ pub enum Command {
         /// defaults to the `OTUNE_JOURNAL_SYNC` environment variable,
         /// then `every`.
         sync: Option<String>,
-        /// Write a full checkpoint every N checkpoints and deltas (only
-        /// changed tasks) in between; 0 = every checkpoint is full.
-        full_every: u64,
     },
     /// Compare strategies on one task.
     Compare {
@@ -186,9 +183,6 @@ pub enum JobsAction {
         /// Completed journals to keep (most recently modified first).
         keep: usize,
     },
-    /// Rewrite every journal to `JobStarted` + last full checkpoint +
-    /// suffix, merging its segments.
-    Compact,
 }
 
 /// Sub-action of `otune corpus`.
@@ -257,11 +251,11 @@ USAGE:
   otune tune-serve --journal FILE [--tasks N] [--budget N] [--seed S]
                    [--beta B] [--max-retries K] [--checkpoint-every N]
                    [--fault-profile SPEC] [--events FILE] [--auto]
-                   [--sync every|batch:N|barrier] [--full-every N]
+                   [--sync every|batch:N|barrier]
 
   tune-serve runs a crash-recoverable campaign: every state transition
-  is journaled (fsynced JSONL) and the campaign resumes from its last
-  checkpoint if FILE already holds one — kill -9 safe. With --auto it
+  is journaled (fsynced JSONL) and, if FILE already holds a campaign,
+  it resumes by replaying every journaled wave — kill -9 safe. With --auto it
   runs all remaining waves and prints the fleet summary; without it,
   it serves a line protocol on stdin (`suggest`, `report <json>`,
   `wave`, `run`, `checkpoint`, `status`, `dlq`, `stop`; EOF pauses).
@@ -269,19 +263,16 @@ USAGE:
   dead-letter queue with their full failure history.
   --sync selects the group-commit fsync cadence (default `every`:
   one sync_data per appended line; `batch:N` groups N lines per
-  sync; `barrier` syncs only at checkpoints/pause/stop — an acked
-  checkpoint survives kill -9 under every policy). --full-every N
-  journals delta checkpoints (only tasks whose state changed) with a
-  full checkpoint every N-th one; 0 keeps every checkpoint full.
+  sync; `barrier` syncs only at checkpoints/pause/stop). A checkpoint
+  is a commit marker plus a sync barrier: every wave before an acked
+  checkpoint survives kill -9 under every policy.
   otune jobs list    --journal-dir DIR
   otune jobs gc      --journal-dir DIR [--keep N]
-  otune jobs compact --journal-dir DIR
 
   jobs list prints one line per journal in DIR: job id, state, waves
   completed, last checkpoint seq, torn tails, segment count. jobs gc
   removes completed journals (and their segments), keeping the
-  --keep most recent (default 3). jobs compact rewrites each journal
-  to JobStarted + last full checkpoint + suffix, merging segments.
+  --keep most recent (default 3).
   otune corpus build --file FILE [--tasks N] [--budget N] [--seed S]
   otune corpus stats --file FILE
   otune corpus query --file FILE --task <name> [--k K]
@@ -319,10 +310,10 @@ pub fn parse_args(argv: &[String]) -> Result<Command, ParseError> {
         }
     } else if cmd == "jobs" {
         match argv.get(1).map(String::as_str) {
-            Some(a @ ("list" | "gc" | "compact")) => (Some(a), &argv[2..]),
+            Some(a @ ("list" | "gc")) => (Some(a), &argv[2..]),
             other => {
                 return Err(ParseError(format!(
-                    "jobs expects list|gc|compact, got {:?}",
+                    "jobs expects list|gc, got {:?}",
                     other.unwrap_or("")
                 )))
             }
@@ -423,7 +414,6 @@ pub fn parse_args(argv: &[String]) -> Result<Command, ParseError> {
                 events: get("events"),
                 auto: switches.contains(&"auto".to_string()),
                 sync,
-                full_every: num("full-every", 0.0)? as u64,
             })
         }
         "jobs" => {
@@ -431,10 +421,9 @@ pub fn parse_args(argv: &[String]) -> Result<Command, ParseError> {
                 .ok_or_else(|| ParseError("missing required --journal-dir DIR".into()))?;
             let action = match action.expect("jobs action parsed above") {
                 "list" => JobsAction::List,
-                "gc" => JobsAction::Gc {
+                _ => JobsAction::Gc {
                     keep: num("keep", 3.0)? as usize,
                 },
-                _ => JobsAction::Compact,
             };
             Ok(Command::Jobs {
                 action,
@@ -819,7 +808,6 @@ mod tests {
                 events: None,
                 auto: false,
                 sync: None,
-                full_every: 0,
             }
         );
         assert_eq!(
@@ -841,7 +829,6 @@ mod tests {
                 events: Some("e.jsonl".into()),
                 auto: true,
                 sync: None,
-                full_every: 0,
             }
         );
         assert!(parse_args(&argv("tune-serve")).is_err());
@@ -850,25 +837,13 @@ mod tests {
 
     #[test]
     fn parses_tune_serve_durability_flags() {
-        match parse_args(&argv(
-            "tune-serve --journal j.jsonl --sync batch:8 --full-every 4",
-        ))
-        .unwrap()
-        {
-            Command::TuneServe {
-                sync, full_every, ..
-            } => {
-                assert_eq!(sync.as_deref(), Some("batch:8"));
-                assert_eq!(full_every, 4);
-            }
+        match parse_args(&argv("tune-serve --journal j.jsonl --sync batch:8")).unwrap() {
+            Command::TuneServe { sync, .. } => assert_eq!(sync.as_deref(), Some("batch:8")),
             other => panic!("unexpected {other:?}"),
         }
         match parse_args(&argv("tune-serve --journal j.jsonl")).unwrap() {
-            Command::TuneServe {
-                sync, full_every, ..
-            } => {
-                assert_eq!(sync, None, "defaults to the environment");
-                assert_eq!(full_every, 0, "full checkpoints by default");
+            Command::TuneServe { sync, .. } => {
+                assert_eq!(sync, None, "defaults to the environment")
             }
             other => panic!("unexpected {other:?}"),
         }
@@ -899,13 +874,7 @@ mod tests {
                 journal_dir: "d".into(),
             }
         );
-        assert_eq!(
-            parse_args(&argv("jobs compact --journal-dir d")).unwrap(),
-            Command::Jobs {
-                action: JobsAction::Compact,
-                journal_dir: "d".into(),
-            }
-        );
+        assert!(parse_args(&argv("jobs compact --journal-dir d")).is_err());
         assert!(parse_args(&argv("jobs")).is_err());
         assert!(parse_args(&argv("jobs frobnicate --journal-dir d")).is_err());
         assert!(parse_args(&argv("jobs list")).is_err());

@@ -116,7 +116,6 @@ pub fn run(cmd: Command, out: &mut dyn Write) -> std::io::Result<i32> {
             events,
             auto,
             sync,
-            full_every,
         } => {
             let spec = CampaignSpec {
                 job_id: "tune-serve".to_string(),
@@ -126,7 +125,6 @@ pub fn run(cmd: Command, out: &mut dyn Write) -> std::io::Result<i32> {
                 beta,
                 max_retries,
                 checkpoint_every,
-                checkpoint_full_every: full_every,
                 fault_spec: fault_profile,
                 ..CampaignSpec::default()
             };
@@ -608,7 +606,7 @@ fn tune_fleet(
 /// (normally stdin) so an external driver can execute suggested configs
 /// itself and report results back. The journal at `journal_path` makes
 /// the whole session `kill -9`-safe: rerunning the same command resumes
-/// from the last checkpoint and replays the tail of the journal.
+/// by replaying every journaled wave.
 fn tune_serve(
     spec: CampaignSpec,
     journal_path: &str,
@@ -684,8 +682,9 @@ fn tune_serve(
 /// `suggest` prints the pending wave as JSON; `report <json>` feeds a
 /// `[{task, runtime_s, resource, status}]` batch back; `wave` and `run`
 /// execute on the built-in simulator; `checkpoint` forces a checkpoint;
-/// `status` and `dlq` introspect; `stop` (or EOF) pauses with a final
-/// checkpoint so the next invocation resumes exactly here.
+/// `status` and `dlq` introspect; `stop` (or EOF) pauses with a
+/// barriered `JobPaused` marker so the next invocation resumes exactly
+/// here.
 fn serve_loop(
     engine: &mut JobEngine,
     input: &mut dyn std::io::BufRead,
@@ -935,13 +934,14 @@ struct JournalRow {
     job_id: String,
     state: &'static str,
     waves: u64,
-    last_checkpoint: Option<(u64, &'static str)>,
+    /// Journal seq of the last checkpoint marker.
+    last_checkpoint: Option<u64>,
     torn_lines: u64,
     segments: usize,
 }
 
-/// Scan `dir` for base journals: regular files that are neither rotated
-/// segments (`<base>.NNNN`) nor compaction scratch files (`<base>.compact`).
+/// Scan `dir` for base journals: regular files that are not rotated
+/// segments (`<base>.NNNN`).
 fn scan_base_journals(dir: &std::path::Path) -> std::io::Result<Vec<std::path::PathBuf>> {
     let mut bases = Vec::new();
     for entry in std::fs::read_dir(dir)? {
@@ -954,7 +954,7 @@ fn scan_base_journals(dir: &std::path::Path) -> std::io::Result<Vec<std::path::P
         let is_segment = name
             .rsplit_once('.')
             .is_some_and(|(_, s)| s.len() == 4 && s.bytes().all(|b| b.is_ascii_digit()));
-        if is_segment || name.ends_with(".compact") {
+        if is_segment {
             continue;
         }
         bases.push(entry.path());
@@ -984,8 +984,7 @@ fn summarize_journal(path: &std::path::Path) -> std::io::Result<JournalRow> {
                 waves = waves.max(summary.waves);
             }
             JobEvent::WaveCompleted { wave, .. } => waves = waves.max(wave + 1),
-            JobEvent::CheckpointCreated { .. } => last_checkpoint = Some((entry.seq, "full")),
-            JobEvent::CheckpointDelta { .. } => last_checkpoint = Some((entry.seq, "delta")),
+            JobEvent::CheckpointCreated { .. } => last_checkpoint = Some(entry.seq),
             _ => {}
         }
     }
@@ -1005,8 +1004,8 @@ fn summarize_journal(path: &std::path::Path) -> std::io::Result<JournalRow> {
     })
 }
 
-/// `otune jobs`: inspect, garbage-collect, and compact the journals of a
-/// campaign directory.
+/// `otune jobs`: inspect and garbage-collect the journals of a campaign
+/// directory.
 fn jobs_cmd(action: JobsAction, journal_dir: &str, out: &mut dyn Write) -> std::io::Result<i32> {
     let dir = std::path::Path::new(journal_dir);
     if !dir.is_dir() {
@@ -1028,7 +1027,7 @@ fn jobs_cmd(action: JobsAction, journal_dir: &str, out: &mut dyn Write) -> std::
             for base in &bases {
                 let row = summarize_journal(base)?;
                 let ckpt = match row.last_checkpoint {
-                    Some((seq, kind)) => format!("{kind}@{seq}"),
+                    Some(seq) => seq.to_string(),
                     None => "-".to_string(),
                 };
                 writeln!(
@@ -1072,22 +1071,6 @@ fn jobs_cmd(action: JobsAction, journal_dir: &str, out: &mut dyn Write) -> std::
                 completed.len().min(keep),
                 removed,
             )?;
-            Ok(0)
-        }
-        JobsAction::Compact => {
-            for base in &bases {
-                let report = Journal::compact(base)?;
-                writeln!(
-                    out,
-                    "compacted {}: {} -> {} entries, {} -> {} bytes, {} segment(s) removed",
-                    base.display(),
-                    report.entries_before,
-                    report.entries_kept,
-                    report.bytes_before,
-                    report.bytes_after,
-                    report.segments_removed,
-                )?;
-            }
             Ok(0)
         }
     }
@@ -1454,9 +1437,8 @@ fn render_top(file: &str, out: &mut dyn Write) -> std::io::Result<i32> {
                 writeln!(
                     out,
                     "durability: {batches} batch(es), {fsyncs} fsync(s), {jbytes} journal byte(s), \
-                     checkpoints {} full / {} delta byte(s), {} corpus flush(es)",
+                     {} checkpoint byte(s), {} corpus flush(es)",
                     counter("checkpoint_full_bytes"),
-                    counter("checkpoint_delta_bytes"),
                     counter("corpus_flushes"),
                 )?;
             }
@@ -1832,7 +1814,19 @@ mod tests {
                 .collect();
             format!("report [{}]", items.join(","))
         };
+        let mut duplicate = results.clone();
+        duplicate.insert(
+            1,
+            ItemResult {
+                runtime_s: results[0].runtime_s * 0.5,
+                ..results[0].clone()
+            },
+        );
         let bad = [
+            (
+                format!("report {}", serde_json::to_string(&duplicate).unwrap()),
+                "report names task 0 more than once",
+            ),
             (
                 hostile(0, "1e400", "10.0", "success"),
                 "task 0 has unusable runtime_s inf",
@@ -1900,7 +1894,7 @@ mod tests {
     }
 
     #[test]
-    fn jobs_list_gc_and_compact_manage_a_journal_dir() {
+    fn jobs_list_and_gc_manage_a_journal_dir() {
         let dir = serve_dir("jobs-cmd");
         // Start from an empty directory each run.
         for entry in std::fs::read_dir(&dir).unwrap().flatten() {
@@ -1935,17 +1929,11 @@ mod tests {
         assert!(text.contains("completed"), "{text}");
         assert!(text.contains("jobs-paused"), "{text}");
         assert!(text.contains("paused"), "{text}");
-        assert!(text.contains("full@"), "checkpoint seq shown: {text}");
-
-        // Compaction reports every journal and leaves them loadable.
-        let mut buf = Vec::new();
-        assert_eq!(
-            jobs_cmd(JobsAction::Compact, &dir_str, &mut buf).unwrap(),
-            0
+        let done_row = text.lines().find(|l| l.contains("jobs-done")).unwrap();
+        assert!(
+            done_row.split_whitespace().nth(3).is_some_and(|c| c != "-"),
+            "checkpoint seq shown: {text}"
         );
-        let text = String::from_utf8(buf).unwrap();
-        assert!(text.contains("compacted"), "{text}");
-        assert!(Journal::load(&paused).unwrap().torn_lines == 0);
 
         // gc keep 1 retains the single completed journal…
         let mut buf = Vec::new();

@@ -248,36 +248,6 @@ impl OnlineTuneController {
         self.create_task(task_id, space, options)
     }
 
-    /// Re-register a task from a [`crate::TunerSnapshot`]: the tuner is
-    /// rebuilt via [`OnlineTuner::resume`] (replaying its suggestion trace
-    /// and verifying bitwise identity), attached to the controller's
-    /// telemetry and shared meta store, and inserted under its shard. Used
-    /// by the job engine to restore campaign state from a checkpoint.
-    pub fn restore_task(
-        &mut self,
-        task_id: &str,
-        space: ConfigSpace,
-        options: TunerOptions,
-        snap: &crate::snapshot::TunerSnapshot,
-    ) -> Result<TaskHandle, crate::snapshot::ResumeError> {
-        let handle = TaskHandle(Arc::from(task_id));
-        let telemetry = self.telemetry.for_task(task_id);
-        let mut tuner = OnlineTuner::resume(space, options, snap, telemetry.clone())?;
-        tuner.set_shared_meta(Arc::clone(&self.shared_meta));
-        let idx = self.shard_of(&handle);
-        unpoison(self.shards[idx].get_mut()).insert(
-            handle.clone(),
-            TaskEntry {
-                tuner,
-                warm_injected: false,
-                telemetry,
-            },
-        );
-        self.telemetry
-            .gauge(metric::FLEET_TASKS, self.n_tasks() as f64);
-        Ok(handle)
-    }
-
     /// Step 2 (Figure 1) for a **failed** execution (OOM / timeout kill):
     /// the run is recorded as a censored observation via
     /// [`OnlineTuner::observe_failed`] and mirrored into the repository, so

@@ -5,20 +5,17 @@
 //! is the durable representation the Tencent deployment keeps in its
 //! storage service.
 
-use crate::snapshot::TunerSnapshot;
 use otune_bo::Observation;
 use otune_meta::TaskRecord;
 use parking_lot::RwLock;
 use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
 
+/// The exported document. Exports from builds that also stored tuner
+/// snapshots carry a `snapshots` key, which import ignores.
 #[derive(Debug, Default, Serialize, Deserialize)]
 struct Repo {
     tasks: BTreeMap<String, TaskRecord>,
-    /// Latest crash-recovery snapshot per task (absent in repositories
-    /// exported before snapshots existed).
-    #[serde(default)]
-    snapshots: BTreeMap<String, TunerSnapshot>,
 }
 
 /// Thread-safe store of tuning history across tasks.
@@ -104,20 +101,6 @@ impl DataRepository {
             .collect()
     }
 
-    /// Store a task's latest crash-recovery snapshot (replacing any
-    /// previous one — only the newest is ever resumed).
-    pub fn record_snapshot(&self, snap: TunerSnapshot) {
-        self.inner
-            .write()
-            .snapshots
-            .insert(snap.task_id.clone(), snap);
-    }
-
-    /// A task's latest crash-recovery snapshot, if one was stored.
-    pub fn snapshot(&self, task_id: &str) -> Option<TunerSnapshot> {
-        self.inner.read().snapshots.get(task_id).cloned()
-    }
-
     /// Serialize the entire repository to JSON.
     pub fn export_json(&self) -> String {
         serde_json::to_string(&*self.inner.read()).expect("repository is always serializable")
@@ -191,42 +174,25 @@ mod tests {
         assert_eq!(t.observations.len(), 1);
     }
 
-    fn snap(task_id: &str, n_obs: usize) -> TunerSnapshot {
-        TunerSnapshot {
-            task_id: task_id.to_string(),
-            seed: 7,
-            budget: 20,
-            history: (0..n_obs).map(|i| obs(i as f64)).collect(),
-            seeded_idx: vec![0],
-            pending: None,
-            stopped: false,
-            degraded_streak: 0,
-            failure_streak: 1,
-            restarts: 0,
-            round_iterations: n_obs.saturating_sub(1),
-            own_records: Vec::new(),
-        }
-    }
-
     #[test]
-    fn snapshots_survive_json_round_trip() {
-        let repo = DataRepository::new();
-        repo.record_observation("t", obs(1.0));
-        repo.record_snapshot(snap("t", 3));
-        repo.record_snapshot(snap("t", 5)); // newest wins
-        let back = DataRepository::import_json(&repo.export_json()).unwrap();
-        let s = back.snapshot("t").unwrap();
-        assert_eq!(s.history.len(), 5);
-        assert_eq!(s.failure_streak, 1);
-        assert!(back.snapshot("other").is_none());
+    fn exports_with_snapshots_still_import() {
+        // Older builds also exported a `snapshots` map of tuner
+        // snapshots; import keeps the task records and ignores it.
+        let json = r#"{"tasks": {"t": {"task_id": "t", "meta_features": [0.5],
+            "observations": []}}, "snapshots": {"t": {"task_id": "t", "seed": 7,
+            "budget": 20, "history": [], "seeded_idx": [], "pending": null,
+            "stopped": false, "degraded_streak": 0, "failure_streak": 1,
+            "restarts": 0, "round_iterations": 0, "own_records": []}}}"#;
+        let repo = DataRepository::import_json(json).unwrap();
+        assert_eq!(repo.meta_features("t"), Some(vec![0.5]));
+        assert!(!repo.export_json().contains("snapshots"));
     }
 
     #[test]
     fn old_exports_without_snapshots_still_import() {
-        // A pre-snapshot export has no `snapshots` key at all.
         let json = r#"{"tasks": {}}"#;
         let repo = DataRepository::import_json(json).unwrap();
-        assert!(repo.snapshot("t").is_none());
+        assert!(repo.is_empty());
     }
 
     #[test]
@@ -236,7 +202,7 @@ mod tests {
             "{",
             "[]",
             r#"{"tasks": 3}"#,
-            r#"{"tasks": {}, "snapshots": "nope"}"#,
+            r#"{"tasks": {"t": "nope"}}"#,
         ] {
             assert!(DataRepository::import_json(bad).is_err(), "{bad:?}");
         }
@@ -269,93 +235,53 @@ mod tests {
                 .prop_map(|v| v.into_iter().map(|c| (b'a' + c) as char).collect())
         }
 
-        fn any_snapshot() -> impl Strategy<Value = TunerSnapshot> {
-            (
-                any_task_id(),
-                any::<u64>(),
-                1usize..100,
-                proptest::collection::vec(any_obs(), 0..6),
-                any::<bool>(),
-                0usize..5,
-                0usize..5,
-                0usize..4,
-            )
-                .prop_map(
-                    |(
-                        task_id,
-                        seed,
-                        budget,
-                        history,
-                        stopped,
-                        degraded_streak,
-                        failure_streak,
-                        restarts,
-                    )| {
-                        let seeded_idx = if history.is_empty() { vec![] } else { vec![0] };
-                        let round_iterations = history.len().saturating_sub(seeded_idx.len());
-                        TunerSnapshot {
-                            task_id,
-                            seed,
-                            budget,
-                            history,
-                            seeded_idx,
-                            pending: None,
-                            stopped,
-                            degraded_streak,
-                            failure_streak,
-                            restarts,
-                            round_iterations,
-                            own_records: Vec::new(),
-                        }
-                    },
-                )
-        }
-
         proptest! {
             #![proptest_config(ProptestConfig::with_cases(32))]
 
             /// `import_json(export_json())` is the identity on the whole
-            /// repository — observations with failure flags and snapshot
-            /// fields included — verified via a second export.
+            /// repository — several tasks' observations with failure flags,
+            /// contexts and meta-features — verified via a second export.
             #[test]
             fn export_import_is_identity(
-                observations in proptest::collection::vec(any_obs(), 1..8),
+                records in proptest::collection::vec((any_task_id(), any_obs()), 1..12),
                 features in proptest::collection::vec(-5.0f64..5.0, 0..4),
-                snapshot in any_snapshot(),
             ) {
                 let repo = DataRepository::new();
-                for o in &observations {
-                    repo.record_observation("t", o.clone());
+                for (task_id, o) in &records {
+                    repo.record_observation(task_id, o.clone());
                 }
-                repo.set_meta_features("t", features.clone());
-                repo.record_snapshot(snapshot.clone());
+                repo.set_meta_features(&records[0].0, features.clone());
 
                 let json = repo.export_json();
                 let back = DataRepository::import_json(&json).unwrap();
                 prop_assert_eq!(back.export_json(), json, "round trip changed the payload");
-                let t = back.task("t").unwrap();
-                prop_assert_eq!(t.observations.len(), observations.len());
-                for (a, b) in t.observations.iter().zip(&observations) {
-                    prop_assert_eq!(a.failed, b.failed);
-                    prop_assert_eq!(a.runtime.to_bits(), b.runtime.to_bits());
+                prop_assert_eq!(back.len(), repo.len());
+                prop_assert_eq!(back.task(&records[0].0).unwrap().meta_features, features);
+                for (task_id, rec) in records.iter().map(|(t, _)| (t, back.task(t).unwrap())) {
+                    let sent: Vec<&Observation> =
+                        records.iter().filter(|(t, _)| t == task_id).map(|(_, o)| o).collect();
+                    prop_assert_eq!(rec.observations.len(), sent.len());
+                    for (a, b) in rec.observations.iter().zip(sent) {
+                        prop_assert_eq!(a.failed, b.failed);
+                        prop_assert_eq!(a.runtime.to_bits(), b.runtime.to_bits());
+                        prop_assert_eq!(a.resource.to_bits(), b.resource.to_bits());
+                    }
                 }
-                let s = back.snapshot(&snapshot.task_id).unwrap();
-                prop_assert_eq!(s.history.len(), snapshot.history.len());
-                prop_assert_eq!(s.failure_streak, snapshot.failure_streak);
-                prop_assert_eq!(s.stopped, snapshot.stopped);
             }
 
             /// Corrupt inputs — truncations, wrong types, junk — are
             /// rejected with `Err`, never a panic.
             #[test]
             fn corrupt_imports_error_gracefully(
-                snapshot in any_snapshot(),
+                observations in proptest::collection::vec(any_obs(), 1..6),
                 cut in 1usize..40,
                 junk_bytes in proptest::collection::vec(32u8..127, 0..40),
             ) {
                 let junk: String = junk_bytes.into_iter().map(char::from).collect();
                 let repo = DataRepository::new();
-                repo.record_snapshot(snapshot);
+                for o in observations {
+                    repo.record_observation("t", o);
+                }
                 let json = repo.export_json();
                 // Truncation never parses (the document can't be complete).
                 let truncated = &json[..json.len().saturating_sub(cut)];

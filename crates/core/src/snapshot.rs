@@ -36,8 +36,8 @@ pub struct PendingSuggestion {
     pub context: Vec<f64>,
 }
 
-/// A complete, replayable record of one tuner's state, written to the
-/// repository (or a JSONL log) after every observation.
+/// A complete, replayable record of one tuner's state, written by its
+/// caller (for example to a JSONL log) after every observation.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct TunerSnapshot {
     /// The tuning task this snapshot belongs to.

@@ -3,9 +3,10 @@
 //! A campaign is a **map phase** of per-task suggest/observe waves over
 //! the fleet controller followed by a **reduce phase** producing the
 //! fleet summary. Every state transition is journaled; periodic
-//! checkpoints embed the full campaign state; `open` replays the journal
-//! from the last checkpoint and re-drives the real suggest path,
-//! verifying bitwise identity against the recorded outcomes.
+//! checkpoints are barriered commit markers; `open` rebuilds the
+//! campaign from the spec and re-drives every journaled wave through the
+//! real suggest path, verifying bitwise identity against the recorded
+//! outcomes.
 //!
 //! Failure policy: a failed run (OOM / timeout kill) is reported to the
 //! tuner as a **censored observation** and appended to the task's
@@ -15,16 +16,15 @@
 //! failures the task moves to the dead-letter queue with its full
 //! failure history and the rest of the campaign proceeds.
 
-use crate::checkpoint::{task_fingerprint, CheckpointDelta, JobCheckpoint, TaskCheckpoint};
 use crate::event::{
-    DlqEntry, FailureRecord, FleetSummary, ItemOutcome, JobEvent, JournalEntry, TaskSummary,
+    DlqEntry, FailureRecord, FleetSummary, ItemOutcome, JobCheckpoint, JobEvent, JournalEntry,
+    TaskSummary,
 };
 use crate::journal::Journal;
 use crate::spec::CampaignSpec;
 use otune_core::tuner::check_measurement;
 use otune_core::{
-    ControllerError, FleetOptions, FleetRequest, OnlineTuneController, ResumeError, TaskHandle,
-    TunerOptions,
+    ControllerError, FleetOptions, FleetRequest, OnlineTuneController, TaskHandle, TunerOptions,
 };
 use otune_space::{spark_space, ClusterScale, ConfigSpace, Configuration};
 use otune_sparksim::{
@@ -37,12 +37,10 @@ use std::path::Path;
 /// Environment variable for crash injection: `wave:N` aborts the process
 /// (kill -9 semantics, no destructors) right after the `WaveCompleted`
 /// append for wave `N` commits; `checkpoint:N` after the checkpoint
-/// append (full or delta) with wave cursor `N` is barriered durable;
-/// `append:N` after the `N`-th journal append of the process (1-based —
-/// under a lazy sync policy the append may still be unsynced, so the
-/// crash loses it); `fsync:N` right after the journal's `N`-th completed
-/// `sync_data`; `compact:1` / `compact:2` mid-compaction (before the
-/// rename / before segment cleanup).
+/// marker with wave cursor `N` is barriered durable; `append:N` after the
+/// `N`-th journal append of the process (1-based — under a lazy sync
+/// policy the append may still be unsynced, so the crash loses it);
+/// `fsync:N` right after the journal's `N`-th completed `sync_data`.
 pub const CRASH_ENV: &str = "OTUNE_CRASH_AT";
 
 const NO_CONTEXT: &[f64] = &[];
@@ -139,8 +137,6 @@ pub enum JobError {
     Io(std::io::Error),
     /// Fleet controller rejected a request or report.
     Controller(ControllerError),
-    /// A checkpointed tuner snapshot failed to resume.
-    Resume(ResumeError),
     /// The spec's fault DSL failed to parse.
     BadFaultSpec(String),
     /// The journal has no `JobStarted` event to resume from.
@@ -157,6 +153,12 @@ pub enum JobError {
         /// The unexpected task index.
         task: usize,
     },
+    /// The reported batch names a task more than once. Nothing was
+    /// applied; the wave stays pending.
+    DuplicateReportTask {
+        /// The task index reported twice.
+        task: usize,
+    },
     /// A reported result carries a value the tuner cannot learn from or
     /// the journal cannot store (see [`ItemResult::validate`]). Nothing
     /// was applied; the wave stays pending.
@@ -168,11 +170,6 @@ pub enum JobError {
         /// The offending value as reported.
         value: String,
     },
-    /// A checkpoint's task list does not match the spec's tasks.
-    CheckpointMismatch {
-        /// The mismatching task index.
-        task: usize,
-    },
     /// Replay regenerated a different outcome than the journal recorded.
     ReplayDivergence {
         /// Wave the divergence occurred in.
@@ -180,11 +177,13 @@ pub enum JobError {
         /// Task index of the diverging item.
         task: usize,
     },
-    /// The journal skips a wave (interior corruption beyond repair).
+    /// The journal skips a wave (interior corruption beyond repair, or a
+    /// journal whose early waves were cut away): a `WaveCompleted` or
+    /// commit marker names a later wave than replay has reached.
     ReplayGap {
         /// The wave replay expected next.
         expected: u64,
-        /// The wave the journal recorded instead.
+        /// The wave (or commit-marker cursor) the journal recorded instead.
         found: u64,
     },
 }
@@ -206,7 +205,6 @@ impl std::fmt::Display for JobError {
         match self {
             JobError::Io(e) => write!(f, "journal I/O error: {e}"),
             JobError::Controller(e) => write!(f, "controller error: {e}"),
-            JobError::Resume(e) => write!(f, "snapshot resume error: {e}"),
             JobError::BadFaultSpec(e) => write!(f, "bad fault spec: {e}"),
             JobError::NoJobStarted => write!(f, "journal has no JobStarted event"),
             JobError::NoPendingWave => write!(f, "no suggested wave to report against"),
@@ -216,11 +214,11 @@ impl std::fmt::Display for JobError {
             JobError::UnknownReportTask { task } => {
                 write!(f, "report names task {task} with no pending item")
             }
+            JobError::DuplicateReportTask { task } => {
+                write!(f, "report names task {task} more than once")
+            }
             JobError::InvalidResult { task, field, value } => {
                 write!(f, "report for task {task} has unusable {field} {value}")
-            }
-            JobError::CheckpointMismatch { task } => {
-                write!(f, "checkpoint task {task} does not match the campaign spec")
             }
             JobError::ReplayDivergence { wave, task } => {
                 write!(f, "replay diverged at wave {wave}, task {task}")
@@ -264,11 +262,6 @@ pub struct JobEngine {
     pending: Option<PendingWave>,
     telemetry: Telemetry,
     crash: Option<CrashPoint>,
-    /// Seq and per-task fingerprints of the last full checkpoint — the
-    /// base the next delta checkpoint diffs against.
-    last_full: Option<(u64, Vec<u64>)>,
-    /// Delta checkpoints journaled since the last full one.
-    deltas_since_full: u64,
 }
 
 impl JobEngine {
@@ -293,18 +286,6 @@ impl JobEngine {
     ) -> Result<JobEngine, JobError> {
         let journal = Journal::open_with(journal_path, policy)?;
         let mut engine = Self::build(spec, journal, telemetry)?;
-        for setup in Self::plan_tasks(&engine.spec)? {
-            let handle = engine
-                .ctl
-                .create_task(&setup.task_id, setup.space, setup.options);
-            engine.tasks.push(TaskRuntime {
-                task_id: setup.task_id,
-                handle,
-                job: setup.job,
-                ledger: Vec::new(),
-                dead: false,
-            });
-        }
         engine.telemetry.emit(
             0,
             EventKind::JobStarted {
@@ -318,11 +299,12 @@ impl JobEngine {
         Ok(engine)
     }
 
-    /// Resume a campaign from its journal: load the last parseable
-    /// checkpoint, restore every tuner from its snapshot, then re-drive
-    /// the waves journaled after the checkpoint through the real suggest
-    /// path — erroring on any divergence from the recorded outcomes.
-    /// Torn journal lines are skipped, counted, and surfaced via the
+    /// Resume a campaign from its journal: rebuild every task from the
+    /// journaled spec, as [`JobEngine::start`] does, then re-drive every
+    /// journaled wave through the real suggest path — erroring on any
+    /// divergence from the recorded outcomes, and on any wave or commit
+    /// marker that skips ahead of the waves replayed before it. Torn
+    /// journal lines are skipped, counted, and surfaced via the
     /// `journal_torn_tails` counter and the `JobResumed` event.
     pub fn open(journal_path: &Path, telemetry: Telemetry) -> Result<JobEngine, JobError> {
         Self::open_with(journal_path, telemetry, SyncPolicy::from_env())
@@ -347,123 +329,46 @@ impl JobEngine {
                 _ => None,
             })
             .ok_or(JobError::NoJobStarted)?;
-        // The resume base: the last parseable full checkpoint, overlaid
-        // with the latest parseable delta that names it by seq. A delta
-        // whose base is torn (or that predates the chosen full) is
-        // ignored — its waves replay from `WaveCompleted` events, same
-        // final state.
-        let last_full = load.entries.iter().rev().find_map(|e| match &e.event {
-            JobEvent::CheckpointCreated { checkpoint } => Some((e.seq, checkpoint.clone())),
-            _ => None,
-        });
-        let mut deltas_since_full = 0u64;
-        let checkpoint = last_full.as_ref().map(|(base_seq, full)| {
-            let mut state = full.clone();
-            for e in load.entries.iter().filter(|e| e.seq > *base_seq) {
-                if let JobEvent::CheckpointDelta { delta } = &e.event {
-                    if delta.base_seq == *base_seq {
-                        deltas_since_full += 1;
-                        state = delta.apply_to(full);
-                    }
-                }
-            }
-            state
-        });
-        let completed_summary = load.entries.iter().rev().find_map(|e| match &e.event {
-            JobEvent::JobCompleted { summary } => Some(summary.clone()),
-            _ => None,
-        });
 
         let journal = Journal::open_with(journal_path, policy)?;
         let mut engine = Self::build(spec, journal, telemetry)?;
         engine.seq = load.entries.iter().map(|e| e.seq).max().unwrap_or(0);
 
-        let setups = Self::plan_tasks(&engine.spec)?;
-        let from_checkpoint = checkpoint.is_some();
-        match &checkpoint {
-            Some(cp) => {
-                if cp.tasks.len() != setups.len() {
-                    return Err(JobError::CheckpointMismatch {
-                        task: cp.tasks.len().min(setups.len()),
-                    });
-                }
-                for (i, (setup, tc)) in setups.into_iter().zip(&cp.tasks).enumerate() {
-                    if tc.task != i || tc.task_id != setup.task_id {
-                        return Err(JobError::CheckpointMismatch { task: i });
-                    }
-                    let handle = engine
-                        .ctl
-                        .restore_task(&setup.task_id, setup.space, setup.options, &tc.snapshot)
-                        .map_err(JobError::Resume)?;
-                    engine.tasks.push(TaskRuntime {
-                        task_id: setup.task_id,
-                        handle,
-                        job: setup.job,
-                        ledger: tc.ledger.clone(),
-                        dead: tc.dead,
-                    });
-                }
-                engine.dlq = cp.dlq.clone();
-                engine.wave_cursor = cp.wave_cursor;
-                // Future checkpoints keep diffing against the journaled
-                // full base, so the delta chain stays consistent across
-                // resumes.
-                engine.last_full = last_full
-                    .as_ref()
-                    .map(|(seq, full)| (*seq, full.tasks.iter().map(task_fingerprint).collect()));
-                engine.deltas_since_full = deltas_since_full;
-            }
-            None => {
-                for setup in setups {
-                    let handle = engine
-                        .ctl
-                        .create_task(&setup.task_id, setup.space, setup.options);
-                    engine.tasks.push(TaskRuntime {
-                        task_id: setup.task_id,
-                        handle,
-                        job: setup.job,
-                        ledger: Vec::new(),
-                        dead: false,
-                    });
-                }
-            }
-        }
-
-        // Re-drive every wave journaled at or past the cursor through the
-        // real suggest path, verifying recorded outcomes bit for bit.
+        // Re-drive every journaled wave from genesis through the real
+        // suggest path, verifying recorded outcomes bit for bit. Ledgers,
+        // dead flags and the DLQ rebuild as a side effect.
         let mut replayed = 0u64;
         for entry in &load.entries {
-            if let JobEvent::WaveCompleted { wave, outcomes } = &entry.event {
-                if *wave < engine.wave_cursor {
-                    continue;
+            match &entry.event {
+                JobEvent::WaveCompleted { wave, outcomes } => {
+                    if *wave < engine.wave_cursor {
+                        continue;
+                    }
+                    if *wave > engine.wave_cursor {
+                        return Err(JobError::ReplayGap {
+                            expected: engine.wave_cursor,
+                            found: *wave,
+                        });
+                    }
+                    engine.replay_wave(*wave, outcomes)?;
+                    replayed += 1;
                 }
-                if *wave > engine.wave_cursor {
-                    return Err(JobError::ReplayGap {
-                        expected: engine.wave_cursor,
-                        found: *wave,
-                    });
+                event => {
+                    if let Some(cursor) = event.wave_cursor().filter(|&c| c > engine.wave_cursor) {
+                        return Err(JobError::ReplayGap {
+                            expected: engine.wave_cursor,
+                            found: cursor,
+                        });
+                    }
+                    if let JobEvent::JobCompleted { summary } = event {
+                        engine.summary = Some(summary.clone());
+                        engine.completed = true;
+                    }
                 }
-                engine.replay_wave(*wave, outcomes)?;
-                replayed += 1;
             }
-        }
-        if let Some(summary) = completed_summary {
-            engine.summary = Some(summary);
-            engine.completed = true;
         }
 
         engine.telemetry.incr(metric::JOB_RESUMES);
-        if from_checkpoint {
-            engine.telemetry.emit(
-                engine.wave_cursor,
-                EventKind::CheckpointLoaded {
-                    wave_cursor: engine.wave_cursor,
-                },
-            );
-            engine.append_event(JobEvent::CheckpointLoaded {
-                wave_cursor: engine.wave_cursor,
-            })?;
-        }
         engine.telemetry.emit(
             engine.wave_cursor,
             EventKind::JobResumed {
@@ -509,6 +414,8 @@ impl JobEngine {
         }
     }
 
+    /// The engine at wave 0: controller, journal and every task created
+    /// from the spec. Both a fresh start and a resume begin here.
     fn build(
         spec: CampaignSpec,
         mut journal: Journal,
@@ -524,13 +431,23 @@ impl JobEngine {
         if let Some(CrashPoint::Fsync(n)) = crash {
             journal.arm_crash_at_fsync(n);
         }
+        let tasks = Self::plan_tasks(&spec)?
+            .into_iter()
+            .map(|setup| TaskRuntime {
+                handle: ctl.create_task(&setup.task_id, setup.space, setup.options),
+                task_id: setup.task_id,
+                job: setup.job,
+                ledger: Vec::new(),
+                dead: false,
+            })
+            .collect();
         Ok(JobEngine {
             spec,
             journal,
             seq: 0,
             appends: 0,
             ctl,
-            tasks: Vec::new(),
+            tasks,
             wave_cursor: 0,
             dlq: Vec::new(),
             completed: false,
@@ -538,8 +455,6 @@ impl JobEngine {
             pending: None,
             telemetry,
             crash,
-            last_full: None,
-            deltas_since_full: 0,
         })
     }
 
@@ -618,10 +533,6 @@ impl JobEngine {
                 self.journal.barrier()?;
                 self.telemetry.add(metric::CHECKPOINT_FULL_BYTES, bytes);
             }
-            JobEvent::CheckpointDelta { .. } => {
-                self.journal.barrier()?;
-                self.telemetry.add(metric::CHECKPOINT_DELTA_BYTES, bytes);
-            }
             _ => {}
         }
         if let Some(point) = self.crash {
@@ -630,11 +541,10 @@ impl JobEngine {
                 CrashPoint::Wave(w) => {
                     matches!(&entry.event, JobEvent::WaveCompleted { wave, .. } if *wave == w)
                 }
-                CrashPoint::Checkpoint(c) => match &entry.event {
-                    JobEvent::CheckpointCreated { checkpoint } => checkpoint.wave_cursor == c,
-                    JobEvent::CheckpointDelta { delta } => delta.wave_cursor == c,
-                    _ => false,
-                },
+                CrashPoint::Checkpoint(c) => matches!(
+                    &entry.event,
+                    JobEvent::CheckpointCreated { checkpoint } if checkpoint.wave_cursor == c
+                ),
                 // Fired from inside the journal's sync path.
                 CrashPoint::Fsync(_) => false,
             };
@@ -715,18 +625,22 @@ impl JobEngine {
     }
 
     /// Report a wave's results. The batch must cover every pending item
-    /// exactly, and every result must pass [`ItemResult::validate`]; a
-    /// rejected batch changes nothing and leaves the wave pending, so the
+    /// exactly once, and every result must pass [`ItemResult::validate`];
+    /// a rejected batch changes nothing and leaves the wave pending, so the
     /// caller can resend it. Observations are fed to the tuners (censored for
     /// failed runs), the retry/DLQ policy is applied, and the wave commits
     /// with a `WaveCompleted` journal append; a periodic checkpoint and/or
     /// the job's completion follow per the spec.
     pub fn report_wave(&mut self, results: &[ItemResult]) -> Result<u64, JobError> {
         let pending = self.pending.take().ok_or(JobError::NoPendingWave)?;
-        for r in results {
+        for (k, r) in results.iter().enumerate() {
             if !pending.items.iter().any(|it| it.task == r.task) {
                 self.pending = Some(pending);
                 return Err(JobError::UnknownReportTask { task: r.task });
+            }
+            if results[..k].iter().any(|earlier| earlier.task == r.task) {
+                self.pending = Some(pending);
+                return Err(JobError::DuplicateReportTask { task: r.task });
             }
             if let Err(e) = r.validate() {
                 self.pending = Some(pending);
@@ -955,28 +869,10 @@ impl JobEngine {
             .expect("completed campaign has summary"))
     }
 
-    /// Capture the campaign state as a checkpoint event: per-task tuner
-    /// snapshots, failure ledgers, the DLQ, and the wave cursor.
-    ///
-    /// With `spec.checkpoint_full_every == 0` (the default) every
-    /// checkpoint is **full**. Otherwise, after each full checkpoint up
-    /// to that many consecutive checkpoints are journaled as **deltas**
-    /// carrying only the tasks whose fingerprint changed since the full
-    /// base, before cadence forces the next full one.
+    /// Journal a checkpoint: a `CheckpointCreated` commit marker at the
+    /// wave cursor, followed by a sync barrier, so every wave before it
+    /// survives `kill -9` under every sync policy.
     pub fn checkpoint(&mut self) -> Result<(), JobError> {
-        let mut tasks = Vec::with_capacity(self.tasks.len());
-        for i in 0..self.tasks.len() {
-            let handle = self.tasks[i].handle.clone();
-            let task_id = self.tasks[i].task_id.clone();
-            let snapshot = self.ctl.tuner(&handle)?.snapshot(&task_id);
-            tasks.push(TaskCheckpoint {
-                task: i,
-                task_id,
-                snapshot,
-                ledger: self.tasks[i].ledger.clone(),
-                dead: self.tasks[i].dead,
-            });
-        }
         self.telemetry.incr(metric::JOB_CHECKPOINTS);
         self.telemetry.emit(
             self.wave_cursor,
@@ -984,41 +880,16 @@ impl JobEngine {
                 wave_cursor: self.wave_cursor,
             },
         );
-        let full_every = self.spec.checkpoint_full_every;
-        let as_delta =
-            full_every > 0 && self.last_full.is_some() && self.deltas_since_full < full_every;
-        if as_delta {
-            let (base_seq, fingerprints) = self.last_full.clone().expect("delta has a base");
-            let changed: Vec<TaskCheckpoint> = tasks
-                .into_iter()
-                .filter(|tc| task_fingerprint(tc) != fingerprints[tc.task])
-                .collect();
-            let delta = CheckpointDelta {
+        self.append_event(JobEvent::CheckpointCreated {
+            checkpoint: JobCheckpoint {
                 wave_cursor: self.wave_cursor,
-                base_seq,
-                changed,
-                dlq: self.dlq.clone(),
-            };
-            self.deltas_since_full += 1;
-            self.append_event(JobEvent::CheckpointDelta { delta })
-        } else {
-            let fingerprints: Vec<u64> = tasks.iter().map(task_fingerprint).collect();
-            let checkpoint = JobCheckpoint {
-                wave_cursor: self.wave_cursor,
-                tasks,
-                dlq: self.dlq.clone(),
-            };
-            self.append_event(JobEvent::CheckpointCreated { checkpoint })?;
-            self.last_full = Some((self.seq, fingerprints));
-            self.deltas_since_full = 0;
-            Ok(())
-        }
+            },
+        })
     }
 
-    /// Pause cleanly: checkpoint, then journal `JobPaused`. A later
-    /// `open` resumes from the checkpoint with zero replay.
+    /// Pause cleanly: journal `JobPaused`, a barriered commit marker. A
+    /// later `open` replays the journal and resumes at this wave.
     pub fn pause(&mut self) -> Result<(), JobError> {
-        self.checkpoint()?;
         self.telemetry.emit(
             self.wave_cursor,
             EventKind::JobPaused {

@@ -2,14 +2,15 @@
 //!
 //! Every campaign state transition is one [`JobEvent`] appended to the
 //! journal. Replay is driven by the **replay-authoritative** events —
-//! `JobStarted` (embeds the full spec), `CheckpointCreated` (embeds the
-//! full checkpoint), `WaveCompleted` (embeds every item outcome), and
-//! `JobCompleted` (embeds the fleet summary). The remaining events
-//! (`TaskFailed`, `RetryScheduled`, `ItemDeadLettered`, `JobResumed`,
-//! `JobPaused`, `CheckpointLoaded`) are observability: they make the
-//! journal a readable audit trail but carry no state replay depends on.
+//! `JobStarted` (embeds the full spec), `WaveCompleted` (embeds every
+//! item outcome), and `JobCompleted` (embeds the fleet summary).
+//! `CheckpointCreated`, `JobPaused`, `JobResumed` and `JobCompleted` are
+//! **commit markers**: each names the wave cursor every earlier wave
+//! reached, which replay verifies ([`JobEvent::wave_cursor`]). The remaining
+//! events (`TaskFailed`, `RetryScheduled`, `ItemDeadLettered`) are
+//! observability: they make the journal a readable audit trail but carry
+//! no state replay depends on.
 
-use crate::checkpoint::{CheckpointDelta, JobCheckpoint};
 use crate::spec::CampaignSpec;
 use otune_space::Configuration;
 use serde::{Deserialize, Serialize};
@@ -115,6 +116,21 @@ pub struct FleetSummary {
     pub tasks: Vec<TaskSummary>,
 }
 
+/// A checkpoint: a commit marker at a wave boundary.
+///
+/// The journal's `WaveCompleted` events already hold every task's
+/// runhistory, so a checkpoint carries only the wave cursor. Its value is
+/// the sync barrier the engine places after it: every wave before the
+/// cursor is durable once the checkpoint is acked. The `checkpoint` key
+/// that wraps it in `CheckpointCreated` keeps lines written by builds
+/// that embedded per-task snapshots parseable (their extra fields are
+/// ignored).
+#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+pub struct JobCheckpoint {
+    /// Next wave index to run.
+    pub wave_cursor: u64,
+}
+
 /// A typed campaign state transition.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub enum JobEvent {
@@ -124,16 +140,16 @@ pub enum JobEvent {
         /// The campaign spec.
         spec: CampaignSpec,
     },
-    /// Campaign resumed from this journal (observability).
+    /// Campaign resumed from this journal (commit marker).
     JobResumed {
         /// Wave cursor after the resume.
         wave_cursor: u64,
-        /// Waves re-driven from journal events past the checkpoint.
+        /// Waves re-driven from the journal's `WaveCompleted` events.
         replayed_waves: u64,
         /// Torn/corrupt journal lines skipped during the load.
         torn_lines: u64,
     },
-    /// Campaign paused cleanly (checkpoint precedes this event).
+    /// Campaign paused cleanly (commit marker, barriered durable).
     JobPaused {
         /// Wave cursor at the pause.
         wave_cursor: u64,
@@ -180,21 +196,10 @@ pub enum JobEvent {
         /// The DLQ entry.
         entry: DlqEntry,
     },
-    /// Full campaign state captured. **Replay-authoritative.**
+    /// Checkpoint taken (commit marker, barriered durable).
     CheckpointCreated {
         /// The checkpoint.
         checkpoint: JobCheckpoint,
-    },
-    /// A resume loaded this checkpoint (observability).
-    CheckpointLoaded {
-        /// Wave cursor of the loaded checkpoint.
-        wave_cursor: u64,
-    },
-    /// Incremental campaign state: only the tasks changed since the base
-    /// full checkpoint. **Replay-authoritative** together with its base.
-    CheckpointDelta {
-        /// The delta.
-        delta: CheckpointDelta,
     },
 }
 
@@ -211,8 +216,19 @@ impl JobEvent {
             JobEvent::RetryScheduled { .. } => "RetryScheduled",
             JobEvent::ItemDeadLettered { .. } => "ItemDeadLettered",
             JobEvent::CheckpointCreated { .. } => "CheckpointCreated",
-            JobEvent::CheckpointLoaded { .. } => "CheckpointLoaded",
-            JobEvent::CheckpointDelta { .. } => "CheckpointDelta",
+        }
+    }
+
+    /// The wave cursor a commit marker records: every wave before it was
+    /// journaled earlier in the file. `None` for every other event.
+    pub fn wave_cursor(&self) -> Option<u64> {
+        match self {
+            JobEvent::CheckpointCreated { checkpoint } => Some(checkpoint.wave_cursor),
+            JobEvent::JobPaused { wave_cursor } | JobEvent::JobResumed { wave_cursor, .. } => {
+                Some(*wave_cursor)
+            }
+            JobEvent::JobCompleted { summary } => Some(summary.waves),
+            _ => None,
         }
     }
 }
@@ -258,7 +274,9 @@ mod tests {
                     failures: vec![],
                 },
             },
-            JobEvent::CheckpointLoaded { wave_cursor: 2 },
+            JobEvent::CheckpointCreated {
+                checkpoint: JobCheckpoint { wave_cursor: 2 },
+            },
         ];
         for (i, event) in events.into_iter().enumerate() {
             let entry = JournalEntry {

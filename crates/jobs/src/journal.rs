@@ -16,18 +16,9 @@
 //! 8 MiB (large enough that short
 //! campaigns stay single-file and byte-identical to the unsegmented
 //! format). Loads read every segment, order entries by `seq`, and drop
-//! duplicate seqs (first occurrence wins) — which also makes a crash
-//! between compaction's rename and its segment cleanup harmless.
-//!
-//! ## Compaction
-//!
-//! [`Journal::compact`] rewrites history as: the `JobStarted` entry,
-//! the last **full** checkpoint, and every entry after it (original
-//! seqs preserved), into a temporary file that atomically replaces the
-//! base via `rename` before the stale segments are removed. A crash
-//! before the rename leaves the journal untouched; after the rename,
-//! leftover segments only re-supply entries the load de-duplicates or
-//! pre-checkpoint history the resume path ignores.
+//! duplicate seqs (first occurrence wins). Nothing is ever rewritten:
+//! the journal holds one `WaveCompleted` outcome per evaluation, and
+//! resume replays all of them.
 //!
 //! ## Failure modes
 //!
@@ -39,7 +30,7 @@
 //!   the sync policy; everything since the last fsync is gone, which
 //!   resume repairs by re-driving the lost waves deterministically.
 
-use crate::event::{JobEvent, JournalEntry};
+use crate::event::JournalEntry;
 use otune_telemetry::{metric, read_healed, BatchedWriter, SyncPolicy, Telemetry, WriterMetrics};
 use std::io;
 use std::path::{Path, PathBuf};
@@ -69,21 +60,6 @@ pub struct JournalLoad {
     pub entries: Vec<JournalEntry>,
     /// Torn or corrupt lines skipped (0 for a clean journal).
     pub torn_lines: u64,
-}
-
-/// What [`Journal::compact`] did.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct CompactionReport {
-    /// Entries across all segments before compaction.
-    pub entries_before: usize,
-    /// Entries retained (JobStarted + last full checkpoint + suffix).
-    pub entries_kept: usize,
-    /// Journal bytes on disk before.
-    pub bytes_before: u64,
-    /// Journal bytes on disk after.
-    pub bytes_after: u64,
-    /// Rotated segment files removed.
-    pub segments_removed: usize,
 }
 
 /// Path of segment `n` of the journal at `base` (`n == 0` is the base).
@@ -272,89 +248,6 @@ impl Journal {
         load.entries.dedup_by_key(|e| e.seq);
         Ok(load)
     }
-
-    /// Rewrite the journal as `JobStarted` + the last full checkpoint +
-    /// every entry after it, merging all segments into a fresh base file
-    /// swapped in atomically by `rename`. Entries keep their original
-    /// seqs. With no checkpoint the history is retained whole (the
-    /// rewrite still merges segments). Must not race a live appender —
-    /// compaction is an offline (`otune jobs compact`) operation.
-    ///
-    /// Crash injection (`OTUNE_CRASH_AT`): `compact:1` aborts after the
-    /// temporary file is written and fsynced but before the rename (the
-    /// old journal must stay intact); `compact:2` aborts after the
-    /// rename but before stale segments are removed (the deduplicating
-    /// loader must shrug them off).
-    pub fn compact(path: &Path) -> io::Result<CompactionReport> {
-        let crash = std::env::var(crate::engine::CRASH_ENV).ok();
-        let segments = Self::segments(path)?;
-        let bytes_before: u64 = segments
-            .iter()
-            .filter_map(|p| std::fs::metadata(p).ok())
-            .map(|m| m.len())
-            .sum();
-        let load = Self::load(path)?;
-        let entries_before = load.entries.len();
-
-        let cut = load
-            .entries
-            .iter()
-            .rposition(|e| matches!(e.event, JobEvent::CheckpointCreated { .. }))
-            .unwrap_or(0);
-        let kept: Vec<&JournalEntry> = load
-            .entries
-            .iter()
-            .enumerate()
-            .filter(|(i, e)| *i >= cut || matches!(e.event, JobEvent::JobStarted { .. }))
-            .map(|(_, e)| e)
-            .collect();
-
-        let tmp = PathBuf::from(format!("{}.compact", path.display()));
-        // A stale tmp from an interrupted compaction must not leak into
-        // the rewrite.
-        let _ = std::fs::remove_file(&tmp);
-        {
-            let mut writer = BatchedWriter::open(&tmp, SyncPolicy::Barrier)?;
-            for entry in &kept {
-                let line = serde_json::to_string(entry)
-                    .map_err(|e| io::Error::new(io::ErrorKind::InvalidData, e.to_string()))?;
-                writer.append_line(&line)?;
-            }
-            writer.barrier()?;
-        }
-        if crash.as_deref() == Some("compact:1") {
-            // The tmp file exists but the journal is untouched.
-            std::process::abort();
-        }
-
-        std::fs::rename(&tmp, path)?;
-        // Make the swap itself durable before touching the segments.
-        if let Some(parent) = path.parent().filter(|p| !p.as_os_str().is_empty()) {
-            if let Ok(dir) = std::fs::File::open(parent) {
-                let _ = dir.sync_all();
-            }
-        }
-        if crash.as_deref() == Some("compact:2") {
-            // The base is compacted; stale segments still exist.
-            std::process::abort();
-        }
-
-        let mut segments_removed = 0usize;
-        for segment in &segments {
-            if segment != path {
-                std::fs::remove_file(segment)?;
-                segments_removed += 1;
-            }
-        }
-        let bytes_after = std::fs::metadata(path).map(|m| m.len()).unwrap_or(0);
-        Ok(CompactionReport {
-            entries_before,
-            entries_kept: kept.len(),
-            bytes_before,
-            bytes_after,
-            segments_removed,
-        })
-    }
 }
 
 /// Inverse of [`segment_path`]: the segment index of `p` under `base`.
@@ -377,7 +270,7 @@ mod tests {
     fn entry(seq: u64) -> JournalEntry {
         JournalEntry {
             seq,
-            event: JobEvent::CheckpointLoaded { wave_cursor: seq },
+            event: JobEvent::JobPaused { wave_cursor: seq },
         }
     }
 
@@ -535,64 +428,5 @@ mod tests {
         .unwrap();
         let load = Journal::load(&path).unwrap();
         assert_eq!(load.entries, vec![entry(1), entry(2), entry(3)]);
-    }
-
-    fn checkpoint_entry(seq: u64, wave_cursor: u64) -> JournalEntry {
-        JournalEntry {
-            seq,
-            event: JobEvent::CheckpointCreated {
-                checkpoint: crate::checkpoint::JobCheckpoint {
-                    wave_cursor,
-                    tasks: vec![],
-                    dlq: vec![],
-                },
-            },
-        }
-    }
-
-    fn started_entry(seq: u64) -> JournalEntry {
-        JournalEntry {
-            seq,
-            event: JobEvent::JobStarted {
-                spec: crate::spec::CampaignSpec::default(),
-            },
-        }
-    }
-
-    #[test]
-    fn compact_keeps_started_last_checkpoint_and_suffix() {
-        let path = tmp("compact");
-        let mut j = Journal::open(&path).unwrap();
-        j.append(&started_entry(1)).unwrap();
-        j.append(&entry(2)).unwrap();
-        j.append(&checkpoint_entry(3, 1)).unwrap();
-        j.append(&entry(4)).unwrap();
-        j.append(&checkpoint_entry(5, 2)).unwrap();
-        j.append(&entry(6)).unwrap();
-        drop(j);
-        let report = Journal::compact(&path).unwrap();
-        assert_eq!(report.entries_before, 6);
-        assert_eq!(report.entries_kept, 3, "JobStarted + checkpoint 5 + seq 6");
-        assert!(report.bytes_after < report.bytes_before);
-        let load = Journal::load(&path).unwrap();
-        let seqs: Vec<u64> = load.entries.iter().map(|e| e.seq).collect();
-        assert_eq!(seqs, vec![1, 5, 6], "original seqs are preserved");
-        // The compacted journal still appends.
-        let mut j = Journal::open(&path).unwrap();
-        j.append(&entry(7)).unwrap();
-        drop(j);
-        assert_eq!(Journal::load(&path).unwrap().entries.len(), 4);
-    }
-
-    #[test]
-    fn compact_without_checkpoint_merges_segments_whole() {
-        let (path, j) = tiny_segment_journal("compactseg", 40);
-        drop(j);
-        assert!(Journal::segments(&path).unwrap().len() >= 2);
-        let report = Journal::compact(&path).unwrap();
-        assert_eq!(report.entries_kept, 40, "no checkpoint → keep everything");
-        assert!(report.segments_removed >= 1);
-        assert_eq!(Journal::segments(&path).unwrap().len(), 1);
-        assert_eq!(Journal::load(&path).unwrap().entries.len(), 40);
     }
 }

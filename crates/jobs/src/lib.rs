@@ -3,9 +3,9 @@
 //! The job engine promotes the library-style fleet controller into a
 //! crash-tolerant service: a tuning campaign is a **job** whose every
 //! state transition is a typed event appended to a torn-write-tolerant
-//! JSONL journal, with periodic checkpoints embedding the full campaign
-//! state (per-task [`otune_core::TunerSnapshot`]s, the wave cursor, the
-//! retry ledger, and the dead-letter queue).
+//! JSONL journal. The journal's `WaveCompleted` events are the campaign's
+//! runhistory, stored once; periodic checkpoints are commit markers that
+//! name a wave cursor and are followed by a sync barrier.
 //!
 //! ## Journal format
 //!
@@ -14,26 +14,27 @@
 //! `OTUNE_JOURNAL_SYNC` (`every` by default, `batch:N`, or `barrier`),
 //! with sync barriers at every checkpoint/pause/completion append so an
 //! acked checkpoint always survives `kill -9`. Journals rotate into
-//! `<base>.NNNN` segments past a size threshold and compact to
-//! `JobStarted` + last full checkpoint + suffix ([`Journal::compact`]).
+//! `<base>.NNNN` segments past a size threshold and are never rewritten.
 //! The replay-authoritative events — `JobStarted` (embeds the
-//! [`CampaignSpec`]), `CheckpointCreated` (embeds the [`JobCheckpoint`]),
-//! `CheckpointDelta` (embeds the [`CheckpointDelta`] overlay),
-//! `WaveCompleted` (embeds every [`ItemOutcome`]), `JobCompleted`
-//! (embeds the [`FleetSummary`]) — carry all resumable state; the rest
-//! are an audit trail. `kill -9` at any point loses at most the unacked
-//! journal suffix, which resume re-drives deterministically; a torn
-//! line is skipped, counted, and healed by `open`.
+//! [`CampaignSpec`]), `WaveCompleted` (embeds every [`ItemOutcome`]),
+//! `JobCompleted` (embeds the [`FleetSummary`]) — carry all resumable
+//! state; `CheckpointCreated` (a [`JobCheckpoint`] wave cursor),
+//! `JobPaused` and `JobResumed` are commit markers replay checks against;
+//! the rest are an audit trail. `kill -9` at any point loses at most the
+//! unacked journal suffix, which resume re-drives deterministically; a
+//! torn line is skipped, counted, and healed by `open`.
 //!
 //! ## Recovery model
 //!
-//! `resume = last parseable checkpoint + re-driving the journaled waves
-//! through the real suggest path`. Restored tuners replay their recorded
-//! suggestion traces bit for bit ([`otune_core::OnlineTuner::resume`]);
-//! the engine then regenerates each post-checkpoint wave's suggestions
-//! and errors with [`JobError::ReplayDivergence`] if anything differs
-//! from what the journal recorded — so a resumed campaign provably
-//! continues exactly where the crashed one left off.
+//! `resume = genesis replay`: [`JobEngine::open`] creates every task from
+//! the spec, exactly as a fresh start does, then re-drives every
+//! journaled wave through the real suggest path and the same
+//! result-application code a live report runs — so failure ledgers,
+//! dead-letter flags and the DLQ rebuild themselves. Each regenerated
+//! suggestion must equal the journaled one ([`JobError::ReplayDivergence`]
+//! otherwise), and every wave and commit marker must follow on from the
+//! waves before it ([`JobError::ReplayGap`] otherwise) — so a resumed
+//! campaign provably continues exactly where the crashed one left off.
 //!
 //! ## Failure policy
 //!
@@ -43,16 +44,15 @@
 //! it is dead-lettered with its full failure history while the rest of
 //! the campaign proceeds.
 
-pub mod checkpoint;
 pub mod engine;
 pub mod event;
 pub mod journal;
 pub mod spec;
 
-pub use checkpoint::{task_fingerprint, CheckpointDelta, JobCheckpoint, TaskCheckpoint};
 pub use engine::{ItemResult, JobEngine, JobError, PendingItem, PendingWave, CRASH_ENV};
 pub use event::{
-    DlqEntry, FailureRecord, FleetSummary, ItemOutcome, JobEvent, JournalEntry, TaskSummary,
+    DlqEntry, FailureRecord, FleetSummary, ItemOutcome, JobCheckpoint, JobEvent, JournalEntry,
+    TaskSummary,
 };
-pub use journal::{CompactionReport, Journal, JournalLoad};
+pub use journal::{Journal, JournalLoad};
 pub use spec::{CampaignSpec, TaskFault};

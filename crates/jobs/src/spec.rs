@@ -52,17 +52,11 @@ pub struct CampaignSpec {
     pub backoff_factor: f64,
     /// Backoff ceiling in seconds.
     pub backoff_cap_s: f64,
-    /// Checkpoint cadence: a checkpoint event is journaled every this many
-    /// completed waves (0 disables periodic checkpoints; pause/stop still
-    /// checkpoint).
+    /// Checkpoint cadence: a checkpoint marker plus sync barrier is
+    /// journaled every this many completed waves, bounding what a crash
+    /// can lose under the lazy sync policies (0 disables periodic
+    /// checkpoints).
     pub checkpoint_every: u64,
-    /// Delta-checkpoint cadence: after a full checkpoint, up to this many
-    /// consecutive checkpoints are journaled as deltas (changed tasks
-    /// only) before the next full one. 0 (the default) disables deltas —
-    /// every checkpoint is full, and the field is omitted from the
-    /// serialized spec so pre-delta journals stay byte-identical.
-    #[serde(default, skip_serializing_if = "is_zero")]
-    pub checkpoint_full_every: u64,
     /// Optional stochastic fault DSL (PR 4 `FaultProfile::parse` syntax)
     /// applied to every task, reseeded per task.
     #[serde(default)]
@@ -86,15 +80,10 @@ impl Default for CampaignSpec {
             backoff_factor: 2.0,
             backoff_cap_s: 60.0,
             checkpoint_every: 2,
-            checkpoint_full_every: 0,
             fault_spec: None,
             scripted_faults: Vec::new(),
         }
     }
-}
-
-fn is_zero(v: &u64) -> bool {
-    *v == 0
 }
 
 impl CampaignSpec {
@@ -120,24 +109,6 @@ mod tests {
         };
         let sched: Vec<f64> = (1..=5).map(|a| spec.backoff_s(a)).collect();
         assert_eq!(sched, vec![1.0, 2.0, 4.0, 5.0, 5.0]);
-    }
-
-    #[test]
-    fn default_full_every_is_omitted_from_serialization() {
-        // Byte-compat contract: specs that never opt into deltas must
-        // serialize exactly as they did before the field existed.
-        let line = serde_json::to_string(&CampaignSpec::default()).unwrap();
-        assert!(!line.contains("checkpoint_full_every"), "{line}");
-        let back: CampaignSpec = serde_json::from_str(&line).unwrap();
-        assert_eq!(back.checkpoint_full_every, 0);
-        let opted = CampaignSpec {
-            checkpoint_full_every: 4,
-            ..CampaignSpec::default()
-        };
-        let line = serde_json::to_string(&opted).unwrap();
-        assert!(line.contains("\"checkpoint_full_every\":4"), "{line}");
-        let back: CampaignSpec = serde_json::from_str(&line).unwrap();
-        assert_eq!(back, opted);
     }
 
     #[test]

@@ -186,14 +186,10 @@ pub enum EventKind {
         /// Consecutive failed attempts accumulated.
         attempts: usize,
     },
-    /// A campaign checkpoint was appended to the job journal.
+    /// A campaign checkpoint (commit marker) was appended to the job
+    /// journal.
     CheckpointCreated {
-        /// Wave cursor captured by the checkpoint.
-        wave_cursor: u64,
-    },
-    /// Campaign state was restored from a journal checkpoint.
-    CheckpointLoaded {
-        /// Wave cursor the checkpoint restored.
+        /// Wave cursor the checkpoint commits.
         wave_cursor: u64,
     },
     /// A hierarchical trace span closed. Identity fields are
@@ -240,7 +236,6 @@ impl EventKind {
             EventKind::RetryScheduled { .. } => "RetryScheduled",
             EventKind::ItemDeadLettered { .. } => "ItemDeadLettered",
             EventKind::CheckpointCreated { .. } => "CheckpointCreated",
-            EventKind::CheckpointLoaded { .. } => "CheckpointLoaded",
             EventKind::SpanClosed { .. } => "SpanClosed",
         }
     }
@@ -411,14 +406,8 @@ mod tests {
                 kind: EventKind::CheckpointCreated { wave_cursor: 4 },
             },
             Event {
-                task: "job".into(),
-                seq: 19,
-                iteration: 0,
-                kind: EventKind::CheckpointLoaded { wave_cursor: 4 },
-            },
-            Event {
                 task: "t".into(),
-                seq: 20,
+                seq: 19,
                 iteration: 14,
                 kind: EventKind::SpanClosed {
                     trace_id: 0xdead_beef,
@@ -467,7 +456,6 @@ mod tests {
                 "RetryScheduled",
                 "ItemDeadLettered",
                 "CheckpointCreated",
-                "CheckpointLoaded",
                 "SpanClosed",
             ]
         );

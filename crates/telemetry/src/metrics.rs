@@ -126,11 +126,8 @@ pub mod metric {
     pub const JOURNAL_FSYNCS: &str = "journal_fsyncs";
     /// Counter: payload bytes written through batched journal writers.
     pub const JOURNAL_BYTES: &str = "journal_bytes";
-    /// Counter: serialized bytes of delta checkpoint events appended to
-    /// job journals.
-    pub const CHECKPOINT_DELTA_BYTES: &str = "checkpoint_delta_bytes";
-    /// Counter: serialized bytes of full checkpoint events appended to
-    /// job journals.
+    /// Counter: serialized bytes of checkpoint (commit marker) events
+    /// appended to job journals.
     pub const CHECKPOINT_FULL_BYTES: &str = "checkpoint_full_bytes";
     /// Counter: buffered tuning-corpus flushes (each one `sync_data`
     /// covering a batch of appended records).

@@ -1,10 +1,14 @@
-//! Property tests for the job journal and checkpoints: arbitrary event
+//! Property tests for the job journal and its replay: arbitrary event
 //! sequences × arbitrary truncation points never panic the loader, torn
-//! tails heal, and resume-from-checkpoint is indistinguishable from
-//! replay-from-genesis.
+//! tails heal, a crash anywhere resumes to the uninterrupted campaign,
+//! and journals in the line format of builds that embedded tuner
+//! snapshots in their checkpoints still resume — or fail with a typed
+//! `ReplayGap` where an old compaction dropped their waves.
 
+use otune_core::TunerSnapshot;
 use otune_jobs::{
-    CampaignSpec, DlqEntry, FailureRecord, JobEngine, JobEvent, Journal, JournalEntry,
+    CampaignSpec, DlqEntry, FailureRecord, JobCheckpoint, JobEngine, JobError, JobEvent, Journal,
+    JournalEntry,
 };
 use otune_telemetry::{SyncPolicy, Telemetry};
 use proptest::prelude::*;
@@ -30,7 +34,9 @@ fn synth_event(code: u8, n: u64, x: f64) -> JobEvent {
     let task = (n % 8) as usize;
     let wave = n % 100;
     match code % 5 {
-        0 => JobEvent::CheckpointLoaded { wave_cursor: wave },
+        0 => JobEvent::CheckpointCreated {
+            checkpoint: JobCheckpoint { wave_cursor: wave },
+        },
         1 => JobEvent::JobPaused { wave_cursor: wave },
         2 => JobEvent::RetryScheduled {
             task,
@@ -113,7 +119,7 @@ proptest! {
         // regardless of how the tail was torn.
         let sentinel = JournalEntry {
             seq: 999_999,
-            event: JobEvent::CheckpointLoaded { wave_cursor: 77 },
+            event: JobEvent::JobPaused { wave_cursor: 77 },
         };
         let mut journal = Journal::open(&path).unwrap();
         journal.append(&sentinel).unwrap();
@@ -123,24 +129,6 @@ proptest! {
         prop_assert_eq!(load.entries.last().unwrap(), &sentinel);
         prop_assert_eq!(load.torn_lines, expect_torn);
     }
-}
-
-/// Rewrite a journal without its `CheckpointCreated` / `CheckpointDelta`
-/// events, forcing the next `open` to replay from genesis.
-fn strip_checkpoints(path: &PathBuf, out: &PathBuf) {
-    let text = std::fs::read_to_string(path).unwrap();
-    let kept: Vec<&str> = text
-        .lines()
-        .filter(|l| !l.trim().is_empty())
-        .filter(|l| {
-            let entry: JournalEntry = serde_json::from_str(l).unwrap();
-            !matches!(
-                entry.event,
-                JobEvent::CheckpointCreated { .. } | JobEvent::CheckpointDelta { .. }
-            )
-        })
-        .collect();
-    std::fs::write(out, kept.join("\n") + "\n").unwrap();
 }
 
 proptest! {
@@ -202,121 +190,248 @@ proptest! {
 }
 
 proptest! {
-    #![proptest_config(ProptestConfig::with_cases(4))]
-    /// Delta-checkpoint reconstruction (full base + deltas) resumes to a
-    /// state `to_bits`-indistinguishable from replaying the journal from
-    /// genesis with every checkpoint stripped.
+    #![proptest_config(ProptestConfig::with_cases(8))]
+    /// A crash after any wave resumes to the uninterrupted campaign:
+    /// OOM faults drive retries and dead letters, the engine is dropped
+    /// without `pause()` — or abandoned without even a flush, losing the
+    /// unsynced suffix of a lazy sync policy — and `open` must rebuild
+    /// the same summary, the same DLQ and every task's suggestion trace
+    /// from the journaled waves alone.
     #[test]
-    fn delta_resume_equals_replay_from_genesis(
+    fn crash_anywhere_resumes_to_the_uninterrupted_run(
         seed in 0u64..1000,
-        full_every in 1u64..4,
-        interrupted_at in 2usize..4,
+        checkpoint_every in 0u64..4,
+        oom_rate in 0.2f64..0.6,
+        max_retries in 1usize..4,
+        crash_after in 0usize..5,
+        policy in 0usize..3,
+        lose_unsynced in any::<bool>(),
     ) {
         let spec = CampaignSpec {
-            job_id: "prop-delta".to_string(),
+            job_id: "prop-crash".to_string(),
             n_tasks: 2,
-            budget: 4,
+            budget: 5,
             seed,
-            checkpoint_every: 1,
-            checkpoint_full_every: full_every,
+            max_retries,
+            checkpoint_every,
+            fault_spec: Some(format!("oom:{oom_rate}")),
             ..CampaignSpec::default()
         };
-        let path = case_path("delta");
-        let (t0, _s0) = Telemetry::ring(1024);
-        let mut engine = JobEngine::start(spec, &path, t0).unwrap();
-        for _ in 0..interrupted_at {
+        let policy = [SyncPolicy::Every, SyncPolicy::Batch(3), SyncPolicy::Barrier][policy];
+        let (t, _s) = Telemetry::ring(1024);
+        let mut reference =
+            JobEngine::start_with(spec.clone(), &case_path("crash-ref"), t, policy).unwrap();
+        let summary = reference.run_to_completion().unwrap().clone();
+
+        let path = case_path("crash");
+        let (t, _s) = Telemetry::ring(1024);
+        let mut engine = JobEngine::start_with(spec, &path, t, policy).unwrap();
+        for _ in 0..crash_after {
             engine.run_wave().unwrap();
         }
-        drop(engine); // abandon without pause: no final checkpoint
+        if lose_unsynced {
+            std::mem::forget(engine); // no Drop flush: the staged suffix is lost
+        } else {
+            drop(engine);
+        }
 
-        // The cadence must actually have produced a delta to reconstruct.
-        let load = Journal::load(&path).unwrap();
-        prop_assert!(
-            load.entries
-                .iter()
-                .any(|e| matches!(e.event, JobEvent::CheckpointDelta { .. })),
-            "checkpoint_full_every={} over {} waves must journal a delta",
-            full_every,
-            interrupted_at,
-        );
-
-        // Path A: resume from full base + deltas.
-        let path_a = case_path("delta-a");
-        std::fs::copy(&path, &path_a).unwrap();
-        let (ta, _sa) = Telemetry::ring(1024);
-        let mut a = JobEngine::open(&path_a, ta).unwrap();
-        let summary_a = a.run_to_completion().unwrap().clone();
-
-        // Path B: genesis replay with every checkpoint stripped.
-        let path_b = case_path("delta-b");
-        strip_checkpoints(&path, &path_b);
-        let (tb, _sb) = Telemetry::ring(1024);
-        let mut b = JobEngine::open(&path_b, tb).unwrap();
-        let summary_b = b.run_to_completion().unwrap().clone();
-
-        prop_assert_eq!(summary_a, summary_b);
+        let (t, _s) = Telemetry::ring(1024);
+        let mut resumed = JobEngine::open_with(&path, t, policy).unwrap();
+        prop_assert_eq!(resumed.run_to_completion().unwrap(), &summary);
+        prop_assert_eq!(resumed.dlq(), reference.dlq());
         for task in 0..2 {
             prop_assert_eq!(
-                a.suggestion_trace(task).unwrap(),
-                b.suggestion_trace(task).unwrap()
+                resumed.suggestion_trace(task).unwrap(),
+                reference.suggestion_trace(task).unwrap()
             );
         }
     }
 }
 
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(4))]
-    #[test]
-    fn resume_from_checkpoint_equals_replay_from_genesis(
-        seed in 0u64..1000,
-        checkpoint_every in 1u64..4,
-        interrupted_at in 1usize..4,
-    ) {
-        let spec = CampaignSpec {
-            job_id: "prop-campaign".to_string(),
-            n_tasks: 2,
-            budget: 4,
-            seed,
-            checkpoint_every,
-            ..CampaignSpec::default()
+/// The spec of the campaign rendered in the older line format below.
+fn legacy_spec() -> CampaignSpec {
+    CampaignSpec {
+        job_id: "legacy".to_string(),
+        n_tasks: 2,
+        budget: 5,
+        seed: 21,
+        checkpoint_every: 1,
+        ..CampaignSpec::default()
+    }
+}
+
+/// Journal [`legacy_spec`] for three waves — two, a crash, a resume,
+/// one more, a crash — and render the entries in the line format of the
+/// builds whose checkpoints embedded every task's tuner snapshot, run
+/// with `checkpoint_full_every: 2`: the spec carries that key, the first
+/// checkpoint is a full one with `tasks` and `dlq`, later ones are
+/// `CheckpointDelta` overlays on it, and a `CheckpointLoaded` line
+/// precedes each resume. Seqs are renumbered densely.
+fn legacy_journal_lines() -> Vec<String> {
+    let path = case_path("legacy-src");
+    let (t, _s) = Telemetry::ring(1024);
+    let mut engine = JobEngine::start(legacy_spec(), &path, t.clone()).unwrap();
+    engine.run_wave().unwrap();
+    engine.run_wave().unwrap();
+    drop(engine);
+    let mut engine = JobEngine::open(&path, t).unwrap();
+    engine.run_wave().unwrap();
+    let task_ids: Vec<String> = (0..engine.n_tasks())
+        .map(|i| engine.task_id(i).to_string())
+        .collect();
+    drop(engine);
+
+    // The older checkpoints' per-task payload; resume no longer reads it.
+    let tasks: Vec<String> = task_ids
+        .iter()
+        .enumerate()
+        .map(|(task, task_id)| {
+            let snapshot = TunerSnapshot {
+                task_id: task_id.clone(),
+                seed: 21 + task as u64,
+                budget: 5,
+                history: vec![],
+                seeded_idx: vec![],
+                pending: None,
+                stopped: false,
+                degraded_streak: 0,
+                failure_streak: 0,
+                restarts: 0,
+                round_iterations: 0,
+                own_records: vec![],
+            };
+            format!(
+                r#"{{"task":{task},"task_id":"{task_id}","snapshot":{},"ledger":[],"dead":false}}"#,
+                serde_json::to_string(&snapshot).unwrap()
+            )
+        })
+        .collect();
+    let tasks = format!("[{}]", tasks.join(","));
+
+    let renumbered = |seq: usize, entry: JournalEntry| {
+        serde_json::to_string(&JournalEntry {
+            seq: seq as u64,
+            ..entry
+        })
+        .unwrap()
+    };
+    let mut lines: Vec<String> = Vec::new();
+    let mut full_seq = None;
+    for entry in Journal::load(&path).unwrap().entries {
+        let mut seq = lines.len() + 1;
+        let line = match &entry.event {
+            JobEvent::JobStarted { .. } => {
+                let line = renumbered(seq, entry);
+                let legacy = line.replace(
+                    r#""checkpoint_every":1,"#,
+                    r#""checkpoint_every":1,"checkpoint_full_every":2,"#,
+                );
+                assert_ne!(legacy, line, "spec layout changed: {line}");
+                legacy
+            }
+            JobEvent::CheckpointCreated { checkpoint } => {
+                let cursor = checkpoint.wave_cursor;
+                match full_seq {
+                    None => {
+                        full_seq = Some(seq);
+                        format!(
+                            r#"{{"seq":{seq},"event":{{"CheckpointCreated":{{"checkpoint":{{"wave_cursor":{cursor},"tasks":{tasks},"dlq":[]}}}}}}}}"#
+                        )
+                    }
+                    Some(base) => format!(
+                        r#"{{"seq":{seq},"event":{{"CheckpointDelta":{{"delta":{{"wave_cursor":{cursor},"base_seq":{base},"changed":{tasks},"dlq":[]}}}}}}}}"#
+                    ),
+                }
+            }
+            JobEvent::JobResumed { wave_cursor, .. } => {
+                lines.push(format!(
+                    r#"{{"seq":{seq},"event":{{"CheckpointLoaded":{{"wave_cursor":{wave_cursor}}}}}}}"#
+                ));
+                seq += 1;
+                renumbered(seq, entry)
+            }
+            _ => renumbered(seq, entry),
         };
-        let path = case_path("equiv");
-        let (t0, _s0) = Telemetry::ring(1024);
-        let mut engine = JobEngine::start(spec, &path, t0).unwrap();
-        for _ in 0..interrupted_at {
-            engine.run_wave().unwrap();
+        lines.push(line);
+    }
+    lines
+}
+
+fn write_lines(path: &PathBuf, lines: &[String]) {
+    std::fs::write(path, lines.join("\n") + "\n").unwrap();
+}
+
+#[test]
+fn journal_from_snapshot_checkpoint_builds_resumes_bitwise() {
+    let (t, _s) = Telemetry::ring(1024);
+    let mut reference = JobEngine::start(legacy_spec(), &case_path("legacy-ref"), t).unwrap();
+    let summary = reference.run_to_completion().unwrap().clone();
+
+    let lines = legacy_journal_lines();
+    let retired = lines
+        .iter()
+        .filter(|l| l.contains(r#""CheckpointDelta""#) || l.contains(r#""CheckpointLoaded""#))
+        .count();
+    assert_eq!(retired, 3, "two deltas and one loaded line: {lines:#?}");
+    let path = case_path("legacy");
+    write_lines(&path, &lines);
+
+    // The full checkpoint still parses (its `tasks` and `dlq` are
+    // ignored); the retired event kinds cost exactly their own lines.
+    let load = Journal::load(&path).unwrap();
+    assert_eq!(load.torn_lines, retired as u64);
+    assert!(load.entries.iter().any(|e| matches!(
+        e.event,
+        JobEvent::CheckpointCreated {
+            checkpoint: JobCheckpoint { wave_cursor: 1 }
         }
-        drop(engine); // abandon without pause: no final checkpoint
+    )));
 
-        // Path A: resume normally (last checkpoint + journal replay).
-        let path_a = case_path("equiv-a");
-        std::fs::copy(&path, &path_a).unwrap();
-        let (ta, _sa) = Telemetry::ring(1024);
-        let mut a = JobEngine::open(&path_a, ta).unwrap();
-        let summary_a = a.run_to_completion().unwrap().clone();
+    let (t, _s) = Telemetry::ring(1024);
+    let mut resumed = JobEngine::open(&path, t).unwrap();
+    assert_eq!(resumed.wave_cursor(), 3);
+    assert_eq!(resumed.run_to_completion().unwrap(), &summary);
+    assert_eq!(resumed.dlq(), reference.dlq());
+    for task in 0..2 {
+        assert_eq!(
+            resumed.suggestion_trace(task).unwrap(),
+            reference.suggestion_trace(task).unwrap()
+        );
+    }
+}
 
-        // Path B: same journal with every checkpoint removed — the
-        // engine must replay from genesis to the identical state.
-        let path_b = case_path("equiv-b");
-        strip_checkpoints(&path, &path_b);
-        let (tb, _sb) = Telemetry::ring(1024);
-        let mut b = JobEngine::open(&path_b, tb).unwrap();
-        let summary_b = b.run_to_completion().unwrap().clone();
-
-        prop_assert_eq!(summary_a, summary_b);
-        for task in 0..2 {
-            prop_assert_eq!(
-                a.suggestion_trace(task).unwrap(),
-                b.suggestion_trace(task).unwrap()
-            );
+#[test]
+fn compacted_journal_is_a_replay_gap_not_a_restart() {
+    // The retired `jobs compact` kept `JobStarted`, the last full
+    // checkpoint and everything after it. Its waves before that
+    // checkpoint are gone, whether or not later waves follow it.
+    let lines = legacy_journal_lines();
+    let full = lines
+        .iter()
+        .rposition(|l| l.contains(r#""CheckpointCreated""#))
+        .unwrap();
+    let compacted: Vec<String> = std::iter::once(lines[0].clone())
+        .chain(lines[full..].iter().cloned())
+        .collect();
+    for kept in [compacted.len(), 2] {
+        let path = case_path("compacted");
+        write_lines(&path, &compacted[..kept]);
+        let (t, _s) = Telemetry::ring(1024);
+        match JobEngine::open(&path, t) {
+            Err(JobError::ReplayGap { expected: 0, found }) => assert!(found > 0),
+            Err(e) => panic!("{kept} lines: expected a replay gap at wave 0, got {e}"),
+            Ok(engine) => panic!(
+                "{kept} lines: resumed at wave {} instead of failing",
+                engine.wave_cursor()
+            ),
         }
     }
 }
 
 #[test]
 fn checkpoint_event_round_trips_through_journal() {
-    // A full campaign journal — including embedded checkpoints with real
-    // tuner snapshots — must reload to byte-identical entries.
+    // A full campaign journal — checkpoint markers included — must
+    // reload to identical entries.
     let path = case_path("roundtrip");
     let (t, _s) = Telemetry::ring(1024);
     let spec = CampaignSpec {

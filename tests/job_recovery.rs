@@ -26,13 +26,8 @@ fn job_dir(name: &str) -> PathBuf {
 }
 
 /// Run `otune tune-serve --auto` against `journal`, optionally arming the
-/// crash hook and overriding the journal sync policy / checkpoint mode.
-fn run_cli_opts(
-    journal: &Path,
-    crash: Option<&str>,
-    sync: Option<&str>,
-    full_every: Option<&str>,
-) -> std::process::Output {
+/// crash hook and overriding the journal sync policy.
+fn run_cli_opts(journal: &Path, crash: Option<&str>, sync: Option<&str>) -> std::process::Output {
     let mut cmd = Command::new(env!("CARGO_BIN_EXE_otune"));
     cmd.args([
         "tune-serve",
@@ -51,9 +46,6 @@ fn run_cli_opts(
     if let Some(policy) = sync {
         cmd.args(["--sync", policy]);
     }
-    if let Some(n) = full_every {
-        cmd.args(["--full-every", n]);
-    }
     cmd.env_remove(CRASH_ENV);
     if let Some(point) = crash {
         cmd.env(CRASH_ENV, point);
@@ -62,7 +54,7 @@ fn run_cli_opts(
 }
 
 fn run_cli(journal: &Path, crash: Option<&str>) -> std::process::Output {
-    run_cli_opts(journal, crash, None, None)
+    run_cli_opts(journal, crash, None)
 }
 
 /// The uninterrupted run's summary, per-task encoded suggestion traces,
@@ -196,8 +188,8 @@ fn mid_append_byte_truncation_heals_and_resumes_bitwise() {
     // skip the torn tail, `open` must heal it, and the resumed campaign
     // re-runs the lost wave to the identical outcome.
     crash_resume_and_verify("tear-wave", "wave:1", Some(7));
-    // Tear a checkpoint line: resume falls back to the previous
-    // checkpoint (or genesis) and replays forward.
+    // Tear a checkpoint marker: the loader skips it and replay re-drives
+    // every journaled wave before it.
     crash_resume_and_verify("tear-checkpoint", "checkpoint:2", Some(9));
 }
 
@@ -213,12 +205,12 @@ fn kill_at_every_fsync_boundary_resumes_bitwise_under_each_policy() {
         for n in 1..=200u64 {
             let journal = job_dir(&format!("fsync-{slug}-{n}")).join("journal.jsonl");
             let _ = std::fs::remove_file(&journal);
-            let out = run_cli_opts(&journal, Some(&format!("fsync:{n}")), Some(policy), None);
+            let out = run_cli_opts(&journal, Some(&format!("fsync:{n}")), Some(policy));
             if out.status.success() {
                 break; // the whole campaign pays fewer than n fsyncs
             }
             boundaries = n;
-            let out = run_cli_opts(&journal, None, Some(policy), None);
+            let out = run_cli_opts(&journal, None, Some(policy));
             assert!(
                 out.status.success(),
                 "fsync:{n} under {policy}: resume failed: {out:?}"
@@ -248,91 +240,20 @@ fn completed_journal_bytes_identical_across_sync_policies() {
     // golden journal accrues `JobResumed` lines from `inspect` calls.)
     let reference = job_dir("bytes-every").join("journal.jsonl");
     let _ = std::fs::remove_file(&reference);
-    let out = run_cli_opts(&reference, None, Some("every"), None);
+    let out = run_cli_opts(&reference, None, Some("every"));
     assert!(out.status.success(), "every: run failed: {out:?}");
     let gold_bytes = std::fs::read(&reference).unwrap();
     for policy in ["batch:8", "barrier"] {
         let slug = policy.replace(':', "-");
         let journal = job_dir(&format!("bytes-{slug}")).join("journal.jsonl");
         let _ = std::fs::remove_file(&journal);
-        let out = run_cli_opts(&journal, None, Some(policy), None);
+        let out = run_cli_opts(&journal, None, Some(policy));
         assert!(out.status.success(), "{policy}: run failed: {out:?}");
         assert_eq!(
             std::fs::read(&journal).unwrap(),
             gold_bytes,
             "{policy}: journal bytes diverged from the default policy"
         );
-    }
-}
-
-#[test]
-fn delta_checkpoint_crash_resume_matches_golden() {
-    // Delta-checkpoint mode: kill at each checkpoint boundary (cursor 1
-    // has the full base, cursor 2 a delta over it) and at a mid-run wave;
-    // the resumed campaign must still match the golden (all-full) run.
-    let gold = golden();
-    for crash in ["checkpoint:1", "checkpoint:2", "wave:1"] {
-        let slug = crash.replace(':', "-");
-        let journal = job_dir(&format!("delta-{slug}")).join("journal.jsonl");
-        let _ = std::fs::remove_file(&journal);
-        let out = run_cli_opts(&journal, Some(crash), None, Some("2"));
-        assert!(
-            !out.status.success(),
-            "delta mode: the armed run must die at {crash}, got {out:?}"
-        );
-        let out = run_cli_opts(&journal, None, None, Some("2"));
-        assert!(
-            out.status.success(),
-            "delta {crash}: resume failed: {out:?}"
-        );
-        let (summary, traces) = inspect(&journal);
-        assert_eq!(summary, gold.summary, "delta {crash}: summary diverged");
-        assert_eq!(traces, gold.traces, "delta {crash}: traces diverged");
-    }
-}
-
-#[test]
-fn mid_compaction_kill_never_loses_the_journal() {
-    // `otune jobs compact` killed at both of its crash points —
-    // `compact:1` (tmp written, rename not yet done) and `compact:2`
-    // (renamed, stale segments not yet removed) — must leave a journal
-    // that still loads to the golden state; a clean re-compaction then
-    // succeeds.
-    let gold = golden();
-    for crash in ["compact:1", "compact:2"] {
-        let slug = crash.replace(':', "-");
-        let dir = job_dir(&format!("compactkill-{slug}"));
-        let journal = dir.join("journal.jsonl");
-        let _ = std::fs::remove_file(&journal);
-        let out = run_cli(&journal, None);
-        assert!(out.status.success(), "{crash}: campaign failed: {out:?}");
-
-        let jobs_compact = |crash: Option<&str>| {
-            let mut cmd = Command::new(env!("CARGO_BIN_EXE_otune"));
-            cmd.args(["jobs", "compact", "--journal-dir", dir.to_str().unwrap()]);
-            cmd.env_remove(CRASH_ENV);
-            if let Some(point) = crash {
-                cmd.env(CRASH_ENV, point);
-            }
-            cmd.output().expect("spawn otune jobs compact")
-        };
-        let out = jobs_compact(Some(crash));
-        assert!(
-            !out.status.success(),
-            "{crash}: the armed compaction must die, got {out:?}"
-        );
-        let (summary, traces) = inspect(&journal);
-        assert_eq!(summary, gold.summary, "{crash}: state lost mid-compaction");
-        assert_eq!(traces, gold.traces, "{crash}: traces lost mid-compaction");
-
-        let out = jobs_compact(None);
-        assert!(
-            out.status.success(),
-            "{crash}: re-compaction failed: {out:?}"
-        );
-        let (summary, traces) = inspect(&journal);
-        assert_eq!(summary, gold.summary, "{crash}: state lost re-compacting");
-        assert_eq!(traces, gold.traces, "{crash}: traces lost re-compacting");
     }
 }
 
