@@ -37,7 +37,9 @@ pub use optimizer::{
     CandidateParams, EicObjective,
 };
 pub use safe::SafeRegion;
-pub use store::{history_fingerprint, observation_fingerprint, SurrogateCache, SurrogateStore};
+pub use store::{
+    fnv_mix, history_fingerprint, observation_fingerprint, SurrogateCache, SurrogateStore,
+};
 pub use subspace::{AdaptiveSubspace, SubspaceParams};
 pub use surrogate::{
     fit_surrogate, fit_surrogate_pooled, fit_surrogate_with, surrogate_kinds, Predictor,

@@ -23,7 +23,9 @@ use otune_space::ConfigSpace;
 use otune_telemetry::{metric, Telemetry};
 use std::sync::Arc;
 
-fn fnv_mix(h: &mut u64, bits: u64) {
+/// Fold the eight bytes of `bits` into the FNV-1a state `h` (start from
+/// the offset basis `0xcbf2_9ce4_8422_2325`).
+pub fn fnv_mix(h: &mut u64, bits: u64) {
     const PRIME: u64 = 0x0000_0100_0000_01b3;
     for shift in [0u32, 8, 16, 24, 32, 40, 48, 56] {
         *h ^= (bits >> shift) & 0xff;

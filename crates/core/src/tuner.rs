@@ -4,12 +4,16 @@
 use crate::generator::{ConfigGenerator, GeneratorOptions, Suggestion, SuggestionSource};
 use crate::objective::{Constraints, Objective};
 use crate::snapshot::{PendingSuggestion, ResumeError, TunerSnapshot};
-use otune_bo::{best_observation, CandidateParams, Observation, SubspaceParams};
+use otune_bo::{
+    best_observation, history_fingerprint, CandidateParams, Observation, SubspaceParams,
+    SurrogateInput,
+};
 use otune_gp::{IncrementalPolicy, SparseGpConfig};
-use otune_meta::{EnsembleSurrogate, MetaCache, TaskRecord};
+use otune_meta::{BaseTask, EnsembleSurrogate, MetaCache, TaskRecord};
 use otune_pool::Pool;
 use otune_space::{ConfigSpace, Configuration};
 use otune_telemetry::{metric, EventKind, StopReason, SuggestionKind, Telemetry};
+use std::borrow::Cow;
 use std::sync::Arc;
 
 impl SuggestionSource {
@@ -244,6 +248,10 @@ pub struct OnlineTuner {
     /// Cross-iteration caches for the meta ensemble (frozen base-task
     /// surrogates, incremental target surrogate, weight-fold memo).
     meta_cache: MetaCache,
+    /// Log-space history fingerprints of `opts.base_tasks ++ own_records`,
+    /// taken at the first ensemble build after either list changes
+    /// (construction, restart, resume); `None` until then.
+    base_fps: Option<Vec<u64>>,
     /// Observability handle (disabled by default).
     telemetry: Telemetry,
 }
@@ -269,6 +277,7 @@ impl OnlineTuner {
             generator,
             space,
             meta_cache: MetaCache::new(opts.incremental),
+            base_fps: None,
             opts,
             history: Vec::new(),
             pending: None,
@@ -697,6 +706,7 @@ impl OnlineTuner {
         // The round's history now lives under a new base-task id and the
         // target history restarts empty — begin from a clean cache.
         self.meta_cache.clear();
+        self.base_fps = None;
         let resource_fn = crate::objective::resource_fn_for(&self.space);
         self.generator = Self::make_generator(&self.space, &self.opts, resource_fn);
         self.generator.set_telemetry(self.telemetry.clone());
@@ -777,6 +787,7 @@ impl OnlineTuner {
         // emitted these events; a resume must not double-count them.
         let mut tuner = Self::with_resource_fn(space, opts, resource_fn);
         tuner.own_records = snap.own_records.clone();
+        tuner.base_fps = None;
         tuner.restarts = snap.restarts;
         for (i, obs) in snap.history.iter().enumerate() {
             if snap.seeded_idx.contains(&i) {
@@ -840,38 +851,61 @@ impl OnlineTuner {
         if !self.opts.enable_meta {
             return None;
         }
-        let mut bases: Vec<TaskRecord> = self.opts.base_tasks.clone();
-        bases.extend(self.own_records.iter().cloned());
-        if bases.is_empty() {
+        let records: Vec<&TaskRecord> = self
+            .opts
+            .base_tasks
+            .iter()
+            .chain(&self.own_records)
+            .collect();
+        if records.is_empty() {
             return None;
         }
         // The generator's EIC works on the log objective; the ensemble's
-        // member surrogates must live on the same scale.
-        let log = |obs: &[Observation]| -> Vec<Observation> {
-            obs.iter()
-                .map(|o| Observation {
-                    objective: o.objective.max(1e-9).ln(),
-                    ..o.clone()
+        // member surrogates live on the same scale. Base records are
+        // log-transformed only when the meta cache misses them.
+        let space = &self.space;
+        let fps = self.base_fps.get_or_insert_with(|| {
+            records
+                .iter()
+                .map(|t| {
+                    let obs = log_objective(&t.observations);
+                    history_fingerprint(space, &obs, SurrogateInput::Objective)
                 })
                 .collect()
-        };
-        let bases: Vec<TaskRecord> = bases
-            .into_iter()
-            .map(|t| TaskRecord {
-                observations: log(&t.observations),
-                ..t
+        });
+        let bases: Vec<BaseTask<'_>> = records
+            .iter()
+            .zip(fps.iter())
+            .map(|(&t, &fp)| {
+                BaseTask::new(&t.task_id, fp, move || {
+                    Cow::Owned(TaskRecord {
+                        task_id: t.task_id.clone(),
+                        meta_features: t.meta_features.clone(),
+                        observations: log_objective(&t.observations),
+                    })
+                })
             })
             .collect();
         EnsembleSurrogate::build_cached(
-            &self.space,
+            space,
             &bases,
-            &log(&self.history),
+            &log_objective(&self.history),
             50,
             self.opts.seed,
             &mut self.meta_cache,
             &self.telemetry,
         )
     }
+}
+
+/// `obs` with each objective mapped to `ln(max(objective, 1e-9))`.
+fn log_objective(obs: &[Observation]) -> Vec<Observation> {
+    obs.iter()
+        .map(|o| Observation {
+            objective: o.objective.max(1e-9).ln(),
+            ..o.clone()
+        })
+        .collect()
 }
 
 #[cfg(test)]

@@ -684,9 +684,20 @@ impl GaussianProcess {
         )
     }
 
-    /// Posterior mean only (convenience).
+    /// Posterior mean only: `k(X, x)·α` on the original target scale.
+    /// The same terms summed in the same order as the mean of
+    /// [`GaussianProcess::predict`], so the result is bitwise
+    /// `predict(x).0` — without the `O(n²)` forward solve the variance
+    /// needs.
     pub fn predict_mean(&self, x: &[f64]) -> f64 {
-        self.predict(x).0
+        debug_assert_eq!(x.len(), self.kernel.dim());
+        let mean_std: f64 = self
+            .x
+            .iter()
+            .zip(&self.alpha)
+            .map(|(xi, a)| self.kernel.eval(xi, x) * a)
+            .sum();
+        mean_std * self.y_std + self.y_mean
     }
 
     /// Batch prediction over `xs`, sequential. Bitwise-identical to

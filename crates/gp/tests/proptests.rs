@@ -100,6 +100,28 @@ proptest! {
         let p2 = g2.predict_mean(&[0.33]);
         prop_assert!((p2 - (p1 * scale + shift)).abs() < 1e-6 * (1.0 + scale + shift.abs()));
     }
+
+    /// The mean-only path is the mean of the full prediction, bit for
+    /// bit, across random kind mixes, history sizes, targets and probes.
+    #[test]
+    fn predict_mean_is_predict_mean_bitwise(
+        kinds in proptest::collection::vec(kind(), 1..6),
+        n in 1usize..24,
+        seed in 0u64..10_000,
+        optimize in any::<bool>(),
+    ) {
+        use rand::{rngs::StdRng, Rng, SeedableRng};
+        let mut rng = StdRng::seed_from_u64(seed);
+        let d = kinds.len();
+        let x: Vec<Vec<f64>> = (0..n).map(|_| (0..d).map(|_| rng.gen()).collect()).collect();
+        let y: Vec<f64> = (0..n).map(|_| rng.gen_range(-50.0..50.0)).collect();
+        let cfg = GpConfig { optimize_hypers: optimize, n_candidates: 6, seed, ..GpConfig::default() };
+        let gp = GaussianProcess::fit(kinds, x.clone(), &y, cfg).unwrap();
+        let probes = x.into_iter().chain((0..8).map(|_| (0..d).map(|_| rng.gen()).collect()));
+        for p in probes {
+            prop_assert_eq!(gp.predict_mean(&p).to_bits(), gp.predict(&p).0.to_bits());
+        }
+    }
 }
 
 proptest! {

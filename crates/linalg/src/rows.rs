@@ -2,7 +2,8 @@
 
 /// A borrowed set of points stored row-major: each row is `width`
 /// contiguous values of one flat slice, optionally restricted to a
-/// selection of row indices.
+/// selection of row indices and to a leading prefix of each row's
+/// columns.
 ///
 /// Batched consumers (GP prediction, acquisition scoring) read points
 /// through this view, so a candidate matrix built once can be screened
@@ -11,6 +12,8 @@
 pub struct Rows<'a> {
     data: &'a [f64],
     width: usize,
+    /// Leading columns of each row the view exposes (`<= width`).
+    cols: usize,
     pick: Option<&'a [usize]>,
 }
 
@@ -28,8 +31,24 @@ impl<'a> Rows<'a> {
         Rows {
             data,
             width,
+            cols: width,
             pick: None,
         }
+    }
+
+    /// The first `cols` values of every row of this view — e.g. the
+    /// configuration part of `config ++ context` rows, for a model that
+    /// reads configurations only.
+    ///
+    /// # Panics
+    /// Panics if `cols` exceeds the view's current row length.
+    pub fn prefix(self, cols: usize) -> Self {
+        assert!(
+            cols <= self.cols,
+            "prefix of {cols} columns from rows of {}",
+            self.cols
+        );
+        Rows { cols, ..self }
     }
 
     /// The rows `pick[0], pick[1], …` of this view, in that order.
@@ -63,7 +82,7 @@ impl<'a> Rows<'a> {
     #[inline]
     pub fn row(&self, i: usize) -> &'a [f64] {
         let r = self.pick.map_or(i, |pick| pick[i]);
-        &self.data[r * self.width..(r + 1) * self.width]
+        &self.data[r * self.width..r * self.width + self.cols]
     }
 
     /// The rows in view order.
@@ -89,7 +108,7 @@ impl<'a> Rows<'a> {
             None => self
                 .data
                 .chunks(size * self.width)
-                .map(|part| Rows::new(part, self.width))
+                .map(|part| Rows { data: part, ..self })
                 .collect(),
         }
     }
@@ -129,6 +148,31 @@ mod tests {
             let joined: Vec<&[f64]> = parts.iter().flat_map(|p| p.iter()).collect();
             assert_eq!(joined, rows.iter().collect::<Vec<_>>());
         }
+    }
+
+    #[test]
+    fn prefix_keeps_leading_columns_through_select_and_chunks() {
+        let data: Vec<f64> = (0..12).map(f64::from).collect();
+        let rows = Rows::new(&data, 3).prefix(2);
+        assert_eq!(rows.len(), 4);
+        assert_eq!(rows.row(1), &[3.0, 4.0]);
+        let pick = [3, 1];
+        let picked = rows.select(&pick);
+        assert_eq!(
+            picked.iter().collect::<Vec<_>>(),
+            [&[9.0, 10.0][..], &[3.0, 4.0]]
+        );
+        for view in [rows, picked] {
+            let joined: Vec<&[f64]> = view.chunks(3).iter().flat_map(|p| p.iter()).collect();
+            assert_eq!(joined, view.iter().collect::<Vec<_>>());
+        }
+        assert_eq!(Rows::new(&data, 3).prefix(3).row(2), &[6.0, 7.0, 8.0]);
+    }
+
+    #[test]
+    #[should_panic(expected = "prefix of 4 columns")]
+    fn prefix_wider_than_rows_is_rejected() {
+        let _ = Rows::new(&[1.0, 2.0, 3.0], 3).prefix(4);
     }
 
     #[test]

@@ -6,7 +6,11 @@
 //! 1. **Base-task surrogates** — each previous task's history is frozen, so
 //!    its surrogate never changes. [`MetaCache`] fits it once per distinct
 //!    observation set (keyed by task id + history fingerprint) and hands out
-//!    `Arc` clones afterwards.
+//!    `Arc` clones afterwards. Its predictions at the Kendall-τ sample
+//!    `D_rand` are frozen too: they are computed once per base history and
+//!    sample (fleet-wide when a [`SharedMetaStore`] is attached), and the
+//!    sample itself is drawn once per `(n_sample, seed)` — a cache serves
+//!    one configuration space.
 //! 2. **The target task's own surrogate** — the target history grows by one
 //!    observation per iteration, so the fit is maintained through the same
 //!    incremental [`SurrogateCache`] machinery the generator uses.
@@ -17,12 +21,11 @@
 //!    appending one observation adds exactly one fold (one O(n²) model
 //!    extension) and every earlier fold is memoized.
 
-use crate::distance::kendall_tau;
+use crate::distance::{kendall_tau, DistanceSample};
+use crate::ensemble::{objective_stats, BaseTask};
 use crate::shared::{fit_base_entry, SharedMetaStore};
-use crate::similarity::TaskRecord;
 use otune_bo::{
-    history_fingerprint, observation_fingerprint, surrogate_kinds, Observation, SurrogateCache,
-    SurrogateInput,
+    observation_fingerprint, surrogate_kinds, Observation, SurrogateCache, SurrogateInput,
 };
 use otune_gp::{GaussianProcess, GpConfig, IncrementalPolicy};
 use otune_pool::Pool;
@@ -36,9 +39,20 @@ use std::sync::Arc;
 /// responsive to the current region of the search.
 const WEIGHT_FOLD_WINDOW: usize = 16;
 
-/// A cached base-task member: frozen surrogate plus the task's objective
-/// statistics (mean, std) used to standardize its predictions.
-type BaseEntry = Option<(Arc<GaussianProcess>, f64, f64)>;
+/// Everything cached for one base task, valid while its history
+/// fingerprint stays `fp`.
+#[derive(Debug)]
+struct BaseSlot {
+    fp: u64,
+    /// Frozen surrogate; `None` when the history is too small for one.
+    gp: Option<Arc<GaussianProcess>>,
+    /// The history's objective (mean, std): the scale that standardizes
+    /// the surrogate's predictions, and the one a target without history
+    /// borrows from the first base.
+    stats: (f64, f64),
+    /// Predictions of `gp` at the sample with the paired fingerprint.
+    preds: Option<(u64, Arc<[f64]>)>,
+}
 
 /// Memoized progressive-validation state for the target weight.
 #[derive(Debug, Default)]
@@ -62,7 +76,9 @@ impl WeightMemo {
 #[derive(Debug)]
 pub struct MetaCache {
     policy: IncrementalPolicy,
-    bases: HashMap<String, (u64, BaseEntry)>,
+    bases: HashMap<String, BaseSlot>,
+    /// The Kendall-τ sample of the last `(n_sample, seed)` asked for.
+    sample: Option<(usize, u64, Arc<DistanceSample>)>,
     target: SurrogateCache,
     weight: WeightMemo,
     /// Optional fleet-wide store consulted on local base-surrogate misses,
@@ -76,6 +92,7 @@ impl MetaCache {
         MetaCache {
             policy,
             bases: HashMap::new(),
+            sample: None,
             target: SurrogateCache::new(SurrogateInput::Objective, policy),
             weight: WeightMemo::default(),
             shared: None,
@@ -83,8 +100,9 @@ impl MetaCache {
     }
 
     /// Attach a fleet-wide [`SharedMetaStore`]. Base-surrogate fits are a
-    /// pure function of `(space, history, seed)`, so serving them from the
-    /// shared store leaves every prediction bitwise unchanged.
+    /// pure function of `(space, history, seed)` and their sample
+    /// predictions of `(fit, sample)`, so serving them from the shared
+    /// store leaves every prediction bitwise unchanged.
     pub fn set_shared(&mut self, store: Arc<SharedMetaStore>) {
         self.shared = Some(store);
     }
@@ -103,35 +121,106 @@ impl MetaCache {
     /// kept: it is fleet-lifetime and append-only.
     pub fn clear(&mut self) {
         self.bases.clear();
+        self.sample = None;
         self.target.clear();
         self.weight.clear();
     }
 
-    /// Frozen surrogate + objective statistics for one base task, fitted at
-    /// most once per distinct observation set. Tasks whose history is too
-    /// small for a surrogate cache a `None` so they are not refitted either.
+    /// A cache that shares nothing with this one except a copy of the
+    /// incrementally maintained target surrogate: a build through it
+    /// recomputes every base fit, sample, prediction vector and weight
+    /// fold, so it is the from-scratch oracle for everything memoized.
+    #[cfg(test)]
+    pub(crate) fn scratch_twin(&self) -> MetaCache {
+        MetaCache {
+            target: self.target.clone(),
+            ..MetaCache::new(self.policy)
+        }
+    }
+
+    /// Frozen surrogate + objective (mean, std) for one base task, fitted
+    /// at most once per distinct observation set. Tasks whose history is
+    /// too small for a surrogate cache a `None` so they are not refitted
+    /// either. A hit reads only the task's id and fingerprint; the record
+    /// is built on a miss.
     pub(crate) fn base_surrogate(
         &mut self,
         space: &ConfigSpace,
-        task: &TaskRecord,
+        task: &BaseTask<'_>,
         seed: u64,
         telemetry: &Telemetry,
-    ) -> BaseEntry {
-        let fp = history_fingerprint(space, &task.observations, SurrogateInput::Objective);
-        if let Some((cached_fp, entry)) = self.bases.get(&task.task_id) {
-            if *cached_fp == fp {
+    ) -> (Option<Arc<GaussianProcess>>, (f64, f64)) {
+        let fp = task.fingerprint();
+        if let Some(slot) = self.bases.get(task.task_id()) {
+            if slot.fp == fp {
                 telemetry.incr(metric::META_BASE_CACHE_HITS);
-                return entry.clone();
+                return (slot.gp.clone(), slot.stats);
             }
         }
         telemetry.incr(metric::META_BASE_CACHE_MISSES);
         let _trace = telemetry.trace_span("base_fit");
+        let record = task.record();
         let entry = match &self.shared {
-            Some(store) => store.base_surrogate_at(space, task, fp, seed, telemetry),
-            None => fit_base_entry(space, task, seed),
+            Some(store) => store.base_surrogate_at(space, &record, fp, seed, telemetry),
+            None => fit_base_entry(space, &record, seed),
         };
-        self.bases.insert(task.task_id.clone(), (fp, entry.clone()));
-        entry
+        let gp = entry.map(|(gp, _, _)| gp);
+        let stats = objective_stats(&record.observations);
+        self.bases.insert(
+            task.task_id().to_string(),
+            BaseSlot {
+                fp,
+                gp: gp.clone(),
+                stats,
+                preds: None,
+            },
+        );
+        (gp, stats)
+    }
+
+    /// The Kendall-τ sample `D_rand` for `(n_sample, seed)`, drawn once.
+    pub(crate) fn distance_sample(
+        &mut self,
+        space: &ConfigSpace,
+        n_sample: usize,
+        seed: u64,
+    ) -> Arc<DistanceSample> {
+        match &self.sample {
+            Some((n, s, sample)) if *n == n_sample && *s == seed => Arc::clone(sample),
+            _ => {
+                let sample = Arc::new(DistanceSample::new(space, n_sample, seed));
+                self.sample = Some((n_sample, seed, Arc::clone(&sample)));
+                sample
+            }
+        }
+    }
+
+    /// Predictions at `sample` of `task`'s surrogate `gp`, fitted with
+    /// `seed`: computed once per base history and sample, through the
+    /// attached [`SharedMetaStore`] when there is one. They are kept in the
+    /// task's slot while it holds this history.
+    pub(crate) fn base_predictions(
+        &mut self,
+        task: &BaseTask<'_>,
+        gp: &GaussianProcess,
+        seed: u64,
+        sample: &DistanceSample,
+    ) -> Arc<[f64]> {
+        let fp = task.fingerprint();
+        let mut slot = self.bases.get_mut(task.task_id()).filter(|s| s.fp == fp);
+        if let Some((sample_fp, preds)) = slot.as_ref().and_then(|s| s.preds.as_ref()) {
+            if *sample_fp == sample.fingerprint() {
+                return Arc::clone(preds);
+            }
+        }
+        let preds: Arc<[f64]> = match &self.shared {
+            Some(store) => store.base_predictions(fp, seed, sample, gp),
+            None => sample.predict(gp).into(),
+        };
+        if let Some(slot) = slot.as_mut() {
+            slot.preds = Some((sample.fingerprint(), Arc::clone(&preds)));
+        }
+        preds
     }
 
     /// The target task's own (context-stripped) surrogate, maintained
@@ -217,6 +306,8 @@ impl MetaCache {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::distance::{prediction_distance, surrogate_distance};
+    use crate::TaskRecord;
     use otune_space::Parameter;
     use rand::{rngs::StdRng, SeedableRng};
 
@@ -247,6 +338,10 @@ mod tests {
         Telemetry::new(Box::new(otune_telemetry::NullSink))
     }
 
+    fn base<'a>(space: &ConfigSpace, t: &'a TaskRecord) -> BaseTask<'a> {
+        BaseTask::from_record(space, t)
+    }
+
     #[test]
     fn base_surrogates_fit_once_per_history() {
         let s = space();
@@ -257,9 +352,9 @@ mod tests {
         };
         let tm = telemetry();
         let mut cache = MetaCache::new(IncrementalPolicy::default());
-        let a = cache.base_surrogate(&s, &t, 0, &tm).unwrap();
-        let b = cache.base_surrogate(&s, &t, 0, &tm).unwrap();
-        assert!(Arc::ptr_eq(&a.0, &b.0));
+        let a = cache.base_surrogate(&s, &base(&s, &t), 0, &tm).0.unwrap();
+        let b = cache.base_surrogate(&s, &base(&s, &t), 0, &tm).0.unwrap();
+        assert!(Arc::ptr_eq(&a, &b));
         let snap = tm.snapshot().unwrap();
         assert_eq!(snap.counters[metric::META_BASE_CACHE_HITS], 1);
         assert_eq!(snap.counters[metric::META_BASE_CACHE_MISSES], 1);
@@ -279,22 +374,19 @@ mod tests {
         let mut c2 = MetaCache::new(IncrementalPolicy::default());
         c1.set_shared(Arc::clone(&store));
         c2.set_shared(Arc::clone(&store));
-        let a = c1.base_surrogate(&s, &t, 0, &tm).unwrap();
-        let b = c2.base_surrogate(&s, &t, 0, &tm).unwrap();
+        let a = c1.base_surrogate(&s, &base(&s, &t), 0, &tm).0.unwrap();
+        let b = c2.base_surrogate(&s, &base(&s, &t), 0, &tm).0.unwrap();
         // Both private caches hold the same shared fit.
-        assert!(Arc::ptr_eq(&a.0, &b.0));
+        assert!(Arc::ptr_eq(&a, &b));
         assert_eq!(store.n_bases(), 1);
         let snap = tm.snapshot().unwrap();
         assert_eq!(snap.counters[metric::SHARED_META_MISSES], 1);
         assert_eq!(snap.counters[metric::SHARED_META_HITS], 1);
         // Values match a private, storeless fit bitwise.
         let mut lone = MetaCache::new(IncrementalPolicy::default());
-        let c = lone.base_surrogate(&s, &t, 0, &tm).unwrap();
+        let c = lone.base_surrogate(&s, &base(&s, &t), 0, &tm).0.unwrap();
         let x = vec![0.37];
-        assert_eq!(
-            a.0.predict_mean(&x).to_bits(),
-            c.0.predict_mean(&x).to_bits()
-        );
+        assert_eq!(a.predict_mean(&x).to_bits(), c.predict_mean(&x).to_bits());
     }
 
     #[test]
@@ -307,9 +399,9 @@ mod tests {
         };
         let tm = telemetry();
         let mut cache = MetaCache::new(IncrementalPolicy::default());
-        cache.base_surrogate(&s, &t, 0, &tm);
+        cache.base_surrogate(&s, &base(&s, &t), 0, &tm);
         t.observations[0].objective += 1.0;
-        cache.base_surrogate(&s, &t, 0, &tm);
+        cache.base_surrogate(&s, &base(&s, &t), 0, &tm);
         let snap = tm.snapshot().unwrap();
         assert_eq!(snap.counters[metric::META_BASE_CACHE_MISSES], 2);
     }
@@ -376,5 +468,52 @@ mod tests {
         let lo = preds.len().saturating_sub(WEIGHT_FOLD_WINDOW);
         let oracle = ((kendall_tau(&preds[lo..], &truth[lo..]) + 1.0) / 2.0).clamp(0.05, 1.0);
         assert_eq!(w.to_bits(), oracle.to_bits());
+    }
+
+    /// Base predictions at the sample are the oracle's, computed once per
+    /// history, and recomputed after the base's history is edited.
+    #[test]
+    fn base_predictions_follow_the_base_history() {
+        let s = space();
+        let mut t = TaskRecord {
+            task_id: "b1".into(),
+            meta_features: vec![0.0],
+            observations: obs(&s, 12, 6),
+        };
+        let other = obs(&s, 9, 8);
+        let other_gp = TaskRecord {
+            task_id: "o".into(),
+            meta_features: vec![0.0],
+            observations: other,
+        }
+        .surrogate(&s, 0)
+        .unwrap();
+        let tm = telemetry();
+        let mut cache = MetaCache::new(IncrementalPolicy::default());
+        let sample = cache.distance_sample(&s, 40, 0);
+        assert!(Arc::ptr_eq(&sample, &cache.distance_sample(&s, 40, 0)));
+        let preds_for = |cache: &mut MetaCache, t: &TaskRecord| {
+            let task = base(&s, t);
+            let gp = cache.base_surrogate(&s, &task, 0, &tm).0.unwrap();
+            let preds = cache.base_predictions(&task, &gp, 0, &sample);
+            let oracle = surrogate_distance(&s, &gp, &other_gp, 40, 0);
+            let d = prediction_distance(&preds, &sample.predict(&other_gp));
+            assert_eq!(d.to_bits(), oracle.to_bits());
+            preds
+        };
+        let first = preds_for(&mut cache, &t);
+        let again = preds_for(&mut cache, &t);
+        assert!(Arc::ptr_eq(&first, &again), "memoized per history");
+        t.observations[3].objective += 2.0;
+        let edited = preds_for(&mut cache, &t);
+        assert!(!Arc::ptr_eq(&first, &edited), "an edit recomputes");
+        let fresh = base(&s, &t);
+        let gp = fit_base_entry(&s, &t, 0).unwrap().0;
+        let expect = sample.predict(&gp);
+        assert_eq!(
+            edited.iter().map(|v| v.to_bits()).collect::<Vec<_>>(),
+            expect.iter().map(|v| v.to_bits()).collect::<Vec<_>>()
+        );
+        assert_eq!(fresh.fingerprint(), cache.bases["b1"].fp);
     }
 }

@@ -5,7 +5,16 @@
 //! with both surrogates, and count discordant prediction pairs.
 //! `Dist(Mⁱ, Mʲ) = (1 − τ(Mⁱ, Mʲ)) / 2 ∈ [0, 1]` — 0 for identical
 //! orderings, 1 for fully reversed ones.
+//!
+//! The computation comes in two steps so callers can memoize the first:
+//! [`DistanceSample`] draws and encodes `D_rand` and predicts a surrogate
+//! at it, and [`prediction_distance`] turns two prediction vectors into
+//! `(1 − τ)/2`. A frozen surrogate's vector is a pure function of the
+//! surrogate and the sample, so [`crate::MetaCache`] and
+//! [`crate::SharedMetaStore`] compute it once. [`surrogate_distance`]
+//! composes the two steps from scratch.
 
+use otune_bo::fnv_mix;
 use otune_gp::GaussianProcess;
 use otune_space::ConfigSpace;
 use rand::rngs::StdRng;
@@ -37,6 +46,54 @@ pub fn kendall_tau(a: &[f64], b: &[f64]) -> f64 {
     (concordant - discordant) as f64 / pairs
 }
 
+/// The random configurations `D_rand` of one `(space, n_sample, seed)`,
+/// encoded, with a fingerprint of their bits that keys memoized
+/// predictions: two spaces draw different samples, so they never share a
+/// prediction entry.
+#[derive(Debug)]
+pub struct DistanceSample {
+    xs: Vec<Vec<f64>>,
+    fingerprint: u64,
+}
+
+impl DistanceSample {
+    /// `n_sample` (at least 2) configurations drawn from `space` by an RNG
+    /// seeded with `seed`, encoded.
+    pub fn new(space: &ConfigSpace, n_sample: usize, seed: u64) -> Self {
+        let mut rng = StdRng::seed_from_u64(seed);
+        let xs: Vec<Vec<f64>> = space
+            .sample_n(n_sample.max(2), &mut rng)
+            .iter()
+            .map(|c| space.encode(c))
+            .collect();
+        let mut fingerprint: u64 = 0xcbf2_9ce4_8422_2325;
+        fnv_mix(&mut fingerprint, xs.len() as u64);
+        fnv_mix(&mut fingerprint, space.len() as u64);
+        for v in xs.iter().flatten() {
+            fnv_mix(&mut fingerprint, v.to_bits());
+        }
+        DistanceSample { xs, fingerprint }
+    }
+
+    /// Fingerprint of the encoded sample (count, width and every value's
+    /// bits).
+    pub fn fingerprint(&self) -> u64 {
+        self.fingerprint
+    }
+
+    /// A surrogate's posterior means at every sample point, in sample
+    /// order — the one prediction path behind every task distance.
+    pub fn predict(&self, gp: &GaussianProcess) -> Vec<f64> {
+        self.xs.iter().map(|x| gp.predict_mean(x)).collect()
+    }
+}
+
+/// Distance between two surrogates from their predictions at the same
+/// [`DistanceSample`]: `(1 − τ)/2`, clamped to `[0, 1]`.
+pub fn prediction_distance(a: &[f64], b: &[f64]) -> f64 {
+    ((1.0 - kendall_tau(a, b)) / 2.0).clamp(0.0, 1.0)
+}
+
 /// Distance between two fitted surrogates over a shared random sample of
 /// `n_sample` configurations: `(1 − τ)/2`, clamped to `[0, 1]`.
 ///
@@ -49,15 +106,8 @@ pub fn surrogate_distance(
     n_sample: usize,
     seed: u64,
 ) -> f64 {
-    let mut rng = StdRng::seed_from_u64(seed);
-    let xs: Vec<Vec<f64>> = space
-        .sample_n(n_sample.max(2), &mut rng)
-        .iter()
-        .map(|c| space.encode(c))
-        .collect();
-    let pa: Vec<f64> = xs.iter().map(|x| a.predict_mean(x)).collect();
-    let pb: Vec<f64> = xs.iter().map(|x| b.predict_mean(x)).collect();
-    ((1.0 - kendall_tau(&pa, &pb)) / 2.0).clamp(0.0, 1.0)
+    let sample = DistanceSample::new(space, n_sample, seed);
+    prediction_distance(&sample.predict(a), &sample.predict(b))
 }
 
 #[cfg(test)]
@@ -132,6 +182,22 @@ mod tests {
         let d_ac = surrogate_distance(&s, &a, &c, 50, 7);
         assert!(d_ab < 0.15, "aligned surrogates: {d_ab}");
         assert!(d_ac > 0.85, "reversed surrogates: {d_ac}");
+    }
+
+    #[test]
+    fn sample_fingerprint_separates_spaces_seeds_and_sizes() {
+        let s = space();
+        let two = ConfigSpace::new(vec![
+            Parameter::float("a", 0.0, 1.0, 0.5),
+            Parameter::float("b", 0.0, 1.0, 0.5),
+        ]);
+        let fp = |space: &ConfigSpace, n, seed| DistanceSample::new(space, n, seed).fingerprint();
+        assert_eq!(fp(&s, 30, 1), fp(&s, 30, 1));
+        assert_ne!(fp(&s, 30, 1), fp(&s, 30, 2));
+        assert_ne!(fp(&s, 30, 1), fp(&s, 31, 1));
+        assert_ne!(fp(&s, 30, 1), fp(&two, 30, 1));
+        // Too-small samples are widened to two points.
+        assert_eq!(fp(&s, 0, 1), fp(&s, 2, 1));
     }
 
     #[test]

@@ -11,16 +11,71 @@
 //!
 //! Because predictions are combined across *tasks*, every member surrogate
 //! is fitted configuration-only (per-task targets are standardized by the
-//! GP, which puts different tasks' objective scales on common footing).
+//! GP, which puts different tasks' objective scales on common footing), and
+//! the ensemble reads only the configuration prefix of a
+//! `configuration ++ context` input row.
+//!
+//! A cached build pays only for what changed: base members and their
+//! predictions at the Kendall-τ sample are memoized in the
+//! [`MetaCache`], and the target surrogate is predicted at the sample
+//! once per build, not once per base.
 
 use crate::cache::MetaCache;
-use crate::distance::surrogate_distance;
+use crate::distance::prediction_distance;
 use crate::similarity::TaskRecord;
-use otune_bo::Observation;
+use otune_bo::{history_fingerprint, Observation, SurrogateInput};
 use otune_gp::{GaussianProcess, IncrementalPolicy};
 use otune_space::ConfigSpace;
 use otune_telemetry::Telemetry;
+use std::borrow::Cow;
 use std::sync::Arc;
+
+/// A base task as an ensemble build reads it: the id and history
+/// fingerprint a cache lookup needs, and the record itself, built only
+/// when the lookup misses.
+pub struct BaseTask<'a> {
+    task_id: &'a str,
+    fingerprint: u64,
+    record: Box<dyn Fn() -> Cow<'a, TaskRecord> + 'a>,
+}
+
+impl<'a> BaseTask<'a> {
+    /// A base task whose record `record()` builds on demand.
+    /// `fingerprint` must be the objective [`history_fingerprint`] of that
+    /// record's observations, and `task_id` its id.
+    pub fn new(
+        task_id: &'a str,
+        fingerprint: u64,
+        record: impl Fn() -> Cow<'a, TaskRecord> + 'a,
+    ) -> Self {
+        BaseTask {
+            task_id,
+            fingerprint,
+            record: Box::new(record),
+        }
+    }
+
+    /// A stored record used as is; its fingerprint is taken here.
+    pub fn from_record(space: &ConfigSpace, record: &'a TaskRecord) -> Self {
+        let fp = history_fingerprint(space, &record.observations, SurrogateInput::Objective);
+        BaseTask::new(&record.task_id, fp, move || Cow::Borrowed(record))
+    }
+
+    /// The task's id.
+    pub(crate) fn task_id(&self) -> &str {
+        self.task_id
+    }
+
+    /// The objective history fingerprint of the task's record.
+    pub(crate) fn fingerprint(&self) -> u64 {
+        self.fingerprint
+    }
+
+    /// The task's record.
+    pub(crate) fn record(&self) -> Cow<'a, TaskRecord> {
+        (self.record)()
+    }
+}
 
 /// A weighted ensemble of task surrogates implementing Eq. 12.
 ///
@@ -35,6 +90,9 @@ pub struct EnsembleSurrogate {
     members: Vec<(Arc<GaussianProcess>, f64, f64, f64)>,
     /// Output scale: the target task's objective statistics.
     target_scale: (f64, f64),
+    /// Encoded configuration width: the leading columns of an input row
+    /// the members read.
+    dim: usize,
 }
 
 impl EnsembleSurrogate {
@@ -51,10 +109,14 @@ impl EnsembleSurrogate {
         n_sample: usize,
         seed: u64,
     ) -> Option<Self> {
+        let bases: Vec<BaseTask<'_>> = base_tasks
+            .iter()
+            .map(|t| BaseTask::from_record(space, t))
+            .collect();
         let mut cache = MetaCache::new(IncrementalPolicy::default());
         Self::build_cached(
             space,
-            base_tasks,
+            &bases,
             target_obs,
             n_sample,
             seed,
@@ -64,12 +126,13 @@ impl EnsembleSurrogate {
     }
 
     /// [`Self::build`] with persistent caches: frozen base-task surrogates
-    /// are fitted once per distinct history, the target surrogate is
-    /// extended incrementally while the runhistory only grows, and the
-    /// target-weight validation folds are memoized.
+    /// and their predictions at the distance sample are computed once per
+    /// distinct history, the target surrogate is extended incrementally
+    /// while the runhistory only grows, and the target-weight validation
+    /// folds are memoized. The result is bitwise the from-scratch build's.
     pub fn build_cached(
         space: &ConfigSpace,
-        base_tasks: &[TaskRecord],
+        base_tasks: &[BaseTask<'_>],
         target_obs: &[Observation],
         n_sample: usize,
         seed: u64,
@@ -77,16 +140,15 @@ impl EnsembleSurrogate {
         telemetry: &Telemetry,
     ) -> Option<Self> {
         let _trace = telemetry.trace_span("meta_ensemble");
-        let stats = |obs: &[Observation]| -> (f64, f64) {
-            let ys: Vec<f64> = obs.iter().map(|o| o.objective).collect();
-            let mean = otune_linalg_mean(&ys);
-            let sd = otune_linalg_std(&ys).max(1e-9);
-            (mean, sd)
-        };
-        let bases: Vec<(Arc<GaussianProcess>, f64, f64)> = base_tasks
-            .iter()
-            .filter_map(|t| cache.base_surrogate(space, t, seed, telemetry))
-            .collect();
+        let mut first_stats = None;
+        let mut bases: Vec<(&BaseTask<'_>, Arc<GaussianProcess>, (f64, f64))> = Vec::new();
+        for task in base_tasks {
+            let (gp, stats) = cache.base_surrogate(space, task, seed, telemetry);
+            first_stats.get_or_insert(stats);
+            if let Some(gp) = gp {
+                bases.push((task, gp, stats));
+            }
+        }
 
         // Member surrogates are configuration-only, so strip contexts once.
         let stripped: Vec<Observation> = target_obs
@@ -98,24 +160,25 @@ impl EnsembleSurrogate {
             .collect();
         let target = cache.target_surrogate(space, &stripped, seed, telemetry);
         let target_scale = if target_obs.len() >= 2 {
-            stats(target_obs)
-        } else if let Some(t) = base_tasks.first() {
-            stats(&t.observations)
+            objective_stats(target_obs)
         } else {
-            (0.0, 1.0)
+            first_stats.unwrap_or((0.0, 1.0))
         };
 
         let mut members: Vec<(Arc<GaussianProcess>, f64, f64, f64)> = Vec::new();
         match &target {
             Some(tgt) => {
-                for (base, m, sd) in bases {
-                    let d = surrogate_distance(space, &base, tgt, n_sample, seed);
+                let sample = cache.distance_sample(space, n_sample, seed);
+                let target_preds = sample.predict(tgt);
+                for (task, base, (m, sd)) in bases {
+                    let base_preds = cache.base_predictions(task, &base, seed, &sample);
+                    let d = prediction_distance(&base_preds, &target_preds);
                     members.push((base, (1.0 - d).max(0.0), m, sd));
                 }
             }
             None => {
                 // No target model yet: uniform trust in the bases.
-                for (base, m, sd) in bases {
+                for (_, base, (m, sd)) in bases {
                     members.push((base, 1.0, m, sd));
                 }
             }
@@ -146,6 +209,7 @@ impl EnsembleSurrogate {
         Some(EnsembleSurrogate {
             members,
             target_scale,
+            dim: space.len(),
         })
     }
 
@@ -161,7 +225,8 @@ impl EnsembleSurrogate {
 
     /// Ensemble prediction at an encoded configuration (Eq. 12). Member
     /// predictions are standardized per member before mixing so tasks with
-    /// different objective scales contribute comparably.
+    /// different objective scales contribute comparably. Context columns
+    /// after the configuration are ignored.
     pub fn predict(&self, x: &[f64]) -> (f64, f64) {
         otune_bo::Predictor::predict(self, x)
     }
@@ -169,6 +234,7 @@ impl EnsembleSurrogate {
 
 impl otune_bo::Predictor for EnsembleSurrogate {
     fn predict(&self, x: &[f64]) -> (f64, f64) {
+        let x = &x[..self.dim];
         let mut mean_z = 0.0;
         let mut var_z = 0.0;
         for (gp, w, mu, sd) in &self.members {
@@ -185,6 +251,7 @@ impl otune_bo::Predictor for EnsembleSurrogate {
     /// the same arithmetic sequence as the scalar path, so results match
     /// per-point `predict` calls exactly for every pool width.
     fn predict_many(&self, xs: otune_gp::Rows<'_>, pool: &otune_pool::Pool) -> Vec<(f64, f64)> {
+        let xs = xs.prefix(self.dim);
         let m = xs.len();
         let mut mean_z = vec![0.0; m];
         let mut var_z = vec![0.0; m];
@@ -204,7 +271,14 @@ impl otune_bo::Predictor for EnsembleSurrogate {
     }
 }
 
-pub(crate) fn otune_linalg_mean(v: &[f64]) -> f64 {
+/// Objective (mean, std) of a history, the std floored at `1e-9`: the
+/// scale that standardizes a member's predictions.
+pub(crate) fn objective_stats(obs: &[Observation]) -> (f64, f64) {
+    let ys: Vec<f64> = obs.iter().map(|o| o.objective).collect();
+    (otune_linalg_mean(&ys), otune_linalg_std(&ys).max(1e-9))
+}
+
+fn otune_linalg_mean(v: &[f64]) -> f64 {
     if v.is_empty() {
         0.0
     } else {
@@ -212,7 +286,7 @@ pub(crate) fn otune_linalg_mean(v: &[f64]) -> f64 {
     }
 }
 
-pub(crate) fn otune_linalg_std(v: &[f64]) -> f64 {
+fn otune_linalg_std(v: &[f64]) -> f64 {
     if v.len() < 2 {
         return 1.0;
     }
@@ -360,6 +434,114 @@ mod tests {
         for i in 0..10 {
             let (_, v) = ens.predict(&[i as f64 / 9.0]);
             assert!(v > 0.0);
+        }
+    }
+
+    /// Everything a build decides, as bits: per member (in order) its
+    /// weight, scale and predictions at `probes`, then the mixture's
+    /// batched predictions.
+    fn build_bits(ens: &EnsembleSurrogate, probes: &[f64]) -> Vec<u64> {
+        let rows = otune_gp::Rows::new(probes, 1);
+        let mut bits = vec![ens.target_scale.0.to_bits(), ens.target_scale.1.to_bits()];
+        for (gp, w, mu, sd) in &ens.members {
+            bits.extend([w.to_bits(), mu.to_bits(), sd.to_bits()]);
+            bits.extend(rows.iter().map(|x| gp.predict_mean(x).to_bits()));
+        }
+        let pool = otune_pool::Pool::new(1);
+        for (m, v) in otune_bo::Predictor::predict_many(ens, rows, &pool) {
+            bits.extend([m.to_bits(), v.to_bits()]);
+        }
+        bits
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(10))]
+
+        /// A cached build over a growing target history — with or without
+        /// a shared store, and across a restart that turns the first
+        /// round into a base — equals the from-scratch build bit for bit.
+        /// The oracle re-derives everything the caches memoize; it shares
+        /// only the incrementally extended target surrogate, which a
+        /// literal `build` would refit with a fresh hyper search. Until
+        /// the first extension (≤ 3 target points) the oracle is the
+        /// literal `build`.
+        #[test]
+        fn cached_builds_match_scratch_builds_bitwise(
+            seed in 0u64..1_000,
+            n_bases in 0usize..4,
+            shared in proptest::prelude::any::<bool>(),
+            restart_at in 3usize..9,
+        ) {
+            let s = space();
+            let mut bases: Vec<TaskRecord> = (0..n_bases)
+                .map(|b| {
+                    // Base 0 may be too short for a surrogate.
+                    let n = if b == 0 { 2 + seed as usize % 3 } else { 8 + b };
+                    let shift = b as f64 * 0.2;
+                    record(&s, &format!("b{b}"), n, seed + b as u64, move |a| {
+                        target_fn(a + shift) - shift
+                    })
+                })
+                .collect();
+            let round1 = record(&s, "t1", restart_at, seed + 50, target_fn).observations;
+            let round2 = record(&s, "t2", 7, seed + 60, |a| target_fn(1.0 - a)).observations;
+            let probes: Vec<f64> = (0..9).map(|i| i as f64 / 8.0).collect();
+            let mut cache = MetaCache::new(IncrementalPolicy::default());
+            if shared {
+                cache.set_shared(Arc::new(crate::SharedMetaStore::new()));
+            }
+            let tm = Telemetry::disabled();
+            for round in [&round1, &round2] {
+                for n in 0..=round.len() {
+                    let tasks: Vec<BaseTask<'_>> =
+                        bases.iter().map(|t| BaseTask::from_record(&s, t)).collect();
+                    let mut twin = cache.scratch_twin();
+                    let cached = EnsembleSurrogate::build_cached(
+                        &s, &tasks, &round[..n], 30, seed, &mut cache, &tm,
+                    );
+                    let cached = cached.as_ref().map(|e| build_bits(e, &probes));
+                    let scratch = if n <= 3 {
+                        EnsembleSurrogate::build(&s, &bases, &round[..n], 30, seed)
+                    } else {
+                        EnsembleSurrogate::build_cached(
+                            &s, &tasks, &round[..n], 30, seed, &mut twin, &tm,
+                        )
+                    };
+                    proptest::prop_assert_eq!(
+                        cached,
+                        scratch.as_ref().map(|e| build_bits(e, &probes)),
+                        "round of {} at n = {}", round.len(), n
+                    );
+                }
+                // Restart: the finished round becomes a base task and the
+                // cache starts clean, as `OnlineTuner::restart` does.
+                bases.push(TaskRecord {
+                    task_id: "self-round-1".into(),
+                    meta_features: vec![0.0],
+                    observations: round.clone(),
+                });
+                cache.clear();
+            }
+        }
+    }
+
+    /// Member surrogates read configurations only: a `config ++ context`
+    /// row predicts exactly like the bare configuration, scalar and
+    /// batched.
+    #[test]
+    fn context_columns_are_ignored() {
+        let s = space();
+        let bases = vec![record(&s, "b1", 12, 1, target_fn)];
+        let target = record(&s, "t", 6, 3, target_fn).observations;
+        let ens = EnsembleSurrogate::build(&s, &bases, &target, 20, 0).unwrap();
+        let bare: Vec<f64> = (0..5).map(|i| i as f64 / 4.0).collect();
+        let with_ctx: Vec<f64> = bare.iter().flat_map(|&x| [x, 0.5]).collect();
+        let pool = otune_pool::Pool::new(1);
+        let a = otune_bo::Predictor::predict_many(&ens, otune_gp::Rows::new(&bare, 1), &pool);
+        let b = otune_bo::Predictor::predict_many(&ens, otune_gp::Rows::new(&with_ctx, 2), &pool);
+        assert_eq!(a, b);
+        for (x, p) in with_ctx.chunks(2).zip(&a) {
+            assert_eq!(ens.predict(x), *p);
         }
     }
 }

@@ -7,7 +7,8 @@
 //!   "You Only Run Once";
 //! * [`distance`] — the surrogate distance between two tasks: the scaled
 //!   negative Kendall-τ of their surrogates' predictions on a shared random
-//!   configuration sample (§5.1);
+//!   configuration sample (§5.1), split into the sample's predictions and
+//!   the distance of two prediction vectors so the first can be memoized;
 //! * [`similarity`] — the learned regressor `M_reg: (v₁, v₂) ↦ d` (GBDT
 //!   stand-in for LightGBM) that predicts task distance from meta-features
 //!   alone, so new tasks can be matched before any tuning history exists;
@@ -37,7 +38,7 @@ pub use corpus::{
     DEFAULT_RETRIEVAL_K,
 };
 pub use distance::{kendall_tau, surrogate_distance};
-pub use ensemble::EnsembleSurrogate;
+pub use ensemble::{BaseTask, EnsembleSurrogate};
 pub use features::{extract_meta_features, FeatureMemo, META_FEATURE_COUNT};
 pub use shared::SharedMetaStore;
 pub use similarity::{SimilarityLearner, TaskRecord};

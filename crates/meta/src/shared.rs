@@ -9,30 +9,38 @@
 //! * **Base surrogates** are keyed by `(task id, history fingerprint, seed)`
 //!   and fitted at most once; every tuner whose private cache misses gets an
 //!   `Arc` clone of the shared fit.
+//! * **Base predictions at `D_rand`** — a frozen surrogate's predictions
+//!   at the Kendall-τ sample — are keyed by `(history fingerprint, fit
+//!   seed, sample fingerprint)` and computed at most once; every
+//!   ensemble weight and every similarity label reads them from here.
 //! * **Pairwise surrogate distances** (the similarity model's training
 //!   labels) are memoized by the two tasks' history fingerprints plus the
-//!   sample size and seed, so a scheduled similarity refit only pays for
-//!   pairs it has never seen.
+//!   fit seed and sample fingerprint, so a scheduled similarity refit only
+//!   pays for pairs it has never seen, and a missed pair is computed from
+//!   the memoized predictions.
 //!
 //! Sharing is *transparent*: a fit is a pure function of
-//! `(space, history, seed)` and a distance of
-//! `(space, surrogates, n_sample, seed)`, so a task's suggestions are
-//! bitwise identical whether its entries were fitted privately, fitted by
+//! `(space, history, seed)`, a prediction vector of `(fit, sample)` and a
+//! distance of two prediction vectors, so a task's suggestions are
+//! bitwise identical whether its entries were computed privately, by
 //! another task, or served from the memo. The store is append-only for the
 //! lifetime of the fleet — base-task histories are frozen, so entries are
-//! never invalidated, only added.
+//! never invalidated, only added. Entries are computed outside the store
+//! lock; when two callers race on a missing key, both compute identical
+//! bits and the first to store it wins.
 //!
 //! [`MetaCache`]: crate::MetaCache
 
 use crate::corpus::{CorpusRecord, RetrievalIndex, TuningCorpus};
-use crate::distance::surrogate_distance;
-use crate::ensemble::{otune_linalg_mean, otune_linalg_std};
+use crate::distance::{prediction_distance, DistanceSample};
+use crate::ensemble::objective_stats;
 use crate::similarity::TaskRecord;
 use otune_bo::{history_fingerprint, SurrogateInput};
 use otune_gp::GaussianProcess;
 use otune_space::{ConfigSpace, Configuration};
 use otune_telemetry::{metric, Telemetry};
 use std::collections::HashMap;
+use std::hash::Hash;
 use std::io;
 use std::sync::{Arc, Mutex};
 
@@ -45,13 +53,36 @@ pub(crate) type SharedBaseEntry = Option<(Arc<GaussianProcess>, f64, f64)>;
 /// both the private [`crate::MetaCache`] and the shared store.
 pub(crate) fn fit_base_entry(space: &ConfigSpace, task: &TaskRecord, seed: u64) -> SharedBaseEntry {
     task.surrogate(space, seed).map(|s| {
-        let ys: Vec<f64> = task.observations.iter().map(|o| o.objective).collect();
-        (
-            Arc::new(s),
-            otune_linalg_mean(&ys),
-            otune_linalg_std(&ys).max(1e-9),
-        )
+        let (mean, sd) = objective_stats(&task.observations);
+        (Arc::new(s), mean, sd)
     })
+}
+
+/// Key of a base surrogate's predictions at a distance sample:
+/// `(history fingerprint, fit seed, sample fingerprint)`.
+type PredictionKey = (u64, u64, u64);
+
+/// Append-only memo lookup: the value stored under `key`, or `compute()`
+/// stored and returned. `compute` runs outside the lock so concurrent
+/// shards never serialize on it; it must be pure, so a racing duplicate
+/// computes identical bits and every caller gets the first stored value.
+/// The flag reports whether the lookup hit.
+fn memoize<K: Eq + Hash, V: Clone>(
+    map: &Mutex<HashMap<K, V>>,
+    key: K,
+    compute: impl FnOnce() -> V,
+) -> (V, bool) {
+    if let Some(v) = map.lock().expect("shared meta store lock").get(&key) {
+        return (v.clone(), true);
+    }
+    let v = compute();
+    let stored = map
+        .lock()
+        .expect("shared meta store lock")
+        .entry(key)
+        .or_insert(v)
+        .clone();
+    (stored, false)
 }
 
 /// The persistent tuning corpus plus its memoized retrieval index. The
@@ -68,9 +99,11 @@ struct CorpusState {
 pub struct SharedMetaStore {
     /// Base surrogates by `(task id, history fingerprint, fit seed)`.
     bases: Mutex<HashMap<(String, u64, u64), SharedBaseEntry>>,
+    /// Base-surrogate predictions at distance samples.
+    predictions: Mutex<HashMap<PredictionKey, Arc<[f64]>>>,
     /// Pairwise surrogate distances by
-    /// `(fingerprint a, fingerprint b, n_sample, seed)`.
-    distances: Mutex<HashMap<(u64, u64, usize, u64), f64>>,
+    /// `(fingerprint a, fingerprint b, fit seed, sample fingerprint)`.
+    distances: Mutex<HashMap<(u64, u64, u64, u64), f64>>,
     /// Optional persistent tuning corpus for zero-execution retrieval.
     corpus: Mutex<Option<CorpusState>>,
 }
@@ -89,6 +122,14 @@ impl SharedMetaStore {
     /// Number of memoized pairwise distances.
     pub fn n_distances(&self) -> usize {
         self.distances.lock().expect("shared meta store lock").len()
+    }
+
+    /// Number of memoized base-prediction vectors.
+    pub fn n_predictions(&self) -> usize {
+        self.predictions
+            .lock()
+            .expect("shared meta store lock")
+            .len()
     }
 
     /// Shared base surrogate for `task`, fitted on first request and served
@@ -115,20 +156,27 @@ impl SharedMetaStore {
         telemetry: &Telemetry,
     ) -> SharedBaseEntry {
         let key = (task.task_id.clone(), fp, seed);
-        if let Some(entry) = self.bases.lock().expect("shared meta store lock").get(&key) {
-            telemetry.incr(metric::SHARED_META_HITS);
-            return entry.clone();
-        }
-        // Fit outside the lock so concurrent shards never serialize on a
-        // fit. A racing duplicate fit produces the identical entry (the fit
-        // is pure), so last-write-wins is harmless.
-        telemetry.incr(metric::SHARED_META_MISSES);
-        let entry = fit_base_entry(space, task, seed);
-        self.bases
-            .lock()
-            .expect("shared meta store lock")
-            .insert(key, entry.clone());
+        let (entry, hit) = memoize(&self.bases, key, || fit_base_entry(space, task, seed));
+        telemetry.incr(if hit {
+            metric::SHARED_META_HITS
+        } else {
+            metric::SHARED_META_MISSES
+        });
         entry
+    }
+
+    /// Predictions at `sample` of the base surrogate `gp`, fitted with
+    /// `seed` on a history with fingerprint `fp`: computed on first
+    /// request, served from the store afterwards.
+    pub(crate) fn base_predictions(
+        &self,
+        fp: u64,
+        seed: u64,
+        sample: &DistanceSample,
+        gp: &GaussianProcess,
+    ) -> Arc<[f64]> {
+        let key = (fp, seed, sample.fingerprint());
+        memoize(&self.predictions, key, || sample.predict(gp).into()).0
     }
 
     /// Attach a tuning corpus. Every completed fleet observation reported
@@ -236,34 +284,30 @@ impl SharedMetaStore {
         index.bootstrap_with(space, query, k, max_distance, telemetry)
     }
 
-    /// Memoized surrogate distance between two frozen tasks, keyed by their
-    /// history fingerprints. `a` and `b` pair each task's fingerprint with
-    /// its fitted surrogate.
+    /// Memoized surrogate distance between two frozen tasks at `sample`,
+    /// keyed by their history fingerprints. `a` and `b` pair each task's
+    /// fingerprint with its surrogate, fitted with `seed`. A missed pair
+    /// is computed from the memoized prediction vectors.
     pub(crate) fn memo_distance(
         &self,
-        space: &ConfigSpace,
         a: (u64, &GaussianProcess),
         b: (u64, &GaussianProcess),
-        n_sample: usize,
         seed: u64,
+        sample: &DistanceSample,
         telemetry: &Telemetry,
     ) -> f64 {
-        let key = (a.0, b.0, n_sample, seed);
-        if let Some(d) = self
-            .distances
-            .lock()
-            .expect("shared meta store lock")
-            .get(&key)
-        {
-            telemetry.incr(metric::SHARED_DIST_HITS);
-            return *d;
-        }
-        telemetry.incr(metric::SHARED_DIST_MISSES);
-        let d = surrogate_distance(space, a.1, b.1, n_sample, seed);
-        self.distances
-            .lock()
-            .expect("shared meta store lock")
-            .insert(key, d);
+        let key = (a.0, b.0, seed, sample.fingerprint());
+        let (d, hit) = memoize(&self.distances, key, || {
+            prediction_distance(
+                &self.base_predictions(a.0, seed, sample, a.1),
+                &self.base_predictions(b.0, seed, sample, b.1),
+            )
+        });
+        telemetry.incr(if hit {
+            metric::SHARED_DIST_HITS
+        } else {
+            metric::SHARED_DIST_MISSES
+        });
         d
     }
 }
@@ -271,6 +315,7 @@ impl SharedMetaStore {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::distance::surrogate_distance;
     use otune_bo::Observation;
     use otune_space::Parameter;
     use rand::{rngs::StdRng, SeedableRng};
@@ -356,14 +401,17 @@ mod tests {
         let sb = store.base_surrogate(&s, &tb, 0, &tm).unwrap();
         let fa = history_fingerprint(&s, &ta.observations, SurrogateInput::Objective);
         let fb = history_fingerprint(&s, &tb.observations, SurrogateInput::Objective);
-        let d1 = store.memo_distance(&s, (fa, &sa.0), (fb, &sb.0), 30, 0, &tm);
-        let d2 = store.memo_distance(&s, (fa, &sa.0), (fb, &sb.0), 30, 0, &tm);
+        let sample = DistanceSample::new(&s, 30, 0);
+        let d1 = store.memo_distance((fa, &sa.0), (fb, &sb.0), 0, &sample, &tm);
+        let d2 = store.memo_distance((fa, &sa.0), (fb, &sb.0), 0, &sample, &tm);
         assert_eq!(d1.to_bits(), d2.to_bits());
         assert_eq!(
             d1.to_bits(),
             surrogate_distance(&s, &sa.0, &sb.0, 30, 0).to_bits()
         );
         assert_eq!(store.n_distances(), 1);
+        // The missed pair was computed from memoized prediction vectors.
+        assert_eq!(store.n_predictions(), 2);
         let snap = tm.snapshot().unwrap();
         assert_eq!(snap.counters[metric::SHARED_DIST_HITS], 1);
         assert_eq!(snap.counters[metric::SHARED_DIST_MISSES], 1);
@@ -408,5 +456,86 @@ mod tests {
         assert_eq!(snap.counters[metric::RETRIEVAL_MISSES], 1);
         assert_eq!(snap.counters[metric::RETRIEVAL_HITS], 3);
         assert_eq!(snap.gauges[metric::CORPUS_RECORDS], 3.0);
+    }
+
+    /// The one-path distance equals the from-scratch oracle bit for bit,
+    /// over many pairs, seeds and sample sizes, whether the pair's
+    /// prediction vectors are already memoized or not.
+    #[test]
+    fn memo_distance_is_surrogate_distance_bitwise() {
+        let s = ConfigSpace::new(vec![
+            Parameter::float("a", 0.0, 1.0, 0.5),
+            Parameter::int("n", 1, 20, 4),
+        ]);
+        let tm = telemetry();
+        let store = SharedMetaStore::new();
+        let tasks: Vec<TaskRecord> = (0..4)
+            .map(|i| {
+                let mut t = task(&s, &format!("t{i}"), 8 + 3 * i, 20 + i as u64);
+                for (k, o) in t.observations.iter_mut().enumerate() {
+                    o.objective += (k * i) as f64 * 0.1;
+                }
+                t
+            })
+            .collect();
+        for seed in [0u64, 3] {
+            let fitted: Vec<(u64, Arc<GaussianProcess>)> = tasks
+                .iter()
+                .map(|t| {
+                    let fp = history_fingerprint(&s, &t.observations, SurrogateInput::Objective);
+                    (fp, store.base_surrogate(&s, t, seed, &tm).unwrap().0)
+                })
+                .collect();
+            for n_sample in [2usize, 17, 50] {
+                let sample = DistanceSample::new(&s, n_sample, seed);
+                for (i, (fa, ga)) in fitted.iter().enumerate() {
+                    for (fb, gb) in &fitted[i + 1..] {
+                        let memo = store.memo_distance((*fa, ga), (*fb, gb), seed, &sample, &tm);
+                        let oracle = surrogate_distance(&s, ga, gb, n_sample, seed);
+                        assert_eq!(memo.to_bits(), oracle.to_bits());
+                    }
+                }
+            }
+        }
+        // Two seeds × three samples × four tasks, each predicted once.
+        assert_eq!(store.n_predictions(), 24);
+        assert_eq!(store.n_distances(), 36);
+    }
+
+    /// Two threads that miss the same prediction entry at once both
+    /// compute it; they get bitwise-equal vectors and the store keeps one.
+    #[test]
+    fn racing_prediction_misses_store_one_entry() {
+        use std::sync::Barrier;
+        let s = space();
+        let t = task(&s, "b", 12, 9);
+        let tm = telemetry();
+        let store = SharedMetaStore::new();
+        let gp = store.base_surrogate(&s, &t, 0, &tm).unwrap().0;
+        let fp = history_fingerprint(&s, &t.observations, SurrogateInput::Objective);
+        let sample = DistanceSample::new(&s, 50, 0);
+        let key = (fp, 0, sample.fingerprint());
+        let barrier = Barrier::new(2);
+        let (a, b) = std::thread::scope(|scope| {
+            let race = || {
+                // Each thread passes the barrier only after its own lookup
+                // missed, so both compute before either stores.
+                memoize(&store.predictions, key, || {
+                    barrier.wait();
+                    Arc::<[f64]>::from(sample.predict(&gp))
+                })
+            };
+            let a = scope.spawn(race);
+            let b = scope.spawn(race);
+            (a.join().unwrap(), b.join().unwrap())
+        });
+        assert!(!a.1 && !b.1, "both lookups missed");
+        let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        assert_eq!(bits(&a.0), bits(&b.0));
+        assert_eq!(store.n_predictions(), 1);
+        // Later lookups hit the stored vector.
+        let c = store.base_predictions(fp, 0, &sample, &gp);
+        assert_eq!(bits(&c), bits(&a.0));
+        assert_eq!(store.n_predictions(), 1);
     }
 }

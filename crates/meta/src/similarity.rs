@@ -7,7 +7,7 @@
 //! run but no tuning history yet — can be predicted against all previous
 //! tasks.
 
-use crate::distance::surrogate_distance;
+use crate::distance::{prediction_distance, DistanceSample};
 use crate::shared::SharedMetaStore;
 use otune_bo::{fit_surrogate, history_fingerprint, Observation, SurrogateInput};
 use otune_gbdt::{GbdtConfig, GbdtRegressor};
@@ -15,7 +15,6 @@ use otune_gp::GaussianProcess;
 use otune_space::ConfigSpace;
 use otune_telemetry::Telemetry;
 use serde::{Deserialize, Serialize};
-use std::sync::Arc;
 
 /// A previous tuning task stored in the data repository.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
@@ -77,12 +76,13 @@ impl SimilarityLearner {
         n_sample: usize,
         seed: u64,
     ) -> Option<Self> {
-        let fitted: Vec<(&TaskRecord, Arc<GaussianProcess>)> = tasks
+        let sample = DistanceSample::new(space, n_sample, seed);
+        let (fitted, preds): (Vec<&TaskRecord>, Vec<Vec<f64>>) = tasks
             .iter()
-            .filter_map(|t| t.surrogate(space, seed).map(|s| (t, Arc::new(s))))
-            .collect();
+            .filter_map(|t| t.surrogate(space, seed).map(|s| (t, sample.predict(&s))))
+            .unzip();
         Self::train_fitted(&fitted, seed, |a, b| {
-            surrogate_distance(space, &fitted[a].1, &fitted[b].1, n_sample, seed)
+            prediction_distance(&preds[a], &preds[b])
         })
     }
 
@@ -101,42 +101,39 @@ impl SimilarityLearner {
         store: &SharedMetaStore,
         telemetry: &Telemetry,
     ) -> Option<Self> {
-        let fitted: Vec<(&TaskRecord, u64, Arc<GaussianProcess>)> = tasks
+        let sample = DistanceSample::new(space, n_sample, seed);
+        let (fitted, members): (Vec<&TaskRecord>, Vec<(u64, _)>) = tasks
             .iter()
             .filter_map(|t| {
                 let fp = history_fingerprint(space, &t.observations, SurrogateInput::Objective);
                 store
                     .base_surrogate_at(space, t, fp, seed, telemetry)
-                    .map(|(gp, _, _)| (t, fp, gp))
+                    .map(|(gp, _, _)| (t, (fp, gp)))
             })
-            .collect();
-        let pairs: Vec<(&TaskRecord, Arc<GaussianProcess>)> = fitted
-            .iter()
-            .map(|(t, _, gp)| (*t, Arc::clone(gp)))
-            .collect();
-        Self::train_fitted(&pairs, seed, |a, b| {
-            let (_, fa, sa) = &fitted[a];
-            let (_, fb, sb) = &fitted[b];
-            store.memo_distance(space, (*fa, sa), (*fb, sb), n_sample, seed, telemetry)
+            .unzip();
+        Self::train_fitted(&fitted, seed, |a, b| {
+            let (fa, sa) = &members[a];
+            let (fb, sb) = &members[b];
+            store.memo_distance((*fa, sa), (*fb, sb), seed, &sample, telemetry)
         })
     }
 
-    /// Shared trainer core: builds the symmetric pairwise design matrix from
-    /// already-fitted task surrogates, labeling pair `(a, b)` (indices into
-    /// `fitted`) via `dist`.
+    /// Shared trainer core: builds the symmetric pairwise design matrix
+    /// over the tasks that have a surrogate, labeling pair `(a, b)`
+    /// (indices into `fitted`) via `dist`.
     fn train_fitted(
-        fitted: &[(&TaskRecord, Arc<GaussianProcess>)],
+        fitted: &[&TaskRecord],
         seed: u64,
         mut dist: impl FnMut(usize, usize) -> f64,
     ) -> Option<Self> {
         if fitted.len() < 2 {
             return None;
         }
-        let feature_dim = fitted[0].0.meta_features.len();
+        let feature_dim = fitted[0].meta_features.len();
         let mut x = Vec::new();
         let mut y = Vec::new();
-        for (a_idx, (ta, _)) in fitted.iter().enumerate() {
-            for (b_off, (tb, _)) in fitted.iter().enumerate().skip(a_idx + 1) {
+        for (a_idx, ta) in fitted.iter().enumerate() {
+            for (b_off, tb) in fitted.iter().enumerate().skip(a_idx + 1) {
                 let d = dist(a_idx, b_off);
                 // Symmetric pair: train on both orderings.
                 let mut fwd = ta.meta_features.clone();

@@ -57,15 +57,29 @@ fn fnv1a(s: &str) -> u64 {
     h
 }
 
-fn register_fleet(ctl: &mut OnlineTuneController) -> Vec<TaskHandle> {
+/// Per-task tuner options of one fleet input.
+type OptionsFn<'a> = &'a dyn Fn(usize) -> TunerOptions;
+
+/// Meta-learning input: every task runs the meta ensemble over the same
+/// base tasks, so each controller's shared store memoizes base fits and
+/// their predictions across the fleet.
+fn meta_options(bases: &[TaskRecord]) -> impl Fn(usize) -> TunerOptions + '_ {
+    move |task| TunerOptions {
+        enable_meta: true,
+        base_tasks: bases.to_vec(),
+        ..toy_options(task)
+    }
+}
+
+fn register_fleet(ctl: &mut OnlineTuneController, options: OptionsFn) -> Vec<TaskHandle> {
     (0..N_TASKS)
-        .map(|i| ctl.create_task(&format!("fleet-task-{i}"), toy_space(), toy_options(i)))
+        .map(|i| ctl.create_task(&format!("fleet-task-{i}"), toy_space(), options(i)))
         .collect()
 }
 
 /// Golden reference: every task driven through the sequential single-task
 /// API, one full step at a time.
-fn sequential_traces() -> Vec<Trace> {
+fn sequential_traces(options: OptionsFn) -> Vec<Trace> {
     let space = toy_space();
     let mut ctl = OnlineTuneController::with_options(
         Arc::new(DataRepository::new()),
@@ -75,7 +89,7 @@ fn sequential_traces() -> Vec<Trace> {
             pool: Pool::new(1),
         },
     );
-    let handles = register_fleet(&mut ctl);
+    let handles = register_fleet(&mut ctl, options);
     let mut traces: Vec<Trace> = vec![Vec::new(); N_TASKS];
     for _ in 0..BUDGET {
         for (t, h) in handles.iter().enumerate() {
@@ -93,9 +107,10 @@ fn sequential_traces() -> Vec<Trace> {
 fn wave_traces(
     mut ctl: OnlineTuneController,
     order: impl Fn(u64, &[TaskHandle]) -> Vec<usize>,
+    options: OptionsFn,
 ) -> Vec<Trace> {
     let space = toy_space();
-    let handles = register_fleet(&mut ctl);
+    let handles = register_fleet(&mut ctl, options);
     let mut traces: Vec<Trace> = vec![Vec::new(); N_TASKS];
     for wave in 0..BUDGET as u64 {
         let idxs = order(wave, &handles);
@@ -172,26 +187,36 @@ fn seeded_shuffle(wave: u64, handles: &[TaskHandle]) -> Vec<usize> {
 
 #[test]
 fn wave_traces_match_sequential_bitwise_across_shards_and_interleavings() {
-    let golden = sequential_traces();
+    let bases: Vec<TaskRecord> = (0..3)
+        .map(|t| base_record(&format!("base-{t}"), t, 7 + t as u64))
+        .collect();
+    let meta = meta_options(&bases);
+    let inputs: [(&str, OptionsFn); 2] = [("plain", &toy_options), ("meta", &meta)];
     type OrderFn = fn(u64, &[TaskHandle]) -> Vec<usize>;
     let orders: [(&str, OrderFn); 3] = [
         ("round-robin", round_robin),
         ("shard-major", shard_major),
         ("seeded-shuffle", seeded_shuffle),
     ];
-    for shards in [1usize, 4] {
-        for (name, order) in orders {
-            let traces = wave_traces(sharded_controller(shards, 4), order);
-            assert_eq!(
-                traces, golden,
-                "interleaving {name} with {shards} shard(s) changed a task trace"
-            );
+    for (input, options) in inputs {
+        let golden = sequential_traces(options);
+        for shards in [1usize, 4] {
+            for (name, order) in orders {
+                let traces = wave_traces(sharded_controller(shards, 4), order, options);
+                assert_eq!(
+                    traces, golden,
+                    "{input}: interleaving {name} with {shards} shard(s) changed a task trace"
+                );
+            }
         }
+        // And under whatever OTUNE_SHARDS / OTUNE_THREADS the environment
+        // (CI matrix) selects.
+        let traces = wave_traces(OnlineTuneController::new(), round_robin, options);
+        assert_eq!(
+            traces, golden,
+            "{input}: env-configured fleet changed a task trace"
+        );
     }
-    // And under whatever OTUNE_SHARDS / OTUNE_THREADS the environment (CI
-    // matrix) selects.
-    let traces = wave_traces(OnlineTuneController::new(), round_robin);
-    assert_eq!(traces, golden, "env-configured fleet changed a task trace");
 }
 
 /// Record a short toy-task history to serve as a meta-learning base task.
@@ -247,6 +272,10 @@ fn shared_meta_store_is_bitwise_transparent() {
     let store = Arc::new(SharedMetaStore::new());
     let first = run(Some(Arc::clone(&store)));
     assert!(store.n_bases() > 0, "shared store captured the base fits");
+    assert!(
+        store.n_predictions() > 0,
+        "shared store captured the base predictions"
+    );
     let warm = run(Some(Arc::clone(&store)));
     assert_eq!(first, private, "shared store changed a suggestion");
     assert_eq!(warm, private, "warm shared store changed a suggestion");

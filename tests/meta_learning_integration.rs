@@ -133,3 +133,39 @@ fn tuner_accepts_base_tasks_for_the_ensemble() {
     }
     assert!(tuner.best().is_some());
 }
+
+/// A meta-learning tuner with a workload context scores
+/// `configuration ++ context` candidate rows, while every ensemble member
+/// is fitted on configurations only: the ensemble must read the
+/// configuration prefix of each row (wider rows used to trip the GP
+/// kernel's width check in debug builds).
+#[test]
+fn meta_tuner_with_a_workload_context_runs_the_ensemble() {
+    let space = spark_space(ClusterScale::hibench());
+    let bases = vec![
+        record_for(HibenchTask::Sort, 10, 11),
+        record_for(HibenchTask::WordCount, 10, 12),
+    ];
+    let job = SimJob::new(ClusterSpec::hibench(), hibench_task(HibenchTask::TeraSort));
+    let mut tuner = OnlineTuner::new(
+        space,
+        TunerOptions {
+            beta: 0.5,
+            budget: 8,
+            base_tasks: bases,
+            enable_meta: true,
+            seed: 13,
+            ..TunerOptions::default()
+        },
+    );
+    let context = [0.5];
+    for t in 0..8u64 {
+        let cfg = tuner.suggest(&context).expect("protocol");
+        let r = job.run(&cfg, t);
+        tuner
+            .observe(cfg, r.runtime_s, r.resource, &context)
+            .expect("pending");
+    }
+    assert_eq!(tuner.history().len(), 8);
+    assert!(tuner.history().iter().all(|o| o.context == context));
+}
