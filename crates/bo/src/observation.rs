@@ -37,6 +37,15 @@ impl Observation {
     }
 }
 
+/// Whether `value` is a usable measurement of a run: finite and `> 0`,
+/// or `>= 0` for a killed run (`failed`), whose partial runtime or
+/// resource may be zero. The tuner takes logs of these values, and the
+/// job journal and the tuning corpus store them as JSON numbers, which
+/// cannot hold `inf` or `NaN`.
+pub fn usable_measurement(value: f64, failed: bool) -> bool {
+    value.is_finite() && (value > 0.0 || (failed && value == 0.0))
+}
+
 /// The best (lowest-objective) feasible observation, falling back to the
 /// best overall when nothing is feasible.
 pub fn best_observation(

@@ -940,8 +940,8 @@ struct JournalRow {
     segments: usize,
 }
 
-/// Scan `dir` for base journals: regular files that are not rotated
-/// segments (`<base>.NNNN`).
+/// Scan `dir` for base journals: regular files that are not segments
+/// an older build rotated a journal into (`<base>.NNNN`).
 fn scan_base_journals(dir: &std::path::Path) -> std::io::Result<Vec<std::path::PathBuf>> {
     let mut bases = Vec::new();
     for entry in std::fs::read_dir(dir)? {
@@ -1960,6 +1960,55 @@ mod tests {
             jobs_cmd(JobsAction::List, "/nonexistent-otune-dir", &mut buf).unwrap(),
             2
         );
+    }
+
+    #[test]
+    fn jobs_list_and_gc_handle_older_segmented_journals() {
+        let dir = serve_dir("jobs-segmented");
+        for entry in std::fs::read_dir(&dir).unwrap().flatten() {
+            let _ = std::fs::remove_file(entry.path());
+        }
+        let (t, _s) = otune_core::telemetry::Telemetry::ring(4096);
+        let done = dir.join("done.jsonl");
+        let mut spec = small_spec();
+        spec.job_id = "jobs-segmented".to_string();
+        let mut engine = JobEngine::start(spec, &done, t).unwrap();
+        engine.run_to_completion().unwrap();
+        drop(engine);
+        // Split the completed journal the way older builds rotated one:
+        // the later lines move to the segment `done.jsonl.0001`.
+        let text = std::fs::read_to_string(&done).unwrap();
+        let lines: Vec<&str> = text.lines().collect();
+        let (head, tail) = lines.split_at(lines.len() / 2);
+        let segment = dir.join("done.jsonl.0001");
+        std::fs::write(&done, head.join("\n") + "\n").unwrap();
+        std::fs::write(&segment, tail.join("\n") + "\n").unwrap();
+
+        let dir_str = dir.to_string_lossy().into_owned();
+        let mut buf = Vec::new();
+        assert_eq!(jobs_cmd(JobsAction::List, &dir_str, &mut buf).unwrap(), 0);
+        let text = String::from_utf8(buf).unwrap();
+        let rows: Vec<Vec<&str>> = text
+            .lines()
+            .skip(1)
+            .map(|row| row.split_whitespace().collect())
+            .collect();
+        assert_eq!(rows.len(), 1, "one row per journal, not per file: {text}");
+        assert_eq!(
+            (rows[0][0], rows[0][1], rows[0][5]),
+            ("jobs-segmented", "completed", "2"),
+            "job, state and segment count: {text}"
+        );
+
+        let mut buf = Vec::new();
+        assert_eq!(
+            jobs_cmd(JobsAction::Gc { keep: 0 }, &dir_str, &mut buf).unwrap(),
+            0
+        );
+        let text = String::from_utf8(buf).unwrap();
+        assert!(text.contains("removed 2 file(s)"), "{text}");
+        assert!(!done.exists(), "base file removed");
+        assert!(!segment.exists(), "segment removed");
     }
 
     #[test]

@@ -23,11 +23,10 @@ use otune_space::{ConfigSpace, Configuration, Subspace};
 use otune_telemetry::{metric, EventKind, ResizeDirection, Telemetry};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-use serde::{Deserialize, Serialize};
 use std::sync::Arc;
 
 /// Where a suggestion came from (diagnostics and the Figure 8/9 ablations).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum SuggestionSource {
     /// Transferred from a similar task (§5.2).
     WarmStart,

@@ -51,7 +51,6 @@ pub mod fleet;
 pub mod generator;
 pub mod objective;
 pub mod repository;
-pub mod snapshot;
 pub mod tuner;
 
 pub use context::{calendar_context, datasize_context};
@@ -61,7 +60,6 @@ pub use generator::{ConfigGenerator, GeneratorOptions, Suggestion, SuggestionSou
 pub use objective::{Constraints, Objective};
 pub use otune_gp::SparseGpConfig;
 pub use repository::DataRepository;
-pub use snapshot::{PendingSuggestion, ResumeError, TunerSnapshot};
 pub use tuner::{OnlineTuner, TunerOptions};
 
 /// The observability layer, re-exported so applications can attach

@@ -3,10 +3,9 @@
 
 use crate::generator::{ConfigGenerator, GeneratorOptions, Suggestion, SuggestionSource};
 use crate::objective::{Constraints, Objective};
-use crate::snapshot::{PendingSuggestion, ResumeError, TunerSnapshot};
 use otune_bo::{
-    best_observation, history_fingerprint, CandidateParams, Observation, SubspaceParams,
-    SurrogateInput,
+    best_observation, history_fingerprint, usable_measurement, CandidateParams, Observation,
+    SubspaceParams, SurrogateInput,
 };
 use otune_gp::{IncrementalPolicy, SparseGpConfig};
 use otune_meta::{BaseTask, EnsembleSurrogate, MetaCache, TaskRecord};
@@ -154,15 +153,12 @@ pub enum TunerError {
     },
 }
 
-/// Check one measurement reported for a run: it must be finite, and
-/// `> 0` — or `>= 0` for a killed run (`failed`), whose partial runtime
-/// or resource may be zero. The tuner takes logs of these values and the
-/// job journal stores them as JSON numbers (which cannot hold `inf` or
-/// `NaN`), so anything else would be silently turned into the best or an
-/// unreadable observation.
+/// Check one measurement reported for a run against
+/// [`usable_measurement`]: finite, and `> 0` — or `>= 0` for a killed
+/// run (`failed`). Anything else would be silently turned into the best
+/// or an unreadable observation.
 pub fn check_measurement(field: &'static str, value: f64, failed: bool) -> Result<(), TunerError> {
-    let usable = value.is_finite() && (value > 0.0 || (failed && value == 0.0));
-    if usable {
+    if usable_measurement(value, failed) {
         Ok(())
     } else {
         Err(TunerError::InvalidMeasurement {
@@ -228,15 +224,9 @@ pub struct OnlineTuner {
     objective: Objective,
     history: Vec<Observation>,
     pending: Option<Suggestion>,
-    /// The context the pending suggestion was generated with (snapshots
-    /// need it to regenerate the suggestion on resume).
-    pending_context: Vec<f64>,
     stopped: bool,
     /// Consecutive failed runs in the current tuning round.
     failure_streak: usize,
-    /// Indices into `history` that were seeded (no budget consumed), in
-    /// insertion order — resume replays them without a suggest call.
-    seeded_idx: Vec<usize>,
     /// Consecutive degraded post-tuning runs.
     degraded_streak: usize,
     /// Number of restarts performed.
@@ -250,7 +240,7 @@ pub struct OnlineTuner {
     meta_cache: MetaCache,
     /// Log-space history fingerprints of `opts.base_tasks ++ own_records`,
     /// taken at the first ensemble build after either list changes
-    /// (construction, restart, resume); `None` until then.
+    /// (construction or restart); `None` until then.
     base_fps: Option<Vec<u64>>,
     /// Observability handle (disabled by default).
     telemetry: Telemetry,
@@ -281,10 +271,8 @@ impl OnlineTuner {
             opts,
             history: Vec::new(),
             pending: None,
-            pending_context: Vec::new(),
             stopped: false,
             failure_streak: 0,
-            seeded_idx: Vec::new(),
             degraded_streak: 0,
             restarts: 0,
             own_records: Vec::new(),
@@ -384,7 +372,6 @@ impl OnlineTuner {
         if self.pending.is_some() {
             return Err(TunerError::PendingObservation);
         }
-        self.pending_context = context.to_vec();
         if self.stopped || self.round_iterations >= self.opts.budget {
             if !self.stopped {
                 self.telemetry.emit(
@@ -632,7 +619,8 @@ impl OnlineTuner {
     }
 
     /// The censored runtime recorded for a failed run. Deterministic in
-    /// (options, history, partial runtime) so that resume replays it.
+    /// (options, history, partial runtime), so the job engine's journal
+    /// replay reproduces it.
     fn censored_runtime(&self, partial_runtime_s: f64) -> f64 {
         let base = self.opts.t_max.unwrap_or_else(|| {
             self.history
@@ -675,7 +663,6 @@ impl OnlineTuner {
         context: &[f64],
     ) {
         let objective = self.objective.eval(runtime_s, resource);
-        self.seeded_idx.push(self.history.len());
         self.history.push(Observation {
             failed: false,
             config,
@@ -702,7 +689,6 @@ impl OnlineTuner {
         self.stopped = false;
         self.round_iterations = 0;
         self.failure_streak = 0;
-        self.seeded_idx.clear();
         // The round's history now lives under a new base-task id and the
         // target history restarts empty — begin from a clean cache.
         self.meta_cache.clear();
@@ -719,132 +705,6 @@ impl OnlineTuner {
             meta_features,
             observations: self.history.clone(),
         }
-    }
-
-    /// Freeze the tuner's replayable state into a [`TunerSnapshot`]
-    /// (crash recovery). Cheap — no surrogate or RNG internals are
-    /// serialized; [`OnlineTuner::resume`] rebuilds them by replay.
-    pub fn snapshot(&self, task_id: &str) -> TunerSnapshot {
-        TunerSnapshot {
-            task_id: task_id.to_string(),
-            seed: self.opts.seed,
-            budget: self.opts.budget,
-            history: self.history.clone(),
-            seeded_idx: self.seeded_idx.clone(),
-            pending: self.pending.as_ref().map(|p| PendingSuggestion {
-                config: p.config.clone(),
-                source: p.source,
-                eic: p.eic,
-                from_safe_region: p.from_safe_region,
-                context: self.pending_context.clone(),
-            }),
-            stopped: self.stopped,
-            degraded_streak: self.degraded_streak,
-            failure_streak: self.failure_streak,
-            restarts: self.restarts,
-            round_iterations: self.round_iterations,
-            own_records: self.own_records.clone(),
-        }
-    }
-
-    /// Reconstruct a tuner from a snapshot (crash recovery). The stack is
-    /// deterministic given `opts`, so resume re-drives the *real* suggest
-    /// path over the snapshotted history — seeded observations are pushed
-    /// directly, iterated ones must regenerate the exact configuration
-    /// that was recorded — yielding a tuner whose future suggestions are
-    /// bitwise-identical to an uninterrupted run's.
-    ///
-    /// `opts` must match the options the snapshot was taken under; the
-    /// fingerprint fields (`seed`, `budget`) are checked, the rest is the
-    /// caller's responsibility (they come from the same deployment
-    /// configuration in practice).
-    pub fn resume(
-        space: ConfigSpace,
-        opts: TunerOptions,
-        snap: &TunerSnapshot,
-        telemetry: Telemetry,
-    ) -> Result<Self, ResumeError> {
-        let resource_fn = crate::objective::resource_fn_for(&space);
-        Self::resume_with_resource_fn(space, opts, resource_fn, snap, telemetry)
-    }
-
-    /// [`OnlineTuner::resume`] with an explicit analytic resource function
-    /// (must match the one the snapshotted tuner was built with).
-    pub fn resume_with_resource_fn(
-        space: ConfigSpace,
-        opts: TunerOptions,
-        resource_fn: Arc<dyn Fn(&Configuration) -> f64 + Send + Sync>,
-        snap: &TunerSnapshot,
-        telemetry: Telemetry,
-    ) -> Result<Self, ResumeError> {
-        if opts.seed != snap.seed {
-            return Err(ResumeError::OptionsMismatch { field: "seed" });
-        }
-        if opts.budget != snap.budget {
-            return Err(ResumeError::OptionsMismatch { field: "budget" });
-        }
-        // Replay runs silent (disabled telemetry): the original already
-        // emitted these events; a resume must not double-count them.
-        let mut tuner = Self::with_resource_fn(space, opts, resource_fn);
-        tuner.own_records = snap.own_records.clone();
-        tuner.base_fps = None;
-        tuner.restarts = snap.restarts;
-        for (i, obs) in snap.history.iter().enumerate() {
-            if snap.seeded_idx.contains(&i) {
-                tuner.seeded_idx.push(tuner.history.len());
-                tuner.history.push(obs.clone());
-                continue;
-            }
-            let cfg = tuner.suggest(&obs.context)?;
-            if cfg != obs.config {
-                return Err(ResumeError::ReplayDivergence { at: i });
-            }
-            tuner.apply_replayed(obs.clone());
-        }
-        if tuner.round_iterations != snap.round_iterations {
-            return Err(ResumeError::ReplayDivergence {
-                at: snap.history.len(),
-            });
-        }
-        // Post-stop state is not replayable from the history (post-stop
-        // observations are never recorded); restore it from the snapshot
-        // *before* regenerating the pending suggestion, which may have
-        // come from the stopped (incumbent) branch.
-        tuner.stopped = snap.stopped;
-        tuner.degraded_streak = snap.degraded_streak;
-        if let Some(p) = &snap.pending {
-            // The replayed failure streak is the pre-suggest value, so
-            // the fallback branch (which resets it) replays faithfully.
-            let cfg = tuner.suggest(&p.context)?;
-            if cfg != p.config {
-                return Err(ResumeError::ReplayDivergence {
-                    at: snap.history.len(),
-                });
-            }
-        }
-        tuner.failure_streak = snap.failure_streak;
-        tuner.set_telemetry(telemetry);
-        tuner.telemetry.incr(metric::RESUMES);
-        tuner.telemetry.emit(
-            tuner.round_iterations as u64,
-            EventKind::TunerResumed {
-                observations: snap.history.len(),
-            },
-        );
-        Ok(tuner)
-    }
-
-    /// Apply one replayed iterated observation during resume: mirrors the
-    /// state effects of `observe`/`observe_failed` without telemetry.
-    fn apply_replayed(&mut self, obs: Observation) {
-        if obs.failed {
-            self.failure_streak += 1;
-        } else {
-            self.failure_streak = 0;
-        }
-        self.history.push(obs);
-        self.round_iterations += 1;
-        self.pending = None;
     }
 
     fn build_ensemble(&mut self) -> Option<EnsembleSurrogate> {
@@ -1224,167 +1084,6 @@ mod tests {
         assert_eq!(rec.task_id, "toy");
         assert_eq!(rec.observations.len(), 4);
         assert_eq!(rec.meta_features, vec![1.0, 2.0]);
-    }
-
-    /// Drive `rounds` iterations, failing every run whose index is in
-    /// `fail_on`, and return the full suggestion trace.
-    fn drive_mixed(
-        tuner: &mut OnlineTuner,
-        rounds: usize,
-        fail_on: &[usize],
-    ) -> Vec<Configuration> {
-        let mut trace = Vec::new();
-        for i in 0..rounds {
-            let cfg = tuner.suggest(&[]).unwrap();
-            trace.push(cfg.clone());
-            if fail_on.contains(&i) {
-                tuner.observe_failed(cfg, 50.0, 10.0, &[]).unwrap();
-            } else {
-                let (rt, r) = (toy_runtime(&cfg), toy_resource(&cfg));
-                tuner.observe(cfg, rt, r, &[]).unwrap();
-            }
-        }
-        trace
-    }
-
-    fn resume_opts() -> TunerOptions {
-        TunerOptions {
-            budget: 12,
-            t_max: Some(200.0),
-            tau_consec: 3,
-            seed: 3,
-            ..Default::default()
-        }
-    }
-
-    #[test]
-    fn resume_reproduces_uninterrupted_suggestions() {
-        let d = toy_space().default_configuration();
-        // The uninterrupted reference run: failures at 2, 3, 4 exercise
-        // the fallback path mid-trace.
-        let mut reference = make_tuner(resume_opts());
-        reference.seed_observation(d.clone(), toy_runtime(&d), toy_resource(&d), &[]);
-        let full = drive_mixed(&mut reference, 10, &[2, 3, 4]);
-
-        // The interrupted run: same prefix, then "crash" and resume.
-        let mut tuner = make_tuner(resume_opts());
-        tuner.seed_observation(d.clone(), toy_runtime(&d), toy_resource(&d), &[]);
-        let prefix = drive_mixed(&mut tuner, 6, &[2, 3, 4]);
-        assert_eq!(prefix, full[..6].to_vec());
-        let snap = tuner.snapshot("toy");
-        drop(tuner);
-        let mut resumed = OnlineTuner::resume_with_resource_fn(
-            toy_space(),
-            resume_opts(),
-            Arc::new(toy_resource),
-            &snap,
-            Telemetry::disabled(),
-        )
-        .unwrap();
-        let tail = drive_mixed(&mut resumed, 4, &[]);
-        assert_eq!(tail, full[6..].to_vec(), "post-resume trace diverged");
-    }
-
-    #[test]
-    fn resume_regenerates_a_pending_suggestion() {
-        let mut tuner = make_tuner(resume_opts());
-        drive_mixed(&mut tuner, 4, &[]);
-        let cfg = tuner.suggest(&[]).unwrap();
-        let snap = tuner.snapshot("toy");
-        assert!(snap.pending.is_some());
-        let mut resumed = OnlineTuner::resume_with_resource_fn(
-            toy_space(),
-            resume_opts(),
-            Arc::new(toy_resource),
-            &snap,
-            Telemetry::disabled(),
-        )
-        .unwrap();
-        // The in-flight run's result can be reported to the resumed tuner.
-        assert_eq!(
-            resumed.suggest(&[]).unwrap_err(),
-            TunerError::PendingObservation
-        );
-        let (rt, r) = (toy_runtime(&cfg), toy_resource(&cfg));
-        resumed.observe(cfg, rt, r, &[]).unwrap();
-        assert_eq!(resumed.history().len(), 5);
-    }
-
-    #[test]
-    fn resume_restores_post_stop_state() {
-        let mut tuner = make_tuner(TunerOptions {
-            budget: 4,
-            restart_after: 3,
-            degradation_factor: 1.2,
-            seed: 3,
-            ..Default::default()
-        });
-        drive(&mut tuner, 4);
-        let cfg = tuner.suggest(&[]).unwrap(); // budget exhausted → stopped
-        tuner.observe(cfg, 1e6, 1e6, &[]).unwrap(); // degraded run 1
-        let snap = tuner.snapshot("toy");
-        assert!(snap.stopped);
-        assert_eq!(snap.degraded_streak, 1);
-        let mut resumed = OnlineTuner::resume_with_resource_fn(
-            toy_space(),
-            TunerOptions {
-                budget: 4,
-                restart_after: 3,
-                degradation_factor: 1.2,
-                seed: 3,
-                ..Default::default()
-            },
-            Arc::new(toy_resource),
-            &snap,
-            Telemetry::disabled(),
-        )
-        .unwrap();
-        assert!(resumed.is_stopped());
-        // Two more degraded runs complete the streak of 3 → restart.
-        for _ in 0..2 {
-            let cfg = resumed.suggest(&[]).unwrap();
-            resumed.observe(cfg, 1e6, 1e6, &[]).unwrap();
-        }
-        assert_eq!(resumed.restarts(), 1);
-        assert!(!resumed.is_stopped());
-    }
-
-    #[test]
-    fn resume_rejects_mismatched_options_and_corrupt_history() {
-        let mut tuner = make_tuner(resume_opts());
-        drive_mixed(&mut tuner, 4, &[]);
-        let snap = tuner.snapshot("toy");
-
-        let wrong_seed = TunerOptions {
-            seed: 999,
-            ..resume_opts()
-        };
-        assert_eq!(
-            OnlineTuner::resume_with_resource_fn(
-                toy_space(),
-                wrong_seed,
-                Arc::new(toy_resource),
-                &snap,
-                Telemetry::disabled(),
-            )
-            .err(),
-            Some(ResumeError::OptionsMismatch { field: "seed" })
-        );
-
-        let mut corrupt = snap.clone();
-        corrupt.history[2].config.set(0, ParamValue::Int(50));
-        corrupt.history[2].config.set(1, ParamValue::Int(32));
-        assert_eq!(
-            OnlineTuner::resume_with_resource_fn(
-                toy_space(),
-                resume_opts(),
-                Arc::new(toy_resource),
-                &corrupt,
-                Telemetry::disabled(),
-            )
-            .err(),
-            Some(ResumeError::ReplayDivergence { at: 2 })
-        );
     }
 
     #[test]

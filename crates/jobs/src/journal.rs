@@ -1,4 +1,4 @@
-//! Torn-write-tolerant, group-committed, segmented JSONL journal.
+//! Torn-write-tolerant, group-committed JSONL journal.
 //!
 //! One `JournalEntry` per line. Appends flow through the shared
 //! [`BatchedWriter`] (`otune-telemetry`), so the `sync_data` cadence is
@@ -9,16 +9,15 @@
 //! a [`Journal::barrier`] after every durability-critical append, so "an
 //! acked checkpoint survives `kill -9`" holds under every policy.
 //!
-//! ## Segments
+//! ## One file, older segments
 //!
-//! A journal is the base file plus rotated siblings `<base>.0001`,
-//! `<base>.0002`, … — a new segment starts once the current one crosses
-//! 8 MiB (large enough that short
-//! campaigns stay single-file and byte-identical to the unsegmented
-//! format). Loads read every segment, order entries by `seq`, and drop
-//! duplicate seqs (first occurrence wins). Nothing is ever rewritten:
-//! the journal holds one `WaveCompleted` outcome per evaluation, and
-//! resume replays all of them.
+//! This build writes a journal as one file, whatever its size, and never
+//! rewrites it: the journal holds one `WaveCompleted` outcome per
+//! evaluation, and resume replays all of them. Older builds rotated a
+//! journal into siblings `<base>.0001`, `<base>.0002`, … past 8 MiB;
+//! those still load. Loads read every segment, order entries by `seq`,
+//! and drop duplicate seqs (first occurrence wins), and a reopened
+//! segmented journal appends to its last segment.
 //!
 //! ## Failure modes
 //!
@@ -35,21 +34,11 @@ use otune_telemetry::{metric, read_healed, BatchedWriter, SyncPolicy, Telemetry,
 use std::io;
 use std::path::{Path, PathBuf};
 
-/// Segment rotation threshold in bytes.
-const SEGMENT_BYTES: u64 = 8 * 1024 * 1024;
-
-/// Append handle over a (possibly segmented) journal.
+/// Append handle over a journal: its base file, or the last segment of
+/// a journal an older build segmented.
 pub struct Journal {
     base: PathBuf,
     writer: BatchedWriter,
-    /// Index of the segment the writer appends to (0 = the base file).
-    segment: u32,
-    segment_bytes: u64,
-    telemetry: Telemetry,
-    /// Crash-at-fsync target across all writers this journal opens.
-    crash_at_fsync: Option<u64>,
-    /// Fsyncs paid by writers already rotated away.
-    fsyncs_closed: u64,
 }
 
 /// The result of loading a journal: every parseable entry in seq order,
@@ -62,40 +51,27 @@ pub struct JournalLoad {
     pub torn_lines: u64,
 }
 
-/// Path of segment `n` of the journal at `base` (`n == 0` is the base).
-fn segment_path(base: &Path, n: u32) -> PathBuf {
-    if n == 0 {
-        base.to_path_buf()
-    } else {
-        PathBuf::from(format!("{}.{n:04}", base.display()))
-    }
-}
-
 impl Journal {
     /// Open (or create) a journal for appending under the environment's
     /// sync policy (`OTUNE_JOURNAL_SYNC`, default `every`), healing a
-    /// torn tail eagerly: if the last segment does not end in a newline,
-    /// one is appended and fsynced so the next entry starts fresh.
+    /// torn tail eagerly: if the file appended to does not end in a
+    /// newline, one is appended and fsynced so the next entry starts
+    /// fresh.
     pub fn open(path: &Path) -> io::Result<Journal> {
         Self::open_with(path, SyncPolicy::from_env())
     }
 
-    /// Open with an explicit sync policy.
+    /// Open with an explicit sync policy. A journal segmented by an older
+    /// build is appended to in its last segment.
     pub fn open_with(path: &Path, policy: SyncPolicy) -> io::Result<Journal> {
-        let segment = Self::segments(path)?
-            .last()
-            .and_then(|p| segment_index(path, p))
-            .unwrap_or(0);
-        let mut writer = BatchedWriter::open(&segment_path(path, segment), policy)?;
+        let last = Self::segments(path)?
+            .pop()
+            .unwrap_or_else(|| path.to_path_buf());
+        let mut writer = BatchedWriter::open(&last, policy)?;
         writer.heal_now()?;
         Ok(Journal {
             base: path.to_path_buf(),
             writer,
-            segment,
-            segment_bytes: SEGMENT_BYTES,
-            telemetry: Telemetry::disabled(),
-            crash_at_fsync: None,
-            fsyncs_closed: 0,
         })
     }
 
@@ -103,17 +79,12 @@ impl Journal {
     /// (`journal_batches`, `journal_fsyncs`, `journal_bytes`) flow
     /// through.
     pub fn set_telemetry(&mut self, telemetry: Telemetry) {
-        self.telemetry = telemetry;
-        self.writer.set_metrics(self.writer_metrics());
-    }
-
-    fn writer_metrics(&self) -> WriterMetrics {
-        WriterMetrics {
-            telemetry: self.telemetry.clone(),
+        self.writer.set_metrics(WriterMetrics {
+            telemetry,
             batches: Some(metric::JOURNAL_BATCHES),
             fsyncs: Some(metric::JOURNAL_FSYNCS),
             bytes: Some(metric::JOURNAL_BYTES),
-        }
+        });
     }
 
     /// The journal's base path.
@@ -128,18 +99,14 @@ impl Journal {
 
     /// Total `sync_data` calls paid by this journal handle.
     pub fn fsyncs(&self) -> u64 {
-        self.fsyncs_closed + self.writer.fsyncs()
+        self.writer.fsyncs()
     }
 
     /// Arm a crash (`abort`, kill -9 semantics) right after this
     /// handle's N-th completed `sync_data` (1-based) — the fsync-boundary
     /// analogue of the engine's `wave:`/`checkpoint:`/`append:` hooks.
     pub fn arm_crash_at_fsync(&mut self, n: u64) {
-        self.crash_at_fsync = Some(n);
-        let done = self.fsyncs();
-        if n > done {
-            self.writer.arm_crash_at_fsync(n - self.fsyncs_closed);
-        }
+        self.writer.arm_crash_at_fsync(n);
     }
 
     /// Append one entry as a JSON line. Under the `every` policy the
@@ -148,9 +115,6 @@ impl Journal {
     /// the next flush or [`Journal::barrier`]. Returns the serialized
     /// line length in bytes.
     pub fn append(&mut self, entry: &JournalEntry) -> io::Result<usize> {
-        if self.writer.logical_len() >= self.segment_bytes {
-            self.rotate()?;
-        }
         let line = serde_json::to_string(entry)
             .map_err(|e| io::Error::new(io::ErrorKind::InvalidData, e.to_string()))?;
         self.writer.append_line(&line)?;
@@ -163,31 +127,9 @@ impl Journal {
         self.writer.barrier()
     }
 
-    /// Override the 8 MiB segment rotation threshold (tests).
-    pub fn set_segment_bytes(&mut self, bytes: u64) {
-        self.segment_bytes = bytes.max(1);
-    }
-
-    /// Start the next segment: flush and fsync the current one, then
-    /// switch appends to `<base>.NNNN`.
-    fn rotate(&mut self) -> io::Result<()> {
-        self.writer.barrier()?;
-        self.fsyncs_closed += self.writer.fsyncs();
-        self.segment += 1;
-        let mut writer =
-            BatchedWriter::open(&segment_path(&self.base, self.segment), self.policy())?;
-        writer.set_metrics(self.writer_metrics());
-        if let Some(n) = self.crash_at_fsync {
-            if n > self.fsyncs_closed {
-                writer.arm_crash_at_fsync(n - self.fsyncs_closed);
-            }
-        }
-        self.writer = writer;
-        Ok(())
-    }
-
     /// Every existing segment file of the journal at `path`, base first,
-    /// then rotated segments in ascending index order.
+    /// then the segments an older build rotated into, in ascending index
+    /// order.
     pub fn segments(path: &Path) -> io::Result<Vec<PathBuf>> {
         let mut found = Vec::new();
         if path.exists() {
@@ -248,18 +190,6 @@ impl Journal {
         load.entries.dedup_by_key(|e| e.seq);
         Ok(load)
     }
-}
-
-/// Inverse of [`segment_path`]: the segment index of `p` under `base`.
-fn segment_index(base: &Path, p: &Path) -> Option<u32> {
-    if p == base {
-        return Some(0);
-    }
-    p.to_str()?
-        .strip_prefix(base.to_str()?)?
-        .strip_prefix('.')?
-        .parse()
-        .ok()
 }
 
 #[cfg(test)]
@@ -368,45 +298,62 @@ mod tests {
         assert_eq!(j.fsyncs(), 1, "one group commit covered both appends");
     }
 
-    fn tiny_segment_journal(name: &str, n: u64) -> (PathBuf, Journal) {
-        let path = tmp(name);
-        let mut j = Journal::open(&path).unwrap();
-        j.set_segment_bytes(256);
-        for seq in 1..=n {
-            j.append(&entry(seq)).unwrap();
-        }
-        (path, j)
+    /// The journal lines of `seqs`.
+    fn lines(seqs: &[u64]) -> String {
+        seqs.iter()
+            .map(|&seq| serde_json::to_string(&entry(seq)).unwrap() + "\n")
+            .collect()
+    }
+
+    /// Write `seqs` as segment `n` of the journal at `base`, in the
+    /// layout older builds rotated into (`n == 0` is the base file).
+    fn write_segment(base: &Path, n: u32, seqs: &[u64]) -> PathBuf {
+        let path = match n {
+            0 => base.to_path_buf(),
+            n => PathBuf::from(format!("{}.{n:04}", base.display())),
+        };
+        std::fs::write(&path, lines(seqs)).unwrap();
+        path
     }
 
     #[test]
-    fn rotation_spreads_entries_across_segments_and_load_merges() {
-        let (path, j) = tiny_segment_journal("rotate", 40);
-        drop(j);
-        let segments = Journal::segments(&path).unwrap();
-        assert!(
-            segments.len() >= 2,
-            "40 entries at a 256-byte threshold must rotate, got {segments:?}"
+    fn older_segments_load_merged_in_seq_order() {
+        let path = tmp("segments");
+        // Created out of index order, with a sibling that is not a segment.
+        let two = write_segment(&path, 2, &[7, 8, 9]);
+        let one = write_segment(&path, 1, &[4, 5, 6]);
+        write_segment(&path, 0, &[1, 2, 3]);
+        std::fs::write(format!("{}.bak", path.display()), "junk\n").unwrap();
+        assert_eq!(
+            Journal::segments(&path).unwrap(),
+            vec![path.clone(), one, two]
         );
         let load = Journal::load(&path).unwrap();
-        assert_eq!(load.entries, (1..=40).map(entry).collect::<Vec<_>>());
+        assert_eq!(load.entries, (1..=9).map(entry).collect::<Vec<_>>());
         assert_eq!(load.torn_lines, 0);
     }
 
     #[test]
     fn reopen_appends_to_the_last_segment() {
-        let (path, j) = tiny_segment_journal("reopen", 40);
-        let last_segment = Journal::segments(&path).unwrap().len();
-        drop(j);
+        let path = tmp("reopen");
+        write_segment(&path, 0, &[1, 2]);
+        let one = write_segment(&path, 1, &[3, 4]);
+        let two = write_segment(&path, 2, &[5]);
         let mut j = Journal::open(&path).unwrap();
-        j.append(&entry(41)).unwrap();
+        j.append(&entry(6)).unwrap();
+        j.append(&entry(7)).unwrap();
         drop(j);
+        let read = |p: &Path| std::fs::read_to_string(p).unwrap();
+        assert_eq!(Journal::segments(&path).unwrap().len(), 3, "no new segment");
+        assert_eq!(read(&path), lines(&[1, 2]));
+        assert_eq!(read(&one), lines(&[3, 4]));
         assert_eq!(
-            Journal::segments(&path).unwrap().len(),
-            last_segment,
-            "a small append reuses the open segment"
+            read(&two),
+            lines(&[5, 6, 7]),
+            "appends land in the last segment"
         );
         let load = Journal::load(&path).unwrap();
-        assert_eq!(load.entries.len(), 41);
+        assert_eq!(load.entries, (1..=7).map(entry).collect::<Vec<_>>());
     }
 
     #[test]
@@ -417,15 +364,7 @@ mod tests {
         j.append(&entry(2)).unwrap();
         drop(j);
         // A stale rotated segment re-supplying seq 2 plus an old seq 3.
-        std::fs::write(
-            segment_path(&path, 1),
-            format!(
-                "{}\n{}\n",
-                serde_json::to_string(&entry(2)).unwrap(),
-                serde_json::to_string(&entry(3)).unwrap()
-            ),
-        )
-        .unwrap();
+        write_segment(&path, 1, &[2, 3]);
         let load = Journal::load(&path).unwrap();
         assert_eq!(load.entries, vec![entry(1), entry(2), entry(3)]);
     }

@@ -13,8 +13,9 @@
 //! written through the shared group-commit writer — fsync cadence per
 //! `OTUNE_JOURNAL_SYNC` (`every` by default, `batch:N`, or `barrier`),
 //! with sync barriers at every checkpoint/pause/completion append so an
-//! acked checkpoint always survives `kill -9`. Journals rotate into
-//! `<base>.NNNN` segments past a size threshold and are never rewritten.
+//! acked checkpoint always survives `kill -9`. A journal is one file
+//! that is never rewritten; the `<base>.NNNN` segments older builds
+//! rotated into still load.
 //! The replay-authoritative events — `JobStarted` (embeds the
 //! [`CampaignSpec`]), `WaveCompleted` (embeds every [`ItemOutcome`]),
 //! `JobCompleted` (embeds the [`FleetSummary`]) — carry all resumable

@@ -28,6 +28,7 @@
 //! bitwise-identical across thread counts, shard counts, and platforms
 //! given the same corpus file.
 
+use otune_bo::usable_measurement;
 use otune_space::{ConfigSpace, Configuration};
 use otune_telemetry::{metric, read_healed, BatchedWriter, SyncPolicy, Telemetry, WriterMetrics};
 use serde::{Deserialize, Serialize};
@@ -70,6 +71,35 @@ pub struct CorpusRecord {
     /// for completeness but never retrieved).
     #[serde(default)]
     pub failed: bool,
+}
+
+impl CorpusRecord {
+    /// Reject a record that would not read back as written: `objective`,
+    /// `runtime` and `resource` must pass [`usable_measurement`], and
+    /// every meta-feature must be finite. JSON cannot hold `inf` or
+    /// `NaN`, so the file would keep such a record as an unparseable
+    /// line.
+    fn check(&self) -> io::Result<()> {
+        let measurements = [
+            ("objective", self.objective),
+            ("runtime", self.runtime),
+            ("resource", self.resource),
+        ];
+        let bad = measurements
+            .into_iter()
+            .find(|&(_, v)| !usable_measurement(v, self.failed))
+            .or_else(|| {
+                let v = self.meta_features.iter().find(|v| !v.is_finite());
+                v.map(|&v| ("meta_features", v))
+            });
+        match bad {
+            Some((field, value)) => Err(io::Error::new(
+                io::ErrorKind::InvalidInput,
+                format!("corpus record `{field}` holds unusable value {value}"),
+            )),
+            None => Ok(()),
+        }
+    }
 }
 
 /// Persisted standardization statistics: per-dimension mean and standard
@@ -219,7 +249,12 @@ impl TuningCorpus {
     /// JSONL line is written and `sync_data`d before returning, so at
     /// most the final line can tear on a crash; lazier policies stage
     /// the line until the batch fills or [`TuningCorpus::flush`].
+    ///
+    /// A record with a non-finite or out-of-range value is rejected with
+    /// [`io::ErrorKind::InvalidInput`] naming the field, before anything
+    /// is written or recorded.
     pub fn append(&mut self, record: CorpusRecord) -> io::Result<()> {
+        record.check()?;
         self.write(&CorpusLine::Record(record.clone()))?;
         self.records.push(record);
         Ok(())
@@ -652,6 +687,67 @@ mod tests {
             assert_eq!(tasks, ["a", "b"]);
             assert_eq!(back.torn_lines(), 1);
         }
+    }
+
+    #[test]
+    fn unreadable_records_are_rejected_before_anything_is_written() {
+        let path = tmp("reject");
+        let valid = || record("a", vec![0.0, 1.0], 0.2, 2, 10.0);
+        let bad = [
+            (
+                "runtime",
+                CorpusRecord {
+                    runtime: f64::NAN,
+                    ..valid()
+                },
+            ),
+            (
+                "resource",
+                CorpusRecord {
+                    meta_features: vec![f64::INFINITY, 1.0],
+                    resource: -3.0,
+                    ..valid()
+                },
+            ),
+            (
+                "meta_features",
+                CorpusRecord {
+                    meta_features: vec![0.0, f64::NEG_INFINITY],
+                    ..valid()
+                },
+            ),
+            (
+                "objective",
+                CorpusRecord {
+                    objective: 0.0,
+                    ..valid()
+                },
+            ),
+        ];
+        for mut corpus in [
+            TuningCorpus::open(&path).unwrap(),
+            TuningCorpus::in_memory(),
+        ] {
+            corpus.append(valid()).unwrap();
+            for (field, record) in bad.iter().cloned() {
+                let err = corpus.append(record).unwrap_err();
+                assert_eq!(err.kind(), io::ErrorKind::InvalidInput, "{err}");
+                assert!(err.to_string().contains(field), "{field}: {err}");
+            }
+            assert_eq!(corpus.records(), [valid()]);
+            // A killed run may report zero partial runtime and resource.
+            let killed = CorpusRecord {
+                objective: 0.0,
+                runtime: 0.0,
+                resource: 0.0,
+                failed: true,
+                ..valid()
+            };
+            corpus.append(killed).unwrap();
+            assert_eq!(corpus.len(), 2);
+        }
+        let back = TuningCorpus::open(&path).unwrap();
+        assert_eq!((back.len(), back.torn_lines()), (2, 0));
     }
 
     #[test]

@@ -209,7 +209,7 @@ impl BatchedWriter {
     }
 
     /// Logical length: file bytes plus the staged buffer (what the file
-    /// length becomes after the next flush). Used for segment rotation.
+    /// length becomes after the next flush).
     pub fn logical_len(&self) -> u64 {
         self.file_len + self.buf.len() as u64 + u64::from(self.needs_newline)
     }

@@ -130,11 +130,6 @@ pub enum EventKind {
         /// The streak length that tripped the fallback.
         streak: usize,
     },
-    /// Tuner state was reconstructed from a snapshot.
-    TunerResumed {
-        /// Observations replayed from the snapshot.
-        observations: usize,
-    },
     /// A tuning campaign started under the job engine.
     JobStarted {
         /// Tasks registered in the campaign.
@@ -227,7 +222,6 @@ impl EventKind {
             EventKind::TaskStopped { .. } => "TaskStopped",
             EventKind::RunFailed { .. } => "RunFailed",
             EventKind::FallbackTriggered { .. } => "FallbackTriggered",
-            EventKind::TunerResumed { .. } => "TunerResumed",
             EventKind::JobStarted { .. } => "JobStarted",
             EventKind::JobResumed { .. } => "JobResumed",
             EventKind::JobPaused { .. } => "JobPaused",
@@ -332,14 +326,8 @@ mod tests {
                 kind: EventKind::FallbackTriggered { streak: 3 },
             },
             Event {
-                task: "t".into(),
-                seq: 10,
-                iteration: 13,
-                kind: EventKind::TunerResumed { observations: 13 },
-            },
-            Event {
                 task: "job".into(),
-                seq: 11,
+                seq: 10,
                 iteration: 0,
                 kind: EventKind::JobStarted {
                     n_tasks: 8,
@@ -348,7 +336,7 @@ mod tests {
             },
             Event {
                 task: "job".into(),
-                seq: 12,
+                seq: 11,
                 iteration: 0,
                 kind: EventKind::JobResumed {
                     wave_cursor: 4,
@@ -358,13 +346,13 @@ mod tests {
             },
             Event {
                 task: "job".into(),
-                seq: 13,
+                seq: 12,
                 iteration: 0,
                 kind: EventKind::JobPaused { wave_cursor: 6 },
             },
             Event {
                 task: "job".into(),
-                seq: 14,
+                seq: 13,
                 iteration: 0,
                 kind: EventKind::JobCompleted {
                     waves: 12,
@@ -373,7 +361,7 @@ mod tests {
             },
             Event {
                 task: "job".into(),
-                seq: 15,
+                seq: 14,
                 iteration: 3,
                 kind: EventKind::WaveCompleted {
                     wave: 3,
@@ -383,7 +371,7 @@ mod tests {
             },
             Event {
                 task: "t".into(),
-                seq: 16,
+                seq: 15,
                 iteration: 3,
                 kind: EventKind::RetryScheduled {
                     attempt: 2,
@@ -392,7 +380,7 @@ mod tests {
             },
             Event {
                 task: "t".into(),
-                seq: 17,
+                seq: 16,
                 iteration: 5,
                 kind: EventKind::ItemDeadLettered {
                     wave: 5,
@@ -401,13 +389,13 @@ mod tests {
             },
             Event {
                 task: "job".into(),
-                seq: 18,
+                seq: 17,
                 iteration: 4,
                 kind: EventKind::CheckpointCreated { wave_cursor: 4 },
             },
             Event {
                 task: "t".into(),
-                seq: 19,
+                seq: 18,
                 iteration: 14,
                 kind: EventKind::SpanClosed {
                     trace_id: 0xdead_beef,
@@ -447,7 +435,6 @@ mod tests {
                 "TaskStopped",
                 "RunFailed",
                 "FallbackTriggered",
-                "TunerResumed",
                 "JobStarted",
                 "JobResumed",
                 "JobPaused",

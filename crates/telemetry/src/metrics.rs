@@ -56,8 +56,6 @@ pub mod metric {
     /// Counter: failure-streak fallbacks to the last known-safe
     /// configuration (`τ_consec` consecutive failed runs).
     pub const FALLBACKS_TRIGGERED: &str = "fallbacks_triggered";
-    /// Counter: tuner state reconstructions from a snapshot.
-    pub const RESUMES: &str = "resumes";
     /// Gauge: shards the fleet controller hashes its task map into
     /// (`OTUNE_SHARDS`).
     pub const FLEET_SHARDS: &str = "fleet_shards";

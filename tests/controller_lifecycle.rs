@@ -106,28 +106,3 @@ fn degradation_restarts_tuning_and_transfers_history() {
     }
     assert_eq!(tuner.history().len(), 4);
 }
-
-#[test]
-fn repository_round_trips_through_json() {
-    let mut ctl = OnlineTuneController::new();
-    let space = spark_space(ClusterScale::hibench());
-    let job = SimJob::new(ClusterSpec::hibench(), hibench_task(HibenchTask::KMeans));
-    let h = ctl.create_task(
-        "km",
-        space,
-        TunerOptions {
-            budget: 4,
-            enable_meta: false,
-            ..TunerOptions::default()
-        },
-    );
-    for t in 0..4u64 {
-        let cfg = ctl.request_config(&h, &[]).unwrap();
-        let r = job.run(&cfg, t);
-        ctl.report_result(&h, cfg, r.runtime_s, r.resource, &[], None)
-            .unwrap();
-    }
-    let json = ctl.repository().export_json();
-    let back = DataRepository::import_json(&json).unwrap();
-    assert_eq!(back.task("km").unwrap().observations.len(), 4);
-}

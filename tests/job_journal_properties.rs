@@ -1,16 +1,17 @@
 //! Property tests for the job journal and its replay: arbitrary event
 //! sequences × arbitrary truncation points never panic the loader, torn
-//! tails heal, a crash anywhere resumes to the uninterrupted campaign,
-//! and journals in the line format of builds that embedded tuner
+//! tails heal, a crash anywhere resumes to the uninterrupted campaign
+//! (also when every later wave runs in a freshly reopened engine), and
+//! journals in the line format of builds that embedded tuner
 //! snapshots in their checkpoints still resume — or fail with a typed
 //! `ReplayGap` where an old compaction dropped their waves.
 
-use otune_core::TunerSnapshot;
 use otune_jobs::{
     CampaignSpec, DlqEntry, FailureRecord, JobCheckpoint, JobEngine, JobError, JobEvent, Journal,
-    JournalEntry,
+    JournalEntry, TaskFault,
 };
-use otune_telemetry::{SyncPolicy, Telemetry};
+use otune_sparksim::FaultKind;
+use otune_telemetry::{metric, SyncPolicy, Telemetry};
 use proptest::prelude::*;
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -190,23 +191,36 @@ proptest! {
 }
 
 proptest! {
-    #![proptest_config(ProptestConfig::with_cases(8))]
+    #![proptest_config(ProptestConfig::with_cases(32))]
     /// A crash after any wave resumes to the uninterrupted campaign:
     /// OOM faults drive retries and dead letters, the engine is dropped
     /// without `pause()` — or abandoned without even a flush, losing the
     /// unsynced suffix of a lazy sync policy — and `open` must rebuild
     /// the same summary, the same DLQ and every task's suggestion trace
-    /// from the journaled waves alone.
+    /// from the journaled waves alone. With `relay`, every wave after
+    /// the crash runs in a freshly opened engine that is then dropped,
+    /// so each wave boundary is also a crash point. With `burst`, task 0
+    /// fails three waves in a row and, unless dead-lettered first, takes
+    /// the `τ_consec` fallback, which later opens must replay.
     #[test]
     fn crash_anywhere_resumes_to_the_uninterrupted_run(
         seed in 0u64..1000,
         checkpoint_every in 0u64..4,
         oom_rate in 0.2f64..0.6,
-        max_retries in 1usize..4,
+        max_retries in 1usize..5,
         crash_after in 0usize..5,
         policy in 0usize..3,
-        lose_unsynced in any::<bool>(),
+        (lose_unsynced, relay, burst) in (any::<bool>(), any::<bool>(), any::<bool>()),
     ) {
+        let scripted_faults = if burst {
+            [FaultKind::ExecutorOom, FaultKind::ExecutorOom, FaultKind::TimeoutKill]
+                .into_iter()
+                .zip(1..)
+                .map(|(kind, wave)| TaskFault { task: 0, wave, kind })
+                .collect()
+        } else {
+            Vec::new()
+        };
         let spec = CampaignSpec {
             job_id: "prop-crash".to_string(),
             n_tasks: 2,
@@ -215,6 +229,7 @@ proptest! {
             max_retries,
             checkpoint_every,
             fault_spec: Some(format!("oom:{oom_rate}")),
+            scripted_faults,
             ..CampaignSpec::default()
         };
         let policy = [SyncPolicy::Every, SyncPolicy::Batch(3), SyncPolicy::Barrier][policy];
@@ -222,6 +237,10 @@ proptest! {
         let mut reference =
             JobEngine::start_with(spec.clone(), &case_path("crash-ref"), t, policy).unwrap();
         let summary = reference.run_to_completion().unwrap().clone();
+        if burst && max_retries >= 4 {
+            let counters = reference.telemetry().snapshot().unwrap().counters;
+            prop_assert!(counters.get(metric::FALLBACKS_TRIGGERED).is_some_and(|&n| n >= 1));
+        }
 
         let path = case_path("crash");
         let (t, _s) = Telemetry::ring(1024);
@@ -235,8 +254,15 @@ proptest! {
             drop(engine);
         }
 
-        let (t, _s) = Telemetry::ring(1024);
-        let mut resumed = JobEngine::open_with(&path, t, policy).unwrap();
+        let open = || {
+            let (t, _s) = Telemetry::ring(1024);
+            JobEngine::open_with(&path, t, policy).unwrap()
+        };
+        let mut resumed = open();
+        while relay && resumed.run_wave().unwrap().is_some() {
+            drop(resumed);
+            resumed = open();
+        }
         prop_assert_eq!(resumed.run_to_completion().unwrap(), &summary);
         prop_assert_eq!(resumed.dlq(), reference.dlq());
         for task in 0..2 {
@@ -281,28 +307,18 @@ fn legacy_journal_lines() -> Vec<String> {
         .collect();
     drop(engine);
 
-    // The older checkpoints' per-task payload; resume no longer reads it.
+    // The older checkpoints' per-task payload, an embedded tuner
+    // snapshot; resume no longer reads it.
     let tasks: Vec<String> = task_ids
         .iter()
         .enumerate()
         .map(|(task, task_id)| {
-            let snapshot = TunerSnapshot {
-                task_id: task_id.clone(),
-                seed: 21 + task as u64,
-                budget: 5,
-                history: vec![],
-                seeded_idx: vec![],
-                pending: None,
-                stopped: false,
-                degraded_streak: 0,
-                failure_streak: 0,
-                restarts: 0,
-                round_iterations: 0,
-                own_records: vec![],
-            };
+            let seed = 21 + task;
+            let snapshot = format!(
+                r#"{{"task_id":"{task_id}","seed":{seed},"budget":5,"history":[],"seeded_idx":[],"pending":null,"stopped":false,"degraded_streak":0,"failure_streak":0,"restarts":0,"round_iterations":0,"own_records":[]}}"#
+            );
             format!(
-                r#"{{"task":{task},"task_id":"{task_id}","snapshot":{},"ledger":[],"dead":false}}"#,
-                serde_json::to_string(&snapshot).unwrap()
+                r#"{{"task":{task},"task_id":"{task_id}","snapshot":{snapshot},"ledger":[],"dead":false}}"#
             )
         })
         .collect();
