@@ -3,25 +3,24 @@
 //! Measures the wall-clock latency of `ConfigGenerator::suggest` (surrogate
 //! fitting + safe-region screening + EIC maximization) on the full 30-d
 //! Spark space at several history sizes, comparing a sequential pool with a
-//! 4-thread pool and — past the sparse threshold — the exact GP with the
-//! local-subset sparse GP. Exact arms across pool widths must pick
-//! bitwise-identical configurations. Results land in
+//! 4-thread pool. Every surrogate fit is exact, and both pool widths must
+//! pick bitwise-identical configurations. Results land in
 //! `BENCH_suggest_latency.json` under the results directory, including the
 //! before/after comparison against the p50 committed before the
-//! SIMD-blocked kernels and sparse GP landed.
+//! SIMD-blocked kernels landed.
 //!
 //! Scale knobs: `OTUNE_BENCH_QUICK=1` shrinks the repetition count and
 //! drops the n_obs=300 arm for CI smoke runs; `OTUNE_RESULTS_DIR` moves
 //! the output; `OTUNE_BENCH_ASSERT=1` enforces the reference-host latency
-//! targets (sub-10 ms sparse p50 at n_obs = 100).
+//! target (exact p50 at n_obs = 100 at least 1.5x below the committed
+//! baseline).
 
 use otune_bench::{mean, percentile, results_dir, Table};
 use otune_bo::Observation;
 use otune_core::objective::resource_fn_for;
 use otune_core::telemetry::{attribute, chrome_trace_json, structural_key, SpanRecord, Telemetry};
 use otune_core::{
-    ConfigGenerator, Constraints, GeneratorOptions, OnlineTuner, SparseGpConfig, SuggestionSource,
-    TunerOptions,
+    ConfigGenerator, Constraints, GeneratorOptions, OnlineTuner, SuggestionSource, TunerOptions,
 };
 use otune_pool::Pool;
 use otune_space::{spark_space, ClusterScale, ConfigSpace, Configuration};
@@ -32,7 +31,7 @@ use serde::Serialize;
 use std::time::Instant;
 
 /// Steady-state p50 at n_obs = 100, threads = 1, measured on the reference
-/// host immediately before the blocked kernels and sparse GP landed — the
+/// host immediately before the blocked kernels landed — the
 /// denominator of the before/after comparison below.
 const PREV_P50_S: f64 = 0.01817;
 
@@ -40,8 +39,6 @@ const PREV_P50_S: f64 = 0.01817;
 struct Entry {
     n_obs: usize,
     threads: usize,
-    /// Whether the local-subset sparse GP was active for this arm.
-    sparse: bool,
     mean_s: f64,
     p50_s: f64,
     speedup_vs_seq: f64,
@@ -85,11 +82,8 @@ struct Comparison {
     /// Committed pre-optimization steady-state p50, seconds.
     prev_p50_s: f64,
     exact_p50_s: Option<f64>,
-    sparse_p50_s: Option<f64>,
-    /// `prev / exact` — the blocked-kernel win alone.
+    /// `prev / exact` — the blocked-kernel win.
     exact_speedup: Option<f64>,
-    /// `prev / sparse` — blocked kernels + local-subset GP.
-    sparse_speedup: Option<f64>,
 }
 
 #[derive(Serialize)]
@@ -121,7 +115,6 @@ fn traced_suggest(
             n_agd: 0,
             enable_meta: false,
             seed: 7,
-            sparse_gp: None,
             pool: Pool::new(threads),
             ..TunerOptions::default()
         },
@@ -165,7 +158,6 @@ fn timed_suggests(
     space: &ConfigSpace,
     hist: &[Observation],
     pool: Pool,
-    sparse: Option<SparseGpConfig>,
     reps: usize,
 ) -> (Vec<f64>, Vec<Configuration>) {
     let mut opts = GeneratorOptions::paper_defaults(space.len());
@@ -180,9 +172,6 @@ fn timed_suggests(
     };
     opts.seed = 7;
     opts.pool = pool;
-    // Pin explicitly: the exact arms must stay exact even when
-    // OTUNE_SPARSE_GP is set in the environment.
-    opts.sparse = sparse;
     let ranking = (0..space.len()).collect();
     let mut g = ConfigGenerator::new(space.clone(), opts, ranking, resource_fn_for(space));
     // Warm-up call absorbs one-time ingest work (fANOVA forest refresh).
@@ -210,97 +199,63 @@ fn main() {
     };
     let host = std::thread::available_parallelism().map_or(1, |p| p.get());
     let space = spark_space(ClusterScale::hibench());
-    let sparse_cfg = SparseGpConfig::default();
 
     let mut table = Table::new(
-        "Suggest latency — sequential vs 4-thread pool, exact vs sparse GP",
-        &["n_obs", "threads", "gp", "mean (ms)", "p50 (ms)", "speedup"],
+        "Suggest latency — sequential vs 4-thread pool",
+        &["n_obs", "threads", "mean (ms)", "p50 (ms)", "speedup"],
     );
     let mut entries: Vec<Entry> = Vec::new();
     for &n_obs in sizes {
         let hist = history(&space, n_obs, 42);
-        // The sparse arm only exists where the subset selection engages.
-        let arms: &[Option<SparseGpConfig>] = if sparse_cfg.activates(n_obs) {
-            &[None, Some(sparse_cfg)]
-        } else {
-            &[None]
-        };
-        for &sparse in arms {
-            let (seq, seq_choices) =
-                timed_suggests(&space, &hist, Pool::sequential(), sparse, reps);
-            let (par, par_choices) = timed_suggests(&space, &hist, Pool::new(4), sparse, reps);
-            assert_eq!(
-                seq_choices, par_choices,
-                "suggestions must be identical across pool widths (n_obs {n_obs})"
-            );
-            let speedup = mean(&seq) / mean(&par);
-            let gp = if sparse.is_some() { "sparse" } else { "exact" };
-            for (threads, lat, sp) in [(1usize, &seq, None), (4, &par, Some(speedup))] {
-                table.row(vec![
-                    n_obs.to_string(),
-                    threads.to_string(),
-                    gp.to_string(),
-                    format!("{:.2}", mean(lat) * 1e3),
-                    format!("{:.2}", percentile(lat, 0.5) * 1e3),
-                    sp.map_or("1.00x (baseline)".into(), |s| format!("{s:.2}x")),
-                ]);
-                entries.push(Entry {
-                    n_obs,
-                    threads,
-                    sparse: sparse.is_some(),
-                    mean_s: mean(lat),
-                    p50_s: percentile(lat, 0.5),
-                    speedup_vs_seq: sp.unwrap_or(1.0),
-                });
-            }
+        let (seq, seq_choices) = timed_suggests(&space, &hist, Pool::sequential(), reps);
+        let (par, par_choices) = timed_suggests(&space, &hist, Pool::new(4), reps);
+        assert_eq!(
+            seq_choices, par_choices,
+            "suggestions must be identical across pool widths (n_obs {n_obs})"
+        );
+        let speedup = mean(&seq) / mean(&par);
+        for (threads, lat, sp) in [(1usize, &seq, None), (4, &par, Some(speedup))] {
+            table.row(vec![
+                n_obs.to_string(),
+                threads.to_string(),
+                format!("{:.2}", mean(lat) * 1e3),
+                format!("{:.2}", percentile(lat, 0.5) * 1e3),
+                sp.map_or("1.00x (baseline)".into(), |s| format!("{s:.2}x")),
+            ]);
+            entries.push(Entry {
+                n_obs,
+                threads,
+                mean_s: mean(lat),
+                p50_s: percentile(lat, 0.5),
+                speedup_vs_seq: sp.unwrap_or(1.0),
+            });
         }
     }
     table.print();
 
     // --- Before/after at the reference point: n_obs = 100, threads = 1.
-    let p50_at = |sparse: bool| {
-        entries
-            .iter()
-            .find(|e| e.n_obs == 100 && e.threads == 1 && e.sparse == sparse)
-            .map(|e| e.p50_s)
-    };
-    let exact_p50_s = p50_at(false);
-    let sparse_p50_s = p50_at(true);
+    let exact_p50_s = entries
+        .iter()
+        .find(|e| e.n_obs == 100 && e.threads == 1)
+        .map(|e| e.p50_s);
     let comparison = Comparison {
         prev_p50_s: PREV_P50_S,
         exact_p50_s,
-        sparse_p50_s,
         exact_speedup: exact_p50_s.map(|p| PREV_P50_S / p),
-        sparse_speedup: sparse_p50_s.map(|p| PREV_P50_S / p),
     };
-    if let (Some(e), Some(s)) = (exact_p50_s, sparse_p50_s) {
+    if let Some(e) = exact_p50_s {
         println!(
-            "n_obs=100 t1 p50: exact {:.2} ms ({:.2}x vs committed {:.2} ms), \
-             sparse {:.2} ms ({:.2}x)",
+            "n_obs=100 t1 p50: exact {:.2} ms ({:.2}x vs committed {:.2} ms)",
             e * 1e3,
             PREV_P50_S / e,
             PREV_P50_S * 1e3,
-            s * 1e3,
-            PREV_P50_S / s,
         );
         if assert_targets {
-            assert!(
-                s < 0.010,
-                "sparse p50 at n_obs=100 must be sub-10ms on the reference \
-                 host; got {:.2} ms",
-                s * 1e3
-            );
             assert!(
                 PREV_P50_S / e >= 1.5,
                 "exact p50 must improve >= 1.5x over the committed baseline; \
                  got {:.2}x",
                 PREV_P50_S / e
-            );
-            assert!(
-                PREV_P50_S / s >= 5.0,
-                "sparse p50 must improve >= 5x over the committed baseline; \
-                 got {:.2}x",
-                PREV_P50_S / s
             );
         }
     }
@@ -368,8 +323,7 @@ fn main() {
         host_parallelism: host,
         note: "wall-clock speedup of threads=4 over threads=1 scales with \
                host cores; exact-GP suggestions are bitwise-identical across \
-               widths and to the pre-SIMD scalar path; sparse arms trade \
-               exactness for bounded latency past the history threshold",
+               widths and to the pre-SIMD scalar path",
         results: entries,
         comparison,
         trace: TraceSummary {

@@ -14,10 +14,7 @@
 
 use crate::observation::Observation;
 use crate::surrogate::{encode_with_context, surrogate_kinds, SurrogateInput};
-use otune_gp::{
-    select_local_subset, GaussianProcess, GpConfig, GpError, IncrementalPolicy, SparseGpConfig,
-    UpdateOutcome,
-};
+use otune_gp::{GaussianProcess, GpConfig, GpError, IncrementalPolicy, UpdateOutcome};
 use otune_pool::Pool;
 use otune_space::ConfigSpace;
 use otune_telemetry::{metric, Telemetry};
@@ -67,18 +64,10 @@ pub fn history_fingerprint(space: &ConfigSpace, obs: &[Observation], input: Surr
 pub struct SurrogateCache {
     input: SurrogateInput,
     policy: IncrementalPolicy,
-    sparse: Option<SparseGpConfig>,
     gp: Option<Arc<GaussianProcess>>,
     /// Per-observation fingerprints of the history the cached model was
     /// fitted on, in history order.
     fps: Vec<u64>,
-    /// Cached local-subset model for large histories, keyed on the
-    /// fingerprint of the selected rows plus the selection center.
-    sparse_gp: Option<Arc<GaussianProcess>>,
-    sparse_key: u64,
-    /// Selection changes absorbed since the last full hyper search on
-    /// the sparse model (re-searched every `policy.refit_period`).
-    sparse_since_search: usize,
 }
 
 impl SurrogateCache {
@@ -87,19 +76,9 @@ impl SurrogateCache {
         SurrogateCache {
             input,
             policy,
-            sparse: None,
             gp: None,
             fps: Vec::new(),
-            sparse_gp: None,
-            sparse_key: 0,
-            sparse_since_search: 0,
         }
-    }
-
-    /// Enable (or disable) the local-subset sparse approximation for
-    /// histories past its threshold. Takes effect on the next `prepare`.
-    pub fn set_sparse(&mut self, sparse: Option<SparseGpConfig>) {
-        self.sparse = sparse;
     }
 
     /// The maintenance policy this cache applies.
@@ -116,9 +95,6 @@ impl SurrogateCache {
     pub fn clear(&mut self) {
         self.gp = None;
         self.fps.clear();
-        self.sparse_gp = None;
-        self.sparse_key = 0;
-        self.sparse_since_search = 0;
     }
 
     fn target(&self, o: &Observation) -> f64 {
@@ -138,33 +114,8 @@ impl SurrogateCache {
         telemetry: &Telemetry,
         pool: &Pool,
     ) -> Result<Arc<GaussianProcess>, GpError> {
-        self.prepare_with_center(space, obs, seed, None, telemetry, pool)
-    }
-
-    /// [`Self::prepare`] with a selection center for the sparse path.
-    ///
-    /// When the sparse approximation is enabled and `obs` exceeds its
-    /// threshold, the model is fitted on the `subset_size` observations
-    /// nearest `center` (the encoded incumbent) instead of the full
-    /// history, and cached against the subset + center so unchanged
-    /// iterations are pure hits. With sparse disabled, inactive, or no
-    /// center available, this is exactly `prepare` — bit-for-bit.
-    pub fn prepare_with_center(
-        &mut self,
-        space: &ConfigSpace,
-        obs: &[Observation],
-        seed: u64,
-        center: Option<&[f64]>,
-        telemetry: &Telemetry,
-        pool: &Pool,
-    ) -> Result<Arc<GaussianProcess>, GpError> {
         if obs.is_empty() {
             return Err(GpError::Empty);
-        }
-        if let (Some(sparse), Some(center)) = (self.sparse, center) {
-            if sparse.activates(obs.len()) {
-                return self.prepare_sparse(space, obs, seed, center, sparse, telemetry, pool);
-            }
         }
         let fps: Vec<u64> = obs
             .iter()
@@ -250,87 +201,6 @@ impl SurrogateCache {
         self.fps = fps;
         Ok(gp)
     }
-
-    /// Local-subset fit for histories past the sparse threshold.
-    ///
-    /// The cache key folds the fingerprints of the *selected* rows with
-    /// the center bits, so a suggest on an unchanged history and
-    /// incumbent is a pure hit. When the selection shifts (new
-    /// observation displaced a neighbour, or the incumbent moved), the
-    /// subset is refitted warm-started at the previous hyperparameters;
-    /// a full hyper search runs on the first activation and then every
-    /// `policy.refit_period` selection changes, mirroring the
-    /// incremental policy of the exact path.
-    #[allow(clippy::too_many_arguments)]
-    fn prepare_sparse(
-        &mut self,
-        space: &ConfigSpace,
-        obs: &[Observation],
-        seed: u64,
-        center: &[f64],
-        sparse: SparseGpConfig,
-        telemetry: &Telemetry,
-        pool: &Pool,
-    ) -> Result<Arc<GaussianProcess>, GpError> {
-        telemetry.incr(metric::SUBSET_GP_ACTIVATIONS);
-        let kinds = surrogate_kinds(space, obs[0].context.len());
-        let x: Vec<Vec<f64>> = obs
-            .iter()
-            .map(|o| encode_with_context(space, &o.config, &o.context))
-            .collect();
-        let idx = select_local_subset(&kinds, &x, center, sparse.subset_size);
-
-        let mut key: u64 = 0xcbf2_9ce4_8422_2325;
-        for &i in &idx {
-            fnv_mix(
-                &mut key,
-                observation_fingerprint(space, &obs[i], self.input),
-            );
-        }
-        for v in center {
-            fnv_mix(&mut key, v.to_bits());
-        }
-        if let Some(gp) = &self.sparse_gp {
-            if self.sparse_key == key {
-                telemetry.incr(metric::SURROGATE_CACHE_HITS);
-                return Ok(Arc::clone(gp));
-            }
-        }
-
-        telemetry.incr(metric::SURROGATE_CACHE_MISSES);
-        let warm_hyper = self.sparse_gp.as_ref().map(|g| g.kernel().hyper);
-        let search = warm_hyper.is_none()
-            || (self.policy.refit_period > 0
-                && self.sparse_since_search + 1 >= self.policy.refit_period);
-        let sub_x: Vec<Vec<f64>> = idx.iter().map(|&i| x[i].clone()).collect();
-        let sub_y: Vec<f64> = idx.iter().map(|&i| self.target(&obs[i])).collect();
-        let _span = telemetry.span(metric::GP_FIT_S);
-        let _trace = telemetry.trace_span("gp_sparse_fit");
-        let gp = GaussianProcess::fit_traced(
-            kinds,
-            sub_x,
-            &sub_y,
-            GpConfig {
-                seed,
-                warm_hyper,
-                optimize_hypers: search,
-                ..GpConfig::default()
-            },
-            pool,
-            telemetry,
-        )?;
-        if search {
-            telemetry.incr(metric::GP_HYPER_SEARCHES);
-            self.sparse_since_search = 0;
-        } else {
-            self.sparse_since_search += 1;
-        }
-        telemetry.add(metric::CHOL_JITTER_RETRIES, u64::from(gp.jitter_retries()));
-        let gp = Arc::new(gp);
-        self.sparse_gp = Some(Arc::clone(&gp));
-        self.sparse_key = key;
-        Ok(gp)
-    }
 }
 
 /// The pair of persistent surrogates the generator needs each iteration:
@@ -366,13 +236,6 @@ impl SurrogateStore {
         self.objective.clear();
     }
 
-    /// Enable (or disable) the local-subset sparse approximation on both
-    /// caches. Takes effect on the next `prepare`.
-    pub fn set_sparse(&mut self, sparse: Option<SparseGpConfig>) {
-        self.runtime.set_sparse(sparse);
-        self.objective.set_sparse(sparse);
-    }
-
     /// Fitted `(runtime, objective)` surrogates for exactly `obs`.
     pub fn prepare(
         &mut self,
@@ -382,27 +245,8 @@ impl SurrogateStore {
         telemetry: &Telemetry,
         pool: &Pool,
     ) -> Result<(Arc<GaussianProcess>, Arc<GaussianProcess>), GpError> {
-        self.prepare_with_center(space, obs, seed, None, telemetry, pool)
-    }
-
-    /// [`Self::prepare`] with a sparse-selection center (the encoded
-    /// incumbent). With sparse disabled or no center, identical to
-    /// `prepare`.
-    pub fn prepare_with_center(
-        &mut self,
-        space: &ConfigSpace,
-        obs: &[Observation],
-        seed: u64,
-        center: Option<&[f64]>,
-        telemetry: &Telemetry,
-        pool: &Pool,
-    ) -> Result<(Arc<GaussianProcess>, Arc<GaussianProcess>), GpError> {
-        let runtime = self
-            .runtime
-            .prepare_with_center(space, obs, seed, center, telemetry, pool)?;
-        let objective = self
-            .objective
-            .prepare_with_center(space, obs, seed, center, telemetry, pool)?;
+        let runtime = self.runtime.prepare(space, obs, seed, telemetry, pool)?;
+        let objective = self.objective.prepare(space, obs, seed, telemetry, pool)?;
         Ok((runtime, objective))
     }
 }
@@ -539,69 +383,6 @@ mod tests {
             .unwrap();
         let snap = telemetry.snapshot().unwrap();
         assert_eq!(snap.counters[metric::SURROGATE_CACHE_MISSES], 2);
-    }
-
-    #[test]
-    fn sparse_path_activates_and_caches_on_subset_plus_center() {
-        let s = space();
-        let obs = make_obs(&s, 24);
-        let telemetry = registryd();
-        let mut cache = SurrogateCache::new(SurrogateInput::Runtime, IncrementalPolicy::default());
-        cache.set_sparse(Some(SparseGpConfig {
-            threshold: 16,
-            subset_size: 12,
-        }));
-        let center = encode_with_context(&s, &obs[0].config, &obs[0].context);
-        let a = cache
-            .prepare_with_center(&s, &obs, 0, Some(&center), &telemetry, Pool::global())
-            .unwrap();
-        // The fitted model holds only the selected neighbourhood.
-        assert_eq!(a.n(), 12);
-        // Unchanged history + center: pure hit.
-        let b = cache
-            .prepare_with_center(&s, &obs, 0, Some(&center), &telemetry, Pool::global())
-            .unwrap();
-        assert!(Arc::ptr_eq(&a, &b));
-        let snap = telemetry.snapshot().unwrap();
-        assert_eq!(snap.counters[metric::SUBSET_GP_ACTIVATIONS], 2);
-        assert_eq!(snap.counters[metric::SURROGATE_CACHE_HITS], 1);
-        assert_eq!(snap.counters[metric::SURROGATE_CACHE_MISSES], 1);
-        // A moved center re-selects and refits (warm-started, no search).
-        let searches_before = snap.counters[metric::GP_HYPER_SEARCHES];
-        let center2 = encode_with_context(&s, &obs[20].config, &obs[20].context);
-        let c = cache
-            .prepare_with_center(&s, &obs, 0, Some(&center2), &telemetry, Pool::global())
-            .unwrap();
-        assert!(!Arc::ptr_eq(&a, &c));
-        let snap = telemetry.snapshot().unwrap();
-        assert_eq!(snap.counters[metric::GP_HYPER_SEARCHES], searches_before);
-        assert_eq!(c.kernel().hyper, a.kernel().hyper);
-    }
-
-    #[test]
-    fn sparse_below_threshold_matches_exact_path_bitwise() {
-        let s = space();
-        let obs = make_obs(&s, 10);
-        let telemetry = registryd();
-        let center = encode_with_context(&s, &obs[0].config, &obs[0].context);
-        let mut exact =
-            SurrogateCache::new(SurrogateInput::Objective, IncrementalPolicy::default());
-        let mut flagged =
-            SurrogateCache::new(SurrogateInput::Objective, IncrementalPolicy::default());
-        flagged.set_sparse(Some(SparseGpConfig::default()));
-        let a = exact
-            .prepare(&s, &obs, 0, &telemetry, Pool::global())
-            .unwrap();
-        let b = flagged
-            .prepare_with_center(&s, &obs, 0, Some(&center), &telemetry, Pool::global())
-            .unwrap();
-        let probe = encode_with_context(&s, &obs[3].config, &[0.4]);
-        let (ma, va) = a.predict(&probe);
-        let (mb, vb) = b.predict(&probe);
-        assert_eq!(ma.to_bits(), mb.to_bits());
-        assert_eq!(va.to_bits(), vb.to_bits());
-        let snap = telemetry.snapshot().unwrap();
-        assert!(!snap.counters.contains_key(metric::SUBSET_GP_ACTIVATIONS));
     }
 
     /// The two ways to maintain a surrogate — point-by-point under the

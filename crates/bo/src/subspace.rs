@@ -124,17 +124,6 @@ impl AdaptiveSubspace {
         }
     }
 
-    /// Externally supplied ranking (e.g. averaged scores across tasks or a
-    /// meta-learned suggestion, §5.2).
-    pub fn set_ranking(&mut self, ranking: Vec<usize>) {
-        assert_eq!(
-            ranking.len(),
-            self.ranking.len(),
-            "ranking must cover the space"
-        );
-        self.ranking = ranking;
-    }
-
     /// Materialize the current sub-space: the top-`K` ranked parameters
     /// free, everything else frozen at `base` (the incumbent).
     pub fn build(&self, space: &ConfigSpace, base: Configuration) -> Subspace {

@@ -23,8 +23,6 @@ pub enum Command {
         no_subspace: bool,
         /// Disable approximate gradient descent.
         no_agd: bool,
-        /// Enable the local-subset sparse GP for large histories.
-        sparse_gp: bool,
         /// Optional JSON output path for the runhistory.
         out: Option<String>,
         /// Optional JSONL path for the telemetry event stream (a
@@ -54,8 +52,6 @@ pub enum Command {
         threads: Option<usize>,
         /// RNG seed.
         seed: u64,
-        /// Enable the local-subset sparse GP for large histories.
-        sparse_gp: bool,
         /// Optional JSONL path for the telemetry event stream (a
         /// `<path>.metrics.json` snapshot is written alongside).
         events: Option<String>,
@@ -228,7 +224,7 @@ otune — online Spark tuning against the built-in simulator
 USAGE:
   otune workloads
   otune tune --task <name> [--beta B] [--budget N] [--seed S]
-             [--no-safety] [--no-subspace] [--no-agd] [--sparse-gp]
+             [--no-safety] [--no-subspace] [--no-agd]
              [--out FILE] [--events FILE] [--fault-profile SPEC]
              [--trace FILE] [--corpus FILE]
 
@@ -237,12 +233,9 @@ USAGE:
   (rates per run; `tmax` in seconds kills runs over budget; omitted
   keys default to 0 / off).
   otune tune-fleet [--tasks N] [--budget N] [--shards S] [--threads T]
-                   [--seed S] [--sparse-gp] [--events FILE]
-                   [--trace FILE] [--prom FILE] [--corpus FILE]
+                   [--seed S] [--events FILE] [--trace FILE]
+                   [--prom FILE] [--corpus FILE]
 
-  --sparse-gp caps surrogate fits for long histories to the local
-  subset nearest the incumbent (also via OTUNE_SPARSE_GP=1),
-  bounding suggest latency as observations accumulate.
   --corpus attaches a persistent tuning corpus (append-only JSONL):
   cold tasks bootstrap their first suggestions from k-NN retrieval
   over past (meta-features, config, outcome) records instead of
@@ -284,6 +277,8 @@ USAGE:
   otune top --file FILE [--watch S]
   otune help
 
+  Each subcommand rejects flags it does not list above. Counts and
+  seeds are non-negative integers; --beta and --watch take decimals.
   --trace enables hierarchical tracing (deterministic span ids, seeded
   by --seed) and writes a Chrome-trace/Perfetto JSON file loadable at
   ui.perfetto.dev; `otune trace` converts the spans embedded in a
@@ -321,16 +316,46 @@ pub fn parse_args(argv: &[String]) -> Result<Command, ParseError> {
     } else {
         (None, &argv[1..])
     };
-    // Boolean switches are per-subcommand: `--prom` takes a file for
-    // `tune-fleet` but is a mode switch for `stats`.
-    let switch_names: &[&str] = match cmd.as_str() {
-        "tune" => &["no-safety", "no-subspace", "no-agd", "sparse-gp"],
-        "tune-fleet" => &["sparse-gp"],
-        "tune-serve" => &["auto"],
-        "stats" => &["json", "prom"],
-        _ => &[],
+    // Each subcommand accepts only its own flags: value flags, then
+    // boolean switches (`--prom` takes a file for `tune-fleet` but is a
+    // mode switch for `stats`). Anything else is rejected, so a typo
+    // never silently falls back to a default.
+    let (value_names, switch_names) = match (cmd.as_str(), action) {
+        ("workloads" | "help" | "--help" | "-h", _) => ("", ""),
+        ("tune", _) => (
+            "task beta budget seed out events fault-profile trace corpus",
+            "no-safety no-subspace no-agd",
+        ),
+        ("tune-fleet", _) => (
+            "tasks budget shards threads seed events trace prom corpus",
+            "",
+        ),
+        ("tune-serve", _) => (
+            "journal tasks budget seed beta max-retries checkpoint-every fault-profile events sync",
+            "auto",
+        ),
+        ("jobs", Some("list")) => ("journal-dir", ""),
+        ("jobs", _) => ("journal-dir keep", ""),
+        ("corpus", Some("build")) => ("file tasks budget seed", ""),
+        ("corpus", Some("stats")) => ("file", ""),
+        ("corpus", _) => ("file task k", ""),
+        ("compare", _) => ("task budget seeds", ""),
+        ("importance", _) => ("task samples", ""),
+        ("events", _) => ("file task kind", ""),
+        ("stats", _) => ("file", "json prom"),
+        ("trace", _) => ("file out", ""),
+        ("top", _) => ("file watch", ""),
+        (other, _) => {
+            return Err(ParseError(format!(
+                "unknown subcommand {other:?}; try `otune help`"
+            )))
+        }
     };
-    let (flags, switches) = split_flags(flag_args, switch_names)?;
+    let subcommand = match action {
+        Some(a) => format!("{cmd} {a}"),
+        None => cmd.clone(),
+    };
+    let (flags, switches) = split_flags(flag_args, value_names, switch_names, &subcommand)?;
     let get = |k: &str| flags.get(k).cloned();
     let req_task =
         || get("task").ok_or_else(|| ParseError("missing required --task <name>".into()));
@@ -352,12 +377,11 @@ pub fn parse_args(argv: &[String]) -> Result<Command, ParseError> {
             Ok(Command::Tune {
                 task: req_task()?,
                 beta,
-                budget: num("budget", 20.0)? as usize,
-                seed: num("seed", 0.0)? as u64,
+                budget: int(&flags, "budget")?.unwrap_or(20),
+                seed: int(&flags, "seed")?.unwrap_or(0),
                 no_safety: switches.contains(&"no-safety".to_string()),
                 no_subspace: switches.contains(&"no-subspace".to_string()),
                 no_agd: switches.contains(&"no-agd".to_string()),
-                sparse_gp: switches.contains(&"sparse-gp".to_string()),
                 out: get("out"),
                 events: get("events"),
                 fault_profile: get("fault-profile"),
@@ -365,29 +389,17 @@ pub fn parse_args(argv: &[String]) -> Result<Command, ParseError> {
                 corpus: get("corpus"),
             })
         }
-        "tune-fleet" => {
-            let opt_usize = |k: &str| -> Result<Option<usize>, ParseError> {
-                match get(k) {
-                    None => Ok(None),
-                    Some(v) => v
-                        .parse::<usize>()
-                        .map(Some)
-                        .map_err(|_| ParseError(format!("--{k} expects a count, got {v:?}"))),
-                }
-            };
-            Ok(Command::TuneFleet {
-                tasks: num("tasks", 50.0)? as usize,
-                budget: num("budget", 5.0)? as usize,
-                shards: opt_usize("shards")?,
-                threads: opt_usize("threads")?,
-                seed: num("seed", 0.0)? as u64,
-                sparse_gp: switches.contains(&"sparse-gp".to_string()),
-                events: get("events"),
-                trace: get("trace"),
-                prom: get("prom"),
-                corpus: get("corpus"),
-            })
-        }
+        "tune-fleet" => Ok(Command::TuneFleet {
+            tasks: int(&flags, "tasks")?.unwrap_or(50),
+            budget: int(&flags, "budget")?.unwrap_or(5),
+            shards: int(&flags, "shards")?,
+            threads: int(&flags, "threads")?,
+            seed: int(&flags, "seed")?.unwrap_or(0),
+            events: get("events"),
+            trace: get("trace"),
+            prom: get("prom"),
+            corpus: get("corpus"),
+        }),
         "tune-serve" => {
             let beta = num("beta", 0.5)?;
             if !(0.0..=1.0).contains(&beta) {
@@ -404,12 +416,12 @@ pub fn parse_args(argv: &[String]) -> Result<Command, ParseError> {
             Ok(Command::TuneServe {
                 journal: get("journal")
                     .ok_or_else(|| ParseError("missing required --journal FILE".into()))?,
-                tasks: num("tasks", 4.0)? as usize,
-                budget: num("budget", 8.0)? as usize,
-                seed: num("seed", 42.0)? as u64,
+                tasks: int(&flags, "tasks")?.unwrap_or(4),
+                budget: int(&flags, "budget")?.unwrap_or(8),
+                seed: int(&flags, "seed")?.unwrap_or(42),
                 beta,
-                max_retries: num("max-retries", 3.0)? as usize,
-                checkpoint_every: num("checkpoint-every", 2.0)? as u64,
+                max_retries: int(&flags, "max-retries")?.unwrap_or(3),
+                checkpoint_every: int(&flags, "checkpoint-every")?.unwrap_or(2),
                 fault_profile: get("fault-profile"),
                 events: get("events"),
                 auto: switches.contains(&"auto".to_string()),
@@ -422,7 +434,7 @@ pub fn parse_args(argv: &[String]) -> Result<Command, ParseError> {
             let action = match action.expect("jobs action parsed above") {
                 "list" => JobsAction::List,
                 _ => JobsAction::Gc {
-                    keep: num("keep", 3.0)? as usize,
+                    keep: int(&flags, "keep")?.unwrap_or(3),
                 },
             };
             Ok(Command::Jobs {
@@ -435,26 +447,26 @@ pub fn parse_args(argv: &[String]) -> Result<Command, ParseError> {
                 get("file").ok_or_else(|| ParseError("missing required --file FILE".into()))?;
             let action = match action.expect("corpus action parsed above") {
                 "build" => CorpusAction::Build {
-                    tasks: num("tasks", 16.0)? as usize,
-                    budget: num("budget", 5.0)? as usize,
-                    seed: num("seed", 0.0)? as u64,
+                    tasks: int(&flags, "tasks")?.unwrap_or(16),
+                    budget: int(&flags, "budget")?.unwrap_or(5),
+                    seed: int(&flags, "seed")?.unwrap_or(0),
                 },
                 "stats" => CorpusAction::Stats,
                 _ => CorpusAction::Query {
                     task: req_task()?,
-                    k: num("k", 3.0)? as usize,
+                    k: int(&flags, "k")?.unwrap_or(3),
                 },
             };
             Ok(Command::Corpus { action, file })
         }
         "compare" => Ok(Command::Compare {
             task: req_task()?,
-            budget: num("budget", 30.0)? as usize,
-            seeds: num("seeds", 2.0)? as u64,
+            budget: int(&flags, "budget")?.unwrap_or(30),
+            seeds: int(&flags, "seeds")?.unwrap_or(2),
         }),
         "importance" => Ok(Command::Importance {
             task: req_task()?,
-            samples: num("samples", 150.0)? as usize,
+            samples: int(&flags, "samples")?.unwrap_or(150),
         }),
         "events" => Ok(Command::Events {
             file: get("file").ok_or_else(|| ParseError("missing required --file FILE".into()))?,
@@ -490,18 +502,36 @@ pub fn parse_args(argv: &[String]) -> Result<Command, ParseError> {
                 ),
             },
         }),
-        "help" | "--help" | "-h" => Ok(Command::Help),
-        other => Err(ParseError(format!(
-            "unknown subcommand {other:?}; try `otune help`"
-        ))),
+        // `help`, `--help` or `-h`: every other name was rejected above.
+        _ => Ok(Command::Help),
     }
 }
 
-/// Split `--key value` pairs and boolean `--switch` flags.
+/// An optional integer flag (counts and seeds): a fraction, a sign or
+/// `NaN` is rejected rather than cast.
+fn int<T: std::str::FromStr>(
+    flags: &HashMap<String, String>,
+    k: &str,
+) -> Result<Option<T>, ParseError> {
+    flags
+        .get(k)
+        .map(|v| {
+            v.parse()
+                .map_err(|_| ParseError(format!("--{k} expects a non-negative integer, got {v:?}")))
+        })
+        .transpose()
+}
+
+/// Split `--key value` pairs and boolean `--switch` flags, rejecting any
+/// key that `subcommand` does not accept. `value_names` and
+/// `switch_names` are space-separated flag names.
 fn split_flags(
     args: &[String],
-    switch_names: &[&str],
+    value_names: &str,
+    switch_names: &str,
+    subcommand: &str,
 ) -> Result<(HashMap<String, String>, Vec<String>), ParseError> {
+    let accepts = |names: &str, key: &str| names.split_whitespace().any(|n| n == key);
     let mut flags = HashMap::new();
     let mut switches = Vec::new();
     let mut i = 0;
@@ -512,9 +542,13 @@ fn split_flags(
                 "unexpected positional argument {arg:?}"
             )));
         };
-        if switch_names.contains(&key) {
+        if accepts(switch_names, key) {
             switches.push(key.to_string());
             i += 1;
+        } else if !accepts(value_names, key) {
+            return Err(ParseError(format!(
+                "unknown flag --{key} for `otune {subcommand}`"
+            )));
         } else {
             let value = args
                 .get(i + 1)
@@ -547,7 +581,6 @@ mod tests {
                 no_safety: false,
                 no_subspace: false,
                 no_agd: false,
-                sparse_gp: false,
                 out: None,
                 events: None,
                 fault_profile: None,
@@ -555,23 +588,6 @@ mod tests {
                 corpus: None,
             }
         );
-    }
-
-    #[test]
-    fn parses_sparse_gp_switch() {
-        match parse_args(&argv("tune --task terasort --sparse-gp")).unwrap() {
-            Command::Tune { sparse_gp, .. } => assert!(sparse_gp),
-            other => panic!("unexpected {other:?}"),
-        }
-        match parse_args(&argv("tune-fleet --sparse-gp --tasks 4")).unwrap() {
-            Command::TuneFleet {
-                sparse_gp, tasks, ..
-            } => {
-                assert!(sparse_gp);
-                assert_eq!(tasks, 4);
-            }
-            other => panic!("unexpected {other:?}"),
-        }
     }
 
     #[test]
@@ -701,6 +717,43 @@ mod tests {
     }
 
     #[test]
+    fn rejects_unknown_flags_and_non_integer_counts() {
+        let err = |s: &str| parse_args(&argv(s)).unwrap_err().0;
+        // A misspelled flag names itself and its subcommand.
+        let e = err("tune-serve --journal J --tasks 1 --budget 1 --auto --budgett 9");
+        assert!(e.contains("--budgett") && e.contains("tune-serve"), "{e}");
+        let e = err("tune-serve --journal J --tasks 1 --budget 1 --auto --chekpoint-every 3");
+        assert!(e.contains("--chekpoint-every"), "{e}");
+        // An unknown switch does not swallow the next flag as its value.
+        let e = err("tune --task terasort --no-safty --no-agd");
+        assert!(
+            e.contains("--no-safty") && e.contains("`otune tune`"),
+            "{e}"
+        );
+        // Flags belong to their own subcommand (and corpus/jobs action).
+        assert!(err("stats --file m.json --budget 3").contains("--budget"));
+        assert!(err("corpus stats --file c.jsonl --k 3").contains("`otune corpus stats`"));
+        assert!(err("jobs list --journal-dir d --keep 2").contains("--keep"));
+        assert!(err("tune --task x --").contains("unknown flag --"));
+        // Counts and seeds are integers: no truncation, sign or NaN cast.
+        for bad in [
+            "tune-serve --journal J --tasks 2.9 --auto",
+            "tune-serve --journal J --budget -5 --auto",
+            "tune-serve --journal J --seed NaN --auto",
+            "tune-serve --journal J --max-retries 1e3",
+            "tune-serve --journal J --checkpoint-every 0.5",
+            "tune --task x --budget 20.0",
+            "tune-fleet --tasks inf",
+            "jobs gc --journal-dir d --keep -1",
+            "corpus query --file c --task t --k 2.5",
+            "compare --task sort --seeds 1.5",
+            "importance --task sort --samples NaN",
+        ] {
+            assert!(err(bad).contains("expects a non-negative integer"), "{bad}");
+        }
+    }
+
+    #[test]
     fn help_variants() {
         assert_eq!(parse_args(&argv("help")).unwrap(), Command::Help);
         assert_eq!(parse_args(&argv("--help")).unwrap(), Command::Help);
@@ -717,7 +770,6 @@ mod tests {
                 shards: None,
                 threads: None,
                 seed: 0,
-                sparse_gp: false,
                 events: None,
                 trace: None,
                 prom: None,
@@ -735,7 +787,6 @@ mod tests {
                 shards: Some(4),
                 threads: Some(2),
                 seed: 9,
-                sparse_gp: false,
                 events: Some("f.jsonl".into()),
                 trace: Some("t.json".into()),
                 prom: Some("m.prom".into()),

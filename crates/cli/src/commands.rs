@@ -53,7 +53,6 @@ pub fn run(cmd: Command, out: &mut dyn Write) -> std::io::Result<i32> {
             no_safety,
             no_subspace,
             no_agd,
-            sparse_gp,
             out: path,
             events,
             fault_profile,
@@ -80,7 +79,6 @@ pub fn run(cmd: Command, out: &mut dyn Write) -> std::io::Result<i32> {
                 no_safety,
                 no_subspace,
                 no_agd,
-                sparse_gp,
                 path,
                 events,
                 faults,
@@ -96,13 +94,12 @@ pub fn run(cmd: Command, out: &mut dyn Write) -> std::io::Result<i32> {
             shards,
             threads,
             seed,
-            sparse_gp,
             events,
             trace,
             prom,
             corpus,
         } => tune_fleet(
-            tasks, budget, shards, threads, seed, sparse_gp, events, trace, prom, corpus, out,
+            tasks, budget, shards, threads, seed, events, trace, prom, corpus, out,
         ),
         Command::TuneServe {
             journal,
@@ -190,7 +187,6 @@ fn tune(
     no_safety: bool,
     no_subspace: bool,
     no_agd: bool,
-    sparse_gp: bool,
     path: Option<String>,
     events: Option<String>,
     faults: Option<FaultProfile>,
@@ -289,11 +285,6 @@ fn tune(
             n_agd: if no_agd { 0 } else { 5 },
             enable_meta: false,
             seed,
-            sparse_gp: if sparse_gp {
-                Some(otune_core::SparseGpConfig::default())
-            } else {
-                TunerOptions::default().sparse_gp
-            },
             retrieval_configs,
             ..TunerOptions::default()
         },
@@ -411,7 +402,6 @@ fn tune_fleet(
     shards: Option<usize>,
     threads: Option<usize>,
     seed: u64,
-    sparse_gp: bool,
     events: Option<String>,
     trace: Option<String>,
     prom: Option<String>,
@@ -481,11 +471,6 @@ fn tune_fleet(
             budget,
             enable_meta: true,
             seed,
-            sparse_gp: if sparse_gp {
-                Some(otune_core::SparseGpConfig::default())
-            } else {
-                TunerOptions::default().sparse_gp
-            },
             ..TunerOptions::default()
         };
         let task_id = format!("{}-{i}", workload.name());
@@ -826,7 +811,6 @@ fn corpus_cmd(action: CorpusAction, file: &str, out: &mut dyn Write) -> std::io:
                 None,
                 None,
                 seed,
-                false,
                 None,
                 None,
                 None,
@@ -2033,7 +2017,6 @@ mod tests {
                 no_safety: false,
                 no_subspace: false,
                 no_agd: false,
-                sparse_gp: false,
                 out: None,
                 events: None,
                 fault_profile: None,
@@ -2062,7 +2045,6 @@ mod tests {
                 no_safety: false,
                 no_subspace: false,
                 no_agd: true,
-                sparse_gp: false,
                 out: Some(path.to_string_lossy().into_owned()),
                 events: None,
                 fault_profile: None,
@@ -2096,7 +2078,6 @@ mod tests {
                 no_safety: false,
                 no_subspace: false,
                 no_agd: true,
-                sparse_gp: false,
                 out: None,
                 events: Some(events_path.clone()),
                 fault_profile: None,
@@ -2188,7 +2169,6 @@ mod tests {
                 no_safety: false,
                 no_subspace: false,
                 no_agd: true,
-                sparse_gp: false,
                 out: None,
                 events: Some(events_path.clone()),
                 fault_profile: Some("oom:0.5,seed:3".into()),
@@ -2232,7 +2212,6 @@ mod tests {
                 no_safety: false,
                 no_subspace: false,
                 no_agd: false,
-                sparse_gp: false,
                 out: None,
                 events: None,
                 fault_profile: Some("oom:2.0".into()),
@@ -2263,7 +2242,6 @@ mod tests {
                 shards: Some(2),
                 threads: Some(2),
                 seed: 1,
-                sparse_gp: false,
                 events: Some(events_path.clone()),
                 trace: Some(trace_path.clone()),
                 prom: Some(prom_path.clone()),
@@ -2463,7 +2441,6 @@ mod tests {
                 no_safety: false,
                 no_subspace: false,
                 no_agd: true,
-                sparse_gp: false,
                 out: None,
                 events: None,
                 fault_profile: None,

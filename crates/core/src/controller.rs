@@ -112,12 +112,7 @@ impl OnlineTuneController {
     /// A controller with a fresh repository and fleet options from the
     /// environment (`OTUNE_SHARDS`, `OTUNE_THREADS`).
     pub fn new() -> Self {
-        Self::with_repository(Arc::new(DataRepository::new()))
-    }
-
-    /// A controller over an existing (possibly shared) repository.
-    pub fn with_repository(repository: Arc<DataRepository>) -> Self {
-        Self::with_options(repository, FleetOptions::from_env())
+        Self::with_options(Arc::new(DataRepository::new()), FleetOptions::from_env())
     }
 
     /// A controller with explicit fleet options (shard count, refit
@@ -156,11 +151,6 @@ impl OnlineTuneController {
     /// The fleet-wide shared meta-knowledge store.
     pub fn shared_meta(&self) -> &Arc<SharedMetaStore> {
         &self.shared_meta
-    }
-
-    /// The fleet options this controller runs under.
-    pub fn fleet_options(&self) -> &FleetOptions {
-        &self.fleet
     }
 
     /// Attach a tuning corpus: every completed observation reported to the
@@ -471,7 +461,7 @@ impl OnlineTuneController {
 
     /// Warm-start injection for a task that just reported its first
     /// meta-features: rank similar sources with the scheduled similarity
-    /// model and rebuild the tuner with transferred knowledge.
+    /// model and hand them to the tuner via [`OnlineTuner::transfer`].
     pub(crate) fn maybe_inject(&mut self, handle: &TaskHandle, features: &[f64]) {
         let sources = self.repository.source_tasks(handle.as_str());
         if sources.len() < 2 {
@@ -481,7 +471,6 @@ impl OnlineTuneController {
             return;
         };
         self.refresh_similarity(&space);
-        let shared_meta = Arc::clone(&self.shared_meta);
         let n_sources = self.n_warm_sources;
         let Some(model) = self.sim.model.as_ref() else {
             return;
@@ -501,39 +490,15 @@ impl OnlineTuneController {
                 n_sources: n_sources.min(sources.len()),
             },
         );
-        // Rebuild the tuner with warm starts and the sources as ensemble
-        // bases, preserving already-collected history.
-        let mut opts = TunerOptionsSnapshot::capture(&entry.tuner);
-        opts.options.warm_configs = warm;
-        opts.options.base_tasks = sources;
-        let mut tuner = OnlineTuner::new(space, opts.options);
-        tuner.set_telemetry(entry.telemetry.clone());
-        tuner.set_shared_meta(shared_meta);
-        for o in opts.history {
-            tuner.seed_observation(o.config, o.runtime, o.resource, &o.context);
-        }
-        entry.tuner = tuner;
+        // Warm starts plus the sources as ensemble bases; the task's
+        // history, spent budget and lifecycle state are kept.
+        entry.tuner.transfer(warm, sources);
     }
 }
 
 impl Default for OnlineTuneController {
     fn default() -> Self {
         Self::new()
-    }
-}
-
-/// Snapshot used when a tuner is rebuilt with transferred knowledge.
-struct TunerOptionsSnapshot {
-    options: TunerOptions,
-    history: Vec<Observation>,
-}
-
-impl TunerOptionsSnapshot {
-    fn capture(tuner: &OnlineTuner) -> Self {
-        TunerOptionsSnapshot {
-            options: tuner.options().clone(),
-            history: tuner.history().to_vec(),
-        }
     }
 }
 
@@ -662,6 +627,91 @@ mod tests {
         assert!(ctl.best_config(&h).unwrap().is_some());
         let rec = ctl.repository().task("new").unwrap();
         assert_eq!(rec.meta_features, vec![1.0, 2.0, 3.1]);
+    }
+
+    /// A controller holding two completed 8-run source tasks with
+    /// meta-features, so a task reporting features triggers injection.
+    fn controller_with_sources() -> OnlineTuneController {
+        let mut ctl = OnlineTuneController::new();
+        for (tid, f) in [("src-a", 1.0), ("src-b", 2.0)] {
+            let h = ctl.create_task(
+                tid,
+                toy_space(),
+                TunerOptions {
+                    budget: 8,
+                    ..Default::default()
+                },
+            );
+            drive(&mut ctl, &h, 8, Some(vec![f, 2.0, 3.0]));
+        }
+        ctl
+    }
+
+    /// Request/report cycles until the task serves a stopped config (or
+    /// `cap` cycles); returns how many tuning runs it made.
+    fn tuning_runs(ctl: &mut OnlineTuneController, h: &TaskHandle, cap: usize) -> usize {
+        let mut runs = 0;
+        for _ in 0..cap {
+            let cfg = ctl.request_config(h, &[]).unwrap();
+            if ctl.state(h) == Ok(TaskState::Stopped) {
+                let (rt, r) = toy_eval(&cfg);
+                ctl.report_result(h, cfg, rt, r, &[], None).unwrap();
+                break;
+            }
+            let (rt, r) = toy_eval(&cfg);
+            ctl.report_result(h, cfg, rt, r, &[], None).unwrap();
+            runs += 1;
+        }
+        runs
+    }
+
+    #[test]
+    fn injection_does_not_grant_extra_tuning_runs() {
+        let mut ctl = controller_with_sources();
+        let h = ctl.create_task(
+            "new",
+            toy_space(),
+            TunerOptions {
+                budget: 4,
+                ..Default::default()
+            },
+        );
+        // The first result carries meta-features and triggers injection.
+        let cfg = ctl.request_config(&h, &[]).unwrap();
+        let (rt, r) = toy_eval(&cfg);
+        ctl.report_result(&h, cfg, rt, r, &[], Some(vec![1.5, 2.0, 3.0]))
+            .unwrap();
+        let opts = ctl.tuner(&h).unwrap().options();
+        assert!(!opts.warm_configs.is_empty(), "injection fired");
+        assert_eq!(opts.base_tasks.len(), 2);
+        // The injected run counts toward the budget: 1 + 3 = 4 runs.
+        assert_eq!(tuning_runs(&mut ctl, &h, 10), 3);
+        assert_eq!(ctl.state(&h), Ok(TaskState::Stopped));
+        assert_eq!(ctl.tuner(&h).unwrap().history().len(), 4);
+    }
+
+    #[test]
+    fn injection_after_stopping_keeps_the_task_stopped() {
+        let mut ctl = controller_with_sources();
+        let h = ctl.create_task(
+            "late",
+            toy_space(),
+            TunerOptions {
+                budget: 3,
+                ..Default::default()
+            },
+        );
+        assert_eq!(tuning_runs(&mut ctl, &h, 10), 3);
+        assert_eq!(ctl.state(&h), Ok(TaskState::Stopped));
+        // Features arrive with the 5th report, after the task stopped.
+        let cfg = ctl.request_config(&h, &[]).unwrap();
+        let (rt, r) = toy_eval(&cfg);
+        ctl.report_result(&h, cfg, rt, r, &[], Some(vec![1.5, 2.0, 3.0]))
+            .unwrap();
+        assert!(!ctl.tuner(&h).unwrap().options().warm_configs.is_empty());
+        assert_eq!(ctl.state(&h), Ok(TaskState::Stopped));
+        assert_eq!(tuning_runs(&mut ctl, &h, 3), 0);
+        assert_eq!(ctl.tuner(&h).unwrap().history().len(), 3);
     }
 
     #[test]

@@ -17,13 +17,16 @@ use otune_bo::{
     best_observation, maximize_eic_with, AdaptiveSubspace, Agd, CandidateParams, EicObjective,
     Observation, Predictor, SafeRegion, SubspaceParams, SurrogateStore,
 };
-use otune_gp::{IncrementalPolicy, SparseGpConfig};
+use otune_gp::IncrementalPolicy;
 use otune_pool::Pool;
 use otune_space::{ConfigSpace, Configuration, Subspace};
 use otune_telemetry::{metric, EventKind, ResizeDirection, Telemetry};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use std::sync::Arc;
+
+/// Refresh the fANOVA importance ranking every this many observations.
+const FANOVA_PERIOD: usize = 5;
 
 /// Where a suggestion came from (diagnostics and the Figure 8/9 ablations).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -81,15 +84,9 @@ pub struct GeneratorOptions {
     pub subspace: SubspaceParams,
     /// Candidate-generation parameters for acquisition maximization.
     pub candidates: CandidateParams,
-    /// Refresh the fANOVA importance ranking every this many observations.
-    pub fanova_period: usize,
     /// Surrogate maintenance across iterations: rank-one factor updates,
     /// warm-started hyperparameter re-searches, and the fit cache.
     pub incremental: IncrementalPolicy,
-    /// Local-subset sparse GP for histories past its threshold: surrogates
-    /// are fitted on the `subset_size` observations nearest the incumbent
-    /// instead of the full history. `None` keeps every fit exact.
-    pub sparse: Option<SparseGpConfig>,
     /// Seed for all stochastic components.
     pub seed: u64,
     /// Worker pool for surrogate fitting and acquisition maximization.
@@ -115,9 +112,7 @@ impl GeneratorOptions {
             enable_subspace: true,
             subspace: SubspaceParams::paper_defaults(n_params),
             candidates: CandidateParams::default(),
-            fanova_period: 5,
             incremental: IncrementalPolicy::default(),
-            sparse: SparseGpConfig::from_env(),
             seed: 0,
             pool: Pool::from_env(),
             retrieval: Vec::new(),
@@ -156,12 +151,10 @@ impl ConfigGenerator {
     ) -> Self {
         let subspace_mgr = AdaptiveSubspace::new(opts.subspace, expert_ranking);
         let rng = StdRng::seed_from_u64(opts.seed ^ 0xa5a5_5a5a_dead_beef);
-        let mut store = SurrogateStore::new(opts.incremental);
-        store.set_sparse(opts.sparse);
         ConfigGenerator {
             space,
+            store: SurrogateStore::new(opts.incremental),
             opts,
-            store,
             subspace_mgr,
             resource_fn,
             rng,
@@ -273,17 +266,10 @@ impl ConfigGenerator {
         // updates, and full hyperparameter searches run only on the
         // store's re-search schedule. Editing history — or a transform
         // change rewriting an old target — invalidates via fingerprints.
-        // With the sparse GP enabled, the selection centers on the
-        // incumbent under the *current* context — the neighbourhood the
-        // acquisition search explores.
-        let center = self.opts.sparse.map(|_| {
-            otune_bo::surrogate::encode_with_context(&self.space, &incumbent.config, context)
-        });
-        let fitted = self.store.prepare_with_center(
+        let fitted = self.store.prepare(
             &self.space,
             &log_history,
             self.opts.seed,
-            center.as_deref(),
             &self.telemetry,
             &self.opts.pool,
         );
@@ -470,10 +456,7 @@ impl ConfigGenerator {
                     );
                 }
             }
-            if self.opts.fanova_period > 0
-                && self.processed >= 2 * self.opts.fanova_period
-                && self.processed.is_multiple_of(self.opts.fanova_period)
-            {
+            if self.processed >= 2 * FANOVA_PERIOD && self.processed.is_multiple_of(FANOVA_PERIOD) {
                 let _trace = self.telemetry.trace_span("fanova_refresh");
                 let x: Vec<Vec<f64>> = history[..self.processed]
                     .iter()

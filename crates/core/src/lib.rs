@@ -58,7 +58,6 @@ pub use controller::{ControllerError, OnlineTuneController, TaskHandle, TaskStat
 pub use fleet::{FleetOptions, FleetReport, FleetRequest, SHARDS_ENV};
 pub use generator::{ConfigGenerator, GeneratorOptions, Suggestion, SuggestionSource};
 pub use objective::{Constraints, Objective};
-pub use otune_gp::SparseGpConfig;
 pub use repository::DataRepository;
 pub use tuner::{OnlineTuner, TunerOptions};
 

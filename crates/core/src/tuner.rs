@@ -7,7 +7,7 @@ use otune_bo::{
     best_observation, history_fingerprint, usable_measurement, CandidateParams, Observation,
     SubspaceParams, SurrogateInput,
 };
-use otune_gp::{IncrementalPolicy, SparseGpConfig};
+use otune_gp::IncrementalPolicy;
 use otune_meta::{BaseTask, EnsembleSurrogate, MetaCache, TaskRecord};
 use otune_pool::Pool;
 use otune_space::{ConfigSpace, Configuration};
@@ -88,9 +88,6 @@ pub struct TunerOptions {
     /// Surrogate maintenance across iterations (rank-one factor updates,
     /// warm-started hyperparameter re-searches, fit caches).
     pub incremental: IncrementalPolicy,
-    /// Local-subset sparse GP for large histories (`None` = always exact).
-    /// Defaults to [`SparseGpConfig::from_env`] (`OTUNE_SPARSE_GP`).
-    pub sparse_gp: Option<SparseGpConfig>,
     /// Seed for all randomized components.
     pub seed: u64,
     /// Worker pool shared by surrogate fitting, acquisition maximization,
@@ -124,7 +121,6 @@ impl Default for TunerOptions {
             subspace: None,
             candidates: CandidateParams::default(),
             incremental: IncrementalPolicy::default(),
-            sparse_gp: SparseGpConfig::from_env(),
             seed: 0,
             pool: Pool::from_env(),
         }
@@ -315,9 +311,7 @@ impl OnlineTuner {
                 .subspace
                 .unwrap_or_else(|| SubspaceParams::paper_defaults(space.len())),
             candidates: opts.candidates,
-            fanova_period: 5,
             incremental: opts.incremental,
-            sparse: opts.sparse_gp,
             seed: opts.seed,
             pool: opts.pool.clone(),
             retrieval: opts.retrieval_configs.clone(),
@@ -691,6 +685,28 @@ impl OnlineTuner {
         self.failure_streak = 0;
         // The round's history now lives under a new base-task id and the
         // target history restarts empty — begin from a clean cache.
+        self.rebuild_generator();
+    }
+
+    /// Transfer knowledge from similar source tasks into a running task
+    /// (the controller's warm-start injection): `warm_configs` seed the
+    /// initial design and `base_tasks` become the meta ensemble's bases.
+    /// As in [`OnlineTuner::restart`], only the generator and the meta
+    /// caches are rebuilt; the history, the budget already spent, the
+    /// stopped state, the failure streak and the restart records carry
+    /// over unchanged.
+    pub(crate) fn transfer(
+        &mut self,
+        warm_configs: Vec<Configuration>,
+        base_tasks: Vec<TaskRecord>,
+    ) {
+        self.opts.warm_configs = warm_configs;
+        self.opts.base_tasks = base_tasks;
+        self.rebuild_generator();
+    }
+
+    /// A fresh generator and empty meta caches under the current options.
+    fn rebuild_generator(&mut self) {
         self.meta_cache.clear();
         self.base_fps = None;
         let resource_fn = crate::objective::resource_fn_for(&self.space);

@@ -11,11 +11,11 @@
 //! Hyperparameters (group lengthscales, signal variance, noise) are fitted
 //! by maximizing the log marginal likelihood with a seeded random search
 //! plus coordinate refinement — no external optimizer needed at the n ≤ 100
-//! observation counts online tuning produces.
+//! observation counts online tuning produces. Every fit is exact over the
+//! whole history it is given; a tuner's budget bounds that history.
 
 mod kernel;
 mod model;
-pub mod sparse;
 mod stats;
 
 pub use kernel::{FeatureKind, KernelHyper, MixedKernel, PackedRow, PackedSet};
@@ -24,5 +24,4 @@ pub use model::{
     SearchTrigger, UpdateOutcome,
 };
 pub use otune_linalg::Rows;
-pub use sparse::{select_local_subset, SparseGpConfig};
 pub use stats::{norm_cdf, norm_pdf};

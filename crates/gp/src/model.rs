@@ -1,7 +1,6 @@
 //! Gaussian-process regression with LML-based hyperparameter fitting.
 
 use crate::kernel::{FeatureKind, KernelHyper, MixedKernel, PackedSet};
-use crate::sparse::{select_local_subset, SparseGpConfig};
 use otune_linalg::{Cholesky, LinalgError, Matrix, Rows};
 use otune_pool::Pool;
 use otune_telemetry::Telemetry;
@@ -57,12 +56,6 @@ pub struct GpConfig {
     /// (ahead of the defaults and the random draws); without, the fit
     /// uses exactly these hyperparameters — a "same-hyper full refit".
     pub warm_hyper: Option<KernelHyper>,
-    /// Local-subset sparse approximation: when set and the history
-    /// exceeds the threshold, [`GaussianProcess::fit_sparse_traced`]
-    /// fits on the `subset_size` nearest neighbours of the query center
-    /// instead of the full history. `None` keeps the exact GP (and the
-    /// bitwise determinism contract).
-    pub sparse: Option<SparseGpConfig>,
 }
 
 impl Default for GpConfig {
@@ -73,7 +66,6 @@ impl Default for GpConfig {
             n_refine: 3,
             seed: 0,
             warm_hyper: None,
-            sparse: None,
         }
     }
 }
@@ -356,35 +348,6 @@ impl GaussianProcess {
             updates_since_search: 0,
             last_search_lml_per_obs: best_lml / n as f64,
         })
-    }
-
-    /// Sparse-aware fit: when `cfg.sparse` is set and the history
-    /// exceeds its threshold, fit an exact GP on the `subset_size`
-    /// training points nearest `center` under the default-hyper kernel
-    /// (see [`select_local_subset`]); otherwise fall through to the
-    /// exact [`GaussianProcess::fit_traced`]. Returns the fitted model
-    /// plus the selected indices (`None` when the fit stayed exact) so
-    /// callers can cache by subset identity and count activations.
-    pub fn fit_sparse_traced(
-        kinds: Vec<FeatureKind>,
-        x: &[Vec<f64>],
-        y: &[f64],
-        center: &[f64],
-        cfg: GpConfig,
-        pool: &Pool,
-        telemetry: &Telemetry,
-    ) -> Result<(Self, Option<Vec<usize>>), GpError> {
-        if let Some(sparse) = cfg.sparse {
-            if sparse.activates(x.len()) {
-                let idx = select_local_subset(&kinds, x, center, sparse.subset_size);
-                let sub_x: Vec<Vec<f64>> = idx.iter().map(|&i| x[i].clone()).collect();
-                let sub_y: Vec<f64> = idx.iter().map(|&i| y[i]).collect();
-                let gp = Self::fit_traced(kinds, sub_x, &sub_y, cfg, pool, telemetry)?;
-                return Ok((gp, Some(idx)));
-            }
-        }
-        let gp = Self::fit_traced(kinds, x.to_vec(), y, cfg, pool, telemetry)?;
-        Ok((gp, None))
     }
 
     /// The noisy covariance `K + τ²I` over the training inputs.

@@ -433,18 +433,6 @@ impl Cholesky {
         Ok(y)
     }
 
-    /// [`Cholesky::solve_lower_batch_in_place`] under a
-    /// `chol_solve_batch` trace span (the O(n²·m) posterior-refresh hot
-    /// path).
-    pub fn solve_lower_batch_in_place_traced(
-        &self,
-        b: &mut Matrix,
-        telemetry: &otune_telemetry::Telemetry,
-    ) -> Result<()> {
-        let _span = telemetry.trace_span("chol_solve_batch");
-        self.solve_lower_batch_in_place(b)
-    }
-
     /// Solve `Lᵀ x = y` (backward substitution).
     #[allow(clippy::needless_range_loop)] // triangular-solve indexing is clearest explicit
     pub fn solve_upper(&self, y: &[f64]) -> Result<Vec<f64>> {

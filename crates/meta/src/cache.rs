@@ -112,11 +112,6 @@ impl MetaCache {
         &self.policy
     }
 
-    /// Number of base tasks with a cached entry.
-    pub fn n_cached_bases(&self) -> usize {
-        self.bases.len()
-    }
-
     /// Drop all locally cached state. An attached [`SharedMetaStore`] is
     /// kept: it is fleet-lifetime and append-only.
     pub fn clear(&mut self) {

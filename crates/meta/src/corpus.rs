@@ -226,11 +226,6 @@ impl TuningCorpus {
         Ok(())
     }
 
-    /// The sync cadence appends are written under.
-    pub fn sync_policy(&self) -> SyncPolicy {
-        self.policy
-    }
-
     /// Attach telemetry: each non-empty flushed batch bumps
     /// [`metric::CORPUS_FLUSHES`].
     pub fn set_telemetry(&mut self, telemetry: Telemetry) {

@@ -231,26 +231,6 @@ impl SharedMetaStore {
         }
     }
 
-    /// Corpus records staged in memory but not yet flushed (0 when no
-    /// corpus is attached or under the default `every` policy).
-    pub fn corpus_pending(&self) -> usize {
-        self.corpus
-            .lock()
-            .expect("shared meta store lock")
-            .as_ref()
-            .map_or(0, |s| s.corpus.pending_lines())
-    }
-
-    /// Recompute and persist the attached corpus' standardization stats
-    /// (flushing staged appends with them). `Ok(false)` when no corpus
-    /// is attached or it is empty.
-    pub fn persist_corpus_stats(&self) -> io::Result<bool> {
-        match self.corpus.lock().expect("shared meta store lock").as_mut() {
-            Some(state) => Ok(state.corpus.persist_stats()?.is_some()),
-            None => Ok(false),
-        }
-    }
-
     /// The zero-execution bootstrap design for a task with meta-features
     /// `query`: the distance-weighted blend of the `k` nearest corpus
     /// neighbors plus those neighbors' configurations, or an empty design

@@ -209,19 +209,6 @@ impl SimJob {
         self.run_with_datasize(config, self.workload.input_gb, run_index)
     }
 
-    /// [`SimJob::run`] under a `sim_run` trace span keyed by the run
-    /// index, so fleet drivers can attribute simulated-execution time
-    /// next to tuning-controller time in one trace.
-    pub fn run_traced(
-        &self,
-        config: &Configuration,
-        run_index: u64,
-        telemetry: &otune_telemetry::Telemetry,
-    ) -> ExecutionResult {
-        let _trace = telemetry.trace_span_keyed("sim_run", run_index);
-        self.run(config, run_index)
-    }
-
     /// Execute with an explicit input size (periodic data drift).
     pub fn run_with_datasize(
         &self,

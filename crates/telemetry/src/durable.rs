@@ -132,8 +132,6 @@ pub struct BatchedWriter {
     /// The file ended without a trailing newline at open (torn tail);
     /// healed lazily before the first write, or eagerly by `heal_now`.
     needs_newline: bool,
-    /// File length as the OS sees it (excludes the staged buffer).
-    file_len: u64,
     metrics: WriterMetrics,
     /// Abort after this many completed fsyncs (1-based), if armed.
     crash_at_fsync: Option<u64>,
@@ -148,9 +146,8 @@ impl BatchedWriter {
     /// eagerly.
     pub fn open(path: &Path, policy: SyncPolicy) -> io::Result<BatchedWriter> {
         let file = OpenOptions::new().create(true).append(true).open(path)?;
-        let file_len = file.metadata()?.len();
         let mut needs_newline = false;
-        if file_len > 0 {
+        if file.metadata()?.len() > 0 {
             let mut reader = File::open(path)?;
             reader.seek(SeekFrom::End(-1))?;
             let mut last = [0u8; 1];
@@ -165,7 +162,6 @@ impl BatchedWriter {
             pending: 0,
             acked: 0,
             needs_newline,
-            file_len,
             metrics: WriterMetrics::default(),
             crash_at_fsync: None,
             fsyncs: 0,
@@ -208,12 +204,6 @@ impl BatchedWriter {
         self.fsyncs
     }
 
-    /// Logical length: file bytes plus the staged buffer (what the file
-    /// length becomes after the next flush).
-    pub fn logical_len(&self) -> u64 {
-        self.file_len + self.buf.len() as u64 + u64::from(self.needs_newline)
-    }
-
     /// Arm a crash right after the N-th completed `sync_data` (1-based).
     pub fn arm_crash_at_fsync(&mut self, n: u64) {
         self.crash_at_fsync = Some(n);
@@ -226,7 +216,6 @@ impl BatchedWriter {
         if self.needs_newline {
             self.needs_newline = false;
             self.file.write_all(b"\n")?;
-            self.file_len += 1;
             self.sync()?;
         }
         Ok(())
@@ -262,7 +251,6 @@ impl BatchedWriter {
         }
         self.file.write_all(&self.buf)?;
         let bytes = self.buf.len() as u64;
-        self.file_len += bytes;
         let lines = self.pending as u64;
         self.buf.clear();
         self.pending = 0;
@@ -470,18 +458,6 @@ mod tests {
             w.append_line("staged").unwrap();
         }
         assert_eq!(std::fs::read_to_string(&path).unwrap(), "staged\n");
-    }
-
-    #[test]
-    fn logical_len_tracks_staged_bytes() {
-        let path = tmp("logical");
-        let _ = std::fs::remove_file(&path);
-        let mut w = BatchedWriter::open(&path, SyncPolicy::Barrier).unwrap();
-        w.append_line("abc").unwrap();
-        assert_eq!(w.logical_len(), 4);
-        w.barrier().unwrap();
-        assert_eq!(w.logical_len(), 4);
-        assert_eq!(std::fs::metadata(&path).unwrap().len(), 4);
     }
 
     #[test]

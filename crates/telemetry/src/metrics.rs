@@ -85,9 +85,6 @@ pub mod metric {
     /// Counter: warm-start injections served from the cached similarity
     /// model without retraining.
     pub const SIMILARITY_REUSES: &str = "similarity_reuses";
-    /// Counter: suggest iterations where the local-subset sparse GP
-    /// replaced the exact surrogate (history past the sparse threshold).
-    pub const SUBSET_GP_ACTIVATIONS: &str = "subset_gp_activations";
     /// Gauge: cumulative 4-lane blocks executed by the SIMD-style
     /// linalg/kernel paths in this process.
     pub const SIMD_BLOCKS: &str = "simd_blocks";
