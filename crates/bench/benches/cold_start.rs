@@ -20,7 +20,7 @@
 //! `OTUNE_RESULTS_DIR` moves the output.
 
 use otune_bench::{mean, n_fig2_tasks, n_seeds, results_dir, Table};
-use otune_bo::Observation;
+use otune_bo::{within_constraints, Observation};
 use otune_core::{OnlineTuner, TunerOptions};
 use otune_meta::{
     CorpusRecord, TaskRecord, TuningCorpus, DEFAULT_MAX_DISTANCE, DEFAULT_RETRIEVAL_K,
@@ -224,7 +224,7 @@ fn iters_to_beat_manual(
         let cfg = tuner.suggest(&[]).expect("protocol");
         let (rt, r) = toy_eval(w, &cfg);
         tuner.observe(cfg, rt, r, &[]).expect("pending");
-        if rt <= t_max && (rt * r).sqrt() < manual_obj {
+        if within_constraints(rt, r, Some(t_max), None) && (rt * r).sqrt() < manual_obj {
             return i;
         }
     }

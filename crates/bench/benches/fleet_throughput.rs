@@ -194,7 +194,6 @@ fn run_fleet_with(
         Arc::new(DataRepository::new()),
         FleetOptions {
             shards,
-            n_refit: 32,
             pool: Pool::new(threads),
         },
     );

@@ -18,7 +18,7 @@
 use otune_bench::{mean, percentile, results_dir, Table};
 use otune_bo::{surrogate_kinds, Observation, SurrogateStore};
 use otune_core::objective::resource_fn_for;
-use otune_core::{ConfigGenerator, Constraints, GeneratorOptions, SuggestionSource};
+use otune_core::{ConfigGenerator, SuggestionSource, TunerOptions};
 use otune_gp::{GaussianProcess, GpConfig, IncrementalPolicy};
 use otune_pool::Pool;
 use otune_space::{spark_space, ClusterScale, ConfigSpace, Configuration};
@@ -99,27 +99,25 @@ fn run_trace(
 ) -> (Vec<Configuration>, Vec<Observation>) {
     let job =
         SimJob::new(ClusterSpec::hibench(), hibench_task(HibenchTask::WordCount)).with_seed(42);
-    let mut opts = GeneratorOptions::paper_defaults(space.len());
-    // Land every iteration on the BO path: no initial design, no AGD.
-    opts.n_init = 0;
-    opts.n_agd = 0;
-    opts.incremental = policy();
-    let worst_seed_rt = 1.5 * 3600.0;
-    opts.constraints = Constraints {
-        t_max: Some(worst_seed_rt),
-        r_max: None,
+    let opts = TunerOptions {
+        // Land every iteration on the BO path: no initial design, no AGD.
+        n_init: 0,
+        n_agd: 0,
+        incremental: policy(),
+        t_max: Some(1.5 * 3600.0),
+        seed: SEED,
+        pool: Pool::new(4),
+        ..TunerOptions::default()
     };
-    opts.seed = SEED;
-    opts.pool = Pool::new(4);
     let ranking = (0..space.len()).collect();
-    let mut g = ConfigGenerator::new(space.clone(), opts, ranking, resource_fn_for(space));
+    let mut g = ConfigGenerator::new(space.clone(), &opts, ranking, resource_fn_for(space));
 
     let mut hist = seed_history(space, &job, N_SEED, 42);
     let last = *checkpoints.last().expect("at least one checkpoint");
     let mut choices = Vec::with_capacity(last - N_SEED);
     while hist.len() < last {
         let start = Instant::now();
-        let s = g.suggest(&hist, &[], &[], None);
+        let s = g.suggest(&opts, &hist, &[], None);
         let elapsed = start.elapsed().as_secs_f64();
         assert_eq!(s.source, SuggestionSource::Bo, "BO path exercised");
         // The suggest call fitted `hist`; it counts toward checkpoint `n`

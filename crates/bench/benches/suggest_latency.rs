@@ -19,9 +19,7 @@ use otune_bench::{mean, percentile, results_dir, Table};
 use otune_bo::Observation;
 use otune_core::objective::resource_fn_for;
 use otune_core::telemetry::{attribute, chrome_trace_json, structural_key, SpanRecord, Telemetry};
-use otune_core::{
-    ConfigGenerator, Constraints, GeneratorOptions, OnlineTuner, SuggestionSource, TunerOptions,
-};
+use otune_core::{ConfigGenerator, OnlineTuner, SuggestionSource, TunerOptions};
 use otune_pool::Pool;
 use otune_space::{spark_space, ClusterScale, ConfigSpace, Configuration};
 use otune_sparksim::{hibench_task, ClusterSpec, HibenchTask, SimJob};
@@ -160,27 +158,27 @@ fn timed_suggests(
     pool: Pool,
     reps: usize,
 ) -> (Vec<f64>, Vec<Configuration>) {
-    let mut opts = GeneratorOptions::paper_defaults(space.len());
-    // Land every iteration on the BO path: no initial design, no AGD.
-    opts.n_init = 0;
-    opts.n_agd = 0;
-    // A runtime bound keeps the batched safe-region screening in the loop.
     let worst = hist.iter().map(|o| o.runtime).fold(0.0, f64::max);
-    opts.constraints = Constraints {
+    let opts = TunerOptions {
+        // Land every iteration on the BO path: no initial design, no AGD.
+        n_init: 0,
+        n_agd: 0,
+        // A runtime bound keeps the batched safe-region screening in the
+        // loop.
         t_max: Some(worst * 1.5),
-        r_max: None,
+        seed: 7,
+        pool,
+        ..TunerOptions::default()
     };
-    opts.seed = 7;
-    opts.pool = pool;
     let ranking = (0..space.len()).collect();
-    let mut g = ConfigGenerator::new(space.clone(), opts, ranking, resource_fn_for(space));
+    let mut g = ConfigGenerator::new(space.clone(), &opts, ranking, resource_fn_for(space));
     // Warm-up call absorbs one-time ingest work (fANOVA forest refresh).
-    let _ = g.suggest(hist, &[], &[], None);
+    let _ = g.suggest(&opts, hist, &[], None);
     let mut latencies = Vec::with_capacity(reps);
     let mut choices = Vec::with_capacity(reps);
     for _ in 0..reps {
         let start = Instant::now();
-        let s = g.suggest(hist, &[], &[], None);
+        let s = g.suggest(&opts, hist, &[], None);
         latencies.push(start.elapsed().as_secs_f64());
         assert_eq!(s.source, SuggestionSource::Bo, "BO path exercised");
         choices.push(s.config);

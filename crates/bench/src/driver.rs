@@ -1,7 +1,7 @@
 //! The tuning-loop driver: evaluate a strategy against a simulated job.
 
 use otune_baselines::Tuner;
-use otune_bo::Observation;
+use otune_bo::{within_constraints, Observation};
 use otune_core::{Objective, OnlineTuner, TunerOptions};
 use otune_space::{ConfigSpace, Configuration};
 use otune_sparksim::{DataSizeModel, SimJob};
@@ -203,7 +203,7 @@ fn record(
     trace.cpu_core_h.push(result.cpu_core_h);
     trace
         .feasible
-        .push(setup.t_max.is_none_or(|t| runtime <= t));
+        .push(within_constraints(runtime, resource, setup.t_max, None));
 }
 
 #[cfg(test)]

@@ -31,7 +31,7 @@ pub use acquisition::{
     eic, expected_improvement, lower_confidence_bound, prob_below, probability_of_improvement,
 };
 pub use agd::Agd;
-pub use observation::{best_observation, usable_measurement, Observation};
+pub use observation::{best_observation, usable_measurement, within_constraints, Observation};
 pub use optimizer::{
     distinct_feasible, fill_candidates, maximize_eic, maximize_eic_with, AcquisitionChoice,
     CandidateParams, EicObjective,

@@ -28,13 +28,24 @@ pub struct Observation {
 
 impl Observation {
     /// Whether this observation satisfies `runtime ≤ t_max` and
-    /// `resource ≤ r_max` (`None` disables a bound). Failed runs are
+    /// `resource ≤ r_max` (see [`within_constraints`]). Failed runs are
     /// never feasible, regardless of bounds.
     pub fn is_feasible(&self, t_max: Option<f64>, r_max: Option<f64>) -> bool {
-        !self.failed
-            && t_max.is_none_or(|t| self.runtime <= t)
-            && r_max.is_none_or(|r| self.resource <= r)
+        !self.failed && within_constraints(self.runtime, self.resource, t_max, r_max)
     }
+}
+
+/// Whether a run's `(runtime, resource)` satisfies the application
+/// requirements of Eq. 1: `runtime ≤ t_max` and `resource ≤ r_max`, with
+/// `None` disabling a bound. Every run-level `T_max`/`R_max` decision goes
+/// through this function.
+pub fn within_constraints(
+    runtime: f64,
+    resource: f64,
+    t_max: Option<f64>,
+    r_max: Option<f64>,
+) -> bool {
+    t_max.is_none_or(|t| runtime <= t) && r_max.is_none_or(|r| resource <= r)
 }
 
 /// Whether `value` is a usable measurement of a run: finite and `> 0`,

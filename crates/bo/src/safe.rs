@@ -33,6 +33,11 @@ impl<'a> SafeRegion<'a> {
     /// Upper confidence bound `u(x) = μ(x) + γσ(x)`.
     pub fn upper_bound(&self, x: &[f64]) -> f64 {
         let (mean, var) = self.surrogate.predict(x);
+        self.upper_bound_from(mean, var)
+    }
+
+    /// [`SafeRegion::upper_bound`] from an already computed posterior.
+    fn upper_bound_from(&self, mean: f64, var: f64) -> f64 {
         mean + self.gamma * var.max(0.0).sqrt()
     }
 
@@ -61,8 +66,7 @@ impl<'a> SafeRegion<'a> {
     /// lets callers that batched the surrogate's predictions themselves
     /// (to reuse them elsewhere) apply the same bound arithmetic.
     pub fn violation_from(&self, mean: f64, var: f64) -> f64 {
-        let ub = mean + self.gamma * var.max(0.0).sqrt();
-        (ub - self.threshold).max(0.0)
+        (self.upper_bound_from(mean, var) - self.threshold).max(0.0)
     }
 
     /// The constraint surrogate backing this region.

@@ -2,7 +2,7 @@
 
 use crate::args::{Command, CorpusAction, JobsAction};
 use otune_baselines::{CherryPick, Dac, Locat, RandomSearch, Rfhoc, Tuneful, Tuner};
-use otune_bo::Observation;
+use otune_bo::{within_constraints, Observation};
 use otune_core::fleet::{FleetOptions, FleetReport, FleetRequest};
 use otune_core::telemetry::{
     attribute, chrome_trace_json, prometheus_text, read_healed, read_jsonl, spans_from_events,
@@ -299,7 +299,7 @@ fn tune(
                 objective: Objective::new(beta).eval(rt, res),
                 runtime: rt,
                 resource: res,
-                failed: !ok || rt > t_max,
+                failed: !ok || !within_constraints(rt, res, Some(t_max), None),
             })
         };
     if let Some(c) = corpus_store.as_mut() {
@@ -1501,7 +1501,7 @@ fn compare(
         for t in 0..budget as u64 {
             let cfg = tuner.suggest(&history, &[]);
             let r = job.run(&cfg, seed * 131 + t);
-            if r.runtime_s <= t_max {
+            if within_constraints(r.runtime_s, r.resource, Some(t_max), None) {
                 best = best.min(r.runtime_s * r.resource);
             }
             history.push(Observation {
@@ -1550,7 +1550,7 @@ fn compare(
         for t in 0..budget as u64 {
             let cfg = tuner.suggest(&[]).expect("protocol");
             let r = job.run(&cfg, s * 977 + t);
-            if r.runtime_s <= t_max {
+            if within_constraints(r.runtime_s, r.resource, Some(t_max), None) {
                 best = best.min(r.runtime_s * r.resource);
             }
             tuner

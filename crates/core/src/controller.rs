@@ -11,14 +11,14 @@
 //! per-task work across a worker pool, one shard per worker, without any
 //! cross-task locking. Cross-task meta-knowledge — base-task surrogates and
 //! pairwise distances — lives in a fleet-wide [`SharedMetaStore`], and the
-//! similarity model `M_reg` is refit on a schedule (every
-//! [`FleetOptions::n_refit`] reports, or when the eligible source-task set
-//! changes) instead of per report.
+//! similarity model `M_reg` is refit on a schedule (every [`N_REFIT`]
+//! reports, or when the eligible source-task set changes) instead of per
+//! report.
 
 use crate::fleet::{FleetOptions, FleetReport};
 use crate::repository::DataRepository;
 use crate::tuner::{OnlineTuner, TunerError, TunerOptions};
-use otune_bo::Observation;
+use otune_bo::{within_constraints, Observation};
 use otune_meta::{
     warm_start_configs_with, CorpusRecord, SharedMetaStore, SimilarityLearner, TuningCorpus,
     DEFAULT_MAX_DISTANCE, DEFAULT_RETRIEVAL_K,
@@ -27,6 +27,10 @@ use otune_space::{ConfigSpace, Configuration};
 use otune_telemetry::{metric, EventKind, Telemetry};
 use std::collections::HashMap;
 use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
+
+/// Reports between scheduled similarity-model refits. The model is also
+/// refit whenever the eligible source-task set changes.
+const N_REFIT: usize = 32;
 
 /// Handle identifying a registered task. Clones are reference-counted, so
 /// batched fleet waves never copy the underlying id string.
@@ -115,8 +119,7 @@ impl OnlineTuneController {
         Self::with_options(Arc::new(DataRepository::new()), FleetOptions::from_env())
     }
 
-    /// A controller with explicit fleet options (shard count, refit
-    /// schedule, wave pool).
+    /// A controller with explicit fleet options (shard count, wave pool).
     pub fn with_options(repository: Arc<DataRepository>, fleet: FleetOptions) -> Self {
         let n_shards = fleet.shards.max(1);
         OnlineTuneController {
@@ -242,7 +245,8 @@ impl OnlineTuneController {
     /// the run is recorded as a censored observation via
     /// [`OnlineTuner::observe_failed`] and mirrored into the repository, so
     /// the safe-region model learns from the failure without treating the
-    /// partial runtime as a real measurement.
+    /// partial runtime as a real measurement. A stopped task records no
+    /// observation, so nothing is mirrored.
     pub fn report_failed_result(
         &mut self,
         handle: &TaskHandle,
@@ -253,14 +257,14 @@ impl OnlineTuneController {
     ) -> Result<(), ControllerError> {
         let repository = Arc::clone(&self.repository);
         let entry = self.entry_mut(handle).ok_or(ControllerError::UnknownTask)?;
+        let n_before = entry.tuner.history().len();
         entry
             .tuner
-            .observe_failed(config.clone(), partial_runtime_s, resource, context)
+            .observe_failed(config, partial_runtime_s, resource, context)
             .map_err(ControllerError::Tuner)?;
-        if let Some(obs) = entry.tuner.history().last() {
-            if obs.config == config {
-                repository.record_observation(handle.as_str(), Observation::clone(obs));
-            }
+        // The run's own observation, if the tuner recorded one.
+        if let Some(obs) = entry.tuner.history().get(n_before) {
+            repository.record_observation(handle.as_str(), Observation::clone(obs));
         }
         self.sim.reports_since_refit += 1;
         Ok(())
@@ -338,6 +342,7 @@ impl OnlineTuneController {
         entry: &mut TaskEntry,
         report: &FleetReport<'_>,
     ) -> Result<Option<Vec<f64>>, ControllerError> {
+        let n_before = entry.tuner.history().len();
         entry
             .tuner
             .observe(
@@ -348,8 +353,8 @@ impl OnlineTuneController {
             )
             .map_err(ControllerError::Tuner)?;
         let opts = entry.tuner.options();
-        let constraint_violated = opts.t_max.is_some_and(|t| report.runtime_s > t)
-            || opts.r_max.is_some_and(|r| report.resource > r);
+        let constraint_violated =
+            !within_constraints(report.runtime_s, report.resource, opts.t_max, opts.r_max);
         let objective = entry
             .tuner
             .objective()
@@ -363,16 +368,14 @@ impl OnlineTuneController {
                 constraint_violated,
             },
         );
-        let mut recorded = false;
-        if let Some(obs) = entry.tuner.history().last() {
-            // Mirror into the repository (post-stop runs are not recorded
-            // by the tuner, so guard on matching config).
-            if obs.config == report.config {
-                repository.record_observation(report.handle.as_str(), Observation::clone(obs));
-                recorded = true;
-            }
+        // Mirror into the repository and the corpus only the observation
+        // this report added: a stopped task serves its incumbent without
+        // growing its history.
+        let recorded = entry.tuner.history().get(n_before);
+        if let Some(obs) = recorded {
+            repository.record_observation(report.handle.as_str(), Observation::clone(obs));
         }
-        if recorded && shared.has_corpus() {
+        if recorded.is_some() && shared.has_corpus() {
             let features = report
                 .meta_features
                 .clone()
@@ -433,15 +436,15 @@ impl OnlineTuneController {
     }
 
     /// Retrain the similarity model if it is stale: missing, the eligible
-    /// source-task set changed, or `n_refit` reports have accumulated since
-    /// the last fit. Base surrogates and pairwise labels come from the
+    /// source-task set changed, or [`N_REFIT`] reports have accumulated
+    /// since the last fit. Base surrogates and pairwise labels come from the
     /// shared meta store, so refits only pay for new tasks and new pairs.
     pub(crate) fn refresh_similarity(&mut self, space: &ConfigSpace) {
         let sources = self.repository.source_tasks("");
         let ids: Vec<String> = sources.iter().map(|t| t.task_id.clone()).collect();
         let fresh = self.sim.model.is_some()
             && ids == self.sim.trained_on
-            && self.sim.reports_since_refit < self.fleet.n_refit;
+            && self.sim.reports_since_refit < N_REFIT;
         if fresh {
             self.telemetry.incr(metric::SIMILARITY_REUSES);
             return;
@@ -563,6 +566,33 @@ mod tests {
         assert_eq!(ctl.state(&h), Ok(TaskState::Stopped));
         assert_eq!(Some(best_served), ctl.best_config(&h).unwrap());
         assert_eq!(ctl.repository().task("t1").unwrap().observations.len(), 5);
+    }
+
+    #[test]
+    fn post_stop_reports_are_not_mirrored() {
+        let mut ctl = OnlineTuneController::new();
+        let h = ctl.create_task(
+            "t",
+            toy_space(),
+            TunerOptions {
+                budget: 3,
+                ..Default::default()
+            },
+        );
+        for rt in [100.0, 50.0, 10.0] {
+            let cfg = ctl.request_config(&h, &[]).unwrap();
+            ctl.report_result(&h, cfg, rt, 1.0, &[], None).unwrap();
+        }
+        // The stopped task serves its incumbent, the last tuning run; its
+        // reports must not append copies of that observation.
+        let cfg = ctl.request_config(&h, &[]).unwrap();
+        assert_eq!(ctl.state(&h), Ok(TaskState::Stopped));
+        ctl.report_result(&h, cfg, 500.0, 1.0, &[], None).unwrap();
+        let cfg = ctl.request_config(&h, &[]).unwrap();
+        ctl.report_failed_result(&h, cfg, 5.0, 1.0, &[]).unwrap();
+        let history = ctl.tuner(&h).unwrap().history().to_vec();
+        assert_eq!(history.len(), 3);
+        assert_eq!(ctl.repository().task("t").unwrap().observations, history);
     }
 
     #[test]

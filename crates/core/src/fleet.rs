@@ -37,18 +37,12 @@ pub const SHARDS_ENV: &str = "OTUNE_SHARDS";
 /// Default shard count when `OTUNE_SHARDS` is unset.
 const DEFAULT_SHARDS: usize = 8;
 
-/// Default reports between scheduled similarity-model refits.
-const DEFAULT_N_REFIT: usize = 32;
-
 /// Fleet-level controller options.
 #[derive(Debug, Clone)]
 pub struct FleetOptions {
     /// Shards the task map is hashed into (≥ 1). Only affects how batched
     /// waves parallelize, never any suggestion.
     pub shards: usize,
-    /// Reports between scheduled similarity-model refits. The model is
-    /// also refit whenever the eligible source-task set changes.
-    pub n_refit: usize,
     /// Pool fanning wave shard-groups across workers.
     pub pool: Pool,
 }
@@ -64,7 +58,6 @@ impl FleetOptions {
             .unwrap_or(DEFAULT_SHARDS);
         FleetOptions {
             shards,
-            n_refit: DEFAULT_N_REFIT,
             pool: Pool::from_env(),
         }
     }
@@ -264,7 +257,6 @@ mod tests {
             Arc::new(DataRepository::new()),
             FleetOptions {
                 shards,
-                n_refit: 32,
                 pool: Pool::new(threads),
             },
         )

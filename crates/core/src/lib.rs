@@ -56,8 +56,8 @@ pub mod tuner;
 pub use context::{calendar_context, datasize_context};
 pub use controller::{ControllerError, OnlineTuneController, TaskHandle, TaskState};
 pub use fleet::{FleetOptions, FleetReport, FleetRequest, SHARDS_ENV};
-pub use generator::{ConfigGenerator, GeneratorOptions, Suggestion, SuggestionSource};
-pub use objective::{Constraints, Objective};
+pub use generator::{ConfigGenerator, Suggestion, SuggestionSource};
+pub use objective::Objective;
 pub use repository::DataRepository;
 pub use tuner::{OnlineTuner, TunerOptions};
 
@@ -70,8 +70,7 @@ pub use otune_telemetry::Telemetry;
 pub mod prelude {
     pub use crate::Telemetry;
     pub use crate::{
-        ConfigGenerator, Constraints, DataRepository, GeneratorOptions, Objective,
-        OnlineTuneController, OnlineTuner, TunerOptions,
+        ConfigGenerator, DataRepository, Objective, OnlineTuneController, OnlineTuner, TunerOptions,
     };
     pub use otune_bo::Observation;
     pub use otune_meta::TaskRecord;

@@ -51,29 +51,6 @@ impl Default for Objective {
     }
 }
 
-/// Application requirements from Eq. 1: upper bounds on runtime and
-/// resource. `None` disables a bound. The production deployment sets both
-/// to twice the manual configuration's metrics (§6.2).
-#[derive(Debug, Clone, Copy, PartialEq, Default, Serialize, Deserialize)]
-pub struct Constraints {
-    /// Maximum tolerated runtime `T_max` in seconds.
-    pub t_max: Option<f64>,
-    /// Maximum tolerated resource amount `R_max`.
-    pub r_max: Option<f64>,
-}
-
-impl Constraints {
-    /// No constraints.
-    pub fn none() -> Self {
-        Constraints::default()
-    }
-
-    /// Whether `(runtime, resource)` satisfies the constraints.
-    pub fn satisfied(&self, runtime_s: f64, resource: f64) -> bool {
-        self.t_max.is_none_or(|t| runtime_s <= t) && self.r_max.is_none_or(|r| resource <= r)
-    }
-}
-
 /// The analytic resource function `R(x)` for a configuration space
 /// (§4.3: white-box, read directly off resource parameters).
 ///
@@ -151,17 +128,5 @@ mod tests {
     #[should_panic(expected = "β must lie in")]
     fn beta_out_of_range_panics() {
         let _ = Objective::new(1.2);
-    }
-
-    #[test]
-    fn constraints_checks() {
-        let c = Constraints {
-            t_max: Some(100.0),
-            r_max: Some(50.0),
-        };
-        assert!(c.satisfied(100.0, 50.0));
-        assert!(!c.satisfied(100.1, 50.0));
-        assert!(!c.satisfied(100.0, 50.1));
-        assert!(Constraints::none().satisfied(1e12, 1e12));
     }
 }

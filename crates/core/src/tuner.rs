@@ -1,11 +1,11 @@
 //! The single-task online tuner: the iterative workflow of §3.1 for one
 //! periodic Spark job, including the stopping and restarting criteria.
 
-use crate::generator::{ConfigGenerator, GeneratorOptions, Suggestion, SuggestionSource};
-use crate::objective::{Constraints, Objective};
+use crate::generator::{ConfigGenerator, Suggestion, SuggestionSource};
+use crate::objective::Objective;
 use otune_bo::{
-    best_observation, history_fingerprint, usable_measurement, CandidateParams, Observation,
-    SubspaceParams, SurrogateInput,
+    best_observation, history_fingerprint, usable_measurement, Observation, SubspaceParams,
+    SurrogateInput,
 };
 use otune_gp::IncrementalPolicy;
 use otune_meta::{BaseTask, EnsembleSurrogate, MetaCache, TaskRecord};
@@ -14,6 +14,24 @@ use otune_space::{ConfigSpace, Configuration};
 use otune_telemetry::{metric, EventKind, StopReason, SuggestionKind, Telemetry};
 use std::borrow::Cow;
 use std::sync::Arc;
+
+/// Restart tuning after this many consecutive post-tuning runs that
+/// degrade (§3.3): a failed run, or an objective above
+/// [`DEGRADATION_FACTOR`] × the expected (best) value.
+const RESTART_AFTER: usize = 3;
+
+/// Degradation multiplier that counts a post-tuning run as degraded.
+const DEGRADATION_FACTOR: f64 = 1.5;
+
+/// After this many *consecutive* failed runs the tuner falls back to the
+/// last known-safe configuration for one period.
+const TAU_CONSEC: usize = 3;
+
+/// Censoring multiplier for failed runs: the recorded runtime is
+/// `FAILURE_PENALTY × T_max` (or × the worst runtime seen when `T_max` is
+/// unset), keeping the safe-region GP pessimistic about the failing region
+/// without feeding it the unknowable true runtime.
+const FAILURE_PENALTY: f64 = 2.0;
 
 impl SuggestionSource {
     /// The telemetry mirror of this provenance.
@@ -46,8 +64,6 @@ pub struct TunerOptions {
     pub n_init: usize,
     /// AGD cadence (0 disables).
     pub n_agd: usize,
-    /// Safe-region pessimism γ.
-    pub gamma: f64,
     /// Gate the safe-region filter (Figure 8 ablation).
     pub enable_safety: bool,
     /// Gate adaptive sub-space generation (Figure 7 ablation).
@@ -66,25 +82,9 @@ pub struct TunerOptions {
     /// Stop when EIC falls below this fraction of the incumbent objective
     /// (§3.3's stopping criterion; 0 disables).
     pub ei_stop_ratio: f64,
-    /// Restart tuning after this many consecutive post-tuning runs whose
-    /// objective degrades > [`TunerOptions::degradation_factor`] over the
-    /// expected (best) value. 0 disables restart detection.
-    pub restart_after: usize,
-    /// Degradation multiplier that counts a run as degraded.
-    pub degradation_factor: f64,
-    /// After this many *consecutive* failed runs the tuner falls back to
-    /// the last known-safe configuration for one period (0 disables).
-    pub tau_consec: usize,
-    /// Censoring multiplier for failed runs: the recorded runtime is
-    /// `failure_penalty × T_max` (or the worst runtime seen when `T_max`
-    /// is unset), keeping the safe-region GP pessimistic about the
-    /// failing region without feeding it the unknowable true runtime.
-    pub failure_penalty: f64,
     /// Sub-space evolution parameters (`None` = paper defaults for the
     /// space's parameter count).
     pub subspace: Option<SubspaceParams>,
-    /// Candidate-generation parameters.
-    pub candidates: CandidateParams,
     /// Surrogate maintenance across iterations (rank-one factor updates,
     /// warm-started hyperparameter re-searches, fit caches).
     pub incremental: IncrementalPolicy,
@@ -106,7 +106,6 @@ impl Default for TunerOptions {
             budget: 20,
             n_init: 3,
             n_agd: 5,
-            gamma: 1.0,
             enable_safety: true,
             enable_subspace: true,
             enable_meta: true,
@@ -114,12 +113,7 @@ impl Default for TunerOptions {
             retrieval_configs: Vec::new(),
             base_tasks: Vec::new(),
             ei_stop_ratio: 0.0,
-            restart_after: 3,
-            degradation_factor: 1.5,
-            tau_consec: 3,
-            failure_penalty: 2.0,
             subspace: None,
-            candidates: CandidateParams::default(),
             incremental: IncrementalPolicy::default(),
             seed: 0,
             pool: Pool::from_env(),
@@ -296,32 +290,12 @@ impl OnlineTuner {
         opts: &TunerOptions,
         resource_fn: Arc<dyn Fn(&Configuration) -> f64 + Send + Sync>,
     ) -> ConfigGenerator {
-        let gen_opts = GeneratorOptions {
-            objective: Objective::new(opts.beta),
-            constraints: Constraints {
-                t_max: opts.t_max,
-                r_max: opts.r_max,
-            },
-            n_init: opts.n_init,
-            n_agd: opts.n_agd,
-            gamma: opts.gamma,
-            enable_safety: opts.enable_safety,
-            enable_subspace: opts.enable_subspace,
-            subspace: opts
-                .subspace
-                .unwrap_or_else(|| SubspaceParams::paper_defaults(space.len())),
-            candidates: opts.candidates,
-            incremental: opts.incremental,
-            seed: opts.seed,
-            pool: opts.pool.clone(),
-            retrieval: opts.retrieval_configs.clone(),
-        };
         let ranking = if space.len() == 30 {
             otune_bo::subspace::spark_expert_ranking()
         } else {
             (0..space.len()).collect()
         };
-        ConfigGenerator::new(space.clone(), gen_opts, ranking, resource_fn)
+        ConfigGenerator::new(space.clone(), opts, ranking, resource_fn)
     }
 
     /// The configuration space.
@@ -394,7 +368,7 @@ impl OnlineTuner {
         // to the last known-safe configuration for one period. The
         // sub-space has already been shrunk by the failures themselves
         // (each failed run counts as a TuRBO failure via infeasibility).
-        if self.opts.tau_consec > 0 && self.failure_streak >= self.opts.tau_consec {
+        if self.failure_streak >= TAU_CONSEC {
             let streak = self.failure_streak;
             self.failure_streak = 0;
             self.telemetry.incr(metric::FALLBACKS_TRIGGERED);
@@ -413,7 +387,6 @@ impl OnlineTuner {
         }
 
         let trace = self.telemetry.trace_span("suggest");
-        let warm = self.opts.warm_configs.clone();
         // With a retrieval bootstrap attached, burn-in iterations skip
         // building the meta ensemble entirely — the initial design never
         // consults it, and deferring the base-surrogate fits is where the
@@ -422,7 +395,7 @@ impl OnlineTuner {
         let skip_ensemble = !self.opts.retrieval_configs.is_empty()
             && self
                 .generator
-                .in_initial_design(self.history.len(), warm.len());
+                .in_initial_design(&self.opts, self.history.len());
         let ensemble = if skip_ensemble {
             None
         } else {
@@ -431,9 +404,9 @@ impl OnlineTuner {
         let suggestion = {
             let _span = self.telemetry.span(metric::SUGGEST_LATENCY_S);
             self.generator.suggest(
+                &self.opts,
                 &self.history,
                 context,
-                &warm,
                 ensemble.as_ref().map(|e| e as &dyn otune_bo::Predictor),
             )
         };
@@ -519,9 +492,9 @@ impl OnlineTuner {
         if self.stopped {
             // Post-tuning: watch for continuous degradation (§3.3).
             let expected = self.best().map(|o| o.objective).unwrap_or(objective);
-            if self.opts.restart_after > 0 && objective > expected * self.opts.degradation_factor {
+            if objective > expected * DEGRADATION_FACTOR {
                 self.degraded_streak += 1;
-                if self.degraded_streak >= self.opts.restart_after {
+                if self.degraded_streak >= RESTART_AFTER {
                     self.restart();
                 }
             } else {
@@ -547,7 +520,7 @@ impl OnlineTuner {
     /// `T_max` kill, crashed container). `partial_runtime_s` is the time
     /// the run consumed before dying; it is *not* recorded as the
     /// observed runtime. Instead the run enters the history censored —
-    /// runtime clamped to `failure_penalty × T_max` (worst-seen runtime
+    /// runtime clamped to `FAILURE_PENALTY × T_max` (worst-seen runtime
     /// when `T_max` is unset) and flagged `failed` — which keeps the
     /// runtime GP pessimistic there and makes the observation infeasible
     /// for the safe region, the incumbent, and the sub-space success
@@ -581,11 +554,9 @@ impl OnlineTuner {
                     streak: self.degraded_streak + 1,
                 },
             );
-            if self.opts.restart_after > 0 {
-                self.degraded_streak += 1;
-                if self.degraded_streak >= self.opts.restart_after {
-                    self.restart();
-                }
+            self.degraded_streak += 1;
+            if self.degraded_streak >= RESTART_AFTER {
+                self.restart();
             }
             return Ok(());
         }
@@ -622,7 +593,7 @@ impl OnlineTuner {
                 .map(|o| o.runtime)
                 .fold(partial_runtime_s.max(1.0), f64::max)
         });
-        (base * self.opts.failure_penalty.max(1.0)).max(partial_runtime_s)
+        (base * FAILURE_PENALTY).max(partial_runtime_s)
     }
 
     /// Consecutive failed runs in the current tuning round.
@@ -940,14 +911,13 @@ mod tests {
         let t_max = 100.0;
         let mut tuner = make_tuner(TunerOptions {
             t_max: Some(t_max),
-            failure_penalty: 2.0,
             ..Default::default()
         });
         let cfg = tuner.suggest(&[]).unwrap();
         tuner.observe_failed(cfg, 40.0, 10.0, &[]).unwrap();
         let o = &tuner.history()[0];
         assert!(o.failed);
-        assert_eq!(o.runtime, 200.0, "censored to failure_penalty × T_max");
+        assert_eq!(o.runtime, 200.0, "censored to FAILURE_PENALTY × T_max");
         assert!(!o.is_feasible(Some(t_max), None));
         assert_eq!(tuner.failure_streak(), 1);
         // A clean run resets the streak.
@@ -961,7 +931,6 @@ mod tests {
     fn censoring_without_t_max_uses_worst_seen_runtime() {
         let mut tuner = make_tuner(TunerOptions {
             t_max: None,
-            failure_penalty: 2.0,
             ..Default::default()
         });
         let d = toy_space().default_configuration();
@@ -977,7 +946,6 @@ mod tests {
         let d = space.default_configuration();
         let mut tuner = make_tuner(TunerOptions {
             t_max: Some(200.0),
-            tau_consec: 3,
             budget: 20,
             ..Default::default()
         });
@@ -1022,12 +990,11 @@ mod tests {
     fn post_stop_failures_count_toward_restart() {
         let mut tuner = make_tuner(TunerOptions {
             budget: 4,
-            restart_after: 2,
             t_max: Some(1e9),
             ..Default::default()
         });
         drive(&mut tuner, 4);
-        for _ in 0..2 {
+        for _ in 0..RESTART_AFTER {
             let cfg = tuner.suggest(&[]).unwrap();
             assert!(tuner.is_stopped());
             tuner.observe_failed(cfg, 10.0, 1.0, &[]).unwrap();
@@ -1040,8 +1007,6 @@ mod tests {
     fn degradation_triggers_restart() {
         let mut tuner = make_tuner(TunerOptions {
             budget: 4,
-            restart_after: 3,
-            degradation_factor: 1.2,
             ..Default::default()
         });
         drive(&mut tuner, 4);
@@ -1073,6 +1038,56 @@ mod tests {
             tuner.observe(cfg, best_rt, best_r, &[]).unwrap();
         }
         assert_eq!(tuner.restarts(), 0);
+    }
+
+    #[test]
+    fn ei_stop_rule_ends_tuning_before_the_budget() {
+        // Drive a budget-12 task until it stops; return the tuning runs it
+        // made and how many EI-convergence stops it emitted.
+        let run = |ei_stop_ratio: f64| -> (usize, usize) {
+            let (telemetry, sink) = Telemetry::ring(4096);
+            let mut tuner = make_tuner(TunerOptions {
+                budget: 12,
+                ei_stop_ratio,
+                seed: 5,
+                ..Default::default()
+            });
+            tuner.set_telemetry(telemetry);
+            let mut runs = 0;
+            loop {
+                let cfg = tuner.suggest(&[]).unwrap();
+                if tuner.is_stopped() {
+                    let best = tuner.best().unwrap().config.clone();
+                    assert_eq!(cfg, best, "a stopped task serves its incumbent");
+                    let (rt, r) = (toy_runtime(&cfg), toy_resource(&cfg));
+                    tuner.observe(cfg, rt, r, &[]).unwrap();
+                    assert_eq!(tuner.suggest(&[]).unwrap(), best);
+                    break;
+                }
+                let (rt, r) = (toy_runtime(&cfg), toy_resource(&cfg));
+                tuner.observe(cfg, rt, r, &[]).unwrap();
+                runs += 1;
+            }
+            assert_eq!(tuner.history().len(), runs);
+            let ei_stops = sink
+                .events()
+                .iter()
+                .filter(|e| {
+                    e.kind
+                        == EventKind::TaskStopped {
+                            reason: StopReason::EiConverged,
+                        }
+                })
+                .count();
+            (runs, ei_stops)
+        };
+        // Any EIC is below an infinite ratio: the first eligible BO step
+        // (past the initial design) stops the task.
+        let (runs, ei_stops) = run(f64::INFINITY);
+        assert!(runs < 12, "stopped early: {runs} runs");
+        assert_eq!(ei_stops, 1);
+        // The default ratio 0 disables the rule: the whole budget runs.
+        assert_eq!(run(0.0), (12, 0));
     }
 
     #[test]

@@ -386,17 +386,8 @@ impl JobEngine {
     }
 
     /// Resume if the journal already holds a campaign, start fresh
-    /// otherwise. On resume the journaled spec wins over `spec`.
-    pub fn open_or_start(
-        spec: CampaignSpec,
-        journal_path: &Path,
-        telemetry: Telemetry,
-    ) -> Result<JobEngine, JobError> {
-        Self::open_or_start_with(spec, journal_path, telemetry, SyncPolicy::from_env())
-    }
-
-    /// [`JobEngine::open_or_start`] with an explicit journal sync policy
-    /// instead of the `OTUNE_JOURNAL_SYNC` environment default.
+    /// otherwise, syncing journal appends under `policy`. On resume the
+    /// journaled spec wins over `spec`.
     pub fn open_or_start_with(
         spec: CampaignSpec,
         journal_path: &Path,

@@ -413,8 +413,10 @@ pub fn spans_from_events(events: &[crate::Event]) -> Vec<SpanRecord> {
 
 /// The deterministic identity of a span set: every field except the
 /// measurements (`worker`, `start_ns`, `dur_ns`), sorted canonically.
-/// Two runs of the same seeded workload — at any `OTUNE_THREADS` or
-/// `OTUNE_SHARDS` — produce equal structural keys.
+/// Two runs of the same seeded workload at the same shard count produce
+/// equal structural keys at any pool width (`OTUNE_THREADS`). Across
+/// shard counts (`OTUNE_SHARDS`) the keys differ: `shard` spans follow
+/// the shard layout.
 pub fn structural_key(spans: &[SpanRecord]) -> Vec<(u64, u64, u64, String, String)> {
     let mut key: Vec<_> = spans
         .iter()

@@ -72,8 +72,6 @@ fn degradation_restarts_tuning_and_transfers_history() {
         TunerOptions {
             beta: 0.5,
             budget: 6,
-            restart_after: 2,
-            degradation_factor: 1.3,
             enable_meta: true,
             seed: 17,
             ..TunerOptions::default()
@@ -90,8 +88,9 @@ fn degradation_restarts_tuning_and_transfers_history() {
     let (rt, rs) = (best.runtime, best.resource);
     tuner.observe(best.config.clone(), rt, rs, &[]).unwrap();
 
-    // The workload drifts: post-tuning executions degrade 10x.
-    for _ in 0..2 {
+    // The workload drifts: post-tuning executions degrade 10x, and the
+    // third degraded period in a row restarts tuning (§3.3).
+    for _ in 0..3 {
         let cfg = tuner.suggest(&[]).unwrap();
         tuner.observe(cfg, rt * 10.0, rs, &[]).unwrap();
     }

@@ -17,7 +17,6 @@ struct Scenario {
     profile: FaultProfile,
     budget: usize,
     seed: u64,
-    tau_consec: usize,
 }
 
 /// Everything a scenario leaves behind, for invariant assertions.
@@ -38,7 +37,6 @@ impl Scenario {
             profile: FaultProfile::new(seed),
             budget: 12,
             seed,
-            tau_consec: 3,
         }
     }
 
@@ -91,7 +89,6 @@ impl Scenario {
             TunerOptions {
                 budget: self.budget,
                 t_max: Some(t_max),
-                tau_consec: self.tau_consec,
                 enable_meta: false,
                 seed: self.seed,
                 ..TunerOptions::default()

@@ -85,7 +85,6 @@ fn sequential_traces(options: OptionsFn) -> Vec<Trace> {
         Arc::new(DataRepository::new()),
         FleetOptions {
             shards: 1,
-            n_refit: 32,
             pool: Pool::new(1),
         },
     );
@@ -152,7 +151,6 @@ fn sharded_controller(shards: usize, threads: usize) -> OnlineTuneController {
         Arc::new(DataRepository::new()),
         FleetOptions {
             shards,
-            n_refit: 32,
             pool: Pool::new(threads),
         },
     )

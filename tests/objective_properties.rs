@@ -2,7 +2,7 @@
 //! interaction with the analytic resource function and AGD's gradient
 //! formula (Eq. 9).
 
-use otune_core::objective::{resource_fn_for, Constraints, Objective};
+use otune_core::objective::{resource_fn_for, Objective};
 use otune_core::prelude::*;
 use proptest::prelude::*;
 
@@ -74,25 +74,5 @@ proptest! {
             let bumped = f(&space.decode(&up));
             prop_assert!(bumped >= base - 1e-9, "{p:?}: {bumped} < {base}");
         }
-    }
-
-    /// Constraints::satisfied is consistent with Observation::is_feasible.
-    #[test]
-    fn constraint_checks_agree(
-        rt in 0.0f64..1e4,
-        rs in 0.0f64..1e3,
-        t_max in proptest::option::of(1.0f64..1e4),
-        r_max in proptest::option::of(1.0f64..1e3),
-    ) {
-        let c = Constraints { t_max, r_max };
-        let obs = otune_bo::Observation {
-            failed: false,
-            config: spark_space(ClusterScale::hibench()).default_configuration(),
-            objective: 1.0,
-            runtime: rt,
-            resource: rs,
-            context: vec![],
-        };
-        prop_assert_eq!(c.satisfied(rt, rs), obs.is_feasible(t_max, r_max));
     }
 }

@@ -40,7 +40,6 @@ fn drive_fleet(telemetry: Telemetry, shards: usize, threads: usize) -> Telemetry
         Arc::new(DataRepository::new()),
         FleetOptions {
             shards,
-            n_refit: 32,
             pool: Pool::new(threads),
         },
     );
