@@ -18,7 +18,8 @@
 use otune_bench::{mean, percentile, results_dir, Table};
 use otune_bo::{surrogate_kinds, Observation, SurrogateStore};
 use otune_core::objective::resource_fn_for;
-use otune_core::{ConfigGenerator, SuggestionSource, TunerOptions};
+use otune_core::telemetry::SuggestionKind;
+use otune_core::{ConfigGenerator, TunerOptions};
 use otune_gp::{GaussianProcess, GpConfig, IncrementalPolicy};
 use otune_pool::Pool;
 use otune_space::{spark_space, ClusterScale, ConfigSpace, Configuration};
@@ -119,7 +120,7 @@ fn run_trace(
         let start = Instant::now();
         let s = g.suggest(&opts, &hist, &[], None);
         let elapsed = start.elapsed().as_secs_f64();
-        assert_eq!(s.source, SuggestionSource::Bo, "BO path exercised");
+        assert_eq!(s.source, SuggestionKind::Bo, "BO path exercised");
         // The suggest call fitted `hist`; it counts toward checkpoint `n`
         // when the history size lands in (n - WINDOW, n].
         let n_obs = hist.len();

@@ -18,8 +18,10 @@
 use otune_bench::{mean, percentile, results_dir, Table};
 use otune_bo::Observation;
 use otune_core::objective::resource_fn_for;
-use otune_core::telemetry::{attribute, chrome_trace_json, structural_key, SpanRecord, Telemetry};
-use otune_core::{ConfigGenerator, OnlineTuner, SuggestionSource, TunerOptions};
+use otune_core::telemetry::{
+    attribute, chrome_trace_json, structural_key, SpanRecord, SuggestionKind, Telemetry,
+};
+use otune_core::{ConfigGenerator, OnlineTuner, TunerOptions};
 use otune_pool::Pool;
 use otune_space::{spark_space, ClusterScale, ConfigSpace, Configuration};
 use otune_sparksim::{hibench_task, ClusterSpec, HibenchTask, SimJob};
@@ -180,7 +182,7 @@ fn timed_suggests(
         let start = Instant::now();
         let s = g.suggest(&opts, hist, &[], None);
         latencies.push(start.elapsed().as_secs_f64());
-        assert_eq!(s.source, SuggestionSource::Bo, "BO path exercised");
+        assert_eq!(s.source, SuggestionKind::Bo, "BO path exercised");
         choices.push(s.config);
     }
     (latencies, choices)

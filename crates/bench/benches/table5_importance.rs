@@ -47,7 +47,7 @@ fn main() {
     // space-filling evaluations: 25 tuned observations alone are too few
     // for a stable 30-dimensional decomposition. fANOVA runs on the log
     // objective — raw costs would let spill blow-ups own all variance.
-    let histories = otune_bench::experiments::parallel_map(&tasks, |task| {
+    let histories = otune_pool::Pool::global().map(&tasks, |_, task| {
         let mut history = otune_bench::experiments::production_history(task, budget, 42 + task.id);
         let job = task.job();
         let probes = space.low_discrepancy(n_extra, 7 + task.id);

@@ -3,6 +3,7 @@
 use crate::driver::{run_baseline, run_otune, RunTrace, TuningSetup};
 use otune_baselines::{CherryPick, Dac, Locat, RandomSearch, Rfhoc, Tuneful};
 use otune_core::TunerOptions;
+use otune_pool::Pool;
 use otune_space::{spark_space, ClusterScale};
 use otune_sparksim::{hibench_task, ClusterSpec, HibenchTask, SimJob};
 
@@ -301,7 +302,7 @@ pub fn production_sweep(n_tasks: usize, budget: usize, seed: u64) -> Vec<ProdOut
     let n_pioneers = (n_tasks / 10).clamp(1, 40).min(n_tasks);
 
     // Phase 1: pioneers, tuned cold (parallel).
-    let pioneer_outcomes = parallel_map(&tasks[..n_pioneers], |task| {
+    let pioneer_outcomes = Pool::global().map(&tasks[..n_pioneers], |_, task| {
         tune_production_task(task, budget, vec![], seed ^ task.id)
     });
 
@@ -326,7 +327,7 @@ pub fn production_sweep(n_tasks: usize, budget: usize, seed: u64) -> Vec<ProdOut
     let med_mem = median(&mut mem_ratio).clamp(0.05, 1.5);
 
     // Phase 2: the rest, warm-started with scaled manual configs.
-    let rest_outcomes = parallel_map(&tasks[n_pioneers..], |task| {
+    let rest_outcomes = Pool::global().map(&tasks[n_pioneers..], |_, task| {
         let space = task.space();
         let manual = executor_params(&task.manual_config);
         let scale_cfg = |fi: f64, fm: f64| {
@@ -355,32 +356,6 @@ pub fn production_sweep(n_tasks: usize, budget: usize, seed: u64) -> Vec<ProdOut
     pioneer_outcomes.into_iter().chain(rest_outcomes).collect()
 }
 
-/// Order-preserving parallel map over a slice using crossbeam scoped
-/// threads (one chunk per available core).
-pub fn parallel_map<T: Sync, R: Send>(items: &[T], f: impl Fn(&T) -> R + Sync) -> Vec<R> {
-    let n_threads = std::thread::available_parallelism()
-        .map(|n| n.get())
-        .unwrap_or(4)
-        .min(items.len().max(1));
-    let mut results: Vec<Option<R>> = (0..items.len()).map(|_| None).collect();
-    let chunk = items.len().div_ceil(n_threads.max(1)).max(1);
-    crossbeam::thread::scope(|scope| {
-        for (slot_chunk, item_chunk) in results.chunks_mut(chunk).zip(items.chunks(chunk)) {
-            let f = &f;
-            scope.spawn(move |_| {
-                for (slot, item) in slot_chunk.iter_mut().zip(item_chunk) {
-                    *slot = Some(f(item));
-                }
-            });
-        }
-    })
-    .expect("worker threads do not panic");
-    results
-        .into_iter()
-        .map(|r| r.expect("all slots filled"))
-        .collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -392,13 +367,6 @@ mod tests {
             let trace = run_method(m, &setup, 1);
             assert_eq!(trace.objectives.len(), 2, "{m}");
         }
-    }
-
-    #[test]
-    fn parallel_map_preserves_order() {
-        let items: Vec<u64> = (0..37).collect();
-        let out = parallel_map(&items, |x| x * 2);
-        assert_eq!(out, items.iter().map(|x| x * 2).collect::<Vec<_>>());
     }
 
     #[test]

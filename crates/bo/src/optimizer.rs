@@ -67,12 +67,8 @@ impl EicObjective<'_> {
     /// prediction paths. Per point this combines the same predictions with
     /// the same arithmetic as [`EicObjective::eval`], so the scores match
     /// the scalar path exactly for every pool width.
-    pub fn eval_batch(&self, xs: Rows<'_>, pool: &Pool) -> Vec<f64> {
-        self.eval_batch_reusing(xs, Vec::new(), pool)
-    }
-
-    /// [`EicObjective::eval_batch`] with optional precomputed constraint
-    /// posteriors. `reuse[k]`, when present, must hold `(mean, var)` for
+    ///
+    /// `reuse[k]`, when present, holds precomputed `(mean, var)` for
     /// constraint `k` at exactly `xs` — per-point predictions are pure
     /// functions of the surrogate and the point, so substituting them is
     /// bitwise-identical to re-predicting. Missing or `None` entries are

@@ -2137,6 +2137,28 @@ mod tests {
         assert_eq!(code, 2);
         assert!(String::from_utf8(buf).unwrap().contains("no trace spans"));
 
+        // `otune top` reads the tuner's own announcements: the task row
+        // counts the 4 tuning runs and shows an incumbent.
+        let mut buf = Vec::new();
+        let code = run(
+            Command::Top {
+                file: events_path.clone(),
+                watch: None,
+            },
+            &mut buf,
+        )
+        .unwrap();
+        assert_eq!(code, 0);
+        let text = String::from_utf8(buf).unwrap();
+        let row: Vec<&str> = text
+            .lines()
+            .find(|l| l.trim_start().starts_with("wordcount "))
+            .unwrap_or_else(|| panic!("no task row: {text}"))
+            .split_whitespace()
+            .collect();
+        assert_eq!(row[1], "4", "{text}");
+        assert!(row[2].parse::<f64>().is_ok(), "an incumbent: {text}");
+
         // Stats resolves the metrics sidecar from the events path.
         let mut buf = Vec::new();
         let code = run(

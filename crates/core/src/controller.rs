@@ -1,10 +1,16 @@
 //! The OnlineTune controller (Figure 1): the multi-task tuning service.
 //!
 //! The controller orchestrates the request/report workflow against the
-//! data platform, owns the shared [`DataRepository`], and wires the
-//! meta-knowledge learner into new tasks: when a task registers its first
-//! event-log meta-features, the controller injects warm-start
-//! configurations from the top-3 most similar previous tasks (§5.2).
+//! data platform, owns the shared [`DataRepository`] of task
+//! meta-features, and wires the meta-knowledge learner into new tasks:
+//! when a task registers its first event-log meta-features, the controller
+//! injects warm-start configurations from the top-3 most similar previous
+//! tasks (§5.2).
+//!
+//! Each task's tuner is the one record of its runs: it holds the
+//! runhistory and announces every outcome. Successes and failures go
+//! through one report routine, and meta-learning sources are exported from
+//! the tuners, never from a copy of their histories.
 //!
 //! At fleet scale the task map is hashed into [`FleetOptions::shards`]
 //! deterministic shards so batched waves (see [`crate::fleet`]) can fan
@@ -18,10 +24,10 @@
 use crate::fleet::{FleetOptions, FleetReport};
 use crate::repository::DataRepository;
 use crate::tuner::{OnlineTuner, TunerError, TunerOptions};
-use otune_bo::{within_constraints, Observation};
+use otune_bo::within_constraints;
 use otune_meta::{
-    warm_start_configs_with, CorpusRecord, SharedMetaStore, SimilarityLearner, TuningCorpus,
-    DEFAULT_MAX_DISTANCE, DEFAULT_RETRIEVAL_K,
+    warm_start_configs_with, CorpusRecord, SharedMetaStore, SimilarityLearner, TaskRecord,
+    TuningCorpus, DEFAULT_MAX_DISTANCE, DEFAULT_RETRIEVAL_K,
 };
 use otune_space::{ConfigSpace, Configuration};
 use otune_telemetry::{metric, EventKind, Telemetry};
@@ -31,6 +37,9 @@ use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 /// Reports between scheduled similarity-model refits. The model is also
 /// refit whenever the eligible source-task set changes.
 const N_REFIT: usize = 32;
+
+/// Recorded observations a task needs before it is a meta-learning source.
+const MIN_SOURCE_OBSERVATIONS: usize = 3;
 
 /// Handle identifying a registered task. Clones are reference-counted, so
 /// batched fleet waves never copy the underlying id string.
@@ -48,6 +57,15 @@ impl std::fmt::Display for TaskHandle {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.write_str(&self.0)
     }
+}
+
+/// How a reported run ended.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum RunOutcome {
+    /// The run finished; its runtime is a real measurement.
+    Completed,
+    /// The run was killed (OOM, timeout); its runtime is partial.
+    Failed,
 }
 
 /// Lifecycle state of a task.
@@ -72,7 +90,7 @@ pub(crate) struct TaskEntry {
 #[derive(Default)]
 pub(crate) struct SimilarityState {
     pub(crate) model: Option<SimilarityLearner>,
-    /// Source-task ids the model was trained on (repository order).
+    /// Source-task ids the model was trained on (task-id order).
     trained_on: Vec<String>,
     /// Reports absorbed since the last (re)fit.
     pub(crate) reports_since_refit: usize,
@@ -156,8 +174,8 @@ impl OnlineTuneController {
         &self.shared_meta
     }
 
-    /// Attach a tuning corpus: every completed observation reported to the
-    /// controller is appended to it, and
+    /// Attach a tuning corpus: every run a report adds to a task's history
+    /// is appended to it (a killed run labelled `failed`), and
     /// [`OnlineTuneController::create_task_with_features`] retrieves its
     /// zero-execution bootstrap configurations from it.
     pub fn set_corpus(&self, corpus: TuningCorpus) {
@@ -243,10 +261,10 @@ impl OnlineTuneController {
 
     /// Step 2 (Figure 1) for a **failed** execution (OOM / timeout kill):
     /// the run is recorded as a censored observation via
-    /// [`OnlineTuner::observe_failed`] and mirrored into the repository, so
-    /// the safe-region model learns from the failure without treating the
-    /// partial runtime as a real measurement. A stopped task records no
-    /// observation, so nothing is mirrored.
+    /// [`OnlineTuner::observe_failed`], so the safe-region model learns
+    /// from the failure without treating the partial runtime as a real
+    /// measurement. An attached corpus receives the partial runtime,
+    /// labelled `failed`. A stopped task records no observation.
     pub fn report_failed_result(
         &mut self,
         handle: &TaskHandle,
@@ -255,19 +273,15 @@ impl OnlineTuneController {
         resource: f64,
         context: &[f64],
     ) -> Result<(), ControllerError> {
-        let repository = Arc::clone(&self.repository);
-        let entry = self.entry_mut(handle).ok_or(ControllerError::UnknownTask)?;
-        let n_before = entry.tuner.history().len();
-        entry
-            .tuner
-            .observe_failed(config, partial_runtime_s, resource, context)
-            .map_err(ControllerError::Tuner)?;
-        // The run's own observation, if the tuner recorded one.
-        if let Some(obs) = entry.tuner.history().get(n_before) {
-            repository.record_observation(handle.as_str(), Observation::clone(obs));
-        }
-        self.sim.reports_since_refit += 1;
-        Ok(())
+        let report = FleetReport {
+            handle,
+            config,
+            runtime_s: partial_runtime_s,
+            resource,
+            context,
+            meta_features: None,
+        };
+        self.report_one(&report, RunOutcome::Failed)
     }
 
     /// Number of registered tasks.
@@ -318,22 +332,32 @@ impl OnlineTuneController {
             context,
             meta_features,
         };
+        self.report_one(&report, RunOutcome::Completed)
+    }
+
+    /// A single-item report: absorb it, count it toward the similarity
+    /// refit, and run a triggered warm-start injection.
+    fn report_one(
+        &mut self,
+        report: &FleetReport<'_>,
+        outcome: RunOutcome,
+    ) -> Result<(), ControllerError> {
         let repository = Arc::clone(&self.repository);
         let shared = Arc::clone(&self.shared_meta);
-        let idx = self.shard_of(handle);
-        let entry = unpoison(self.shards[idx].get_mut())
-            .get_mut(handle)
+        let entry = self
+            .entry_mut(report.handle)
             .ok_or(ControllerError::UnknownTask)?;
-        let inject = Self::absorb_report(&repository, &shared, entry, &report)?;
+        let inject = Self::absorb_report(&repository, &shared, entry, report, outcome)?;
         self.sim.reports_since_refit += 1;
         if let Some(features) = inject {
-            self.maybe_inject(handle, &features);
+            self.maybe_inject(report.handle, &features);
         }
         Ok(())
     }
 
-    /// The per-task half of a result report: feed the tuner, emit
-    /// telemetry, and mirror into the repository. Returns the meta-features
+    /// The per-task half of every result report: feed the tuner (which
+    /// records and announces the outcome), append the run to an attached
+    /// corpus, and store arriving meta-features. Returns the meta-features
     /// when this report should trigger warm-start injection (handled by the
     /// caller in a deterministic sequential phase).
     pub(crate) fn absorb_report(
@@ -341,46 +365,36 @@ impl OnlineTuneController {
         shared: &SharedMetaStore,
         entry: &mut TaskEntry,
         report: &FleetReport<'_>,
+        outcome: RunOutcome,
     ) -> Result<Option<Vec<f64>>, ControllerError> {
-        let n_before = entry.tuner.history().len();
-        entry
-            .tuner
-            .observe(
-                report.config.clone(),
-                report.runtime_s,
-                report.resource,
-                report.context,
-            )
-            .map_err(ControllerError::Tuner)?;
-        let opts = entry.tuner.options();
-        let constraint_violated =
-            !within_constraints(report.runtime_s, report.resource, opts.t_max, opts.r_max);
-        let objective = entry
-            .tuner
-            .objective()
-            .eval(report.runtime_s, report.resource);
-        entry.telemetry.emit(
-            entry.tuner.history().len() as u64,
-            EventKind::ObservationReported {
-                runtime: report.runtime_s,
-                resource: report.resource,
-                objective,
-                constraint_violated,
-            },
-        );
-        // Mirror into the repository and the corpus only the observation
-        // this report added: a stopped task serves its incumbent without
-        // growing its history.
-        let recorded = entry.tuner.history().get(n_before);
-        if let Some(obs) = recorded {
-            repository.record_observation(report.handle.as_str(), Observation::clone(obs));
+        let tuner = &mut entry.tuner;
+        let n_before = tuner.history().len();
+        let config = report.config.clone();
+        match outcome {
+            RunOutcome::Completed => {
+                tuner.observe(config, report.runtime_s, report.resource, report.context)
+            }
+            RunOutcome::Failed => {
+                tuner.observe_failed(config, report.runtime_s, report.resource, report.context)
+            }
         }
-        if recorded.is_some() && shared.has_corpus() {
+        .map_err(ControllerError::Tuner)?;
+        // Only a run this report added reaches the corpus: a stopped task
+        // serves its incumbent without growing its history.
+        if tuner.history().len() > n_before && shared.has_corpus() {
             let features = report
                 .meta_features
                 .clone()
                 .or_else(|| repository.meta_features(report.handle.as_str()));
             if let Some(meta_features) = features {
+                let opts = tuner.options();
+                let failed = outcome == RunOutcome::Failed
+                    || !within_constraints(
+                        report.runtime_s,
+                        report.resource,
+                        opts.t_max,
+                        opts.r_max,
+                    );
                 // Best-effort: an I/O failure loses one corpus record, it
                 // never fails the tuning step itself.
                 let _ = shared.record_outcome(
@@ -388,10 +402,10 @@ impl OnlineTuneController {
                         task_id: report.handle.as_str().to_string(),
                         meta_features,
                         config: report.config.clone(),
-                        objective,
+                        objective: tuner.objective().eval(report.runtime_s, report.resource),
                         runtime: report.runtime_s,
                         resource: report.resource,
-                        failed: constraint_violated,
+                        failed,
                     },
                     &entry.telemetry,
                 );
@@ -435,12 +449,34 @@ impl OnlineTuneController {
             .ok_or(ControllerError::UnknownTask)
     }
 
+    /// The usable meta-learning sources: every task except `exclude` (the
+    /// task being tuned) with meta-features and at least
+    /// [`MIN_SOURCE_OBSERVATIONS`] recorded observations, in task-id order,
+    /// exported from its tuner.
+    fn source_tasks(&mut self, exclude: &str) -> Vec<TaskRecord> {
+        let repository = Arc::clone(&self.repository);
+        repository
+            .featured_tasks()
+            .into_iter()
+            .filter(|id| id != exclude)
+            .filter_map(|id| {
+                // Count before cloning: on a fleet's first wave every task
+                // reports features and none has enough history yet.
+                let tuner = &self.entry_mut(&TaskHandle(Arc::from(id.as_str())))?.tuner;
+                if tuner.n_recorded() < MIN_SOURCE_OBSERVATIONS {
+                    return None;
+                }
+                Some(tuner.export_record(&id, repository.meta_features(&id)?))
+            })
+            .collect()
+    }
+
     /// Retrain the similarity model if it is stale: missing, the eligible
     /// source-task set changed, or [`N_REFIT`] reports have accumulated
     /// since the last fit. Base surrogates and pairwise labels come from the
     /// shared meta store, so refits only pay for new tasks and new pairs.
     pub(crate) fn refresh_similarity(&mut self, space: &ConfigSpace) {
-        let sources = self.repository.source_tasks("");
+        let sources = self.source_tasks("");
         let ids: Vec<String> = sources.iter().map(|t| t.task_id.clone()).collect();
         let fresh = self.sim.model.is_some()
             && ids == self.sim.trained_on
@@ -466,7 +502,7 @@ impl OnlineTuneController {
     /// meta-features: rank similar sources with the scheduled similarity
     /// model and hand them to the tuner via [`OnlineTuner::transfer`].
     pub(crate) fn maybe_inject(&mut self, handle: &TaskHandle, features: &[f64]) {
-        let sources = self.repository.source_tasks(handle.as_str());
+        let sources = self.source_tasks(handle.as_str());
         if sources.len() < 2 {
             return;
         }
@@ -528,6 +564,7 @@ impl std::error::Error for ControllerError {}
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::Objective;
     use otune_space::{ConfigSpace, Parameter};
 
     fn toy_space() -> ConfigSpace {
@@ -565,19 +602,21 @@ mod tests {
         let best_served = ctl.request_config(&h, &[]).unwrap();
         assert_eq!(ctl.state(&h), Ok(TaskState::Stopped));
         assert_eq!(Some(best_served), ctl.best_config(&h).unwrap());
-        assert_eq!(ctl.repository().task("t1").unwrap().observations.len(), 5);
+        assert_eq!(ctl.tuner(&h).unwrap().history().len(), 5);
     }
 
     #[test]
     fn post_stop_reports_are_not_mirrored() {
         let mut ctl = OnlineTuneController::new();
-        let h = ctl.create_task(
+        ctl.set_corpus(TuningCorpus::in_memory());
+        let h = ctl.create_task_with_features(
             "t",
             toy_space(),
             TunerOptions {
                 budget: 3,
                 ..Default::default()
             },
+            vec![1.0, 2.0],
         );
         for rt in [100.0, 50.0, 10.0] {
             let cfg = ctl.request_config(&h, &[]).unwrap();
@@ -590,9 +629,50 @@ mod tests {
         ctl.report_result(&h, cfg, 500.0, 1.0, &[], None).unwrap();
         let cfg = ctl.request_config(&h, &[]).unwrap();
         ctl.report_failed_result(&h, cfg, 5.0, 1.0, &[]).unwrap();
-        let history = ctl.tuner(&h).unwrap().history().to_vec();
-        assert_eq!(history.len(), 3);
-        assert_eq!(ctl.repository().task("t").unwrap().observations, history);
+        assert_eq!(ctl.tuner(&h).unwrap().history().len(), 3);
+        assert_eq!(ctl.shared_meta().corpus_len(), 3, "the 3 tuning runs");
+    }
+
+    #[test]
+    fn failed_runs_reach_the_corpus_labeled_failed() {
+        let dir = std::env::temp_dir().join(format!("otune-ctl-failed-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        std::fs::create_dir_all(&dir).unwrap();
+        let path = dir.join("corpus.jsonl");
+        let mut ctl = OnlineTuneController::new();
+        ctl.set_corpus(TuningCorpus::open(&path).unwrap());
+        let h = ctl.create_task_with_features(
+            "t",
+            toy_space(),
+            TunerOptions {
+                budget: 5,
+                t_max: Some(100.0),
+                ..Default::default()
+            },
+            vec![1.0, 2.0],
+        );
+        let cfg = ctl.request_config(&h, &[]).unwrap();
+        ctl.report_result(&h, cfg, 40.0, 2.0, &[], None).unwrap();
+        let killed = ctl.request_config(&h, &[]).unwrap();
+        ctl.report_failed_result(&h, killed.clone(), 7.0, 3.0, &[])
+            .unwrap();
+        let cfg = ctl.request_config(&h, &[]).unwrap();
+        ctl.report_result(&h, cfg, 30.0, 2.0, &[], None).unwrap();
+
+        let records = TuningCorpus::open(&path).unwrap().records().to_vec();
+        assert_eq!(records.len(), 3);
+        assert_eq!(
+            records.iter().map(|r| r.failed).collect::<Vec<_>>(),
+            [false, true, false]
+        );
+        // The killed run is recorded with its partial runtime, as the CLI
+        // records one.
+        let rec = &records[1];
+        assert_eq!(rec.config, killed);
+        assert_eq!((rec.runtime, rec.resource), (7.0, 3.0));
+        assert_eq!(rec.objective, Objective::new(0.5).eval(7.0, 3.0));
+        assert_eq!(rec.meta_features, vec![1.0, 2.0]);
+        let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]
@@ -614,7 +694,7 @@ mod tests {
     #[test]
     fn meta_features_recorded_and_warm_start_attempted() {
         let mut ctl = OnlineTuneController::new();
-        // Two completed source tasks in the repository.
+        // Two completed source tasks with meta-features.
         for tid in ["src-a", "src-b"] {
             let h = ctl.create_task(
                 tid,
@@ -655,8 +735,11 @@ mod tests {
             ctl.report_result(&h, cfg, rt, r, &[], None).unwrap();
         }
         assert!(ctl.best_config(&h).unwrap().is_some());
-        let rec = ctl.repository().task("new").unwrap();
-        assert_eq!(rec.meta_features, vec![1.0, 2.0, 3.1]);
+        assert_eq!(ctl.tuner(&h).unwrap().history().len(), 4);
+        assert_eq!(
+            ctl.repository().meta_features("new"),
+            Some(vec![1.0, 2.0, 3.1])
+        );
     }
 
     /// A controller holding two completed 8-run source tasks with
@@ -769,8 +852,50 @@ mod tests {
         let (rt2, r2) = toy_eval(&c2);
         ctl.report_result(&h1, c1, rt1, r1, &[], None).unwrap();
         ctl.report_result(&h2, c2, rt2, r2, &[], None).unwrap();
-        assert_eq!(ctl.repository().task("a").unwrap().observations.len(), 1);
-        assert_eq!(ctl.repository().task("b").unwrap().observations.len(), 1);
+        assert_eq!(ctl.tuner(&h1).unwrap().history().len(), 1);
+        assert_eq!(ctl.tuner(&h2).unwrap().history().len(), 1);
+    }
+
+    #[test]
+    fn sources_are_exported_from_tuners_across_restarts() {
+        let mut ctl = OnlineTuneController::new();
+        let opts = TunerOptions {
+            budget: 4,
+            ..Default::default()
+        };
+        // `src-a` runs its 4 periods, then degrades 3 times in a row after
+        // stopping (a §3.3 restart) and runs 2 periods of the new round.
+        let a = ctl.create_task("src-a", toy_space(), opts.clone());
+        drive(&mut ctl, &a, 4, Some(vec![1.0, 2.0, 3.0]));
+        for _ in 0..3 {
+            let cfg = ctl.request_config(&a, &[]).unwrap();
+            assert_eq!(ctl.state(&a), Ok(TaskState::Stopped));
+            ctl.report_result(&a, cfg, 1e6, 1e6, &[], None).unwrap();
+        }
+        assert_eq!(ctl.tuner(&a).unwrap().restarts(), 1);
+        drive(&mut ctl, &a, 2, None);
+        assert_eq!(ctl.tuner(&a).unwrap().history().len(), 2);
+        let b = ctl.create_task("src-b", toy_space(), opts.clone());
+        drive(&mut ctl, &b, 4, Some(vec![2.0, 2.0, 3.0]));
+        // Too short a history, or no meta-features: not sources.
+        let short = ctl.create_task("short", toy_space(), opts.clone());
+        drive(&mut ctl, &short, 2, Some(vec![1.5, 2.0, 3.0]));
+        let bare = ctl.create_task("featureless", toy_space(), opts.clone());
+        drive(&mut ctl, &bare, 4, None);
+
+        let h = ctl.create_task("new", toy_space(), opts);
+        drive(&mut ctl, &h, 1, Some(vec![1.2, 2.0, 3.0]));
+        let a_history = ctl.tuner(&a).unwrap().history().to_vec();
+        let b_history = ctl.tuner(&b).unwrap().history().to_vec();
+        let bases = &ctl.tuner(&h).unwrap().options().base_tasks;
+        let ids: Vec<&str> = bases.iter().map(|t| t.task_id.as_str()).collect();
+        assert_eq!(ids, ["src-a", "src-b"]);
+        // Both rounds of `src-a`, in the order they ran.
+        let a_obs = &bases[0].observations;
+        assert_eq!(a_obs.len(), 6);
+        assert_eq!(a_obs[4..], a_history);
+        assert_eq!(bases[0].meta_features, vec![1.0, 2.0, 3.0]);
+        assert_eq!(bases[1].observations, b_history);
     }
 
     /// Drive `n` budget-4 iterations of a task, reporting `features` with

@@ -21,12 +21,13 @@
 //! whether it is driven sequentially or through waves, at any
 //! `OTUNE_SHARDS` and any `OTUNE_THREADS`, and regardless of how tasks are
 //! interleaved across waves. The one scoped exception: warm-start
-//! injection reads the shared repository, so traces of tasks using
-//! meta-feature transfer depend (as they always have) on the order in
-//! which *other* tasks' results arrive. Waves apply injections in a
-//! deterministic post-wave phase in request order.
+//! injection reads *other* tasks' histories (from their tuners) and
+//! meta-features, so traces of tasks using meta-feature transfer depend
+//! (as they always have) on the order in which other tasks' results
+//! arrive. Waves apply injections in a deterministic post-wave phase in
+//! request order.
 
-use crate::controller::{ControllerError, OnlineTuneController, TaskHandle};
+use crate::controller::{ControllerError, OnlineTuneController, RunOutcome, TaskHandle};
 use otune_pool::Pool;
 use otune_space::Configuration;
 use otune_telemetry::{metric, trace_key};
@@ -159,10 +160,10 @@ impl OnlineTuneController {
         scatter(requests.len(), per_group)
     }
 
-    /// Step 2, batched (Figure 1): absorb a wave of execution results. The
-    /// per-task work (observe, telemetry, repository mirror) fans across
-    /// the pool; warm-start injections then run in a deterministic
-    /// sequential phase in input order. Results come back in input order.
+    /// Step 2, batched (Figure 1): absorb a wave of completed execution
+    /// results. The per-task work (observe, corpus append) fans across the
+    /// pool; warm-start injections then run in a deterministic sequential
+    /// phase in input order. Results come back in input order.
     pub fn report_results(
         &mut self,
         reports: &[FleetReport<'_>],
@@ -188,9 +189,13 @@ impl OnlineTuneController {
                         .telemetry
                         .trace_span_keyed("task", trace_key(rep.handle.as_str()));
                     let res = match shard.get_mut(rep.handle) {
-                        Some(entry) => {
-                            Self::absorb_report(&this.repository, &this.shared_meta, entry, rep)
-                        }
+                        Some(entry) => Self::absorb_report(
+                            &this.repository,
+                            &this.shared_meta,
+                            entry,
+                            rep,
+                            RunOutcome::Completed,
+                        ),
                         None => Err(ControllerError::UnknownTask),
                     };
                     (i, res)

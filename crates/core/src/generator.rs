@@ -18,7 +18,7 @@ use otune_bo::{
     Observation, Predictor, SafeRegion, SubspaceParams, SurrogateStore,
 };
 use otune_space::{ConfigSpace, Configuration, Subspace};
-use otune_telemetry::{metric, EventKind, ResizeDirection, Telemetry};
+use otune_telemetry::{metric, EventKind, ResizeDirection, SuggestionKind, Telemetry};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use std::sync::Arc;
@@ -29,31 +29,13 @@ const FANOVA_PERIOD: usize = 5;
 /// Safe-region pessimism γ of Eq. 8 (`u(x) = μ(x) + γσ(x)`).
 const GAMMA: f64 = 1.0;
 
-/// Where a suggestion came from (diagnostics and the Figure 8/9 ablations).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum SuggestionSource {
-    /// Transferred from a similar task (§5.2).
-    WarmStart,
-    /// Zero-execution corpus retrieval: a distance-weighted blend of the
-    /// nearest corpus neighbors' best configurations.
-    Retrieval,
-    /// Low-discrepancy initial design (§3.3).
-    InitialDesign,
-    /// Approximate gradient descent (§4.3).
-    Agd,
-    /// EIC maximization over the safe sub-space.
-    Bo,
-    /// Conservative fallback (empty candidate set after filtering).
-    Fallback,
-}
-
 /// One suggested configuration with provenance.
 #[derive(Debug, Clone)]
 pub struct Suggestion {
     /// The configuration to evaluate next.
     pub config: Configuration,
     /// Which mechanism produced it.
-    pub source: SuggestionSource,
+    pub source: SuggestionKind,
     /// EIC value at the choice (0 for non-BO sources), used by the
     /// stopping criterion.
     pub eic: f64,
@@ -158,7 +140,7 @@ impl ConfigGenerator {
         if i < warm_configs.len() {
             return Suggestion {
                 config: warm_configs[i].clone(),
-                source: SuggestionSource::WarmStart,
+                source: SuggestionKind::WarmStart,
                 eic: 0.0,
                 from_safe_region: true,
             };
@@ -173,7 +155,7 @@ impl ConfigGenerator {
             if let Some(config) = opts.retrieval_configs.get(probe_idx) {
                 return Suggestion {
                     config: config.clone(),
-                    source: SuggestionSource::Retrieval,
+                    source: SuggestionKind::Retrieval,
                     eic: 0.0,
                     from_safe_region: true,
                 };
@@ -182,7 +164,7 @@ impl ConfigGenerator {
                 config: self
                     .space
                     .low_discrepancy_nth(probe_idx, opts.seed ^ 0x1234),
-                source: SuggestionSource::InitialDesign,
+                source: SuggestionKind::InitialDesign,
                 eic: 0.0,
                 from_safe_region: true,
             };
@@ -221,7 +203,7 @@ impl ConfigGenerator {
             self.telemetry.incr(metric::FALLBACK_SUGGESTIONS);
             return Suggestion {
                 config: self.space.sample(&mut self.rng),
-                source: SuggestionSource::Fallback,
+                source: SuggestionKind::Fallback,
                 eic: 0.0,
                 from_safe_region: false,
             };
@@ -290,7 +272,7 @@ impl ConfigGenerator {
             if accepted {
                 return Suggestion {
                     config: proposal,
-                    source: SuggestionSource::Agd,
+                    source: SuggestionKind::Agd,
                     eic: 0.0,
                     from_safe_region: true,
                 };
@@ -343,7 +325,7 @@ impl ConfigGenerator {
         );
         Suggestion {
             config: choice.config,
-            source: SuggestionSource::Bo,
+            source: SuggestionKind::Bo,
             eic: choice.eic,
             from_safe_region: choice.from_safe_region,
         }
@@ -450,12 +432,12 @@ mod tests {
         let mut history = Vec::new();
         for i in 0..3 {
             let s = g.suggest(&opts, &history, &[], None);
-            assert_eq!(s.source, SuggestionSource::InitialDesign, "iter {i}");
+            assert_eq!(s.source, SuggestionKind::InitialDesign, "iter {i}");
             history.push(evaluate(&toy_space(), &s.config, 0.5));
         }
         let s = g.suggest(&opts, &history, &[], None);
         assert!(
-            matches!(s.source, SuggestionSource::Bo | SuggestionSource::Agd),
+            matches!(s.source, SuggestionKind::Bo | SuggestionKind::Agd),
             "BO starts after init: {:?}",
             s.source
         );
@@ -490,7 +472,7 @@ mod tests {
         let mut history = Vec::new();
         for w in &warm {
             let s = g.suggest(&opts, &history, &[], None);
-            assert_eq!(s.source, SuggestionSource::WarmStart);
+            assert_eq!(s.source, SuggestionKind::WarmStart);
             assert_eq!(&s.config, w);
             history.push(evaluate(&space, &s.config, 0.5));
         }
@@ -529,7 +511,7 @@ mod tests {
         // Probes 0 and 1 serve the retrieved configs verbatim.
         for r in &retrieval {
             let s = g.suggest(&opts, &history, &[], None);
-            assert_eq!(s.source, SuggestionSource::Retrieval);
+            assert_eq!(s.source, SuggestionKind::Retrieval);
             assert_eq!(&s.config, r);
             history.push(evaluate(&toy_space(), &s.config, 0.5));
         }
@@ -542,7 +524,7 @@ mod tests {
         }
         let s = g.suggest(&opts, &history, &[], None);
         let p = plain.suggest(&plain_opts, &plain_history, &[], None);
-        assert_eq!(s.source, SuggestionSource::InitialDesign);
+        assert_eq!(s.source, SuggestionKind::InitialDesign);
         assert_eq!(s.config, p.config, "unserved probe keeps its index");
     }
 
@@ -601,13 +583,13 @@ mod tests {
         for i in [4usize, 9] {
             assert_ne!(
                 sources[i],
-                SuggestionSource::Agd,
+                SuggestionKind::Agd,
                 "too early at {i}: {sources:?}"
             );
         }
         let fired = [14usize, 19]
             .iter()
-            .filter(|&&i| sources[i] == SuggestionSource::Agd)
+            .filter(|&&i| sources[i] == SuggestionKind::Agd)
             .count();
         assert!(fired >= 1, "AGD fires on schedule: {sources:?}");
     }
@@ -623,7 +605,7 @@ mod tests {
         let mut history = Vec::new();
         for _ in 0..10 {
             let s = g.suggest(&opts, &history, &[], None);
-            assert_ne!(s.source, SuggestionSource::Agd);
+            assert_ne!(s.source, SuggestionKind::Agd);
             history.push(evaluate(&space, &s.config, 0.5));
         }
     }
@@ -664,7 +646,7 @@ mod tests {
         for _ in 0..20 {
             let s = g.suggest(&opts, &history, &[], None);
             let o = evaluate(&space, &s.config, 0.5);
-            if matches!(s.source, SuggestionSource::Bo) {
+            if matches!(s.source, SuggestionKind::Bo) {
                 total += 1;
                 if o.runtime > t_max {
                     violations += 1;
@@ -693,7 +675,7 @@ mod tests {
         let mut history = vec![evaluate(&space, &space.default_configuration(), 0.5)];
         for _ in 0..15 {
             let s = g.suggest(&opts, &history, &[], None);
-            if matches!(s.source, SuggestionSource::Bo) {
+            if matches!(s.source, SuggestionKind::Bo) {
                 assert!(
                     toy_resource()(&s.config) <= r_max,
                     "BO suggestions respect R_max"
@@ -754,11 +736,11 @@ mod tests {
             }
             let fired = [14usize, 19]
                 .iter()
-                .filter(|&&i| sources[i] == SuggestionSource::Agd)
+                .filter(|&&i| sources[i] == SuggestionKind::Agd)
                 .count();
             let early = [4usize, 9]
                 .iter()
-                .filter(|&&i| sources[i] == SuggestionSource::Agd)
+                .filter(|&&i| sources[i] == SuggestionKind::Agd)
                 .count();
             println!("seed {seed}: fired={fired} early={early}");
         }

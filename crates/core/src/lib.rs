@@ -56,7 +56,7 @@ pub mod tuner;
 pub use context::{calendar_context, datasize_context};
 pub use controller::{ControllerError, OnlineTuneController, TaskHandle, TaskState};
 pub use fleet::{FleetOptions, FleetReport, FleetRequest, SHARDS_ENV};
-pub use generator::{ConfigGenerator, Suggestion, SuggestionSource};
+pub use generator::{ConfigGenerator, Suggestion};
 pub use objective::Objective;
 pub use repository::DataRepository;
 pub use tuner::{OnlineTuner, TunerOptions};

@@ -1,11 +1,11 @@
 //! The single-task online tuner: the iterative workflow of §3.1 for one
 //! periodic Spark job, including the stopping and restarting criteria.
 
-use crate::generator::{ConfigGenerator, Suggestion, SuggestionSource};
+use crate::generator::{ConfigGenerator, Suggestion};
 use crate::objective::Objective;
 use otune_bo::{
-    best_observation, history_fingerprint, usable_measurement, Observation, SubspaceParams,
-    SurrogateInput,
+    best_observation, history_fingerprint, usable_measurement, within_constraints, Observation,
+    SubspaceParams, SurrogateInput,
 };
 use otune_gp::IncrementalPolicy;
 use otune_meta::{BaseTask, EnsembleSurrogate, MetaCache, TaskRecord};
@@ -32,20 +32,6 @@ const TAU_CONSEC: usize = 3;
 /// unset), keeping the safe-region GP pessimistic about the failing region
 /// without feeding it the unknowable true runtime.
 const FAILURE_PENALTY: f64 = 2.0;
-
-impl SuggestionSource {
-    /// The telemetry mirror of this provenance.
-    pub fn kind(self) -> SuggestionKind {
-        match self {
-            SuggestionSource::WarmStart => SuggestionKind::WarmStart,
-            SuggestionSource::Retrieval => SuggestionKind::Retrieval,
-            SuggestionSource::InitialDesign => SuggestionKind::InitialDesign,
-            SuggestionSource::Agd => SuggestionKind::Agd,
-            SuggestionSource::Bo => SuggestionKind::Bo,
-            SuggestionSource::Fallback => SuggestionKind::Fallback,
-        }
-    }
-}
 
 /// Options for one tuning task. `Default` gives the paper's settings with
 /// the cost objective and no constraints.
@@ -211,6 +197,9 @@ pub struct OnlineTuner {
     space: ConfigSpace,
     opts: TunerOptions,
     generator: ConfigGenerator,
+    /// The analytic resource function the tuner was built with; every
+    /// rebuilt generator reuses it.
+    resource_fn: Arc<dyn Fn(&Configuration) -> f64 + Send + Sync>,
     objective: Objective,
     history: Vec<Observation>,
     pending: Option<Suggestion>,
@@ -251,10 +240,11 @@ impl OnlineTuner {
         opts: TunerOptions,
         resource_fn: Arc<dyn Fn(&Configuration) -> f64 + Send + Sync>,
     ) -> Self {
-        let generator = Self::make_generator(&space, &opts, resource_fn);
+        let generator = Self::make_generator(&space, &opts, Arc::clone(&resource_fn));
         OnlineTuner {
             objective: Objective::new(opts.beta),
             generator,
+            resource_fn,
             space,
             meta_cache: MetaCache::new(opts.incremental),
             base_fps: None,
@@ -356,7 +346,7 @@ impl OnlineTuner {
                 .unwrap_or_else(|| self.space.default_configuration());
             self.pending = Some(Suggestion {
                 config: best.clone(),
-                source: SuggestionSource::Fallback,
+                source: SuggestionKind::Fallback,
                 eic: 0.0,
                 from_safe_region: true,
             });
@@ -379,7 +369,7 @@ impl OnlineTuner {
             let config = self.last_known_safe();
             self.pending = Some(Suggestion {
                 config: config.clone(),
-                source: SuggestionSource::Fallback,
+                source: SuggestionKind::Fallback,
                 eic: 0.0,
                 from_safe_region: true,
             });
@@ -414,7 +404,7 @@ impl OnlineTuner {
         self.telemetry.emit(
             self.round_iterations as u64,
             EventKind::SuggestionMade {
-                source: suggestion.source.kind(),
+                source: suggestion.source,
                 eic: suggestion.eic,
                 in_safe_region: suggestion.from_safe_region,
             },
@@ -433,7 +423,7 @@ impl OnlineTuner {
 
         // Stopping criterion: negligible expected improvement (§3.3).
         if self.opts.ei_stop_ratio > 0.0
-            && matches!(suggestion.source, SuggestionSource::Bo)
+            && matches!(suggestion.source, SuggestionKind::Bo)
             && self.round_iterations > self.opts.n_init + 2
         {
             if let Some(best_cfg) = self.best().map(|b| b.config.clone()) {
@@ -450,7 +440,7 @@ impl OnlineTuner {
                     self.stopped = true;
                     self.pending = Some(Suggestion {
                         config: best_cfg.clone(),
-                        source: SuggestionSource::Fallback,
+                        source: SuggestionKind::Fallback,
                         eic: suggestion.eic,
                         from_safe_region: true,
                     });
@@ -465,14 +455,16 @@ impl OnlineTuner {
     }
 
     /// Provenance of the pending suggestion (diagnostics).
-    pub fn pending_source(&self) -> Option<SuggestionSource> {
+    pub fn pending_source(&self) -> Option<SuggestionKind> {
         self.pending.as_ref().map(|s| s.source)
     }
 
     /// Report the execution result of the pending suggestion (Step 2 of
     /// Figure 1). `runtime_s` and `resource` come from the platform and
     /// must be finite and positive; `context` must match what was passed
-    /// to [`OnlineTuner::suggest`].
+    /// to [`OnlineTuner::suggest`]. Every accepted report, a stopped
+    /// task's included, is announced as `ObservationReported`, stamped
+    /// with the history length after the report.
     pub fn observe(
         &mut self,
         config: Configuration,
@@ -486,7 +478,7 @@ impl OnlineTuner {
             self.pending = Some(pending);
             return Err(TunerError::SuggestionMismatch);
         }
-        let _trace = self.telemetry.trace_span("observe");
+        let trace = self.telemetry.trace_span("observe");
         let objective = self.objective.eval(runtime_s, resource);
 
         if self.stopped {
@@ -500,19 +492,33 @@ impl OnlineTuner {
             } else {
                 self.degraded_streak = 0;
             }
-            return Ok(());
+        } else {
+            self.history.push(Observation {
+                failed: false,
+                config,
+                objective,
+                runtime: runtime_s,
+                resource,
+                context: context.to_vec(),
+            });
+            self.round_iterations += 1;
+            self.failure_streak = 0;
         }
-
-        self.history.push(Observation {
-            failed: false,
-            config,
-            objective,
-            runtime: runtime_s,
-            resource,
-            context: context.to_vec(),
-        });
-        self.round_iterations += 1;
-        self.failure_streak = 0;
+        trace.finish();
+        self.telemetry.emit(
+            self.history.len() as u64,
+            EventKind::ObservationReported {
+                runtime: runtime_s,
+                resource,
+                objective,
+                constraint_violated: !within_constraints(
+                    runtime_s,
+                    resource,
+                    self.opts.t_max,
+                    self.opts.r_max,
+                ),
+            },
+        );
         Ok(())
     }
 
@@ -680,18 +686,32 @@ impl OnlineTuner {
     fn rebuild_generator(&mut self) {
         self.meta_cache.clear();
         self.base_fps = None;
-        let resource_fn = crate::objective::resource_fn_for(&self.space);
-        self.generator = Self::make_generator(&self.space, &self.opts, resource_fn);
+        self.generator =
+            Self::make_generator(&self.space, &self.opts, Arc::clone(&self.resource_fn));
         self.generator.set_telemetry(self.telemetry.clone());
     }
 
-    /// Export this task's history as a [`TaskRecord`] for the repository.
+    /// Export every observation this task recorded as a [`TaskRecord`]
+    /// (a meta-learning source): the rounds before each restart, then the
+    /// current history.
     pub fn export_record(&self, task_id: &str, meta_features: Vec<f64>) -> TaskRecord {
         TaskRecord {
             task_id: task_id.to_string(),
             meta_features,
-            observations: self.history.clone(),
+            observations: self
+                .own_records
+                .iter()
+                .flat_map(|r| &r.observations)
+                .chain(&self.history)
+                .cloned()
+                .collect(),
         }
+    }
+
+    /// How many observations [`OnlineTuner::export_record`] exports.
+    pub(crate) fn n_recorded(&self) -> usize {
+        let restarted: usize = self.own_records.iter().map(|r| r.observations.len()).sum();
+        restarted + self.history.len()
     }
 
     fn build_ensemble(&mut self) -> Option<EnsembleSurrogate> {
@@ -956,14 +976,14 @@ mod tests {
         }
         assert_eq!(tuner.failure_streak(), 3);
         let fallback = tuner.suggest(&[]).unwrap();
-        assert_eq!(tuner.pending_source(), Some(SuggestionSource::Fallback));
+        assert_eq!(tuner.pending_source(), Some(SuggestionKind::Fallback));
         assert_eq!(fallback, d, "retreats to the only feasible config");
         assert_eq!(tuner.failure_streak(), 0, "streak cleared by the fallback");
         let (rt, r) = (toy_runtime(&fallback), toy_resource(&fallback));
         tuner.observe(fallback, rt, r, &[]).unwrap();
         // Tuning continues normally afterwards.
         let next = tuner.suggest(&[]).unwrap();
-        assert_ne!(tuner.pending_source(), Some(SuggestionSource::Fallback));
+        assert_ne!(tuner.pending_source(), Some(SuggestionKind::Fallback));
         let (rt, r) = (toy_runtime(&next), toy_resource(&next));
         tuner.observe(next, rt, r, &[]).unwrap();
     }
@@ -1115,6 +1135,75 @@ mod tests {
         assert_eq!(rec.task_id, "toy");
         assert_eq!(rec.observations.len(), 4);
         assert_eq!(rec.meta_features, vec![1.0, 2.0]);
+    }
+
+    #[test]
+    fn every_observe_announces_the_outcome() {
+        let (telemetry, sink) = Telemetry::ring(256);
+        let mut tuner = make_tuner(TunerOptions {
+            budget: 2,
+            t_max: Some(100.0),
+            ..Default::default()
+        });
+        tuner.set_telemetry(telemetry);
+        for runtime in [50.0, 150.0, 60.0] {
+            let cfg = tuner.suggest(&[]).unwrap();
+            tuner.observe(cfg, runtime, 4.0, &[]).unwrap();
+        }
+        assert!(tuner.is_stopped(), "the last report came after stopping");
+        let announced: Vec<(u64, bool, f64)> = sink
+            .events()
+            .iter()
+            .filter_map(|e| match e.kind {
+                EventKind::ObservationReported {
+                    runtime,
+                    constraint_violated,
+                    ..
+                } => Some((e.iteration, constraint_violated, runtime)),
+                _ => None,
+            })
+            .collect();
+        assert_eq!(
+            announced,
+            [(1, false, 50.0), (2, true, 150.0), (2, false, 60.0)]
+        );
+    }
+
+    #[test]
+    fn restart_and_transfer_keep_the_resource_function() {
+        let r_max = 60.0;
+        let opts = TunerOptions {
+            beta: 1.0,
+            r_max: Some(r_max),
+            budget: 12,
+            seed: 3,
+            ..Default::default()
+        };
+        // BO and AGD suggestions over R_max in one 12-run tuning round.
+        let over_r_max = |tuner: &mut OnlineTuner| -> usize {
+            let mut over = 0;
+            for _ in 0..12 {
+                let cfg = tuner.suggest(&[]).unwrap();
+                let model_based = matches!(
+                    tuner.pending_source(),
+                    Some(SuggestionKind::Bo | SuggestionKind::Agd)
+                );
+                if model_based && toy_resource(&cfg) > r_max {
+                    over += 1;
+                }
+                let (rt, r) = (toy_runtime(&cfg), toy_resource(&cfg));
+                tuner.observe(cfg, rt, r, &[]).unwrap();
+            }
+            over
+        };
+        let mut tuner = make_tuner(opts.clone());
+        let before = over_r_max(&mut tuner);
+        tuner.restart();
+        let after_restart = over_r_max(&mut tuner);
+        let mut fresh = make_tuner(opts);
+        fresh.transfer(vec![], vec![]);
+        let after_transfer = over_r_max(&mut fresh);
+        assert_eq!((before, after_restart, after_transfer), (0, 0, 0));
     }
 
     #[test]

@@ -386,12 +386,6 @@ impl PackedSet {
         self.n_cat
     }
 
-    /// Whether every row's datasize segment is bit-identical (enables SE
-    /// hoisting in the row evaluator).
-    pub fn uniform_ds(&self) -> bool {
-        self.uniform_ds
-    }
-
     /// Borrow row `i` as its three kind segments.
     #[inline]
     pub fn row(&self, i: usize) -> PackedRow<'_> {

@@ -593,16 +593,6 @@ impl GaussianProcess {
         self.chol.jitter()
     }
 
-    /// Updates absorbed since the last full hyperparameter search.
-    pub fn updates_since_search(&self) -> usize {
-        self.updates_since_search
-    }
-
-    /// Per-observation LML recorded at the last full search.
-    pub fn last_search_lml_per_obs(&self) -> f64 {
-        self.last_search_lml_per_obs
-    }
-
     /// The encoded training inputs.
     pub fn train_x(&self) -> &[Vec<f64>] {
         &self.x

@@ -464,23 +464,6 @@ impl Cholesky {
     pub fn log_det(&self) -> f64 {
         (0..self.l.rows()).map(|i| self.l[(i, i)].ln()).sum::<f64>() * 2.0
     }
-
-    /// Explicit inverse `A⁻¹` (column-by-column solves). Only used in tests
-    /// and diagnostics; prefer [`Cholesky::solve`].
-    pub fn inverse(&self) -> Result<Matrix> {
-        let n = self.l.rows();
-        let mut inv = Matrix::zeros(n, n);
-        let mut e = vec![0.0; n];
-        for j in 0..n {
-            e[j] = 1.0;
-            let col = self.solve(&e)?;
-            e[j] = 0.0;
-            for i in 0..n {
-                inv[(i, j)] = col[i];
-            }
-        }
-        Ok(inv)
-    }
 }
 
 #[cfg(test)]
@@ -566,19 +549,6 @@ mod tests {
         assert!(ch.solve(&[1.0]).is_err());
         assert!(ch.solve_lower(&[1.0, 2.0]).is_err());
         assert!(ch.solve_upper(&[1.0, 2.0]).is_err());
-    }
-
-    #[test]
-    fn inverse_times_matrix_is_identity() {
-        let a = spd3();
-        let inv = Cholesky::decompose(&a).unwrap().inverse().unwrap();
-        let id = a.matmul(&inv).unwrap();
-        for i in 0..3 {
-            for j in 0..3 {
-                let expect = if i == j { 1.0 } else { 0.0 };
-                assert!((id[(i, j)] - expect).abs() < 1e-9);
-            }
-        }
     }
 
     #[test]

@@ -207,9 +207,9 @@ impl SharedMetaStore {
             .map_or(0, |s| s.corpus.len())
     }
 
-    /// Append one completed observation to the attached corpus (durably
-    /// when the corpus is file-backed) and refresh the `corpus_records`
-    /// gauge. A missing corpus is a no-op.
+    /// Append one run's outcome to the attached corpus (durably when the
+    /// corpus is file-backed) and refresh the `corpus_records` gauge. A
+    /// missing corpus is a no-op.
     pub fn record_outcome(&self, record: CorpusRecord, telemetry: &Telemetry) -> io::Result<()> {
         let mut guard = self.corpus.lock().expect("shared meta store lock");
         let Some(state) = guard.as_mut() else {

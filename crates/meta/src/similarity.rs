@@ -16,7 +16,8 @@ use otune_space::ConfigSpace;
 use otune_telemetry::Telemetry;
 use serde::{Deserialize, Serialize};
 
-/// A previous tuning task stored in the data repository.
+/// A previous tuning task — its meta-features and runhistory — as a
+/// meta-learning source.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct TaskRecord {
     /// Stable identifier (workload name + owner, in the real service).

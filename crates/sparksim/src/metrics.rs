@@ -31,25 +31,11 @@ pub struct ExecutionResult {
 }
 
 impl ExecutionResult {
-    /// The generalized objective `f(x) = T(x)^β · R(x)^(1-β)` (Eq. 1).
-    pub fn objective(&self, beta: f64) -> f64 {
-        generalized_objective(self.runtime_s, self.resource, beta)
-    }
-
     /// Execution cost `T(x) · R(x)` — the β = 0.5 objective squared, which
     /// is how the paper reports "execution cost" in Tables 2/4.
     pub fn execution_cost(&self) -> f64 {
         self.runtime_s * self.resource
     }
-}
-
-/// The generalized objective of Eq. 1: `T^β · R^(1-β)` with `β ∈ [0, 1]`.
-///
-/// β = 1 minimizes runtime, β = 0 minimizes the resource amount, β = 0.5 is
-/// the square root of the execution cost.
-pub fn generalized_objective(runtime_s: f64, resource: f64, beta: f64) -> f64 {
-    debug_assert!((0.0..=1.0).contains(&beta), "β must lie in [0, 1]");
-    runtime_s.max(0.0).powf(beta) * resource.max(0.0).powf(1.0 - beta)
 }
 
 /// The analytic resource function `R(x)` from §4.3:
@@ -75,23 +61,6 @@ mod tests {
     use super::*;
 
     #[test]
-    fn objective_endpoints() {
-        let t = 100.0;
-        let r = 40.0;
-        assert_eq!(generalized_objective(t, r, 1.0), t);
-        assert_eq!(generalized_objective(t, r, 0.0), r);
-        let half = generalized_objective(t, r, 0.5);
-        assert!((half - (t * r).sqrt()).abs() < 1e-9);
-    }
-
-    #[test]
-    fn objective_monotone_in_inputs() {
-        let base = generalized_objective(100.0, 40.0, 0.7);
-        assert!(generalized_objective(120.0, 40.0, 0.7) > base);
-        assert!(generalized_objective(100.0, 50.0, 0.7) > base);
-    }
-
-    #[test]
     fn resource_amount_counts_driver() {
         let r = resource_amount(10.0, 2.0, 4.0, 1.0, 2.0);
         // vcores = 21, mem = 42 → 21 + 0.5·42 = 42.
@@ -111,6 +80,5 @@ mod tests {
             status: ExecutionStatus::Success,
         };
         assert_eq!(res.execution_cost(), 50.0);
-        assert!((res.objective(0.5) - 50.0f64.sqrt()).abs() < 1e-12);
     }
 }

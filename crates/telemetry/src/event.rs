@@ -18,22 +18,24 @@ pub struct Event {
     pub kind: EventKind,
 }
 
-/// Provenance of a suggested configuration. Mirrors the core crate's
-/// `SuggestionSource` without depending on it (telemetry sits below
-/// core in the dependency graph).
+/// Provenance of a suggested configuration: which mechanism produced it.
+/// The generator tags every suggestion with it, the tuner reports it in
+/// `SuggestionMade`, and the Figure 8/9 ablations count by it.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
 pub enum SuggestionKind {
-    /// Transferred from a similar task.
+    /// Transferred from a similar task (§5.2).
     WarmStart,
-    /// Blended from corpus neighbors by the k-NN retrieval index.
+    /// Zero-execution corpus retrieval: a distance-weighted blend of the
+    /// nearest corpus neighbors' best configurations.
     Retrieval,
-    /// Low-discrepancy initial design.
+    /// Low-discrepancy initial design (§3.3).
     InitialDesign,
-    /// Approximate gradient descent step.
+    /// Approximate gradient descent step (§4.3).
     Agd,
     /// EIC maximization over the safe sub-space.
     Bo,
-    /// Conservative fallback.
+    /// Conservative fallback: an empty candidate set after filtering, a
+    /// failure streak, or a stopped task serving its incumbent.
     Fallback,
 }
 

@@ -1,6 +1,6 @@
 //! The OnlineTune controller service lifecycle against the simulator:
-//! request/report cycles, multiple tasks, repository mirroring, stopping,
-//! and restart on workload drift.
+//! request/report cycles, multiple tasks, per-task histories and stored
+//! meta-features, stopping, and restart on workload drift.
 
 use otune_core::controller::TaskState;
 use otune_core::prelude::*;
@@ -56,9 +56,9 @@ fn full_service_lifecycle_with_two_tasks() {
         let _ = ctl.request_config(h, &[]).unwrap();
         assert_eq!(ctl.state(h), Ok(TaskState::Stopped));
         assert!(ctl.best_config(h).unwrap().is_some());
-        let rec = ctl.repository().task(h.as_str()).unwrap();
-        assert_eq!(rec.observations.len(), 6);
-        assert!(!rec.meta_features.is_empty(), "meta features recorded");
+        assert_eq!(ctl.tuner(h).unwrap().history().len(), 6);
+        let features = ctl.repository().meta_features(h.as_str());
+        assert!(features.is_some(), "meta features recorded");
     }
 }
 

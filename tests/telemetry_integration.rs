@@ -137,7 +137,7 @@ fn warm_start_event_appears_in_transfer_scenario() {
     ctl.set_telemetry(telemetry.clone());
     let space = spark_space(ClusterScale::hibench());
 
-    // Two completed source tasks populate the repository.
+    // Two completed source tasks with meta-features become sources.
     for (tid, task) in [
         ("src-wc", HibenchTask::WordCount),
         ("src-sort", HibenchTask::Sort),
