@@ -58,9 +58,6 @@ fn bench_gp(c: &mut Criterion) {
             b.iter(|| black_box(gp.predict_batch(black_box(rows))))
         });
         let pool = Pool::new(4);
-        group.bench_with_input(BenchmarkId::new("predict-batch-pooled4", n), &n, |b, _| {
-            b.iter(|| black_box(gp.predict_batch_pooled(black_box(rows), &pool)))
-        });
         group.bench_with_input(BenchmarkId::new("fit-pooled4", n), &n, |b, _| {
             b.iter(|| {
                 GaussianProcess::fit_with_pool(

@@ -16,6 +16,24 @@ pub fn expected_improvement(mean: f64, var: f64, y_best: f64) -> f64 {
     (sigma * (gamma * norm_cdf(gamma) + norm_pdf(gamma))).max(0.0)
 }
 
+/// An upper bound on the *computed* [`expected_improvement`]`(mean, v,
+/// y_best)` for every variance `v ≤ var_ub`.
+///
+/// Exact EI grows with σ (`∂EI/∂σ = φ(γ) > 0`), but the computed one is
+/// not exactly monotone: `norm_cdf` uses the A&S 7.1.26 `erf` (|ε| <
+/// 1.5e-7, so Φ is off by at most 7.5e-8), which moves EI by at most
+/// `σ·|γ|·7.5e-8 = |y_best − μ|·7.5e-8`, and the rest of the expression
+/// rounds by a few ulps of `|y_best − μ|`, `σ` and EI. The bound is
+/// therefore EI at `var_ub` plus that error twice (at `v` and at
+/// `var_ub`) plus a relative rounding term far above the ulp count. Every
+/// feasibility factor of EIC is at most 1, so it bounds the computed EIC
+/// too.
+pub(crate) fn expected_improvement_bound(mean: f64, var_ub: f64, y_best: f64) -> f64 {
+    let ei = expected_improvement(mean, var_ub, y_best);
+    let gap = (y_best - mean).abs();
+    ei + 2.0 * gap * 7.5e-8 + 1e-12 * (gap + var_ub.max(0.0).sqrt() + ei)
+}
+
 /// `Pr[metric(x) ≤ threshold]` from the metric surrogate's posterior
 /// `(mean, var)` (Eq. 7).
 pub fn prob_below(mean: f64, var: f64, threshold: f64) -> f64 {
@@ -83,6 +101,27 @@ mod tests {
         // γ = 0: EI = σ·φ(0).
         let ei = expected_improvement(1.0, 4.0, 1.0);
         assert!((ei - 2.0 * 0.3989422804).abs() < 1e-6);
+    }
+
+    #[test]
+    fn ei_bound_dominates_every_smaller_variance() {
+        let mut rng = 0x9e37_79b9_7f4a_7c15u64;
+        let mut next = || {
+            rng ^= rng << 13;
+            rng ^= rng >> 7;
+            rng ^= rng << 17;
+            (rng >> 11) as f64 / (1u64 << 53) as f64
+        };
+        for _ in 0..20_000 {
+            let mean = (next() - 0.5) * 20.0;
+            let y_best = (next() - 0.5) * 20.0;
+            let var_ub = 10f64.powf(next() * 16.0 - 14.0);
+            let bound = expected_improvement_bound(mean, var_ub, y_best);
+            for frac in [1.0, 0.999_999, 0.9, 0.5, 0.1, 1e-6, 1e-20, 0.0] {
+                let ei = expected_improvement(mean, var_ub * frac, y_best);
+                assert!(ei <= bound, "EI({mean}, {var_ub}·{frac}, {y_best})");
+            }
+        }
     }
 
     #[test]

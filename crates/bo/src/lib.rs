@@ -26,6 +26,7 @@ pub mod safe;
 pub mod store;
 pub mod subspace;
 pub mod surrogate;
+mod tiled;
 
 pub use acquisition::{
     eic, expected_improvement, lower_confidence_bound, prob_below, probability_of_improvement,

@@ -4,6 +4,7 @@
 use crate::acquisition::{eic, expected_improvement, prob_below};
 use crate::safe::SafeRegion;
 use crate::surrogate::Predictor;
+use crate::tiled::TilePass;
 use otune_gp::{GaussianProcess, Rows};
 use otune_pool::Pool;
 use otune_space::{CandidateRows, Configuration, Subspace};
@@ -62,45 +63,6 @@ impl EicObjective<'_> {
             .collect();
         eic(ei, &probs)
     }
-
-    /// Evaluate EIC at many encoded points through the surrogates' batched
-    /// prediction paths. Per point this combines the same predictions with
-    /// the same arithmetic as [`EicObjective::eval`], so the scores match
-    /// the scalar path exactly for every pool width.
-    ///
-    /// `reuse[k]`, when present, holds precomputed `(mean, var)` for
-    /// constraint `k` at exactly `xs` — per-point predictions are pure
-    /// functions of the surrogate and the point, so substituting them is
-    /// bitwise-identical to re-predicting. Missing or `None` entries are
-    /// predicted here as usual.
-    pub fn eval_batch_reusing(
-        &self,
-        xs: Rows<'_>,
-        mut reuse: Vec<Option<Vec<(f64, f64)>>>,
-        pool: &Pool,
-    ) -> Vec<f64> {
-        let obj = self.objective_gp.predict_many(xs, pool);
-        reuse.resize(self.constraints.len(), None);
-        let cons: Vec<Vec<(f64, f64)>> = self
-            .constraints
-            .iter()
-            .zip(reuse)
-            .map(|((gp, _), pre)| pre.unwrap_or_else(|| gp.predict_batch_pooled(xs, pool)))
-            .collect();
-        let mut probs = Vec::with_capacity(self.constraints.len());
-        obj.into_iter()
-            .enumerate()
-            .map(|(j, (mean, var))| {
-                let ei = expected_improvement(mean, var, self.y_best);
-                probs.clear();
-                for (preds, (_, thr)) in cons.iter().zip(&self.constraints) {
-                    let (m, v) = preds[j];
-                    probs.push(prob_below(m, v, *thr));
-                }
-                eic(ei, &probs)
-            })
-            .collect()
-    }
 }
 
 /// Outcome of one acquisition maximization.
@@ -149,19 +111,25 @@ pub fn maximize_eic(
 
 /// [`maximize_eic`] with instrumentation and an explicit worker pool:
 /// records the number of EIC evaluations per call (`eic_evals_per_iter`
-/// histogram) and counts candidates rejected by the GP safe region
-/// (`safe_region_rejections` counter).
+/// histogram: the safe survivors) and counts candidates rejected by the
+/// GP safe region (`safe_region_rejections` counter, exact).
 ///
 /// The candidates live in one flat [`CandidateRows`] matrix and are
 /// never materialised as configurations: deduplication compares value
 /// words, the analytic filter decodes only the rows it tests, screening
 /// and scoring read row views of the matrix, and only the winner is
-/// decoded. Safe-region screening and EIC scoring run through the
-/// surrogates' batched prediction paths in parallel chunks; winners are
-/// selected by folding scores in candidate order, which reproduces the
-/// sequential first-max (and first-min for the fallback) tie-breaking
-/// exactly. The returned choice is therefore identical for every pool
-/// width.
+/// decoded.
+///
+/// Screening and scoring are one tiled pass (`tiled.rs`): per tile of
+/// candidates, one distance pass per distinct training set, kernel rows
+/// per GP, safe-screen decisions and EIC upper bounds from variance
+/// bounds, and the `O(n²)` variance solve only where a bound cannot
+/// decide; exact EIC then runs in descending-bound order until no
+/// remaining bound can beat the best. Tiles run on `pool` and are
+/// combined in candidate order, and ties keep the sequential first-max
+/// (first-min for the least-violation fallback), so the choice — config,
+/// EIC bits and safety flag — is that of scoring every candidate exactly,
+/// at every pool width.
 #[allow(clippy::too_many_arguments)]
 pub fn maximize_eic_with(
     sub: &Subspace,
@@ -195,69 +163,29 @@ pub fn maximize_eic_with(
     }
     let matrix = Rows::new(rows.encoded(), rows.width());
     let candidates = matrix.select(&kept);
+    let pass = TilePass::new(objective, safe_regions);
 
-    // Safe-region screening: batched upper bounds per region, violations
-    // accumulated in region order (the same sum order as per-candidate
-    // `violation` calls). The span covers the whole batched screen, not
-    // per-chunk work, so traces stay invariant to pool width.
-    // The raw posteriors behind each region are kept: when an EIC
-    // constraint shares its surrogate with a region (the common runtime
-    // GP), its predictions over the safe survivors are a subset of what
-    // the screen already computed and are reused instead of re-predicted.
+    // The screen span covers the whole tile pass — safe-screen decisions
+    // and the survivors' EIC bounds — plus, when nothing is safe, the
+    // exact least-violation fallback; the score span covers the exact
+    // EIC ranking. One of each per step, whatever the pool width.
     let screen_span = telemetry.trace_span("safe_screen");
-    let mut region_preds: Vec<Vec<(f64, f64)>> = Vec::with_capacity(safe_regions.len());
-    let mut violations = vec![0.0; kept.len()];
-    for region in safe_regions {
-        let preds = region.surrogate().predict_batch_pooled(candidates, pool);
-        for (acc, &(m, v)) in violations.iter_mut().zip(&preds) {
-            *acc += region.violation_from(m, v);
-        }
-        region_preds.push(preds);
-    }
+    let bounds = pass.screen(candidates, pool);
+    let n_safe = bounds.iter().filter(|b| b.is_some()).count();
+    let least_violation = (n_safe == 0).then(|| pass.least_violation(candidates, pool));
     screen_span.finish();
 
-    // EIC is scored only for the safe survivors, exactly as the scalar
-    // loop did — so `eic_evals_per_iter` keeps its meaning. `safe` holds
-    // positions in `kept`; `safe_rows` the matching matrix rows.
-    let safe: Vec<usize> = (0..kept.len()).filter(|&j| violations[j] <= 0.0).collect();
-    let safe_rows: Vec<usize> = safe.iter().map(|&j| kept[j]).collect();
-    let reuse: Vec<Option<Vec<(f64, f64)>>> = objective
-        .constraints
-        .iter()
-        .map(|&(gp, _)| {
-            safe_regions
-                .iter()
-                .position(|r| std::ptr::eq(gp, r.surrogate()))
-                .map(|ri| safe.iter().map(|&j| region_preds[ri][j]).collect())
-        })
-        .collect();
     let score_span = telemetry.trace_span("eic_score");
-    let scores = objective.eval_batch_reusing(matrix.select(&safe_rows), reuse, pool);
+    let best_safe = pass.best_exact(matrix, &kept, &bounds);
     score_span.finish();
 
-    // Fold in candidate order: first-max among safe candidates, first-min
-    // violation among unsafe ones — the sequential tie-breaking.
-    let mut best_safe: Option<(usize, f64)> = None;
-    for (&j, &v) in safe.iter().zip(&scores) {
-        if best_safe.is_none_or(|(_, b)| v > b) {
-            best_safe = Some((j, v));
-        }
-    }
-    let mut least_violation: Option<(usize, f64)> = None;
-    for (j, &violation) in violations.iter().enumerate() {
-        if violation > 0.0 && least_violation.is_none_or(|(_, b)| violation < b) {
-            least_violation = Some((j, violation));
-        }
-    }
-    let n_evals = safe.len() as u64;
-    let n_rejected = (kept.len() - safe.len()) as u64;
-    telemetry.observe(metric::EIC_EVALS_PER_ITER, n_evals as f64);
-    telemetry.add(metric::SAFE_REGION_REJECTIONS, n_rejected);
+    telemetry.observe(metric::EIC_EVALS_PER_ITER, n_safe as f64);
+    telemetry.add(metric::SAFE_REGION_REJECTIONS, (kept.len() - n_safe) as u64);
 
     let (j, eic, from_safe_region) = match best_safe {
         Some((j, v)) => (j, v, true),
         None => {
-            let (j, _) = least_violation.expect("candidates is non-empty");
+            let j = least_violation.expect("a step without safe candidates takes the fallback");
             (j, 0.0, false)
         }
     };

@@ -7,8 +7,7 @@
 //! intersection of per-constraint regions; intersection is just `all()`
 //! over [`SafeRegion::is_safe`] checks.
 
-use otune_gp::{GaussianProcess, Rows};
-use otune_pool::Pool;
+use otune_gp::GaussianProcess;
 
 /// One constraint's safe region.
 #[derive(Debug)]
@@ -52,19 +51,12 @@ impl<'a> SafeRegion<'a> {
         (self.upper_bound(x) - self.threshold).max(0.0)
     }
 
-    /// [`SafeRegion::violation`] over many points via the surrogate's
-    /// batched prediction path; identical to per-point calls.
-    pub fn violations(&self, xs: Rows<'_>, pool: &Pool) -> Vec<f64> {
-        self.surrogate
-            .predict_batch_pooled(xs, pool)
-            .into_iter()
-            .map(|(mean, var)| self.violation_from(mean, var))
-            .collect()
-    }
-
     /// [`SafeRegion::violation`] from an already computed posterior —
-    /// lets callers that batched the surrogate's predictions themselves
-    /// (to reuse them elsewhere) apply the same bound arithmetic.
+    /// lets callers that computed the surrogate's posterior themselves
+    /// apply the same bound arithmetic. Nondecreasing in `var` (IEEE
+    /// rounding is monotone), so a variance bound decides the sign of the
+    /// violation whenever the bound's violation does: zero at an upper
+    /// bound means safe, positive at a lower bound means unsafe.
     pub fn violation_from(&self, mean: f64, var: f64) -> f64 {
         (self.upper_bound_from(mean, var) - self.threshold).max(0.0)
     }
@@ -117,17 +109,6 @@ mod tests {
         for i in 0..20 {
             let x = [i as f64 / 19.0];
             assert!(cautious.upper_bound(&x) >= bold.upper_bound(&x));
-        }
-    }
-
-    #[test]
-    fn batched_violations_match_per_point() {
-        let gp = runtime_gp();
-        let region = SafeRegion::new(&gp, 300.0, 1.0);
-        let xs: Vec<f64> = (0..40).map(|i| i as f64 / 39.0).collect();
-        let batch = region.violations(Rows::new(&xs, 1), &Pool::new(2));
-        for (x, v) in xs.iter().zip(batch) {
-            assert_eq!(v.to_bits(), region.violation(&[*x]).to_bits());
         }
     }
 

@@ -1,36 +1,51 @@
 //! Fitting mixed-kernel GPs on configuration runhistory.
 
 use crate::observation::Observation;
-use otune_gp::{FeatureKind, GaussianProcess, GpConfig, GpError, Rows};
+use otune_gp::{FeatureKind, GaussianProcess, GpConfig, GpError};
 use otune_pool::Pool;
 use otune_space::{ConfigSpace, Configuration, DimKind};
 use otune_telemetry::{metric, Telemetry};
 
 /// Anything that yields a posterior `(mean, variance)` at an encoded
-/// point — a plain GP or the meta-learning ensemble surrogate.
-pub trait Predictor {
-    /// Posterior predictive mean and variance at `x`.
-    fn predict(&self, x: &[f64]) -> (f64, f64);
+/// point — a plain GP or the meta-learning ensemble surrogate — as a
+/// mixture of GP members.
+///
+/// The tiled screen-and-score pass in
+/// [`maximize_eic_with`](crate::maximize_eic_with) reads the members'
+/// posteriors off shared distance tiles and mixes them through
+/// [`Predictor::combine`]. It relies on two properties of `combine`: the
+/// mean does not depend on the member variances, and the variance is
+/// nondecreasing in every member variance under IEEE rounding — so
+/// mixing member variance upper bounds bounds the mixture's computed
+/// variance. Members are shared across the pass's worker threads, hence
+/// `Sync`.
+pub trait Predictor: Sync {
+    /// The GP members, in mixing order. Member `i` reads the leading
+    /// `kernel().dim()` columns of an input row.
+    fn members(&self) -> Vec<&GaussianProcess>;
 
-    /// Posterior predictions at many points, free to use `pool`.
-    ///
-    /// Implementations must return exactly what per-point
-    /// [`Predictor::predict`] calls would — batching and parallelism are
-    /// layout optimizations, never semantic ones — so results cannot
-    /// depend on the pool width.
-    fn predict_many(&self, xs: Rows<'_>, pool: &Pool) -> Vec<(f64, f64)> {
-        let _ = pool;
-        xs.iter().map(|x| self.predict(x)).collect()
+    /// Mix member posteriors, given in [`Predictor::members`] order.
+    fn combine(&self, member_preds: &[(f64, f64)]) -> (f64, f64);
+
+    /// Posterior predictive mean and variance at `x`: each member's
+    /// posterior at its leading columns of `x`, mixed.
+    fn predict(&self, x: &[f64]) -> (f64, f64) {
+        let preds: Vec<(f64, f64)> = self
+            .members()
+            .iter()
+            .map(|gp| gp.predict(&x[..gp.kernel().dim()]))
+            .collect();
+        self.combine(&preds)
     }
 }
 
 impl Predictor for GaussianProcess {
-    fn predict(&self, x: &[f64]) -> (f64, f64) {
-        GaussianProcess::predict(self, x)
+    fn members(&self) -> Vec<&GaussianProcess> {
+        vec![self]
     }
 
-    fn predict_many(&self, xs: Rows<'_>, pool: &Pool) -> Vec<(f64, f64)> {
-        self.predict_batch_pooled(xs, pool)
+    fn combine(&self, member_preds: &[(f64, f64)]) -> (f64, f64) {
+        member_preds[0]
     }
 }
 

@@ -1,5 +1,6 @@
 //! The mixed Matérn / Hamming / SE product kernel (§3.3).
 
+use otune_linalg::simd::LANES;
 use serde::{Deserialize, Serialize};
 
 /// What kind of feature an input dimension carries — selects the kernel
@@ -183,18 +184,6 @@ impl MixedKernel {
             }
             set.len += 1;
         }
-        // When every row carries the bit-identical datasize segment (the
-        // common case: one task's fixed workload context), the SE factor
-        // against any probe point is shared — the row evaluator hoists it
-        // out of the candidate loop.
-        set.uniform_ds = (1..set.len).all(|r| {
-            let r0 = set.row(0).ds;
-            set.row(r)
-                .ds
-                .iter()
-                .zip(r0)
-                .all(|(a, b)| a.to_bits() == b.to_bits())
-        });
     }
 
     /// Hamming factors for *exact* mismatch counts: `out[c] =
@@ -213,13 +202,15 @@ impl MixedKernel {
     /// The four lanes are four *independent* candidates: each lane's
     /// squared-distance and mismatch sums accumulate over the packed
     /// dimensions in the same ascending order as [`MixedKernel::eval`],
-    /// so every output is bitwise identical to a scalar `eval` call —
-    /// the lockstep layout only lets one load of `a`'s dimension feed
-    /// four FMA chains. `hamming` must come from
+    /// and `kernel_lanes` turns them into kernel values in `eval`'s
+    /// expression order, so every output is bitwise identical to a scalar
+    /// `eval` call. `hamming` must come from
     /// [`MixedKernel::hamming_table_into`] at the current
-    /// hyperparameters. When the set's datasize segments are uniform the
-    /// SE factor is computed once against row 0 and shared (identical
-    /// inputs ⇒ identical bits).
+    /// hyperparameters.
+    ///
+    /// This row-major evaluator is the reference the tiled distance pass
+    /// ([`crate::DistanceTile`]) is pinned against; it backs the
+    /// `predict_batch_into` oracle.
     pub fn eval_rows_packed(
         &self,
         a: PackedRow<'_>,
@@ -228,108 +219,36 @@ impl MixedKernel {
         hamming: &[f64],
         out: &mut [f64],
     ) {
-        const LANES: usize = otune_linalg::simd::LANES;
         debug_assert!(count <= set.len);
         debug_assert!(hamming.len() > set.n_cat);
         let h = &self.hyper;
         if count == 0 {
             return;
         }
-        let hoisted_se = if set.uniform_ds {
-            Some(Self::se_factor(a.ds, set.row(0).ds, h))
-        } else {
-            None
-        };
         let mut blocks = 0u64;
         let mut j0 = 0;
-        while j0 + LANES <= count {
-            let b0 = set.row(j0);
-            let b1 = set.row(j0 + 1);
-            let b2 = set.row(j0 + 2);
-            let b3 = set.row(j0 + 3);
+        while j0 < count {
+            let lanes = (count - j0).min(LANES);
             let mut sq = [0.0f64; LANES];
-            for (d, &x) in a.num.iter().enumerate() {
-                let d0 = x - b0.num[d];
-                let d1 = x - b1.num[d];
-                let d2 = x - b2.num[d];
-                let d3 = x - b3.num[d];
-                sq[0] += d0 * d0;
-                sq[1] += d1 * d1;
-                sq[2] += d2 * d2;
-                sq[3] += d3 * d3;
-            }
             let mut mm = [0usize; LANES];
-            for (d, &x) in a.cat.iter().enumerate() {
-                mm[0] += ((x - b0.cat[d]).abs() > 1e-9) as usize;
-                mm[1] += ((x - b1.cat[d]).abs() > 1e-9) as usize;
-                mm[2] += ((x - b2.cat[d]).abs() > 1e-9) as usize;
-                mm[3] += ((x - b3.cat[d]).abs() > 1e-9) as usize;
-            }
-            let se = match hoisted_se {
-                Some(se) => [se; LANES],
-                None => {
-                    let mut sq_ds = [0.0f64; LANES];
-                    for (d, &x) in a.ds.iter().enumerate() {
-                        let d0 = x - b0.ds[d];
-                        let d1 = x - b1.ds[d];
-                        let d2 = x - b2.ds[d];
-                        let d3 = x - b3.ds[d];
-                        sq_ds[0] += d0 * d0;
-                        sq_ds[1] += d1 * d1;
-                        sq_ds[2] += d2 * d2;
-                        sq_ds[3] += d3 * d3;
-                    }
-                    let denom = h.len_datasize * h.len_datasize;
-                    [
-                        (-0.5 * sq_ds[0] / denom).exp(),
-                        (-0.5 * sq_ds[1] / denom).exp(),
-                        (-0.5 * sq_ds[2] / denom).exp(),
-                        (-0.5 * sq_ds[3] / denom).exp(),
-                    ]
+            let mut se = [0.0f64; LANES];
+            for t in 0..lanes {
+                let b = set.row(j0 + t);
+                for (x, y) in a.num.iter().zip(b.num) {
+                    let d = x - y;
+                    sq[t] += d * d;
                 }
-            };
-            for t in 0..LANES {
-                let r = sq[t].sqrt() / h.len_numeric;
-                let s5r = 5f64.sqrt() * r;
-                let matern = (1.0 + s5r + 5.0 * r * r / 3.0) * (-s5r).exp();
-                out[j0 + t] = h.signal_var * matern * hamming[mm[t]] * se[t];
+                for (x, y) in a.cat.iter().zip(b.cat) {
+                    mm[t] += ((x - y).abs() > 1e-9) as usize;
+                }
+                se[t] = Self::se_factor(a.ds, b.ds, h);
             }
-            blocks += 1;
-            j0 += LANES;
-        }
-        for (j, o) in out.iter_mut().enumerate().take(count).skip(j0) {
-            *o = Self::eval_packed_pair(a, set.row(j), h, hamming, hoisted_se);
+            let k = kernel_lanes(h, &sq, &mm, &se, hamming);
+            out[j0..j0 + lanes].copy_from_slice(&k[..lanes]);
+            blocks += u64::from(lanes == LANES);
+            j0 += lanes;
         }
         otune_linalg::simd::record_blocks(blocks);
-    }
-
-    /// One packed-pair evaluation — the scalar tail of
-    /// [`MixedKernel::eval_rows_packed`], bitwise-matching
-    /// [`MixedKernel::eval`].
-    fn eval_packed_pair(
-        a: PackedRow<'_>,
-        b: PackedRow<'_>,
-        h: &KernelHyper,
-        hamming: &[f64],
-        hoisted_se: Option<f64>,
-    ) -> f64 {
-        let mut sq_num = 0.0;
-        for (x, y) in a.num.iter().zip(b.num) {
-            let d = x - y;
-            sq_num += d * d;
-        }
-        let mut mm = 0usize;
-        for (x, y) in a.cat.iter().zip(b.cat) {
-            mm += ((x - y).abs() > 1e-9) as usize;
-        }
-        let se = match hoisted_se {
-            Some(se) => se,
-            None => Self::se_factor(a.ds, b.ds, h),
-        };
-        let r = sq_num.sqrt() / h.len_numeric;
-        let s5r = 5f64.sqrt() * r;
-        let matern = (1.0 + s5r + 5.0 * r * r / 3.0) * (-s5r).exp();
-        h.signal_var * matern * hamming[mm] * se
     }
 
     /// The SE factor over packed datasize segments, in `eval`'s exact
@@ -340,8 +259,55 @@ impl MixedKernel {
             let d = x - y;
             sq_ds += d * d;
         }
-        (-0.5 * sq_ds / (h.len_datasize * h.len_datasize)).exp()
+        se_from(sq_ds, h)
     }
+}
+
+/// The SE factor from a squared data-size distance, in
+/// [`MixedKernel::eval`]'s expression order.
+#[inline]
+pub(crate) fn se_from(sq_ds: f64, h: &KernelHyper) -> f64 {
+    (-0.5 * sq_ds / (h.len_datasize * h.len_datasize)).exp()
+}
+
+/// Kernel values of [`LANES`] pairs from their distance sums — squared
+/// numeric distance `sq`, categorical mismatch count `mm` and SE factor
+/// `se` — in [`MixedKernel::eval`]'s expression order:
+/// `σ_f² · matern · hamming[mm] · se`.
+///
+/// The Matérn factor runs on 4-lane arrays: `sqrt`, the two divisions and
+/// the polynomial are correctly rounded IEEE operations (and Rust never
+/// contracts a multiply and an add into an FMA), so whichever
+/// instructions the compiler picks for the arrays produce the scalar
+/// bits; `exp` is called per lane. This is the one kernel transform:
+/// [`MixedKernel::eval_rows_packed`], covariance assembly and the tiled
+/// candidate pass all call it. `hamming` is
+/// [`MixedKernel::hamming_table_into`] at `h`.
+#[inline]
+pub(crate) fn kernel_lanes(
+    h: &KernelHyper,
+    sq: &[f64; LANES],
+    mm: &[usize; LANES],
+    se: &[f64; LANES],
+    hamming: &[f64],
+) -> [f64; LANES] {
+    let s5 = 5f64.sqrt();
+    let mut r = [0.0f64; LANES];
+    for t in 0..LANES {
+        r[t] = sq[t].sqrt() / h.len_numeric;
+    }
+    let mut s5r = [0.0f64; LANES];
+    let mut poly = [0.0f64; LANES];
+    for t in 0..LANES {
+        s5r[t] = s5 * r[t];
+        poly[t] = 1.0 + s5r[t] + 5.0 * r[t] * r[t] / 3.0;
+    }
+    let mut k = [0.0f64; LANES];
+    for t in 0..LANES {
+        let matern = poly[t] * (-s5r[t]).exp();
+        k[t] = h.signal_var * matern * hamming[mm[t]] * se[t];
+    }
+    k
 }
 
 /// One point's kind-grouped segments inside a [`PackedSet`].
@@ -367,7 +333,6 @@ pub struct PackedSet {
     n_ds: usize,
     len: usize,
     data: Vec<f64>,
-    uniform_ds: bool,
 }
 
 impl PackedSet {

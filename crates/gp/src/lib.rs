@@ -17,11 +17,13 @@
 mod kernel;
 mod model;
 mod stats;
+mod tile;
 
 pub use kernel::{FeatureKind, KernelHyper, MixedKernel, PackedRow, PackedSet};
 pub use model::{
-    GaussianProcess, GpBatchScratch, GpConfig, GpError, GpScratch, IncrementalPolicy,
+    GaussianProcess, GpBatchScratch, GpConfig, GpError, GpScratch, IncrementalPolicy, KernelTile,
     SearchTrigger, UpdateOutcome,
 };
 pub use otune_linalg::Rows;
 pub use stats::{norm_cdf, norm_pdf};
+pub use tile::{CandidateTile, DistanceTile};

@@ -1,12 +1,20 @@
 //! Gaussian-process regression with LML-based hyperparameter fitting.
 
 use crate::kernel::{FeatureKind, KernelHyper, MixedKernel, PackedSet};
+use crate::tile::{CandidateTile, DistanceTile};
+use otune_linalg::simd::LANES;
 use otune_linalg::{Cholesky, LinalgError, Matrix, Rows};
 use otune_pool::Pool;
 use otune_telemetry::Telemetry;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use std::cell::RefCell;
+
+/// Relative slack on `s = ‖L⁻¹k‖²` in [`GaussianProcess::tile_var_bounds`]:
+/// covers the rounding of the computed `s` against the exact quadratic
+/// form the bounds hold for, with ample margin at the conditioning the
+/// jitter ladder admits.
+const VAR_BOUND_SLACK: f64 = 1e-6;
 
 /// Errors from GP fitting and prediction.
 #[derive(Debug, Clone, PartialEq)]
@@ -234,6 +242,10 @@ impl GaussianProcess {
             let d = (kinds.len() as u64).max(1);
             n * n / 2 * d * 4 + n * n * n / 6 * 2
         };
+        let search_span = telemetry.trace_span("hyper_search");
+        // Every candidate's covariance reads the same training × training
+        // distance sums: one pass per search, not one per candidate.
+        let dist = training_distances(&kinds, &x);
         let evaluate = |hypers: &[KernelHyper]| -> Vec<Option<(Cholesky, Vec<f64>, f64)>> {
             // Capture the caller's span (the `hyper_search` span) so
             // worker threads parent their candidate spans under it; ids
@@ -243,7 +255,7 @@ impl GaussianProcess {
                 let _adopted = telemetry.trace_adopt(ctx.clone());
                 let _span = telemetry.trace_span_keyed("hyper_candidate", i as u64);
                 let kernel = MixedKernel::new(kinds.clone(), hyper);
-                Self::factor_traced(&kernel, &x, &ys, telemetry).ok()
+                Self::factor_traced(&kernel, &dist, &ys, telemetry).ok()
             })
         };
 
@@ -293,7 +305,6 @@ impl GaussianProcess {
                 ]));
             }
         }
-        let search_span = telemetry.trace_span("hyper_search");
         let evals = evaluate(&candidates);
         fold(
             &candidates,
@@ -350,27 +361,28 @@ impl GaussianProcess {
         })
     }
 
-    /// The noisy covariance `K + τ²I` over the training inputs.
+    /// The noisy covariance `K + τ²I` over the training inputs, read off
+    /// their training × training distance sums `dist`.
     ///
-    /// The lower triangle is assembled row-by-row on the packed
-    /// kind-grouped layout, four entries per pass; each entry performs the
-    /// identical operation sequence as [`MixedKernel::eval`], so the
-    /// matrix is bitwise-identical to evaluating the kernel pair by pair
-    /// (pinned by proptests).
-    fn build_cov(kernel: &MixedKernel, x: &[Vec<f64>]) -> Result<Matrix, GpError> {
-        thread_local! {
-            static SCRATCH: RefCell<(PackedSet, Vec<f64>)> = RefCell::new(Default::default());
-        }
-        let n = x.len();
+    /// The lower triangle is assembled row by row through the lane-blocked
+    /// kernel transform; each entry performs the identical operation
+    /// sequence as [`MixedKernel::eval`], so the matrix is
+    /// bitwise-identical to evaluating the kernel pair by pair (pinned by
+    /// proptests).
+    fn build_cov(kernel: &MixedKernel, dist: &DistanceTile) -> Result<Matrix, GpError> {
+        let n = dist.rows();
         let mut k = Matrix::zeros(n, n);
-        SCRATCH.with(|s| {
-            let (packed, hamming) = &mut *s.borrow_mut();
-            kernel.pack_rows(x.iter().map(Vec::as_slice), packed);
-            kernel.hamming_table_into(packed.n_cat(), hamming);
-            for i in 0..n {
-                kernel.eval_rows_packed(packed.row(i), packed, i + 1, hamming, k.row_mut(i));
-            }
-        });
+        let mut hamming = Vec::new();
+        kernel.hamming_table_into(dist.n_cat(), &mut hamming);
+        let mut groups = 0;
+        for i in 0..n {
+            let row = k.row_mut(i);
+            groups += dist.kernel_row(i, i + 1, &kernel.hyper, &hamming, |j0, vals| {
+                let take = (i + 1 - j0).min(LANES);
+                row[j0..j0 + take].copy_from_slice(&vals[..take]);
+            });
+        }
+        otune_linalg::simd::record_blocks(groups);
         for i in 0..n {
             for j in 0..i {
                 k[(j, i)] = k[(i, j)];
@@ -382,19 +394,19 @@ impl GaussianProcess {
 
     fn factor_traced(
         kernel: &MixedKernel,
-        x: &[Vec<f64>],
+        dist: &DistanceTile,
         ys: &[f64],
         telemetry: &Telemetry,
     ) -> Result<(Cholesky, Vec<f64>, f64), GpError> {
         let k = {
             let _span = telemetry.trace_span("kernel_assembly");
-            Self::build_cov(kernel, x)?
+            Self::build_cov(kernel, dist)?
         };
         let chol = Cholesky::decompose_traced(&k, telemetry)?;
         let alpha = chol.solve(ys)?;
         let lml = -0.5 * otune_linalg::dot(ys, &alpha)
             - 0.5 * chol.log_det()
-            - x.len() as f64 / 2.0 * (2.0 * std::f64::consts::PI).ln();
+            - ys.len() as f64 / 2.0 * (2.0 * std::f64::consts::PI).ln();
         if !lml.is_finite() {
             return Err(GpError::NonFiniteTarget);
         }
@@ -514,7 +526,8 @@ impl GaussianProcess {
             Err(e) => return Err(e.into()),
         }
         // The stored jitter level is invalidated: rerun the full ladder.
-        let k = Self::build_cov(&self.kernel, &self.x)?;
+        let dist = training_distances(self.kernel.kinds(), &self.x);
+        let k = Self::build_cov(&self.kernel, &dist)?;
         self.chol = Cholesky::decompose(&k)?;
         Ok(UpdateOutcome::JitterInvalidated)
     }
@@ -628,13 +641,21 @@ impl GaussianProcess {
         self.chol
             .solve_lower_into(&scratch.kx, &mut scratch.v)
             .expect("dimension verified at fit time");
-        let var_std = (self.kernel.diag() + self.kernel.hyper.noise_var
-            - otune_linalg::dot(&scratch.v, &scratch.v))
-        .max(1e-12);
         (
             mean_std * self.y_std + self.y_mean,
-            var_std * self.y_std * self.y_std,
+            self.variance_from(otune_linalg::dot(&scratch.v, &scratch.v)),
         )
+    }
+
+    /// The posterior variance on the target scale from `s = ‖L⁻¹k‖²`:
+    /// `(k(x,x) + τ² − s)` floored at `1e-12`, times `y_std²`. Every
+    /// variance path — scalar, batched, tiled and the tile bounds — goes
+    /// through this one expression. It is nondecreasing in `prior − s`
+    /// under IEEE rounding, which is what lets a bound on `s` bound the
+    /// computed variance.
+    fn variance_from(&self, s: f64) -> f64 {
+        let prior = self.kernel.diag() + self.kernel.hyper.noise_var;
+        (prior - s).max(1e-12) * self.y_std * self.y_std
     }
 
     /// Posterior mean only: `k(X, x)·α` on the original target scale.
@@ -653,28 +674,29 @@ impl GaussianProcess {
         mean_std * self.y_std + self.y_mean
     }
 
-    /// Batch prediction over `xs`, sequential. Bitwise-identical to
-    /// calling [`GaussianProcess::predict`] per point (see
+    /// Batch prediction over `xs`. Bitwise-identical to calling
+    /// [`GaussianProcess::predict`] per point (see
     /// [`GaussianProcess::predict_batch_into`]).
+    #[doc(hidden)]
     pub fn predict_batch(&self, xs: Rows<'_>) -> Vec<(f64, f64)> {
         let mut out = Vec::new();
         self.predict_batch_into(xs, &mut GpBatchScratch::default(), &mut out);
         out
     }
 
-    /// True batched prediction: build the cross-kernel matrix
-    /// `Kc = K(X, X_cand)` once, accumulate `μ = Kcᵀ α` row-by-row, then
-    /// run one multi-RHS forward substitution `V = L⁻¹ Kc` in place and
-    /// read `σ²_j = k(x,x) + τ² − Σᵢ V[i,j]²`.
+    /// The unpruned batched posterior, kept as the bitwise oracle for the
+    /// tiled path ([`GaussianProcess::kernel_tile`] and friends): build
+    /// the cross-kernel matrix `Kc = K(X, X_cand)` once, accumulate
+    /// `μ = Kcᵀ α` row by row, then run one multi-RHS forward
+    /// substitution `V = L⁻¹ Kc` in place and read
+    /// `σ²_j = k(x,x) + τ² − Σᵢ V[i,j]²`.
     ///
     /// Per candidate `j` this performs the *same* floating-point
     /// operations in the *same* order as the scalar path — the kernel
     /// column, the α-dot, the forward-substitution recurrence, and the
     /// squared-norm accumulation all walk training index `i` ascending —
     /// so batched results are bitwise-identical to scalar `predict`.
-    /// The batched layout just replaces `m` strided triangular solves
-    /// with contiguous row operations, and `scratch` reuse makes the
-    /// per-candidate heap allocation zero.
+    #[doc(hidden)]
     pub fn predict_batch_into(
         &self,
         xs: Rows<'_>,
@@ -692,11 +714,6 @@ impl GaussianProcess {
         }
         scratch.mean.clear();
         scratch.mean.resize(m, 0.0);
-        // Blocked cross-kernel assembly: pack both sides by feature kind,
-        // then stream each train row against four candidates at a time.
-        // Per (i, j) pair the operation sequence matches `eval` exactly,
-        // and the mean accumulates its `i` terms in the same ascending
-        // order — bitwise-identical output, one branch-free pass per row.
         self.kernel
             .pack_rows(self.x.iter().map(Vec::as_slice), &mut scratch.train_packed);
         self.kernel.pack_rows(xs.iter(), &mut scratch.cand_packed);
@@ -720,7 +737,6 @@ impl GaussianProcess {
         self.chol
             .solve_lower_batch_in_place(&mut scratch.kc)
             .expect("dimension verified at fit time");
-        let prior = self.kernel.diag() + self.kernel.hyper.noise_var;
         scratch.sq_norm.clear();
         scratch.sq_norm.resize(m, 0.0);
         for i in 0..n {
@@ -730,34 +746,141 @@ impl GaussianProcess {
             }
         }
         out.extend((0..m).map(|j| {
-            let var_std = (prior - scratch.sq_norm[j]).max(1e-12);
             (
                 scratch.mean[j] * self.y_std + self.y_mean,
-                var_std * self.y_std * self.y_std,
+                self.variance_from(scratch.sq_norm[j]),
             )
         }));
     }
 
-    /// Batched prediction split into chunks evaluated on `pool`.
-    /// Chunking never changes any candidate's result (each is a pure
-    /// function of that candidate), so the output is identical for every
-    /// pool width.
-    pub fn predict_batch_pooled(&self, xs: Rows<'_>, pool: &Pool) -> Vec<(f64, f64)> {
-        // Below this many candidates per worker the scoped-spawn overhead
-        // outweighs the kernel/solve work.
-        const MIN_CHUNK: usize = 16;
-        let m = xs.len();
-        if pool.threads() <= 1 || m < 2 * MIN_CHUNK {
-            return self.predict_batch(xs);
+    /// This GP's kernel rows against `dist`, a distance tile over its
+    /// training rows, at its own hyperparameters. In the same pass, each
+    /// candidate column accumulates the posterior mean `Σᵢ kᵢ αᵢ` in
+    /// training order (the order of [`GaussianProcess::predict`]) and
+    /// keeps `maxᵢ kᵢ²` for [`GaussianProcess::tile_var_bounds`]. Every
+    /// kernel value is bitwise [`MixedKernel::eval`]'s.
+    pub fn kernel_tile(&self, dist: &DistanceTile, out: &mut KernelTile) {
+        debug_assert_eq!(dist.rows(), self.x.len());
+        let (n, w) = (dist.rows(), dist.width());
+        let KernelTile {
+            rows,
+            width,
+            k,
+            mean,
+            max_k2,
+            hamming,
+        } = out;
+        *rows = n;
+        *width = w;
+        self.kernel.hamming_table_into(dist.n_cat(), hamming);
+        k.clear();
+        k.resize(n * w, 0.0);
+        mean.clear();
+        mean.resize(w, 0.0);
+        max_k2.clear();
+        max_k2.resize(w, 0.0);
+        let mut groups = 0;
+        for (i, &alpha_i) in self.alpha.iter().enumerate() {
+            let row = &mut k[i * w..(i + 1) * w];
+            groups += dist.kernel_row(i, w, &self.kernel.hyper, hamming, |j0, vals| {
+                row[j0..j0 + LANES].copy_from_slice(vals);
+                for t in 0..LANES {
+                    mean[j0 + t] += vals[t] * alpha_i;
+                    max_k2[j0 + t] = max_k2[j0 + t].max(vals[t] * vals[t]);
+                }
+            });
         }
-        let chunk = m.div_ceil(pool.threads() * 2).max(MIN_CHUNK);
-        let chunks = xs.chunks(chunk);
-        let parts = pool.map(&chunks, |_, &part| {
-            let mut out = Vec::with_capacity(part.len());
-            self.predict_batch_into(part, &mut GpBatchScratch::default(), &mut out);
-            out
-        });
-        parts.into_iter().flatten().collect()
+        otune_linalg::simd::record_blocks(groups);
+    }
+
+    /// The posterior mean at column `j` of this GP's `kt`, on the target
+    /// scale — bitwise `predict(x).0`.
+    pub fn tile_mean(&self, kt: &KernelTile, j: usize) -> f64 {
+        kt.mean[j] * self.y_std + self.y_mean
+    }
+
+    /// Bounds `(lb, ub)` on the posterior variance at column `j` of this
+    /// GP's `kt`, without the `O(n²)` solve: `lb ≤ predict(x).1 ≤ ub`.
+    ///
+    /// With `s = ‖L⁻¹k‖² = kᵀ(K + (τ² + jitter)I)⁻¹k`:
+    /// * conditioning on the single most correlated training point gives
+    ///   `s ≥ maxᵢ kᵢ² / (σ_f² + τ² + jitter)` (Cauchy–Schwarz against
+    ///   the diagonal), hence the upper bound;
+    /// * the noise-free posterior variance is non-negative, so
+    ///   `s ≤ σ_f²`, hence the lower bound.
+    ///
+    /// Both carry the relative slack `VAR_BOUND_SLACK` (1e-6) on `s` for
+    /// the rounding of the computed `s`, and both go through the exact
+    /// path's variance expression, whose IEEE rounding is monotone — so
+    /// they bound the *computed* variance, bit for bit.
+    pub fn tile_var_bounds(&self, kt: &KernelTile, j: usize) -> (f64, f64) {
+        let h = &self.kernel.hyper;
+        let s_lo = kt.max_k2[j] / (h.signal_var + h.noise_var + self.chol.jitter())
+            * (1.0 - VAR_BOUND_SLACK);
+        let s_hi = h.signal_var * (1.0 + VAR_BOUND_SLACK);
+        (self.variance_from(s_hi), self.variance_from(s_lo))
+    }
+
+    /// Exact posterior variances at columns `cols` of this GP's `kt`,
+    /// into `out` in `cols` order: the columns are gathered, solved
+    /// through one multi-RHS forward substitution, and their squared
+    /// norms summed in training order — bitwise `predict(x).1`.
+    pub fn tile_vars(&self, kt: &KernelTile, cols: &[usize], out: &mut Vec<f64>) {
+        out.clear();
+        if cols.is_empty() {
+            return;
+        }
+        let (n, c) = (kt.rows, cols.len());
+        let mut gathered = Vec::with_capacity(n * c);
+        for row in kt.k.chunks_exact(kt.width) {
+            gathered.extend(cols.iter().map(|&j| row[j]));
+        }
+        let mut v = Matrix::from_vec(n, c, gathered).expect("n × c gathered entries");
+        self.chol
+            .solve_lower_batch_in_place(&mut v)
+            .expect("dimension verified at fit time");
+        let mut sq_norm = vec![0.0; c];
+        for i in 0..n {
+            for (acc, &x) in sq_norm.iter_mut().zip(v.row(i)) {
+                *acc += x * x;
+            }
+        }
+        out.extend(sq_norm.into_iter().map(|s| self.variance_from(s)));
+    }
+}
+
+/// The training × training distance sums of `x`: `x` packed as both
+/// sides of one distance tile.
+fn training_distances(kinds: &[FeatureKind], x: &[Vec<f64>]) -> DistanceTile {
+    let kernel = MixedKernel::new(kinds.to_vec(), KernelHyper::default());
+    let mut train = PackedSet::default();
+    kernel.pack_rows(x.iter().map(Vec::as_slice), &mut train);
+    let mut tile = CandidateTile::default();
+    tile.pack(kinds, x.iter().map(Vec::as_slice));
+    let mut dist = DistanceTile::default();
+    dist.compute(&train, &tile);
+    dist
+}
+
+/// One GP's kernel rows against a [`DistanceTile`]
+/// ([`GaussianProcess::kernel_tile`]): the `training rows × tile` kernel
+/// values plus, per candidate column, the posterior-mean accumulation and
+/// `maxᵢ kᵢ²`. Reused as scratch.
+#[derive(Debug, Clone, Default)]
+pub struct KernelTile {
+    rows: usize,
+    width: usize,
+    k: Vec<f64>,
+    mean: Vec<f64>,
+    max_k2: Vec<f64>,
+    hamming: Vec<f64>,
+}
+
+impl KernelTile {
+    /// Kernel values of training row `i` against the tile's candidates
+    /// (padded to a whole lane block).
+    pub fn row(&self, i: usize) -> &[f64] {
+        &self.k[i * self.width..(i + 1) * self.width]
     }
 }
 

@@ -68,21 +68,6 @@ fn predict_batch_matches_scalar_sequence() {
 }
 
 #[test]
-fn pooled_prediction_is_width_invariant() {
-    let (x, y) = training_data(20, 3);
-    let gp = GaussianProcess::fit(mixed_kinds(), x, &y, GpConfig::default()).unwrap();
-    let cands = flat(&candidates(257, 11));
-    let seq = gp.predict_batch_pooled(rows(&cands), &Pool::sequential());
-    for width in [2, 4, 8] {
-        let par = gp.predict_batch_pooled(rows(&cands), &Pool::new(width));
-        for (a, b) in seq.iter().zip(&par) {
-            assert_eq!(a.0.to_bits(), b.0.to_bits(), "width {width}");
-            assert_eq!(a.1.to_bits(), b.1.to_bits(), "width {width}");
-        }
-    }
-}
-
-#[test]
 fn predict_with_scratch_matches_predict() {
     let (x, y) = training_data(15, 5);
     let gp = GaussianProcess::fit(mixed_kinds(), x, &y, GpConfig::default()).unwrap();

@@ -1,6 +1,9 @@
 //! Property-based tests for Gaussian-process regression.
 
-use otune_gp::{FeatureKind, GaussianProcess, GpConfig, KernelHyper, MixedKernel, PackedSet};
+use otune_gp::{
+    CandidateTile, DistanceTile, FeatureKind, GaussianProcess, GpConfig, KernelHyper, KernelTile,
+    MixedKernel, PackedSet, Rows,
+};
 use proptest::prelude::*;
 
 fn kind() -> impl Strategy<Value = FeatureKind> {
@@ -219,5 +222,96 @@ proptest! {
             inc.log_marginal_likelihood().to_bits(),
             full.log_marginal_likelihood().to_bits()
         );
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(40))]
+
+    /// The tiled path against the row-major oracle, on random GPs: kernel
+    /// rows and means read off a distance tile are `eval_rows_packed`'s
+    /// and `predict`'s bit for bit, exact tile variances are `predict`'s,
+    /// and the variance bounds bracket every computed variance. Noise
+    /// down to e^-30 over duplicated rows makes the jitter ladder fire;
+    /// candidates include training rows, where the upper bound is
+    /// tightest; context columns are shared by every candidate or not.
+    #[test]
+    fn tile_rows_and_variance_bounds_match_the_oracle(
+        n in 1usize..150,
+        m in 1usize..70,
+        n_ctx in 0usize..3,
+        seed in 0u64..100_000,
+        tiny_noise in any::<bool>(),
+        shared_ctx in any::<bool>(),
+    ) {
+        use rand::{rngs::StdRng, Rng, SeedableRng};
+        let mut rng = StdRng::seed_from_u64(seed);
+        let mut kinds: Vec<FeatureKind> = (0..rng.gen_range(1..8))
+            .map(|_| if rng.gen_bool(0.7) { FeatureKind::Numeric } else { FeatureKind::Categorical })
+            .collect();
+        kinds.extend(std::iter::repeat_n(FeatureKind::DataSize, n_ctx));
+        let ctx: Vec<f64> = (0..n_ctx).map(|_| rng.gen()).collect();
+        let draw = |rng: &mut StdRng, shared: bool| -> Vec<f64> {
+            let mut row: Vec<f64> = kinds[..kinds.len() - n_ctx]
+                .iter()
+                .map(|k| match k {
+                    FeatureKind::Categorical => f64::from(rng.gen_range(0u8..3)),
+                    _ => rng.gen(),
+                })
+                .collect();
+            row.extend((0..n_ctx).map(|c| if shared { ctx[c] } else { rng.gen() }));
+            row
+        };
+        let mut x: Vec<Vec<f64>> = Vec::with_capacity(n);
+        for i in 0..n {
+            // Every fourth row repeats an earlier one.
+            let row = if i > 0 && i % 4 == 0 { x[rng.gen_range(0..i)].clone() } else { draw(&mut rng, shared_ctx) };
+            x.push(row);
+        }
+        let y: Vec<f64> = (0..n).map(|_| rng.gen_range(-5.0..5.0)).collect();
+        let hyper = KernelHyper::from_log([
+            rng.gen_range(-2.5..1.5),
+            rng.gen_range(-1.5..2.0),
+            rng.gen_range(-2.5..1.5),
+            rng.gen_range(-1.0..1.5),
+            if tiny_noise { -30.0 } else { rng.gen_range(-9.0..-1.0) },
+        ]);
+        let cfg = GpConfig { optimize_hypers: false, warm_hyper: Some(hyper), ..GpConfig::default() };
+        let gp = GaussianProcess::fit(kinds.clone(), x.clone(), &y, cfg).unwrap();
+
+        let cands: Vec<f64> = (0..m)
+            .flat_map(|j| if j % 3 == 0 { x[j % n].clone() } else { draw(&mut rng, shared_ctx) })
+            .collect();
+        let rows = Rows::new(&cands, kinds.len());
+        let mut train = PackedSet::default();
+        gp.kernel().pack_rows(x.iter().map(Vec::as_slice), &mut train);
+        let mut tile = CandidateTile::default();
+        tile.pack(&kinds, rows.iter());
+        let mut dist = DistanceTile::default();
+        dist.compute(&train, &tile);
+        let mut kt = KernelTile::default();
+        gp.kernel_tile(&dist, &mut kt);
+
+        let mut cand_set = PackedSet::default();
+        gp.kernel().pack_rows(rows.iter(), &mut cand_set);
+        let mut hamming = Vec::new();
+        gp.kernel().hamming_table_into(cand_set.n_cat(), &mut hamming);
+        let mut want = vec![0.0; m];
+        for i in 0..n {
+            gp.kernel().eval_rows_packed(train.row(i), &cand_set, m, &hamming, &mut want);
+            for (j, (got, want)) in kt.row(i).iter().zip(&want).enumerate() {
+                prop_assert_eq!(got.to_bits(), want.to_bits(), "k[{}][{}]", i, j);
+            }
+        }
+        let oracle = gp.predict_batch(rows);
+        let all: Vec<usize> = (0..m).collect();
+        let mut vars = Vec::new();
+        gp.tile_vars(&kt, &all, &mut vars);
+        for (j, &(mean, var)) in oracle.iter().enumerate() {
+            prop_assert_eq!(gp.tile_mean(&kt, j).to_bits(), mean.to_bits(), "mean {}", j);
+            prop_assert_eq!(vars[j].to_bits(), var.to_bits(), "var {}", j);
+            let (lb, ub) = gp.tile_var_bounds(&kt, j);
+            prop_assert!(lb <= var && var <= ub, "{} ≤ {} ≤ {} at {} (jitter {})", lb, var, ub, j, gp.jitter());
+        }
     }
 }

@@ -182,7 +182,7 @@ impl Matrix {
     /// share one streaming pass over the A row, each accumulating its own
     /// ascending-`k` sum from `0.0` — the same per-output operation order
     /// as [`Matrix::matmul_scalar`], so one A-row load feeds four
-    /// independent FMA chains without changing a bit.
+    /// independent multiply-add chains without changing a bit.
     pub fn matmul(&self, other: &Matrix) -> Result<Matrix> {
         const LANES: usize = crate::simd::LANES;
         if self.cols != other.rows {

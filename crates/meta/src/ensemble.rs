@@ -90,9 +90,6 @@ pub struct EnsembleSurrogate {
     members: Vec<(Arc<GaussianProcess>, f64, f64, f64)>,
     /// Output scale: the target task's objective statistics.
     target_scale: (f64, f64),
-    /// Encoded configuration width: the leading columns of an input row
-    /// the members read.
-    dim: usize,
 }
 
 impl EnsembleSurrogate {
@@ -209,7 +206,6 @@ impl EnsembleSurrogate {
         Some(EnsembleSurrogate {
             members,
             target_scale,
-            dim: space.len(),
         })
     }
 
@@ -233,41 +229,26 @@ impl EnsembleSurrogate {
 }
 
 impl otune_bo::Predictor for EnsembleSurrogate {
-    fn predict(&self, x: &[f64]) -> (f64, f64) {
-        let x = &x[..self.dim];
+    /// The member surrogates, which read the configuration prefix of an
+    /// input row (their kernels span only the configuration columns).
+    fn members(&self) -> Vec<&GaussianProcess> {
+        self.members.iter().map(|(gp, ..)| &**gp).collect()
+    }
+
+    /// Eq. 12 over member posteriors in member order: each standardized
+    /// by its member's scale and weighted, then mapped back to the target
+    /// scale. The mean ignores the member variances, and the variance is
+    /// a sum of non-negative multiples of them — nondecreasing in each, as
+    /// the tiled EIC bound requires.
+    fn combine(&self, member_preds: &[(f64, f64)]) -> (f64, f64) {
         let mut mean_z = 0.0;
         let mut var_z = 0.0;
-        for (gp, w, mu, sd) in &self.members {
-            let (m, v) = gp.predict(x);
+        for ((_, w, mu, sd), &(m, v)) in self.members.iter().zip(member_preds) {
             mean_z += w * (m - mu) / sd;
             var_z += w * w * v / (sd * sd);
         }
         let (mu_t, sd_t) = self.target_scale;
         (mean_z * sd_t + mu_t, (var_z * sd_t * sd_t).max(1e-12))
-    }
-
-    /// Batched Eq. 12: each member predicts all points through its batched
-    /// GP path, and the mixture is accumulated per point in member order —
-    /// the same arithmetic sequence as the scalar path, so results match
-    /// per-point `predict` calls exactly for every pool width.
-    fn predict_many(&self, xs: otune_gp::Rows<'_>, pool: &otune_pool::Pool) -> Vec<(f64, f64)> {
-        let xs = xs.prefix(self.dim);
-        let m = xs.len();
-        let mut mean_z = vec![0.0; m];
-        let mut var_z = vec![0.0; m];
-        for (gp, w, mu, sd) in &self.members {
-            let preds = gp.predict_batch_pooled(xs, pool);
-            for (j, (pm, pv)) in preds.into_iter().enumerate() {
-                mean_z[j] += w * (pm - mu) / sd;
-                var_z[j] += w * w * pv / (sd * sd);
-            }
-        }
-        let (mu_t, sd_t) = self.target_scale;
-        mean_z
-            .into_iter()
-            .zip(var_z)
-            .map(|(mz, vz)| (mz * sd_t + mu_t, (vz * sd_t * sd_t).max(1e-12)))
-            .collect()
     }
 }
 
@@ -405,6 +386,10 @@ mod tests {
 
     #[test]
     fn batched_prediction_matches_scalar() {
+        // The members' batched oracle predictions, mixed by `combine`,
+        // are the scalar ensemble prediction bit for bit — the contract
+        // the tiled EIC pass relies on.
+        use otune_bo::Predictor;
         let s = space();
         let bases = vec![
             record(&s, "b1", 20, 1, |a| target_fn(a) * 1.1),
@@ -414,14 +399,17 @@ mod tests {
         let ens = EnsembleSurrogate::build(&s, &bases, &target, 40, 0).unwrap();
         let xs: Vec<f64> = (0..64).map(|i| i as f64 / 63.0).collect();
         let rows = otune_gp::Rows::new(&xs, 1);
-        for width in [1, 4] {
-            let batch =
-                otune_bo::Predictor::predict_many(&ens, rows, &otune_pool::Pool::new(width));
-            for (x, &(bm, bv)) in rows.iter().zip(&batch) {
-                let (sm, sv) = ens.predict(x);
-                assert_eq!(bm.to_bits(), sm.to_bits(), "width {width}");
-                assert_eq!(bv.to_bits(), sv.to_bits(), "width {width}");
-            }
+        let per_member: Vec<Vec<(f64, f64)>> = ens
+            .members()
+            .iter()
+            .map(|gp| gp.predict_batch(rows))
+            .collect();
+        for (j, x) in rows.iter().enumerate() {
+            let preds: Vec<(f64, f64)> = per_member.iter().map(|p| p[j]).collect();
+            let (bm, bv) = ens.combine(&preds);
+            let (sm, sv) = ens.predict(x);
+            assert_eq!(bm.to_bits(), sm.to_bits());
+            assert_eq!(bv.to_bits(), sv.to_bits());
         }
     }
 
@@ -439,7 +427,7 @@ mod tests {
 
     /// Everything a build decides, as bits: per member (in order) its
     /// weight, scale and predictions at `probes`, then the mixture's
-    /// batched predictions.
+    /// predictions.
     fn build_bits(ens: &EnsembleSurrogate, probes: &[f64]) -> Vec<u64> {
         let rows = otune_gp::Rows::new(probes, 1);
         let mut bits = vec![ens.target_scale.0.to_bits(), ens.target_scale.1.to_bits()];
@@ -447,8 +435,8 @@ mod tests {
             bits.extend([w.to_bits(), mu.to_bits(), sd.to_bits()]);
             bits.extend(rows.iter().map(|x| gp.predict_mean(x).to_bits()));
         }
-        let pool = otune_pool::Pool::new(1);
-        for (m, v) in otune_bo::Predictor::predict_many(ens, rows, &pool) {
+        for x in rows.iter() {
+            let (m, v) = ens.predict(x);
             bits.extend([m.to_bits(), v.to_bits()]);
         }
         bits
@@ -526,22 +514,21 @@ mod tests {
     }
 
     /// Member surrogates read configurations only: a `config ++ context`
-    /// row predicts exactly like the bare configuration, scalar and
-    /// batched.
+    /// row predicts exactly like the bare configuration, and every
+    /// member's kernel spans just the configuration columns (the prefix
+    /// the tiled EIC pass hands it).
     #[test]
     fn context_columns_are_ignored() {
         let s = space();
         let bases = vec![record(&s, "b1", 12, 1, target_fn)];
         let target = record(&s, "t", 6, 3, target_fn).observations;
         let ens = EnsembleSurrogate::build(&s, &bases, &target, 20, 0).unwrap();
-        let bare: Vec<f64> = (0..5).map(|i| i as f64 / 4.0).collect();
-        let with_ctx: Vec<f64> = bare.iter().flat_map(|&x| [x, 0.5]).collect();
-        let pool = otune_pool::Pool::new(1);
-        let a = otune_bo::Predictor::predict_many(&ens, otune_gp::Rows::new(&bare, 1), &pool);
-        let b = otune_bo::Predictor::predict_many(&ens, otune_gp::Rows::new(&with_ctx, 2), &pool);
-        assert_eq!(a, b);
-        for (x, p) in with_ctx.chunks(2).zip(&a) {
-            assert_eq!(ens.predict(x), *p);
+        for gp in otune_bo::Predictor::members(&ens) {
+            assert_eq!(gp.kernel().dim(), s.len());
+        }
+        for i in 0..5 {
+            let x = i as f64 / 4.0;
+            assert_eq!(ens.predict(&[x]), ens.predict(&[x, 0.5]));
         }
     }
 }
