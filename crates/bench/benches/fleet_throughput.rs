@@ -4,8 +4,8 @@
 //! Four arms, every one walking bitwise-identical per-task suggestion
 //! traces (asserted):
 //!
-//! * `tuner-cold` — one tuner per task, private meta caches: every task
-//!   refits all base-task surrogates itself.
+//! * `tuner-cold` — one tuner per task, each with a meta store of its
+//!   own: every task refits all base-task surrogates itself.
 //! * `tuner-shared` — the same tuners attached to one fleet-wide
 //!   [`SharedMetaStore`]: the first task fits each base surrogate, every
 //!   other task reuses it.
@@ -20,7 +20,7 @@
 //! from the identity assert.
 //!
 //! The acceptance bar: at 200 tasks the shared meta store must lift
-//! single-threaded suggestions/sec by ≥ 2× over cold private caches.
+//! single-threaded suggestions/sec by ≥ 2× over per-task stores.
 //! Results land in `BENCH_fleet_throughput.json` under the results
 //! directory. `OTUNE_BENCH_QUICK=1` shrinks the fleet to 50 tasks for CI
 //! smoke runs; `OTUNE_RESULTS_DIR` moves the output.

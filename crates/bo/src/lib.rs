@@ -42,7 +42,4 @@ pub use store::{
     fnv_mix, history_fingerprint, observation_fingerprint, SurrogateCache, SurrogateStore,
 };
 pub use subspace::{AdaptiveSubspace, SubspaceParams};
-pub use surrogate::{
-    fit_surrogate, fit_surrogate_pooled, fit_surrogate_with, surrogate_kinds, Predictor,
-    SurrogateInput,
-};
+pub use surrogate::{fit_surrogate, surrogate_kinds, Predictor, SurrogateInput};

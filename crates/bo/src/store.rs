@@ -81,11 +81,6 @@ impl SurrogateCache {
         }
     }
 
-    /// The maintenance policy this cache applies.
-    pub fn policy(&self) -> &IncrementalPolicy {
-        &self.policy
-    }
-
     /// The cached fitted model, if any.
     pub fn surrogate(&self) -> Option<&Arc<GaussianProcess>> {
         self.gp.as_ref()

@@ -184,8 +184,7 @@ pub enum JobsAction {
 /// Sub-action of `otune corpus`.
 #[derive(Debug, Clone, PartialEq)]
 pub enum CorpusAction {
-    /// Simulate a fleet, append its outcomes, and persist the
-    /// standardization statistics.
+    /// Simulate a fleet and append its outcomes.
     Build {
         /// Number of simulated tasks.
         tasks: usize,
@@ -194,7 +193,8 @@ pub enum CorpusAction {
         /// RNG seed.
         seed: u64,
     },
-    /// Print record/task/torn counts and standardization state.
+    /// Print record/task/torn counts and how many records retrieval
+    /// standardizes over.
     Stats,
     /// k-NN query using a workload's default-run meta-features.
     Query {

@@ -5,7 +5,7 @@ use otune_baselines::{CherryPick, Dac, Locat, RandomSearch, Rfhoc, Tuneful, Tune
 use otune_bo::{within_constraints, Observation};
 use otune_core::fleet::{FleetOptions, FleetReport, FleetRequest};
 use otune_core::telemetry::{
-    attribute, chrome_trace_json, prometheus_text, read_healed, read_jsonl, spans_from_events,
+    attribute, chrome_trace_json, prometheus_text, read_healed, spans_from_events,
     AttributionReport, Event, EventKind, JsonlSink, MetricsSnapshot, SyncPolicy, Telemetry,
 };
 use otune_core::{Objective, OnlineTuneController, OnlineTuner, TaskHandle, TunerOptions};
@@ -391,10 +391,14 @@ fn tune(
 
 /// `otune tune-fleet`: drive a simulated fleet of periodic HiBench tasks
 /// through the controller's batched wave API and report throughput.
-/// Every task reports its event-log meta-features on its first result, so
-/// the run exercises the full fleet path: sharded waves, the shared
-/// meta-knowledge store, scheduled similarity refits, and warm-start
-/// injection.
+/// Every task reports its event-log meta-features with its first result.
+/// The run exercises sharded waves and, with `--corpus`, corpus appends
+/// and retrieval through the shared meta store. It fits no base-task
+/// surrogate and fires no similarity refit or warm-start injection: its
+/// tasks have no base tasks, and the meta-features arrive only with
+/// wave 0's reports, before any task has the observations a
+/// meta-learning source needs; injection is tried only on that first
+/// arrival.
 #[allow(clippy::too_many_arguments)]
 fn tune_fleet(
     tasks: usize,
@@ -583,7 +587,6 @@ fn tune_fleet(
     Ok(0)
 }
 
-/// `otune corpus build|stats|query`: manage a persistent tuning corpus.
 /// Run (or resume) a checkpointed campaign under the job engine.
 ///
 /// With `auto` every remaining wave executes immediately and the fleet
@@ -794,6 +797,7 @@ fn write_fleet_summary(summary: &FleetSummary, out: &mut dyn Write) -> std::io::
     Ok(())
 }
 
+/// `otune corpus build|stats|query`: manage a persistent tuning corpus.
 fn corpus_cmd(action: CorpusAction, file: &str, out: &mut dyn Write) -> std::io::Result<i32> {
     match action {
         CorpusAction::Build {
@@ -801,11 +805,8 @@ fn corpus_cmd(action: CorpusAction, file: &str, out: &mut dyn Write) -> std::io:
             budget,
             seed,
         } => {
-            // A fleet run with the corpus attached appends every completed
-            // observation; persisting the standardization statistics
-            // afterwards makes retrieval distances scale-invariant for
-            // whoever loads the file next.
-            let code = tune_fleet(
+            // A fleet run with the corpus attached appends every run.
+            tune_fleet(
                 tasks,
                 budget,
                 None,
@@ -816,20 +817,7 @@ fn corpus_cmd(action: CorpusAction, file: &str, out: &mut dyn Write) -> std::io:
                 None,
                 Some(file.to_string()),
                 out,
-            )?;
-            if code != 0 {
-                return Ok(code);
-            }
-            let mut c = TuningCorpus::open(file)?;
-            match c.persist_stats()? {
-                Some(stats) => writeln!(
-                    out,
-                    "standardization stats persisted over {} record(s)",
-                    stats.n
-                )?,
-                None => writeln!(out, "corpus is empty; no stats persisted")?,
-            }
-            Ok(0)
+            )
         }
         CorpusAction::Stats => {
             let c = TuningCorpus::open(file)?;
@@ -842,14 +830,12 @@ fn corpus_cmd(action: CorpusAction, file: &str, out: &mut dyn Write) -> std::io:
             )?;
             if let Some(width) = c.dominant_width() {
                 writeln!(out, "meta-feature width: {width} (dominant)")?;
-                match c.stats_for(width) {
-                    Some(s) => writeln!(
-                        out,
-                        "standardization stats: over {} record(s) at width {width}",
-                        s.n
-                    )?,
-                    None => writeln!(out, "standardization stats: none")?,
-                }
+                // What retrieval standardizes over: every record of the width.
+                let n = c.compute_stats(width).map_or(0, |s| s.n);
+                writeln!(
+                    out,
+                    "standardization stats: over {n} record(s) at width {width}"
+                )?;
             }
             let failed = c.records().iter().filter(|r| r.failed).count();
             writeln!(out, "failed (never retrieved): {failed} record(s)")?;
@@ -1061,15 +1047,16 @@ fn jobs_cmd(action: JobsAction, journal_dir: &str, out: &mut dyn Write) -> std::
 }
 
 /// `otune events`: replay a JSONL event stream, optionally filtered by
-/// task id and event kind.
+/// task id and event kind. Lines that do not decode (a crash-torn tail)
+/// are skipped and counted, as `otune top` does.
 fn events_cmd(
     file: &str,
     task: Option<&str>,
     kind: Option<&str>,
     out: &mut dyn Write,
 ) -> std::io::Result<i32> {
-    let events = match read_jsonl(file) {
-        Ok(e) => e,
+    let (events, torn) = match read_healed::<Event>(file) {
+        Ok(h) => (h.items, h.torn_lines),
         Err(e) => {
             writeln!(out, "cannot read {file}: {e}")?;
             return Ok(2);
@@ -1088,7 +1075,16 @@ fn events_cmd(
             e.seq, e.iteration, e.task, detail
         )?;
     }
-    writeln!(out, "{shown} event(s) shown ({} total)", events.len())?;
+    writeln!(
+        out,
+        "{shown} event(s) shown ({} total){}",
+        events.len(),
+        if torn > 0 {
+            format!(", {torn} torn line(s) skipped")
+        } else {
+            String::new()
+        }
+    )?;
     Ok(0)
 }
 
@@ -1396,7 +1392,6 @@ fn render_top(file: &str, out: &mut dyn Write) -> std::io::Result<i32> {
                 ),
                 ("shared-meta", "shared_meta_hits", "shared_meta_misses"),
                 ("shared-dist", "shared_dist_hits", "shared_dist_misses"),
-                ("base-gp", "meta_base_cache_hits", "meta_base_cache_misses"),
                 ("retrieval", "retrieval_hits", "retrieval_misses"),
             ] {
                 let (h, m) = (counter(hits), counter(misses));
@@ -2394,7 +2389,7 @@ mod tests {
         std::fs::create_dir_all(&dir).unwrap();
         let corpus_path = dir.join("corpus.jsonl").to_string_lossy().into_owned();
 
-        // Build: a small fleet seeds the corpus, then stats are persisted.
+        // Build: a small fleet seeds the corpus.
         let mut buf = Vec::new();
         let code = run(
             Command::Corpus {
@@ -2411,9 +2406,9 @@ mod tests {
         assert_eq!(code, 0);
         let text = String::from_utf8(buf).unwrap();
         assert!(text.contains("corpus now holds"), "{text}");
-        assert!(text.contains("standardization stats persisted"), "{text}");
 
-        // Stats reports the record/task counts and the persisted stats.
+        // Stats reports the record/task counts and what retrieval
+        // standardizes over.
         let mut buf = Vec::new();
         let code = run(
             Command::Corpus {
@@ -2504,6 +2499,47 @@ mod tests {
         )
         .unwrap();
         assert_eq!(code, 2);
+    }
+
+    /// A crash-torn final line costs only that line: `otune events`
+    /// replays the rest and reports the skip, as `otune top` does.
+    #[test]
+    fn events_skips_and_counts_a_torn_tail() {
+        let dir = std::env::temp_dir().join("otune_cli_events_torn_test");
+        std::fs::create_dir_all(&dir).unwrap();
+        let path = dir.join("torn.jsonl").to_string_lossy().into_owned();
+        let line = |seq: u64| {
+            let kind = EventKind::AgdStep { accepted: true };
+            let task = "wordcount".to_string();
+            serde_json::to_string(&Event {
+                task,
+                seq,
+                iteration: seq,
+                kind,
+            })
+            .unwrap()
+        };
+        let torn = line(2);
+        let text = format!("{}\n{}\n{}", line(0), line(1), &torn[..torn.len() / 2]);
+        std::fs::write(&path, text).unwrap();
+        let events = Command::Events {
+            file: path.clone(),
+            task: None,
+            kind: None,
+        };
+        let top = Command::Top {
+            file: path,
+            watch: None,
+        };
+        for (command, want) in [
+            (events, "2 event(s) shown (2 total), 1 torn line(s) skipped"),
+            (top, "2 event(s), 1 torn line(s) skipped"),
+        ] {
+            let mut buf = Vec::new();
+            assert_eq!(run(command, &mut buf).unwrap(), 0);
+            let text = String::from_utf8(buf).unwrap();
+            assert!(text.contains(want), "{text}");
+        }
     }
 
     #[test]

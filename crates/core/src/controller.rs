@@ -15,8 +15,9 @@
 //! At fleet scale the task map is hashed into [`FleetOptions::shards`]
 //! deterministic shards so batched waves (see [`crate::fleet`]) can fan
 //! per-task work across a worker pool, one shard per worker, without any
-//! cross-task locking. Cross-task meta-knowledge — base-task surrogates and
-//! pairwise distances — lives in a fleet-wide [`SharedMetaStore`], and the
+//! cross-task locking. Cross-task meta-knowledge — base-task surrogates,
+//! their sample predictions and pairwise distances — lives in one
+//! fleet-wide [`SharedMetaStore`] that every tuner reads it through, and the
 //! similarity model `M_reg` is refit on a schedule (every [`N_REFIT`]
 //! reports, or when the eligible source-task set changes) instead of per
 //! report.
@@ -104,7 +105,8 @@ pub struct OnlineTuneController {
     /// each shard from exactly one pool worker.
     pub(crate) shards: Vec<Mutex<HashMap<TaskHandle, TaskEntry>>>,
     pub(crate) fleet: FleetOptions,
-    /// Fleet-wide read-only meta-knowledge, shared by every task's tuner.
+    /// The fleet's one memo of base-task knowledge (plus its corpus),
+    /// which every task's tuner reads its ensemble bases through.
     pub(crate) shared_meta: Arc<SharedMetaStore>,
     pub(crate) sim: SimilarityState,
     /// How many similar source tasks to transfer from.

@@ -214,8 +214,9 @@ pub struct OnlineTuner {
     own_records: Vec<TaskRecord>,
     /// Iterations consumed in the current tuning round.
     round_iterations: usize,
-    /// Cross-iteration caches for the meta ensemble (frozen base-task
-    /// surrogates, incremental target surrogate, weight-fold memo).
+    /// Cross-iteration caches for the meta ensemble: the store of
+    /// base-task surrogates (the tuner's own, or the fleet's), the
+    /// incremental target surrogate and the weight-fold memo.
     meta_cache: MetaCache,
     /// Log-space history fingerprints of `opts.base_tasks ++ own_records`,
     /// taken at the first ensemble build after either list changes
@@ -268,9 +269,11 @@ impl OnlineTuner {
         self.telemetry = telemetry;
     }
 
-    /// Attach a fleet-wide [`SharedMetaStore`]: base-task surrogate fits
-    /// are deduped across all tasks sharing the store, without changing any
-    /// suggestion (fits are pure functions of their cache key).
+    /// Read base-task knowledge through a fleet-wide
+    /// [`SharedMetaStore`](otune_meta::SharedMetaStore) instead of the
+    /// tuner's own: base-task surrogate fits are deduped across all tasks
+    /// sharing the store, without changing any suggestion (fits are pure
+    /// functions of their key).
     pub fn set_shared_meta(&mut self, store: Arc<otune_meta::SharedMetaStore>) {
         self.meta_cache.set_shared(store);
     }
@@ -661,7 +664,8 @@ impl OnlineTuner {
         self.round_iterations = 0;
         self.failure_streak = 0;
         // The round's history now lives under a new base-task id and the
-        // target history restarts empty — begin from a clean cache.
+        // target history restarts empty — begin from clean per-target
+        // caches. Base-task fits stay in the store.
         self.rebuild_generator();
     }
 
@@ -682,7 +686,8 @@ impl OnlineTuner {
         self.rebuild_generator();
     }
 
-    /// A fresh generator and empty meta caches under the current options.
+    /// A fresh generator and empty per-target meta caches under the
+    /// current options; the base-task store is kept.
     fn rebuild_generator(&mut self) {
         self.meta_cache.clear();
         self.base_fps = None;
@@ -1204,6 +1209,39 @@ mod tests {
         fresh.transfer(vec![], vec![]);
         let after_transfer = over_r_max(&mut fresh);
         assert_eq!((before, after_restart, after_transfer), (0, 0, 0));
+    }
+
+    /// A standalone meta tuner fits each base task once: its store keeps
+    /// the fits across `restart`, so the next round fits only the new
+    /// base its first round became.
+    #[test]
+    fn restart_keeps_every_base_fit() {
+        let bases: Vec<TaskRecord> = (0..2)
+            .map(|b| {
+                let mut source = make_tuner(TunerOptions {
+                    budget: 6,
+                    seed: 10 + b,
+                    ..Default::default()
+                });
+                drive(&mut source, 6);
+                source.export_record(&format!("base-{b}"), vec![])
+            })
+            .collect();
+        let mut tuner = make_tuner(TunerOptions {
+            budget: 6,
+            enable_meta: true,
+            base_tasks: bases,
+            seed: 4,
+            ..Default::default()
+        });
+        let (telemetry, _sink) = Telemetry::ring_traced(1, 4);
+        tuner.set_telemetry(telemetry.clone());
+        drive(&mut tuner, 5);
+        tuner.restart();
+        drive(&mut tuner, 5);
+        let fits = telemetry.traces();
+        let fits = fits.iter().filter(|s| s.name == "base_fit").count();
+        assert_eq!(fits, 3, "two given bases, then the first round");
     }
 
     #[test]

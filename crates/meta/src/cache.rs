@@ -1,16 +1,15 @@
-//! Cross-iteration caches for the meta-learning ensemble (§5.2).
+//! Per-tuner caches for the meta-learning ensemble (§5.2).
 //!
 //! Rebuilding `M_meta` from scratch every `suggest` call repeats three
 //! expensive jobs whose inputs rarely change in the online paradigm:
 //!
 //! 1. **Base-task surrogates** — each previous task's history is frozen, so
-//!    its surrogate never changes. [`MetaCache`] fits it once per distinct
-//!    observation set (keyed by task id + history fingerprint) and hands out
-//!    `Arc` clones afterwards. Its predictions at the Kendall-τ sample
-//!    `D_rand` are frozen too: they are computed once per base history and
-//!    sample (fleet-wide when a [`SharedMetaStore`] is attached), and the
-//!    sample itself is drawn once per `(n_sample, seed)` — a cache serves
-//!    one configuration space.
+//!    its surrogate and that surrogate's predictions at the Kendall-τ
+//!    sample `D_rand` never change. They live in a [`SharedMetaStore`], the
+//!    one memo of base-task knowledge: [`MetaCache`] holds its own store,
+//!    or the fleet's after [`MetaCache::set_shared`]. The sample itself is
+//!    drawn once per `(n_sample, seed)` — a cache serves one configuration
+//!    space.
 //! 2. **The target task's own surrogate** — the target history grows by one
 //!    observation per iteration, so the fit is maintained through the same
 //!    incremental [`SurrogateCache`] machinery the generator uses.
@@ -22,8 +21,7 @@
 //!    extension) and every earlier fold is memoized.
 
 use crate::distance::{kendall_tau, DistanceSample};
-use crate::ensemble::{objective_stats, BaseTask};
-use crate::shared::{fit_base_entry, SharedMetaStore};
+use crate::shared::SharedMetaStore;
 use otune_bo::{
     observation_fingerprint, surrogate_kinds, Observation, SurrogateCache, SurrogateInput,
 };
@@ -31,28 +29,12 @@ use otune_gp::{GaussianProcess, GpConfig, IncrementalPolicy};
 use otune_pool::Pool;
 use otune_space::ConfigSpace;
 use otune_telemetry::{metric, Telemetry};
-use std::collections::HashMap;
 use std::sync::Arc;
 
 /// How many of the most recent progressive-validation folds feed the
 /// target-weight Kendall score. A bounded window keeps the weight
 /// responsive to the current region of the search.
 const WEIGHT_FOLD_WINDOW: usize = 16;
-
-/// Everything cached for one base task, valid while its history
-/// fingerprint stays `fp`.
-#[derive(Debug)]
-struct BaseSlot {
-    fp: u64,
-    /// Frozen surrogate; `None` when the history is too small for one.
-    gp: Option<Arc<GaussianProcess>>,
-    /// The history's objective (mean, std): the scale that standardizes
-    /// the surrogate's predictions, and the one a target without history
-    /// borrows from the first base.
-    stats: (f64, f64),
-    /// Predictions of `gp` at the sample with the paired fingerprint.
-    preds: Option<(u64, Arc<[f64]>)>,
-}
 
 /// Memoized progressive-validation state for the target weight.
 #[derive(Debug, Default)]
@@ -75,47 +57,43 @@ impl WeightMemo {
 /// Cross-call cache backing [`crate::EnsembleSurrogate::build_cached`].
 #[derive(Debug)]
 pub struct MetaCache {
-    policy: IncrementalPolicy,
-    bases: HashMap<String, BaseSlot>,
+    /// The memo of base-task surrogates and their sample predictions.
+    store: Arc<SharedMetaStore>,
     /// The Kendall-τ sample of the last `(n_sample, seed)` asked for.
     sample: Option<(usize, u64, Arc<DistanceSample>)>,
     target: SurrogateCache,
     weight: WeightMemo,
-    /// Optional fleet-wide store consulted on local base-surrogate misses,
-    /// so identical fits are shared across tasks.
-    shared: Option<Arc<SharedMetaStore>>,
 }
 
 impl MetaCache {
-    /// Empty caches under the given maintenance policy.
+    /// Empty caches over a store of their own; the target surrogate is
+    /// maintained under `policy`.
     pub fn new(policy: IncrementalPolicy) -> Self {
         MetaCache {
-            policy,
-            bases: HashMap::new(),
+            store: Arc::new(SharedMetaStore::new()),
             sample: None,
             target: SurrogateCache::new(SurrogateInput::Objective, policy),
             weight: WeightMemo::default(),
-            shared: None,
         }
     }
 
-    /// Attach a fleet-wide [`SharedMetaStore`]. Base-surrogate fits are a
-    /// pure function of `(space, history, seed)` and their sample
-    /// predictions of `(fit, sample)`, so serving them from the shared
-    /// store leaves every prediction bitwise unchanged.
+    /// Read base-task knowledge through `store` from now on, typically
+    /// the fleet's, so every tuner sharing it fits each base once. Entries
+    /// are pure functions of their keys, so the switch leaves every
+    /// prediction bitwise unchanged.
     pub fn set_shared(&mut self, store: Arc<SharedMetaStore>) {
-        self.shared = Some(store);
+        self.store = store;
     }
 
-    /// The maintenance policy these caches apply.
-    pub fn policy(&self) -> &IncrementalPolicy {
-        &self.policy
+    /// The memo of base-task knowledge this cache reads.
+    pub(crate) fn store(&self) -> &SharedMetaStore {
+        &self.store
     }
 
-    /// Drop all locally cached state. An attached [`SharedMetaStore`] is
-    /// kept: it is fleet-lifetime and append-only.
+    /// Drop the per-target state: the sample, the target surrogate and
+    /// the weight memo. The store is kept: base-task entries are keyed by
+    /// their history, so they stay valid.
     pub fn clear(&mut self) {
-        self.bases.clear();
         self.sample = None;
         self.target.clear();
         self.weight.clear();
@@ -129,48 +107,9 @@ impl MetaCache {
     pub(crate) fn scratch_twin(&self) -> MetaCache {
         MetaCache {
             target: self.target.clone(),
-            ..MetaCache::new(self.policy)
+            // The policy only reaches the target cache, replaced above.
+            ..MetaCache::new(IncrementalPolicy::default())
         }
-    }
-
-    /// Frozen surrogate + objective (mean, std) for one base task, fitted
-    /// at most once per distinct observation set. Tasks whose history is
-    /// too small for a surrogate cache a `None` so they are not refitted
-    /// either. A hit reads only the task's id and fingerprint; the record
-    /// is built on a miss.
-    pub(crate) fn base_surrogate(
-        &mut self,
-        space: &ConfigSpace,
-        task: &BaseTask<'_>,
-        seed: u64,
-        telemetry: &Telemetry,
-    ) -> (Option<Arc<GaussianProcess>>, (f64, f64)) {
-        let fp = task.fingerprint();
-        if let Some(slot) = self.bases.get(task.task_id()) {
-            if slot.fp == fp {
-                telemetry.incr(metric::META_BASE_CACHE_HITS);
-                return (slot.gp.clone(), slot.stats);
-            }
-        }
-        telemetry.incr(metric::META_BASE_CACHE_MISSES);
-        let _trace = telemetry.trace_span("base_fit");
-        let record = task.record();
-        let entry = match &self.shared {
-            Some(store) => store.base_surrogate_at(space, &record, fp, seed, telemetry),
-            None => fit_base_entry(space, &record, seed),
-        };
-        let gp = entry.map(|(gp, _, _)| gp);
-        let stats = objective_stats(&record.observations);
-        self.bases.insert(
-            task.task_id().to_string(),
-            BaseSlot {
-                fp,
-                gp: gp.clone(),
-                stats,
-                preds: None,
-            },
-        );
-        (gp, stats)
     }
 
     /// The Kendall-τ sample `D_rand` for `(n_sample, seed)`, drawn once.
@@ -188,34 +127,6 @@ impl MetaCache {
                 sample
             }
         }
-    }
-
-    /// Predictions at `sample` of `task`'s surrogate `gp`, fitted with
-    /// `seed`: computed once per base history and sample, through the
-    /// attached [`SharedMetaStore`] when there is one. They are kept in the
-    /// task's slot while it holds this history.
-    pub(crate) fn base_predictions(
-        &mut self,
-        task: &BaseTask<'_>,
-        gp: &GaussianProcess,
-        seed: u64,
-        sample: &DistanceSample,
-    ) -> Arc<[f64]> {
-        let fp = task.fingerprint();
-        let mut slot = self.bases.get_mut(task.task_id()).filter(|s| s.fp == fp);
-        if let Some((sample_fp, preds)) = slot.as_ref().and_then(|s| s.preds.as_ref()) {
-            if *sample_fp == sample.fingerprint() {
-                return Arc::clone(preds);
-            }
-        }
-        let preds: Arc<[f64]> = match &self.shared {
-            Some(store) => store.base_predictions(fp, seed, sample, gp),
-            None => sample.predict(gp).into(),
-        };
-        if let Some(slot) = slot.as_mut() {
-            slot.preds = Some((sample.fingerprint(), Arc::clone(&preds)));
-        }
-        preds
     }
 
     /// The target task's own (context-stripped) surrogate, maintained
@@ -302,7 +213,7 @@ impl MetaCache {
 mod tests {
     use super::*;
     use crate::distance::{prediction_distance, surrogate_distance};
-    use crate::TaskRecord;
+    use crate::{BaseTask, TaskRecord};
     use otune_space::Parameter;
     use rand::{rngs::StdRng, SeedableRng};
 
@@ -346,15 +257,17 @@ mod tests {
             observations: obs(&s, 12, 1),
         };
         let tm = telemetry();
-        let mut cache = MetaCache::new(IncrementalPolicy::default());
-        let a = cache.base_surrogate(&s, &base(&s, &t), 0, &tm).0.unwrap();
-        let b = cache.base_surrogate(&s, &base(&s, &t), 0, &tm).0.unwrap();
-        assert!(Arc::ptr_eq(&a, &b));
+        let cache = MetaCache::new(IncrementalPolicy::default());
+        let a = cache.store().base_surrogate(&s, &base(&s, &t), 0, &tm).0;
+        let b = cache.store().base_surrogate(&s, &base(&s, &t), 0, &tm).0;
+        assert!(Arc::ptr_eq(&a.unwrap(), &b.unwrap()));
         let snap = tm.snapshot().unwrap();
-        assert_eq!(snap.counters[metric::META_BASE_CACHE_HITS], 1);
-        assert_eq!(snap.counters[metric::META_BASE_CACHE_MISSES], 1);
+        assert_eq!(snap.counters[metric::SHARED_META_HITS], 1);
+        assert_eq!(snap.counters[metric::SHARED_META_MISSES], 1);
     }
 
+    /// Caches sharing a store read one fit per base, and it is bitwise
+    /// the fit a cache with a store of its own makes.
     #[test]
     fn shared_store_serves_private_cache_misses() {
         let s = space();
@@ -369,19 +282,21 @@ mod tests {
         let mut c2 = MetaCache::new(IncrementalPolicy::default());
         c1.set_shared(Arc::clone(&store));
         c2.set_shared(Arc::clone(&store));
-        let a = c1.base_surrogate(&s, &base(&s, &t), 0, &tm).0.unwrap();
-        let b = c2.base_surrogate(&s, &base(&s, &t), 0, &tm).0.unwrap();
-        // Both private caches hold the same shared fit.
+        let a = c1.store().base_surrogate(&s, &base(&s, &t), 0, &tm).0;
+        let b = c2.store().base_surrogate(&s, &base(&s, &t), 0, &tm).0;
+        let (a, b) = (a.unwrap(), b.unwrap());
         assert!(Arc::ptr_eq(&a, &b));
         assert_eq!(store.n_bases(), 1);
         let snap = tm.snapshot().unwrap();
         assert_eq!(snap.counters[metric::SHARED_META_MISSES], 1);
         assert_eq!(snap.counters[metric::SHARED_META_HITS], 1);
-        // Values match a private, storeless fit bitwise.
-        let mut lone = MetaCache::new(IncrementalPolicy::default());
-        let c = lone.base_surrogate(&s, &base(&s, &t), 0, &tm).0.unwrap();
+        let lone = MetaCache::new(IncrementalPolicy::default());
+        let c = lone.store().base_surrogate(&s, &base(&s, &t), 0, &tm).0;
         let x = vec![0.37];
-        assert_eq!(a.predict_mean(&x).to_bits(), c.predict_mean(&x).to_bits());
+        assert_eq!(
+            a.predict_mean(&x).to_bits(),
+            c.unwrap().predict_mean(&x).to_bits()
+        );
     }
 
     #[test]
@@ -393,12 +308,12 @@ mod tests {
             observations: obs(&s, 10, 2),
         };
         let tm = telemetry();
-        let mut cache = MetaCache::new(IncrementalPolicy::default());
-        cache.base_surrogate(&s, &base(&s, &t), 0, &tm);
+        let cache = MetaCache::new(IncrementalPolicy::default());
+        cache.store().base_surrogate(&s, &base(&s, &t), 0, &tm);
         t.observations[0].objective += 1.0;
-        cache.base_surrogate(&s, &base(&s, &t), 0, &tm);
+        cache.store().base_surrogate(&s, &base(&s, &t), 0, &tm);
         let snap = tm.snapshot().unwrap();
-        assert_eq!(snap.counters[metric::META_BASE_CACHE_MISSES], 2);
+        assert_eq!(snap.counters[metric::SHARED_META_MISSES], 2);
     }
 
     #[test]
@@ -487,28 +402,27 @@ mod tests {
         let mut cache = MetaCache::new(IncrementalPolicy::default());
         let sample = cache.distance_sample(&s, 40, 0);
         assert!(Arc::ptr_eq(&sample, &cache.distance_sample(&s, 40, 0)));
-        let preds_for = |cache: &mut MetaCache, t: &TaskRecord| {
+        let preds_for = |cache: &MetaCache, t: &TaskRecord| {
             let task = base(&s, t);
-            let gp = cache.base_surrogate(&s, &task, 0, &tm).0.unwrap();
-            let preds = cache.base_predictions(&task, &gp, 0, &sample);
+            let gp = cache.store().base_surrogate(&s, &task, 0, &tm).0.unwrap();
+            let preds = cache
+                .store()
+                .base_predictions(task.fingerprint(), 0, &sample, &gp);
             let oracle = surrogate_distance(&s, &gp, &other_gp, 40, 0);
             let d = prediction_distance(&preds, &sample.predict(&other_gp));
             assert_eq!(d.to_bits(), oracle.to_bits());
             preds
         };
-        let first = preds_for(&mut cache, &t);
-        let again = preds_for(&mut cache, &t);
+        let first = preds_for(&cache, &t);
+        let again = preds_for(&cache, &t);
         assert!(Arc::ptr_eq(&first, &again), "memoized per history");
         t.observations[3].objective += 2.0;
-        let edited = preds_for(&mut cache, &t);
+        let edited = preds_for(&cache, &t);
         assert!(!Arc::ptr_eq(&first, &edited), "an edit recomputes");
-        let fresh = base(&s, &t);
-        let gp = fit_base_entry(&s, &t, 0).unwrap().0;
-        let expect = sample.predict(&gp);
+        let expect = sample.predict(&t.surrogate(&s, 0).unwrap());
         assert_eq!(
             edited.iter().map(|v| v.to_bits()).collect::<Vec<_>>(),
             expect.iter().map(|v| v.to_bits()).collect::<Vec<_>>()
         );
-        assert_eq!(fresh.fingerprint(), cache.bases["b1"].fp);
     }
 }

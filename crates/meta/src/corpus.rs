@@ -10,12 +10,14 @@
 //! a lazy policy), and loading simply skips lines that do not parse.
 //!
 //! On top of the corpus sits the [`RetrievalIndex`]: z-score-standardized
-//! k-nearest-neighbor search over the 75 meta-features. Standardization
-//! statistics can be persisted *into* the corpus (a `Stats` line) so
-//! distances stay scale-invariant when a corpus built on one fleet is
-//! queried by another. A brand-new task whose meta-features are known —
-//! e.g. extracted from the event log of its existing manual-configuration
-//! production runs — gets a **zero-execution bootstrap**: the
+//! k-nearest-neighbor search over the 75 meta-features. The
+//! standardization statistics are computed over the corpus' records of
+//! the query's width, column by column in sorted order, so every reader
+//! of the same records standardizes identically. (Older files may hold
+//! a `Stats` line of persisted statistics; it loads and is ignored.) A
+//! brand-new task whose meta-features are known — e.g. extracted from
+//! the event log of its existing manual-configuration production runs —
+//! gets a **zero-execution bootstrap**: the
 //! distance-weighted blend of the top-k neighbors' best configurations,
 //! followed by those configurations verbatim, replaces the low-discrepancy
 //! burn-in points. When no neighbor clears the similarity threshold the
@@ -102,8 +104,8 @@ impl CorpusRecord {
     }
 }
 
-/// Persisted standardization statistics: per-dimension mean and standard
-/// deviation of the meta-features, plus the record count they summarize.
+/// Standardization statistics: per-dimension mean and standard deviation
+/// of the meta-features, plus the record count they summarize.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct CorpusStats {
     /// Per-dimension mean.
@@ -118,7 +120,8 @@ pub struct CorpusStats {
 /// self-describing and extensible.
 #[derive(Debug, Clone, Serialize, Deserialize)]
 enum CorpusLine {
-    /// Standardization statistics (the newest line wins).
+    /// Retired persisted statistics, which older files may hold: loaded
+    /// and ignored (retrieval standardizes over the records).
     Stats(CorpusStats),
     /// One execution record.
     Record(CorpusRecord),
@@ -132,13 +135,12 @@ enum CorpusLine {
 /// (the legacy cadence); a fleet can switch to `batch:N`/`barrier` via
 /// [`TuningCorpus::set_sync_policy`] so the per-observation hot path
 /// stages records in memory and a single `sync_data` at
-/// [`TuningCorpus::flush`] (called at checkpoints and when stats are
-/// persisted) covers the whole batch.
+/// [`TuningCorpus::flush`] (called at checkpoints) covers the whole
+/// batch.
 #[derive(Debug, Default)]
 pub struct TuningCorpus {
     path: Option<PathBuf>,
     records: Vec<CorpusRecord>,
-    stats: Option<CorpusStats>,
     torn: usize,
     /// Sync cadence for appends (writer is rebuilt when it changes).
     policy: SyncPolicy,
@@ -171,11 +173,8 @@ impl TuningCorpus {
         };
         corpus.torn = healed.torn_lines as usize;
         for line in healed.items {
-            match line {
-                CorpusLine::Record(r) => corpus.records.push(r),
-                // The newest stats line wins: `persist_stats` appends a
-                // fresh one as the corpus grows.
-                CorpusLine::Stats(s) => corpus.stats = Some(s),
+            if let CorpusLine::Record(r) = line {
+                corpus.records.push(r);
             }
         }
         Ok(corpus)
@@ -288,16 +287,6 @@ impl TuningCorpus {
         Ok(())
     }
 
-    /// The active standardization statistics: the persisted ones when
-    /// their width matches `dim`, else freshly computed over the records
-    /// of that width. `None` when no record has that width.
-    pub fn stats_for(&self, dim: usize) -> Option<CorpusStats> {
-        match &self.stats {
-            Some(s) if s.mean.len() == dim && s.std.len() == dim => Some(s.clone()),
-            _ => self.compute_stats(dim),
-        }
-    }
-
     /// Compute standardization statistics over the records whose
     /// meta-feature width is `dim`.
     ///
@@ -338,23 +327,6 @@ impl TuningCorpus {
         })
     }
 
-    /// Compute fresh statistics over the dominant feature width and
-    /// persist them as a `Stats` line, so another fleet loading this file
-    /// standardizes distances identically. Returns the persisted stats
-    /// (`None` on an empty corpus).
-    pub fn persist_stats(&mut self) -> io::Result<Option<CorpusStats>> {
-        let Some(dim) = self.dominant_width() else {
-            return Ok(None);
-        };
-        let stats = self.compute_stats(dim).expect("width has records");
-        self.write(&CorpusLine::Stats(stats.clone()))?;
-        // Persisting stats is a durability barrier: the stats line and
-        // every record staged before it land together.
-        self.flush()?;
-        self.stats = Some(stats.clone());
-        Ok(Some(stats))
-    }
-
     /// The most common meta-feature width across records (ties break on
     /// the smaller width for determinism).
     pub fn dominant_width(&self) -> Option<usize> {
@@ -370,7 +342,8 @@ impl TuningCorpus {
 
     /// Build the retrieval index for queries of width `dim`. The index
     /// holds one point per task — its best feasible configuration — and
-    /// the corpus' standardization statistics for that width.
+    /// the standardization statistics of the corpus' records of that
+    /// width.
     pub fn index_for(&self, dim: usize) -> RetrievalIndex {
         let mut order: Vec<TaskPoint> = Vec::new();
         let mut by_task: HashMap<&str, usize> = HashMap::new();
@@ -403,7 +376,7 @@ impl TuningCorpus {
         // by task id makes the index (and its `nearest` tie-breaking)
         // bitwise-independent of how the corpus was interleaved.
         order.sort_by(|a, b| a.task_id.cmp(&b.task_id));
-        let stats = self.stats_for(dim).unwrap_or(CorpusStats {
+        let stats = self.compute_stats(dim).unwrap_or(CorpusStats {
             mean: vec![0.0; dim],
             std: vec![1.0; dim],
             n: 0,
@@ -755,23 +728,44 @@ mod tests {
         assert!(c.is_empty());
     }
 
+    /// Retrieval standardizes over the corpus' records: a `Stats` line
+    /// an older build persisted over the first records loads without
+    /// counting as torn, and changes no distance.
     #[test]
-    fn persisted_stats_win_over_recomputation() {
+    fn persisted_stats_line_is_ignored_by_retrieval() {
+        let records = [
+            record("a", vec![0.0, 0.0], 0.2, 2, 10.0),
+            record("b", vec![2.0, 4.0], 0.8, 8, 5.0),
+            record("c", vec![100.0, -50.0], 0.5, 4, 7.0),
+            record("d", vec![-80.0, 60.0], 0.4, 3, 6.0),
+        ];
+        let mut early = TuningCorpus::in_memory();
+        let mut all = TuningCorpus::in_memory();
+        for (i, r) in records.iter().enumerate() {
+            if i < 2 {
+                early.append(r.clone()).unwrap();
+            }
+            all.append(r.clone()).unwrap();
+        }
+        let line = |l: &CorpusLine| serde_json::to_string(l).unwrap();
+        let mut lines: Vec<String> = records
+            .iter()
+            .map(|r| line(&CorpusLine::Record(r.clone())))
+            .collect();
+        let stale = early.compute_stats(2).unwrap();
+        lines.insert(2, line(&CorpusLine::Stats(stale)));
         let path = tmp("stats");
-        let mut c = TuningCorpus::open(&path).unwrap();
-        c.append(record("a", vec![0.0, 0.0], 0.2, 2, 10.0)).unwrap();
-        c.append(record("b", vec![2.0, 4.0], 0.8, 8, 5.0)).unwrap();
-        let stats = c.persist_stats().unwrap().unwrap();
-        assert_eq!(stats.mean, vec![1.0, 2.0]);
-        assert_eq!(stats.n, 2);
-        // Append more records: the persisted line still governs until
-        // stats are re-persisted.
-        c.append(record("c", vec![100.0, 100.0], 0.5, 4, 7.0))
-            .unwrap();
+        std::fs::write(&path, lines.join("\n")).unwrap();
         let back = TuningCorpus::open(&path).unwrap();
-        assert_eq!(back.stats_for(2).unwrap().mean, vec![1.0, 2.0]);
-        // A width the stats line does not cover recomputes.
-        assert!(back.stats_for(3).is_none());
+        assert_eq!((back.len(), back.torn_lines()), (4, 0));
+        let distances = |c: &TuningCorpus| -> Vec<(String, u64)> {
+            let index = c.index_for(2);
+            let near = index.nearest(&[1.0, 1.0], 4);
+            near.iter()
+                .map(|r| (r.point.task_id.clone(), r.distance.to_bits()))
+                .collect()
+        };
+        assert_eq!(distances(&back), distances(&all));
     }
 
     #[test]
@@ -905,20 +899,6 @@ mod tests {
         c.flush().unwrap();
         assert_eq!(c.pending_lines(), 0);
         assert_eq!(TuningCorpus::open(&path).unwrap().len(), 2);
-    }
-
-    #[test]
-    fn persist_stats_is_a_flush_barrier() {
-        let path = tmp("statsbarrier");
-        let mut c = TuningCorpus::open(&path).unwrap();
-        c.set_sync_policy(SyncPolicy::Barrier).unwrap();
-        c.append(record("a", vec![0.0, 0.0], 0.2, 2, 10.0)).unwrap();
-        c.append(record("b", vec![2.0, 4.0], 0.8, 8, 5.0)).unwrap();
-        assert!(TuningCorpus::open(&path).unwrap().is_empty());
-        c.persist_stats().unwrap().unwrap();
-        let back = TuningCorpus::open(&path).unwrap();
-        assert_eq!(back.len(), 2, "staged records landed with the stats line");
-        assert_eq!(back.stats_for(2).unwrap().mean, vec![1.0, 2.0]);
     }
 
     #[test]

@@ -10,9 +10,8 @@
 //! [`DistanceSample`] draws and encodes `D_rand` and predicts a surrogate
 //! at it, and [`prediction_distance`] turns two prediction vectors into
 //! `(1 − τ)/2`. A frozen surrogate's vector is a pure function of the
-//! surrogate and the sample, so [`crate::MetaCache`] and
-//! [`crate::SharedMetaStore`] compute it once. [`surrogate_distance`]
-//! composes the two steps from scratch.
+//! surrogate and the sample, so [`crate::SharedMetaStore`] computes it
+//! once. [`surrogate_distance`] composes the two steps from scratch.
 
 use otune_bo::fnv_mix;
 use otune_gp::GaussianProcess;

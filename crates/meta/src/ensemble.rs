@@ -17,8 +17,8 @@
 //!
 //! A cached build pays only for what changed: base members and their
 //! predictions at the Kendall-τ sample are memoized in the
-//! [`MetaCache`], and the target surrogate is predicted at the sample
-//! once per build, not once per base.
+//! [`MetaCache`]'s store, and the target surrogate is predicted at the
+//! sample once per build, not once per base.
 
 use crate::cache::MetaCache;
 use crate::distance::prediction_distance;
@@ -30,8 +30,8 @@ use otune_telemetry::Telemetry;
 use std::borrow::Cow;
 use std::sync::Arc;
 
-/// A base task as an ensemble build reads it: the id and history
-/// fingerprint a cache lookup needs, and the record itself, built only
+/// A base task as a store lookup reads it: the id and history
+/// fingerprint that key the lookup, and the record itself, built only
 /// when the lookup misses.
 pub struct BaseTask<'a> {
     task_id: &'a str,
@@ -98,7 +98,7 @@ impl EnsembleSurrogate {
     /// has enough history for a surrogate.
     ///
     /// Convenience wrapper over [`Self::build_cached`] with a throwaway
-    /// cache — every member is fitted from scratch.
+    /// cache and store — every member is fitted from scratch.
     pub fn build(
         space: &ConfigSpace,
         base_tasks: &[TaskRecord],
@@ -123,10 +123,11 @@ impl EnsembleSurrogate {
     }
 
     /// [`Self::build`] with persistent caches: frozen base-task surrogates
-    /// and their predictions at the distance sample are computed once per
-    /// distinct history, the target surrogate is extended incrementally
-    /// while the runhistory only grows, and the target-weight validation
-    /// folds are memoized. The result is bitwise the from-scratch build's.
+    /// and their predictions at the distance sample are read from the
+    /// cache's store, which computes them once per distinct history, the
+    /// target surrogate is extended incrementally while the runhistory
+    /// only grows, and the target-weight validation folds are memoized.
+    /// The result is bitwise the from-scratch build's.
     pub fn build_cached(
         space: &ConfigSpace,
         base_tasks: &[BaseTask<'_>],
@@ -140,7 +141,7 @@ impl EnsembleSurrogate {
         let mut first_stats = None;
         let mut bases: Vec<(&BaseTask<'_>, Arc<GaussianProcess>, (f64, f64))> = Vec::new();
         for task in base_tasks {
-            let (gp, stats) = cache.base_surrogate(space, task, seed, telemetry);
+            let (gp, stats) = cache.store().base_surrogate(space, task, seed, telemetry);
             first_stats.get_or_insert(stats);
             if let Some(gp) = gp {
                 bases.push((task, gp, stats));
@@ -168,7 +169,10 @@ impl EnsembleSurrogate {
                 let sample = cache.distance_sample(space, n_sample, seed);
                 let target_preds = sample.predict(tgt);
                 for (task, base, (m, sd)) in bases {
-                    let base_preds = cache.base_predictions(task, &base, seed, &sample);
+                    let base_preds =
+                        cache
+                            .store()
+                            .base_predictions(task.fingerprint(), seed, &sample, &base);
                     let d = prediction_distance(&base_preds, &target_preds);
                     members.push((base, (1.0 - d).max(0.0), m, sd));
                 }
@@ -445,14 +449,15 @@ mod tests {
     proptest::proptest! {
         #![proptest_config(proptest::prelude::ProptestConfig::with_cases(10))]
 
-        /// A cached build over a growing target history — with or without
-        /// a shared store, and across a restart that turns the first
-        /// round into a base — equals the from-scratch build bit for bit.
-        /// The oracle re-derives everything the caches memoize; it shares
-        /// only the incrementally extended target surrogate, which a
-        /// literal `build` would refit with a fresh hyper search. Until
-        /// the first extension (≤ 3 target points) the oracle is the
-        /// literal `build`.
+        /// A cached build over a growing target history — through the
+        /// cache's own store or an attached one, and across a restart
+        /// that turns the first round into a base while the store keeps
+        /// its entries — equals the from-scratch build bit for bit. The
+        /// oracle gets a fresh store and re-derives everything the caches
+        /// memoize; it shares only the incrementally extended target
+        /// surrogate, which a literal `build` would refit with a fresh
+        /// hyper search. Until the first extension (≤ 3 target points)
+        /// the oracle is the literal `build`.
         #[test]
         fn cached_builds_match_scratch_builds_bitwise(
             seed in 0u64..1_000,
@@ -502,7 +507,8 @@ mod tests {
                     );
                 }
                 // Restart: the finished round becomes a base task and the
-                // cache starts clean, as `OnlineTuner::restart` does.
+                // cache drops its per-target state, as
+                // `OnlineTuner::restart` does.
                 bases.push(TaskRecord {
                     task_id: "self-round-1".into(),
                     meta_features: vec![0.0],

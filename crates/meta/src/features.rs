@@ -7,67 +7,9 @@
 //! similarity model sees comparable scales.
 
 use otune_sparksim::EventLog;
-use std::collections::HashMap;
-use std::sync::Arc;
 
 /// Total number of meta-features: 11 stage-level + 16 × 4 task-level.
 pub const META_FEATURE_COUNT: usize = 75;
-
-/// Stable fingerprint of an event log (FNV-1a over its canonical JSON),
-/// used by [`FeatureMemo`] to detect when a task's log actually changed.
-pub fn log_fingerprint(log: &EventLog) -> u64 {
-    let bytes = serde_json::to_vec(log).unwrap_or_default();
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for b in bytes {
-        h ^= b as u64;
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    h
-}
-
-/// Memoized meta-feature extraction, keyed per `(task, log fingerprint)`
-/// the same way [`crate::MetaCache`] keys base surrogates: each task
-/// caches the 75-vector of its latest log and only re-extracts when the
-/// log's fingerprint moves (a new production run). Warm-start and
-/// distance paths that re-read a task's features between runs then pay a
-/// hash instead of the full stage/task-statistics sweep.
-#[derive(Debug, Default)]
-pub struct FeatureMemo {
-    entries: HashMap<String, (u64, Arc<Vec<f64>>)>,
-}
-
-impl FeatureMemo {
-    /// An empty memo.
-    pub fn new() -> Self {
-        FeatureMemo::default()
-    }
-
-    /// Number of tasks with a cached vector.
-    pub fn len(&self) -> usize {
-        self.entries.len()
-    }
-
-    /// Whether the memo is empty.
-    pub fn is_empty(&self) -> bool {
-        self.entries.is_empty()
-    }
-
-    /// The task's meta-features, extracted at most once per distinct
-    /// event log. The result is shared (`Arc`), so fleet-scale callers
-    /// clone a pointer, not 75 floats.
-    pub fn features(&mut self, task_id: &str, log: &EventLog) -> Arc<Vec<f64>> {
-        let fp = log_fingerprint(log);
-        if let Some((cached_fp, v)) = self.entries.get(task_id) {
-            if *cached_fp == fp {
-                return Arc::clone(v);
-            }
-        }
-        let v = Arc::new(extract_meta_features(log));
-        self.entries
-            .insert(task_id.to_string(), (fp, Arc::clone(&v)));
-        v
-    }
-}
 
 /// Operation categories counted by the stage-level features.
 const OP_CATEGORIES: [&[&str]; 9] = [
@@ -217,24 +159,6 @@ mod tests {
         let cache_idx = 2 + 7;
         assert!(km[cache_idx] > 0.0);
         assert_eq!(wc[cache_idx], 0.0);
-    }
-
-    #[test]
-    fn feature_memo_reuses_until_the_log_changes() {
-        let mut memo = FeatureMemo::new();
-        let log_wc = log_for(HibenchTask::WordCount);
-        let a = memo.features("t", &log_wc);
-        let b = memo.features("t", &log_wc);
-        assert!(Arc::ptr_eq(&a, &b), "identical log served from memo");
-        assert_eq!(*a, extract_meta_features(&log_wc));
-        // A different log for the same task invalidates the entry.
-        let log_ts = log_for(HibenchTask::TeraSort);
-        let c = memo.features("t", &log_ts);
-        assert!(!Arc::ptr_eq(&a, &c));
-        assert_eq!(*c, extract_meta_features(&log_ts));
-        // Distinct tasks cache independently.
-        memo.features("u", &log_wc);
-        assert_eq!(memo.len(), 2);
     }
 
     #[test]

@@ -21,7 +21,13 @@
 //! * [`ensemble`] — the meta surrogate ensemble
 //!   `μ_meta = Σᵢ wᵢ μᵢ`, `σ²_meta = Σᵢ wᵢ² σᵢ²` (Eq. 12), with base
 //!   weights `1 − Dist(Mⁱ, Mᵗ)` and the target weight from a
-//!   cross-validation rank-agreement score.
+//!   cross-validation rank-agreement score;
+//! * [`shared`] — the [`SharedMetaStore`], the one memo of base-task
+//!   knowledge (surrogates, their predictions at the Kendall-τ sample,
+//!   pairwise distances) that every ensemble build and similarity
+//!   training reads, plus a fleet's tuning corpus;
+//! * [`cache`] — the per-tuner [`MetaCache`]: a store (its own or the
+//!   fleet's) and the target-side state of cached ensemble builds.
 
 pub mod cache;
 pub mod corpus;
@@ -39,7 +45,7 @@ pub use corpus::{
 };
 pub use distance::{kendall_tau, surrogate_distance};
 pub use ensemble::{BaseTask, EnsembleSurrogate};
-pub use features::{extract_meta_features, FeatureMemo, META_FEATURE_COUNT};
+pub use features::{extract_meta_features, META_FEATURE_COUNT};
 pub use shared::SharedMetaStore;
 pub use similarity::{SimilarityLearner, TaskRecord};
 pub use warmstart::{warm_start_configs, warm_start_configs_with};

@@ -1,14 +1,16 @@
-//! Fleet-wide shared read-only meta-knowledge store.
+//! The one memo of base-task meta-knowledge.
 //!
-//! A multi-task controller runs many tuners that warm-start from the *same*
-//! historical base tasks. Each tuner's private [`MetaCache`] already fits a
-//! base surrogate only once per task — but "once per task" still multiplies
-//! into `n_tasks × n_bases` identical fits across a fleet. The
-//! [`SharedMetaStore`] dedupes that work process-wide:
+//! In the §5.2 ensemble every base task contributes a surrogate fitted on
+//! its frozen history and that surrogate's predictions at the Kendall-τ
+//! sample. Both are pure functions of (history, seed), so they are
+//! computed once and read from here by every [`MetaCache`]: a standalone
+//! tuner's cache owns a store of its own, and a fleet hands one store to
+//! all of its tuners, so `n_tasks × n_bases` lookups pay for `n_bases`
+//! fits. The similarity trainer reads the same entries.
 //!
-//! * **Base surrogates** are keyed by `(task id, history fingerprint, seed)`
-//!   and fitted at most once; every tuner whose private cache misses gets an
-//!   `Arc` clone of the shared fit.
+//! * **Base tasks** are keyed by `(task id, history fingerprint, seed)`:
+//!   the frozen surrogate (none when the history is too short for one)
+//!   and the history's objective (mean, std), fitted on the first lookup.
 //! * **Base predictions at `D_rand`** — a frozen surrogate's predictions
 //!   at the Kendall-τ sample — are keyed by `(history fingerprint, fit
 //!   seed, sample fingerprint)` and computed at most once; every
@@ -19,23 +21,22 @@
 //!   pays for pairs it has never seen, and a missed pair is computed from
 //!   the memoized predictions.
 //!
-//! Sharing is *transparent*: a fit is a pure function of
+//! Memoization is *transparent*: a fit is a pure function of
 //! `(space, history, seed)`, a prediction vector of `(fit, sample)` and a
 //! distance of two prediction vectors, so a task's suggestions are
-//! bitwise identical whether its entries were computed privately, by
-//! another task, or served from the memo. The store is append-only for the
-//! lifetime of the fleet — base-task histories are frozen, so entries are
-//! never invalidated, only added. Entries are computed outside the store
-//! lock; when two callers race on a missing key, both compute identical
-//! bits and the first to store it wins.
+//! bitwise identical whether its entries were computed by itself, by
+//! another task, or served from the memo. The store is append-only —
+//! base-task histories are frozen, so entries are never invalidated, only
+//! added. Entries are computed outside the store lock; when two callers
+//! race on a missing key, both compute identical bits and the first to
+//! store it wins.
 //!
 //! [`MetaCache`]: crate::MetaCache
 
 use crate::corpus::{CorpusRecord, RetrievalIndex, TuningCorpus};
 use crate::distance::{prediction_distance, DistanceSample};
-use crate::ensemble::objective_stats;
+use crate::ensemble::{objective_stats, BaseTask};
 use crate::similarity::TaskRecord;
-use otune_bo::{history_fingerprint, SurrogateInput};
 use otune_gp::GaussianProcess;
 use otune_space::{ConfigSpace, Configuration};
 use otune_telemetry::{metric, Telemetry};
@@ -44,18 +45,20 @@ use std::hash::Hash;
 use std::io;
 use std::sync::{Arc, Mutex};
 
-/// A shared base-task entry: frozen surrogate plus the task's objective
-/// mean/std used to standardize its predictions. `None` is cached for
-/// tasks whose history is too small so they are not re-attempted.
-pub(crate) type SharedBaseEntry = Option<(Arc<GaussianProcess>, f64, f64)>;
+/// What the store knows of one base task: its frozen surrogate (`None`
+/// when the history is too small for one, so it is not re-attempted) and
+/// its history's objective (mean, std) — the scale that standardizes the
+/// surrogate's predictions, and the one a target without history borrows
+/// from the first base.
+pub(crate) type BaseEntry = (Option<Arc<GaussianProcess>>, (f64, f64));
 
-/// Fit a base-task entry from scratch: the canonical pure function backing
-/// both the private [`crate::MetaCache`] and the shared store.
-pub(crate) fn fit_base_entry(space: &ConfigSpace, task: &TaskRecord, seed: u64) -> SharedBaseEntry {
-    task.surrogate(space, seed).map(|s| {
-        let (mean, sd) = objective_stats(&task.observations);
-        (Arc::new(s), mean, sd)
-    })
+/// Fit a base-task entry from scratch: the pure function the store
+/// memoizes.
+fn fit_base_entry(space: &ConfigSpace, task: &TaskRecord, seed: u64) -> BaseEntry {
+    (
+        task.surrogate(space, seed).map(Arc::new),
+        objective_stats(&task.observations),
+    )
 }
 
 /// Key of a base surrogate's predictions at a distance sample:
@@ -94,11 +97,12 @@ struct CorpusState {
     index: Option<(usize, usize, Arc<RetrievalIndex>)>,
 }
 
-/// Process-wide read-only meta-knowledge shared by every task in a fleet.
+/// Memoized base-task meta-knowledge: a tuner's own, or one shared by
+/// every task in a fleet together with the fleet's tuning corpus.
 #[derive(Debug, Default)]
 pub struct SharedMetaStore {
-    /// Base surrogates by `(task id, history fingerprint, fit seed)`.
-    bases: Mutex<HashMap<(String, u64, u64), SharedBaseEntry>>,
+    /// Base-task entries by `(task id, history fingerprint, fit seed)`.
+    bases: Mutex<HashMap<(String, u64, u64), BaseEntry>>,
     /// Base-surrogate predictions at distance samples.
     predictions: Mutex<HashMap<PredictionKey, Arc<[f64]>>>,
     /// Pairwise surrogate distances by
@@ -114,7 +118,7 @@ impl SharedMetaStore {
         SharedMetaStore::default()
     }
 
-    /// Number of cached base-surrogate entries.
+    /// Number of memoized base-task entries.
     pub fn n_bases(&self) -> usize {
         self.bases.lock().expect("shared meta store lock").len()
     }
@@ -132,31 +136,22 @@ impl SharedMetaStore {
             .len()
     }
 
-    /// Shared base surrogate for `task`, fitted on first request and served
-    /// from the store afterwards.
-    pub fn base_surrogate(
+    /// The entry of base task `task` under fit seed `seed`: computed on
+    /// the first lookup of its `(id, history fingerprint, seed)` and served
+    /// from the store afterwards. The task's record is built, and a
+    /// `base_fit` span opened, only on a miss.
+    pub(crate) fn base_surrogate(
         &self,
         space: &ConfigSpace,
-        task: &TaskRecord,
+        task: &BaseTask<'_>,
         seed: u64,
         telemetry: &Telemetry,
-    ) -> SharedBaseEntry {
-        let fp = history_fingerprint(space, &task.observations, SurrogateInput::Objective);
-        self.base_surrogate_at(space, task, fp, seed, telemetry)
-    }
-
-    /// [`SharedMetaStore::base_surrogate`] with the fingerprint already
-    /// computed (private caches have it at hand).
-    pub(crate) fn base_surrogate_at(
-        &self,
-        space: &ConfigSpace,
-        task: &TaskRecord,
-        fp: u64,
-        seed: u64,
-        telemetry: &Telemetry,
-    ) -> SharedBaseEntry {
-        let key = (task.task_id.clone(), fp, seed);
-        let (entry, hit) = memoize(&self.bases, key, || fit_base_entry(space, task, seed));
+    ) -> BaseEntry {
+        let key = (task.task_id().to_string(), task.fingerprint(), seed);
+        let (entry, hit) = memoize(&self.bases, key, || {
+            let _trace = telemetry.trace_span("base_fit");
+            fit_base_entry(space, &task.record(), seed)
+        });
         telemetry.incr(if hit {
             metric::SHARED_META_HITS
         } else {
@@ -296,7 +291,7 @@ impl SharedMetaStore {
 mod tests {
     use super::*;
     use crate::distance::surrogate_distance;
-    use otune_bo::Observation;
+    use otune_bo::{history_fingerprint, Observation, SurrogateInput};
     use otune_space::Parameter;
     use rand::{rngs::StdRng, SeedableRng};
 
@@ -332,29 +327,46 @@ mod tests {
         Telemetry::new(Box::new(otune_telemetry::NullSink))
     }
 
+    fn lookup(
+        store: &SharedMetaStore,
+        space: &ConfigSpace,
+        t: &TaskRecord,
+        seed: u64,
+        tm: &Telemetry,
+    ) -> BaseEntry {
+        store.base_surrogate(space, &BaseTask::from_record(space, t), seed, tm)
+    }
+
     #[test]
     fn base_surrogate_fitted_once_and_shared() {
         let s = space();
         let t = task(&s, "b", 10, 1);
         let tm = telemetry();
         let store = SharedMetaStore::new();
-        let a = store.base_surrogate(&s, &t, 0, &tm).unwrap();
-        let b = store.base_surrogate(&s, &t, 0, &tm).unwrap();
-        assert!(Arc::ptr_eq(&a.0, &b.0));
+        let a = lookup(&store, &s, &t, 0, &tm).0.unwrap();
+        let b = lookup(&store, &s, &t, 0, &tm).0.unwrap();
+        assert!(Arc::ptr_eq(&a, &b));
         assert_eq!(store.n_bases(), 1);
         let snap = tm.snapshot().unwrap();
         assert_eq!(snap.counters[metric::SHARED_META_HITS], 1);
         assert_eq!(snap.counters[metric::SHARED_META_MISSES], 1);
     }
 
+    /// A history too short for a surrogate caches `None`, and still
+    /// carries its objective scale: the ensemble borrows the first base's
+    /// scale for a target without history.
     #[test]
     fn short_history_caches_none() {
         let s = space();
         let t = task(&s, "tiny", 2, 2);
         let tm = telemetry();
         let store = SharedMetaStore::new();
-        assert!(store.base_surrogate(&s, &t, 0, &tm).is_none());
-        assert!(store.base_surrogate(&s, &t, 0, &tm).is_none());
+        for _ in 0..2 {
+            let (gp, (mean, sd)) = lookup(&store, &s, &t, 0, &tm);
+            assert!(gp.is_none());
+            let (m, d) = objective_stats(&t.observations);
+            assert_eq!((mean.to_bits(), sd.to_bits()), (m.to_bits(), d.to_bits()));
+        }
         let snap = tm.snapshot().unwrap();
         assert_eq!(snap.counters[metric::SHARED_META_MISSES], 1);
     }
@@ -365,8 +377,8 @@ mod tests {
         let t = task(&s, "b", 10, 3);
         let tm = telemetry();
         let store = SharedMetaStore::new();
-        store.base_surrogate(&s, &t, 0, &tm);
-        store.base_surrogate(&s, &t, 1, &tm);
+        lookup(&store, &s, &t, 0, &tm);
+        lookup(&store, &s, &t, 1, &tm);
         assert_eq!(store.n_bases(), 2);
     }
 
@@ -377,17 +389,17 @@ mod tests {
         let tb = task(&s, "b", 10, 5);
         let tm = telemetry();
         let store = SharedMetaStore::new();
-        let sa = store.base_surrogate(&s, &ta, 0, &tm).unwrap();
-        let sb = store.base_surrogate(&s, &tb, 0, &tm).unwrap();
+        let sa = lookup(&store, &s, &ta, 0, &tm).0.unwrap();
+        let sb = lookup(&store, &s, &tb, 0, &tm).0.unwrap();
         let fa = history_fingerprint(&s, &ta.observations, SurrogateInput::Objective);
         let fb = history_fingerprint(&s, &tb.observations, SurrogateInput::Objective);
         let sample = DistanceSample::new(&s, 30, 0);
-        let d1 = store.memo_distance((fa, &sa.0), (fb, &sb.0), 0, &sample, &tm);
-        let d2 = store.memo_distance((fa, &sa.0), (fb, &sb.0), 0, &sample, &tm);
+        let d1 = store.memo_distance((fa, &sa), (fb, &sb), 0, &sample, &tm);
+        let d2 = store.memo_distance((fa, &sa), (fb, &sb), 0, &sample, &tm);
         assert_eq!(d1.to_bits(), d2.to_bits());
         assert_eq!(
             d1.to_bits(),
-            surrogate_distance(&s, &sa.0, &sb.0, 30, 0).to_bits()
+            surrogate_distance(&s, &sa, &sb, 30, 0).to_bits()
         );
         assert_eq!(store.n_distances(), 1);
         // The missed pair was computed from memoized prediction vectors.
@@ -463,7 +475,7 @@ mod tests {
                 .iter()
                 .map(|t| {
                     let fp = history_fingerprint(&s, &t.observations, SurrogateInput::Objective);
-                    (fp, store.base_surrogate(&s, t, seed, &tm).unwrap().0)
+                    (fp, lookup(&store, &s, t, seed, &tm).0.unwrap())
                 })
                 .collect();
             for n_sample in [2usize, 17, 50] {
@@ -491,7 +503,7 @@ mod tests {
         let t = task(&s, "b", 12, 9);
         let tm = telemetry();
         let store = SharedMetaStore::new();
-        let gp = store.base_surrogate(&s, &t, 0, &tm).unwrap().0;
+        let gp = lookup(&store, &s, &t, 0, &tm).0.unwrap();
         let fp = history_fingerprint(&s, &t.observations, SurrogateInput::Objective);
         let sample = DistanceSample::new(&s, 50, 0);
         let key = (fp, 0, sample.fingerprint());

@@ -7,14 +7,16 @@
 //! run but no tuning history yet — can be predicted against all previous
 //! tasks.
 
-use crate::distance::{prediction_distance, DistanceSample};
+use crate::distance::DistanceSample;
+use crate::ensemble::BaseTask;
 use crate::shared::SharedMetaStore;
-use otune_bo::{fit_surrogate, history_fingerprint, Observation, SurrogateInput};
+use otune_bo::{fit_surrogate, Observation, SurrogateInput};
 use otune_gbdt::{GbdtConfig, GbdtRegressor};
 use otune_gp::GaussianProcess;
 use otune_space::ConfigSpace;
 use otune_telemetry::Telemetry;
 use serde::{Deserialize, Serialize};
+use std::sync::Arc;
 
 /// A previous tuning task — its meta-features and runhistory — as a
 /// meta-learning source.
@@ -67,7 +69,8 @@ pub struct SimilarityLearner {
 }
 
 impl SimilarityLearner {
-    /// Train `M_reg` from historical task records.
+    /// Train `M_reg` from historical task records:
+    /// [`Self::train_with_store`] on a fresh store.
     ///
     /// Needs at least two tasks with ≥ 3 observations each. `n_sample`
     /// configurations are used for each pairwise Kendall-τ label.
@@ -77,23 +80,16 @@ impl SimilarityLearner {
         n_sample: usize,
         seed: u64,
     ) -> Option<Self> {
-        let sample = DistanceSample::new(space, n_sample, seed);
-        let (fitted, preds): (Vec<&TaskRecord>, Vec<Vec<f64>>) = tasks
-            .iter()
-            .filter_map(|t| t.surrogate(space, seed).map(|s| (t, sample.predict(&s))))
-            .unzip();
-        Self::train_fitted(&fitted, seed, |a, b| {
-            prediction_distance(&preds[a], &preds[b])
-        })
+        let store = SharedMetaStore::new();
+        Self::train_with_store(space, tasks, n_sample, seed, &store, &Telemetry::disabled())
     }
 
     /// [`SimilarityLearner::train`] backed by a fleet-wide
     /// [`SharedMetaStore`]: base surrogates come from the store (fitted at
     /// most once per task history) and pairwise distances are memoized by
     /// history fingerprint, so a scheduled refit only pays for pairs it has
-    /// never labeled. Produces a model bitwise identical to [`Self::train`]
-    /// on the same task set: fits and labels are pure functions of their
-    /// keyed inputs.
+    /// never labeled. Fits and labels are pure functions of their keyed
+    /// inputs, so the model does not depend on what the store held.
     pub fn train_with_store(
         space: &ConfigSpace,
         tasks: &[TaskRecord],
@@ -103,39 +99,23 @@ impl SimilarityLearner {
         telemetry: &Telemetry,
     ) -> Option<Self> {
         let sample = DistanceSample::new(space, n_sample, seed);
-        let (fitted, members): (Vec<&TaskRecord>, Vec<(u64, _)>) = tasks
+        let fitted: Vec<(&TaskRecord, u64, Arc<GaussianProcess>)> = tasks
             .iter()
             .filter_map(|t| {
-                let fp = history_fingerprint(space, &t.observations, SurrogateInput::Objective);
-                store
-                    .base_surrogate_at(space, t, fp, seed, telemetry)
-                    .map(|(gp, _, _)| (t, (fp, gp)))
+                let task = BaseTask::from_record(space, t);
+                let (gp, _) = store.base_surrogate(space, &task, seed, telemetry);
+                gp.map(|gp| (t, task.fingerprint(), gp))
             })
-            .unzip();
-        Self::train_fitted(&fitted, seed, |a, b| {
-            let (fa, sa) = &members[a];
-            let (fb, sb) = &members[b];
-            store.memo_distance((*fa, sa), (*fb, sb), seed, &sample, telemetry)
-        })
-    }
-
-    /// Shared trainer core: builds the symmetric pairwise design matrix
-    /// over the tasks that have a surrogate, labeling pair `(a, b)`
-    /// (indices into `fitted`) via `dist`.
-    fn train_fitted(
-        fitted: &[&TaskRecord],
-        seed: u64,
-        mut dist: impl FnMut(usize, usize) -> f64,
-    ) -> Option<Self> {
+            .collect();
         if fitted.len() < 2 {
             return None;
         }
-        let feature_dim = fitted[0].meta_features.len();
+        let feature_dim = fitted[0].0.meta_features.len();
         let mut x = Vec::new();
         let mut y = Vec::new();
-        for (a_idx, ta) in fitted.iter().enumerate() {
-            for (b_off, tb) in fitted.iter().enumerate().skip(a_idx + 1) {
-                let d = dist(a_idx, b_off);
+        for (a_idx, (ta, fa, sa)) in fitted.iter().enumerate() {
+            for (tb, fb, sb) in &fitted[a_idx + 1..] {
+                let d = store.memo_distance((*fa, sa), (*fb, sb), seed, &sample, telemetry);
                 // Symmetric pair: train on both orderings.
                 let mut fwd = ta.meta_features.clone();
                 fwd.extend_from_slice(&tb.meta_features);
@@ -251,6 +231,8 @@ mod tests {
         );
     }
 
+    /// A refit served entirely from the memo gives the model a fresh
+    /// store trains, and pays for no fit or label twice.
     #[test]
     fn store_backed_training_matches_direct_training_bitwise() {
         let s = space();
@@ -262,23 +244,18 @@ mod tests {
         let direct = SimilarityLearner::train(&s, &tasks, 30, 0).unwrap();
         let store = crate::SharedMetaStore::new();
         let tm = otune_telemetry::Telemetry::disabled();
-        let shared = SimilarityLearner::train_with_store(&s, &tasks, 30, 0, &store, &tm).unwrap();
-        // Same fits, same labels ⇒ same model ⇒ identical predictions.
+        SimilarityLearner::train_with_store(&s, &tasks, 30, 0, &store, &tm).unwrap();
+        assert_eq!(store.n_distances(), 3);
+        let memo = SimilarityLearner::train_with_store(&s, &tasks, 30, 0, &store, &tm).unwrap();
+        assert_eq!(store.n_distances(), 3);
+        assert_eq!(store.n_bases(), 3);
         let probe = [
             (vec![1.0, 0.2, 0.2, 1.0], vec![-1.0, 0.3, -0.3, 1.0]),
             (vec![0.5, 0.5, 0.25, 1.0], vec![1.0, 0.0, 0.0, 1.0]),
         ];
         for (u, v) in &probe {
-            assert_eq!(
-                direct.predict(u, v).to_bits(),
-                shared.predict(u, v).to_bits()
-            );
+            assert_eq!(direct.predict(u, v).to_bits(), memo.predict(u, v).to_bits());
         }
-        // A second refit over the same tasks is served from the memo.
-        assert_eq!(store.n_distances(), 3);
-        SimilarityLearner::train_with_store(&s, &tasks, 30, 0, &store, &tm).unwrap();
-        assert_eq!(store.n_distances(), 3);
-        assert_eq!(store.n_bases(), 3);
     }
 
     #[test]

@@ -32,7 +32,7 @@ pub use durable::{
 pub use event::{Event, EventKind, ResizeDirection, StopReason, SuggestionKind};
 pub use export::{chrome_trace_json, prometheus_text};
 pub use metrics::{metric, Histogram, HistogramSnapshot, MetricsRegistry, MetricsSnapshot};
-pub use sink::{read_jsonl, EventSink, JsonlSink, NullSink, RingBufferSink};
+pub use sink::{EventSink, JsonlSink, NullSink, RingBufferSink};
 pub use span::Span;
 pub use trace::{
     attribute, spans_from_events, structural_key, trace_key, AttributionReport, PhaseRow,

@@ -42,10 +42,14 @@ pub mod metric {
     /// Counter: full hyperparameter re-searches (scheduled or
     /// LML-degradation triggered).
     pub const GP_HYPER_SEARCHES: &str = "gp_hyper_searches";
-    /// Counter: frozen base-task surrogates served from the meta cache.
+    /// Retired counter: base-task lookups served by a tuner's private
+    /// slots, which no longer exist. Nothing records it; the name stays
+    /// because the end-to-end benchmark still reports it (always 0).
+    /// Base lookups are counted by [`SHARED_META_HITS`] and
+    /// [`SHARED_META_MISSES`].
     pub const META_BASE_CACHE_HITS: &str = "meta_base_cache_hits";
-    /// Counter: frozen base-task surrogates fitted (first sight of a
-    /// task, or its observations changed).
+    /// Retired counter: the misses of [`META_BASE_CACHE_HITS`]'s private
+    /// slots. Nothing records it; kept for the same reason.
     pub const META_BASE_CACHE_MISSES: &str = "meta_base_cache_misses";
     /// Counter: progressive-validation weight folds served from the
     /// meta memo instead of being refitted.
@@ -69,10 +73,11 @@ pub mod metric {
     pub const FLEET_REPORTS: &str = "fleet_reports";
     /// Histogram: wall-clock seconds per batched fleet wave.
     pub const FLEET_WAVE_S: &str = "fleet_wave_s";
-    /// Counter: base-task surrogates served from the fleet-wide shared
-    /// meta store (fitted once by some task, reused by the rest).
+    /// Counter: base-task lookups served from a meta store (fitted once
+    /// by some tuner, reused by every later lookup of the same history).
     pub const SHARED_META_HITS: &str = "shared_meta_hits";
-    /// Counter: base-task surrogates the shared meta store had to fit.
+    /// Counter: base-task lookups a meta store had to fit (each under a
+    /// `base_fit` trace span).
     pub const SHARED_META_MISSES: &str = "shared_meta_misses";
     /// Counter: pairwise surrogate distances served from the shared
     /// meta store's fingerprint-keyed memo.

@@ -4,7 +4,7 @@ use crate::event::Event;
 use parking_lot::Mutex;
 use std::collections::VecDeque;
 use std::fs::File;
-use std::io::{self, BufRead, BufReader, BufWriter, Write};
+use std::io::{self, BufWriter, Write};
 use std::path::Path;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
@@ -102,9 +102,9 @@ impl EventSink for RingBufferSink {
 }
 
 /// Buffered JSONL file sink: one JSON object per line, flushed on
-/// [`flush`](EventSink::flush) and on drop. Replay with [`read_jsonl`],
-/// [`read_healed`](crate::read_healed) (tolerates a crash-torn tail), or
-/// `otune events`.
+/// [`flush`](EventSink::flush) and on drop. Replay with
+/// [`read_healed`](crate::read_healed), which skips and counts a
+/// crash-torn tail, or `otune events`.
 pub struct JsonlSink {
     writer: Mutex<BufWriter<File>>,
     dropped: AtomicU64,
@@ -152,27 +152,6 @@ impl Drop for JsonlSink {
     fn drop(&mut self) {
         let _ = self.writer.lock().flush();
     }
-}
-
-/// Read an event stream written by [`JsonlSink`], oldest first.
-/// Blank lines are skipped; malformed lines are an error.
-pub fn read_jsonl<P: AsRef<Path>>(path: P) -> io::Result<Vec<Event>> {
-    let reader = BufReader::new(File::open(path)?);
-    let mut events = Vec::new();
-    for (lineno, line) in reader.lines().enumerate() {
-        let line = line?;
-        if line.trim().is_empty() {
-            continue;
-        }
-        let event: Event = serde_json::from_str(&line).map_err(|e| {
-            io::Error::new(
-                io::ErrorKind::InvalidData,
-                format!("line {}: {e:?}", lineno + 1),
-            )
-        })?;
-        events.push(event);
-    }
-    Ok(events)
 }
 
 #[cfg(test)]
@@ -223,8 +202,8 @@ mod tests {
             }
             // Dropping the sink flushes the buffer.
         }
-        let back = read_jsonl(&path).unwrap();
-        assert_eq!(back, written);
+        let back = crate::read_healed::<Event>(&path).unwrap();
+        assert_eq!((back.items, back.torn_lines), (written, 0));
         std::fs::remove_file(&path).ok();
     }
 
@@ -246,15 +225,6 @@ mod tests {
         let healed = crate::read_healed::<Event>(&path).unwrap();
         assert_eq!(healed.items.len(), 2);
         assert_eq!(healed.torn_lines, 2, "garbage line + torn tail");
-        std::fs::remove_file(&path).ok();
-    }
-
-    #[test]
-    fn read_jsonl_rejects_malformed_lines() {
-        let path = std::env::temp_dir().join("otune-telemetry-bad.jsonl");
-        std::fs::write(&path, "not json\n").unwrap();
-        let err = read_jsonl(&path).unwrap_err();
-        assert_eq!(err.kind(), io::ErrorKind::InvalidData);
         std::fs::remove_file(&path).ok();
     }
 }

@@ -239,8 +239,8 @@ fn base_record(name: &str, task: usize, seed: u64) -> TaskRecord {
 #[test]
 fn shared_meta_store_is_bitwise_transparent() {
     // Tuners running the meta ensemble produce identical traces whether
-    // base surrogates come from private caches or from a fleet-wide
-    // shared store — the store only memoizes pure fits.
+    // base surrogates come from the tuner's own store or from a
+    // fleet-wide one, cold or warm — a store only memoizes pure fits.
     let bases: Vec<TaskRecord> = (0..3)
         .map(|t| base_record(&format!("base-{t}"), t, 7 + t as u64))
         .collect();
@@ -266,7 +266,7 @@ fn shared_meta_store_is_bitwise_transparent() {
         }
         trace
     };
-    let private = run(None);
+    let own = run(None);
     let store = Arc::new(SharedMetaStore::new());
     let first = run(Some(Arc::clone(&store)));
     assert!(store.n_bases() > 0, "shared store captured the base fits");
@@ -275,6 +275,6 @@ fn shared_meta_store_is_bitwise_transparent() {
         "shared store captured the base predictions"
     );
     let warm = run(Some(Arc::clone(&store)));
-    assert_eq!(first, private, "shared store changed a suggestion");
-    assert_eq!(warm, private, "warm shared store changed a suggestion");
+    assert_eq!(first, own, "shared store changed a suggestion");
+    assert_eq!(warm, own, "warm shared store changed a suggestion");
 }

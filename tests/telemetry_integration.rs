@@ -5,7 +5,7 @@
 use otune_core::controller::TaskState;
 use otune_core::prelude::*;
 use otune_core::telemetry::{
-    metric, read_jsonl, Event, EventKind, JsonlSink, StopReason, SuggestionKind,
+    metric, read_healed, Event, EventKind, JsonlSink, StopReason, SuggestionKind,
 };
 use otune_meta::extract_meta_features;
 
@@ -239,7 +239,9 @@ fn jsonl_sink_replays_identically_to_the_ring() {
     let telemetry = drive_task(telemetry, 8);
     telemetry.flush();
 
-    let replayed = read_jsonl(&path).unwrap();
+    let healed = read_healed::<Event>(&path).unwrap();
+    assert_eq!(healed.torn_lines, 0);
+    let replayed = healed.items;
     assert!(!replayed.is_empty());
     assert_eq!(replayed[0].kind.label(), "TaskRegistered");
     assert_eq!(replayed.last().unwrap().kind.label(), "TaskStopped");
