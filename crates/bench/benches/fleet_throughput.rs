@@ -10,8 +10,9 @@
 //!   [`SharedMetaStore`]: the first task fits each base surrogate, every
 //!   other task reuses it.
 //! * `fleet-seq` — the controller's batched wave API with 1 shard on a
-//!   1-thread pool (the sharding overhead floor).
-//! * `fleet-sharded` — batched waves over 8 shards on a 4-thread pool.
+//!   1-thread pool (the wave overhead floor).
+//! * `fleet-sharded` — batched waves on a 4-thread pool, one pool item
+//!   per task (the 8 shards only partition the task map).
 //!
 //! A fifth arm, `cold-retrieval`, registers every task with pre-known
 //! meta-features against a tuning corpus mirroring the base runhistories:

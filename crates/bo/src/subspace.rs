@@ -7,6 +7,7 @@
 //! consecutive non-improvements it shrinks by 2 (down to `K_min`).
 
 use otune_forest::Fanova;
+use otune_pool::Pool;
 use otune_space::{ConfigSpace, Configuration, Subspace};
 use serde::{Deserialize, Serialize};
 
@@ -108,15 +109,15 @@ impl AdaptiveSubspace {
         self.k
     }
 
-    /// Refresh the importance ranking from the runhistory via fANOVA.
-    /// Encoded rows `x` must span the full space; `y` is the objective.
-    /// Keeps the previous ranking if the forest cannot be fitted (e.g. too
-    /// little history).
-    pub fn refresh_ranking(&mut self, x: &[Vec<f64>], y: &[f64], seed: u64) {
+    /// Refresh the importance ranking from the runhistory via fANOVA,
+    /// growing the forest on `pool`. Encoded rows `x` must span the full
+    /// space; `y` is the objective. Keeps the previous ranking if the
+    /// forest cannot be fitted (e.g. too little history).
+    pub fn refresh_ranking(&mut self, x: &[Vec<f64>], y: &[f64], seed: u64, pool: &Pool) {
         if x.len() < 4 {
             return;
         }
-        if let Ok(f) = Fanova::fit(x, y, seed) {
+        if let Ok(f) = Fanova::fit_with_pool(x, y, seed, pool) {
             let ranking = f.ranking();
             if ranking.len() == self.ranking.len() {
                 self.ranking = ranking;
@@ -256,7 +257,7 @@ mod tests {
             y.push(50.0 * row[7] + row[3]);
             x.push(row);
         }
-        m.refresh_ranking(&x, &y, 1);
+        m.refresh_ranking(&x, &y, 1, &Pool::sequential());
         assert_eq!(
             m.ranking()[0],
             7,
@@ -269,8 +270,33 @@ mod tests {
     fn refresh_with_tiny_history_is_noop() {
         let mut m = manager();
         let before = m.ranking().to_vec();
-        m.refresh_ranking(&[vec![0.0; 30]], &[1.0], 0);
+        m.refresh_ranking(&[vec![0.0; 30]], &[1.0], 0, &Pool::sequential());
         assert_eq!(m.ranking(), &before[..]);
+    }
+
+    #[test]
+    fn refresh_ranking_grows_its_forest_on_the_given_pool() {
+        use rand::{rngs::StdRng, Rng, SeedableRng};
+        let mut rng = StdRng::seed_from_u64(9);
+        let x: Vec<Vec<f64>> = (0..40)
+            .map(|_| (0..30).map(|_| rng.gen::<f64>()).collect())
+            .collect();
+        let y: Vec<f64> = x.iter().map(|r| 9.0 * r[4] + 3.0 * r[11] * r[2]).collect();
+        let rankings: Vec<Vec<usize>> = [1, 4]
+            .into_iter()
+            .map(|width| {
+                let pool = Pool::new(width);
+                let mut m = manager();
+                m.refresh_ranking(&x, &y, 3, &pool);
+                // The forest is one map, recorded on this pool alone.
+                let s = pool.stats();
+                let maps = (s.sequential_maps, s.parallel_maps);
+                assert_eq!(maps, if width == 1 { (1, 0) } else { (0, 1) });
+                m.ranking().to_vec()
+            })
+            .collect();
+        assert_eq!(rankings[0], rankings[1]);
+        assert_ne!(rankings[0], spark_expert_ranking(), "the refresh reranked");
     }
 
     #[test]

@@ -40,13 +40,13 @@ pub enum Command {
         corpus: Option<String>,
     },
     /// Drive a simulated fleet of periodic tasks through the batched
-    /// controller (sharded waves, shared meta store) and print throughput.
+    /// controller (per-task waves, shared meta store) and print throughput.
     TuneFleet {
         /// Number of simulated tasks (HiBench workloads, cycled).
         tasks: usize,
         /// Periodic executions per task.
         budget: usize,
-        /// Shard count override (default: `OTUNE_SHARDS` or 8).
+        /// Task-map partition count override (default: `OTUNE_SHARDS` or 8).
         shards: Option<usize>,
         /// Wave-pool width override (default: `OTUNE_THREADS`).
         threads: Option<usize>,

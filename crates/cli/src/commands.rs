@@ -392,7 +392,7 @@ fn tune(
 /// `otune tune-fleet`: drive a simulated fleet of periodic HiBench tasks
 /// through the controller's batched wave API and report throughput.
 /// Every task reports its event-log meta-features with its first result.
-/// The run exercises sharded waves and, with `--corpus`, corpus appends
+/// The run exercises per-task waves and, with `--corpus`, corpus appends
 /// and retrieval through the shared meta store. It fits no base-task
 /// surrogate and fires no similarity refit or warm-start injection: its
 /// tasks have no base tasks, and the meta-features arrive only with
@@ -2287,7 +2287,7 @@ mod tests {
             .filter_map(|e| e.get("name").and_then(|n| n.as_str()))
             .collect();
         assert!(names.contains(&"fleet_wave_suggest"), "{names:?}");
-        assert!(names.contains(&"shard"), "{names:?}");
+        assert!(!names.contains(&"shard"), "tasks sit right under the wave");
         assert!(names.contains(&"task"), "{names:?}");
         assert!(names.contains(&"suggest"), "{names:?}");
         let prom_text = std::fs::read_to_string(&prom_path).unwrap();

@@ -12,13 +12,16 @@
 //! through one report routine, and meta-learning sources are exported from
 //! the tuners, never from a copy of their histories.
 //!
-//! At fleet scale the task map is hashed into [`FleetOptions::shards`]
-//! deterministic shards so batched waves (see [`crate::fleet`]) can fan
-//! per-task work across a worker pool, one shard per worker, without any
-//! cross-task locking. Cross-task meta-knowledge — base-task surrogates,
-//! their sample predictions and pairwise distances — lives in one
-//! fleet-wide [`SharedMetaStore`] that every tuner reads it through, and the
-//! similarity model `M_reg` is refit on a schedule (every [`N_REFIT`]
+//! At fleet scale batched waves (see [`crate::fleet`]) fan per-task work
+//! across a worker pool, one pool item per task: each item holds its
+//! task's entry as a disjoint `&mut`, taken under `&mut self`, so no
+//! worker locks anything. The task map is split into
+//! [`FleetOptions::shards`] partitions by a stable hash of the task id;
+//! the partition decides only where a task is stored, never how a wave
+//! runs. Cross-task meta-knowledge — base-task surrogates, their sample
+//! predictions and pairwise distances — lives in one fleet-wide
+//! [`SharedMetaStore`] that every tuner reads it through, and the
+//! similarity model `M_reg` is refit on a schedule (every `N_REFIT` = 32
 //! reports, or when the eligible source-task set changes) instead of per
 //! report.
 
@@ -33,7 +36,7 @@ use otune_meta::{
 use otune_space::{ConfigSpace, Configuration};
 use otune_telemetry::{metric, EventKind, Telemetry};
 use std::collections::HashMap;
-use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
+use std::sync::Arc;
 
 /// Reports between scheduled similarity-model refits. The model is also
 /// refit whenever the eligible source-task set changes.
@@ -100,10 +103,10 @@ pub(crate) struct SimilarityState {
 /// The multi-task online tuning service.
 pub struct OnlineTuneController {
     pub(crate) repository: Arc<DataRepository>,
-    /// Task map hashed into `fleet.shards` disjoint shards. Single-task
-    /// calls go through `Mutex::get_mut` (no locking); batched waves lock
-    /// each shard from exactly one pool worker.
-    pub(crate) shards: Vec<Mutex<HashMap<TaskHandle, TaskEntry>>>,
+    /// Task map hashed into `fleet.shards` disjoint partitions. Batched
+    /// waves take disjoint `&mut` entries out of it under `&mut self`, so
+    /// nothing locks it.
+    pub(crate) shards: Vec<HashMap<TaskHandle, TaskEntry>>,
     pub(crate) fleet: FleetOptions,
     /// The fleet's one memo of base-task knowledge (plus its corpus),
     /// which every task's tuner reads its ensemble bases through.
@@ -128,10 +131,6 @@ fn fnv1a(s: &str) -> u64 {
     h
 }
 
-pub(crate) fn unpoison<T>(r: Result<T, PoisonError<T>>) -> T {
-    r.unwrap_or_else(PoisonError::into_inner)
-}
-
 impl OnlineTuneController {
     /// A controller with a fresh repository and fleet options from the
     /// environment (`OTUNE_SHARDS`, `OTUNE_THREADS`).
@@ -144,7 +143,7 @@ impl OnlineTuneController {
         let n_shards = fleet.shards.max(1);
         OnlineTuneController {
             repository,
-            shards: (0..n_shards).map(|_| Mutex::new(HashMap::new())).collect(),
+            shards: (0..n_shards).map(|_| HashMap::new()).collect(),
             fleet,
             shared_meta: Arc::new(SharedMetaStore::new()),
             sim: SimilarityState::default(),
@@ -191,15 +190,10 @@ impl OnlineTuneController {
         (fnv1a(handle.as_str()) % self.shards.len() as u64) as usize
     }
 
-    /// Lock-free (via `&mut`) access to a task's entry.
+    /// A task's entry.
     pub(crate) fn entry_mut(&mut self, handle: &TaskHandle) -> Option<&mut TaskEntry> {
         let idx = self.shard_of(handle);
-        unpoison(self.shards[idx].get_mut()).get_mut(handle)
-    }
-
-    /// Lock a shard (batched waves: exactly one worker per shard).
-    pub(crate) fn lock_shard(&self, idx: usize) -> MutexGuard<'_, HashMap<TaskHandle, TaskEntry>> {
-        unpoison(self.shards[idx].lock())
+        self.shards[idx].get_mut(handle)
     }
 
     /// Register a tuning task. Returns its handle.
@@ -221,7 +215,7 @@ impl OnlineTuneController {
         tuner.set_telemetry(telemetry.clone());
         tuner.set_shared_meta(Arc::clone(&self.shared_meta));
         let idx = self.shard_of(&handle);
-        unpoison(self.shards[idx].get_mut()).insert(
+        self.shards[idx].insert(
             handle.clone(),
             TaskEntry {
                 tuner,
@@ -288,7 +282,7 @@ impl OnlineTuneController {
 
     /// Number of registered tasks.
     pub fn n_tasks(&self) -> usize {
-        self.shards.iter().map(|s| unpoison(s.lock()).len()).sum()
+        self.shards.iter().map(HashMap::len).sum()
     }
 
     /// A task's lifecycle state.
@@ -445,7 +439,7 @@ impl OnlineTuneController {
         f: impl FnOnce(&TaskEntry) -> R,
     ) -> Result<R, ControllerError> {
         let idx = self.shard_of(handle);
-        unpoison(self.shards[idx].lock())
+        self.shards[idx]
             .get(handle)
             .map(f)
             .ok_or(ControllerError::UnknownTask)
@@ -517,7 +511,7 @@ impl OnlineTuneController {
             return;
         };
         let idx = self.shard_of(handle);
-        let Some(entry) = unpoison(self.shards[idx].get_mut()).get_mut(handle) else {
+        let Some(entry) = self.shards[idx].get_mut(handle) else {
             return;
         };
         let warm = warm_start_configs_with(model, features, &sources, n_sources, &entry.telemetry);
@@ -1000,8 +994,13 @@ mod tests {
             assert_eq!(a, b);
             assert!(ctl.state(h).is_ok());
         }
-        // Shards partition the fleet.
-        let total: usize = (0..4).map(|i| ctl.lock_shard(i).len()).sum();
-        assert_eq!(total, 16);
+        // Shards partition the fleet: each task sits in the shard its id
+        // hashes to, and nowhere else.
+        for h in &handles {
+            let home = ctl.shard_of(h);
+            for (i, shard) in ctl.shards.iter().enumerate() {
+                assert_eq!(shard.contains_key(h), i == home, "{h} in shard {i}");
+            }
+        }
     }
 }

@@ -1,18 +1,26 @@
-//! Fleet execution layer: batched waves over the sharded task map.
+//! Fleet execution layer: batched waves, one pool item per task.
 //!
 //! The deployed service (§6) tunes tens of thousands of periodic tasks per
 //! day; driving them one `request_config`/`report_result` at a time leaves
 //! the controller single-threaded and re-does cross-task work per task.
 //! This module adds the fleet hot path:
 //!
-//! * **Sharding** — the task map is hashed into [`FleetOptions::shards`]
-//!   disjoint shards ([`super::controller`]). A batched wave groups its
-//!   requests by shard and fans the groups across [`FleetOptions::pool`],
-//!   one worker per shard, so no two workers ever touch the same task.
 //! * **Batched APIs** — [`OnlineTuneController::request_configs`] and
 //!   [`OnlineTuneController::report_results`] process a whole wave of
 //!   per-task suggest/observe work and return per-request results in input
 //!   order.
+//! * **Per-task fan-out** — a wave groups its requests by task, keeping
+//!   each task's requests in input order, and fans the tasks across
+//!   [`FleetOptions::pool`], one pool item per task. Each item holds its
+//!   task's entry as a disjoint `&mut`, taken under `&mut self`, so no two
+//!   workers ever touch the same task and none locks anything. The wave's
+//!   width is the number of distinct tasks in it; the shard count and how
+//!   task ids hash play no part.
+//! * **One level of parallelism** — a wave with at least as many tasks as
+//!   the pool has threads saturates it, so the pool maps inside each task
+//!   (tile passes, hyper searches, forest fits) run inline on the worker
+//!   that holds the task (see `otune_pool`). A smaller wave leaves cores
+//!   idle, and those nested maps fan out to fill them.
 //!
 //! **Determinism invariant.** Each task's tuner owns its RNG stream and
 //! history; a wave only changes *which worker* runs a task's step, never
@@ -27,10 +35,11 @@
 //! arrive. Waves apply injections in a deterministic post-wave phase in
 //! request order.
 
-use crate::controller::{ControllerError, OnlineTuneController, RunOutcome, TaskHandle};
+use crate::controller::{ControllerError, OnlineTuneController, RunOutcome, TaskEntry, TaskHandle};
 use otune_pool::Pool;
 use otune_space::Configuration;
 use otune_telemetry::{metric, trace_key};
+use std::collections::HashMap;
 
 /// Environment variable selecting the shard count.
 pub const SHARDS_ENV: &str = "OTUNE_SHARDS";
@@ -41,10 +50,11 @@ const DEFAULT_SHARDS: usize = 8;
 /// Fleet-level controller options.
 #[derive(Debug, Clone)]
 pub struct FleetOptions {
-    /// Shards the task map is hashed into (≥ 1). Only affects how batched
-    /// waves parallelize, never any suggestion.
+    /// Partitions the task map is hashed into (≥ 1). Decides only which
+    /// partition stores a task: never how a wave fans out, and never any
+    /// suggestion or span.
     pub shards: usize,
-    /// Pool fanning wave shard-groups across workers.
+    /// Pool fanning each wave's tasks across workers.
     pub pool: Pool,
 }
 
@@ -97,25 +107,36 @@ pub struct FleetReport<'a> {
     pub meta_features: Option<Vec<f64>>,
 }
 
-impl OnlineTuneController {
-    /// Group wave items by shard: `(shard index, input indices)` with each
-    /// group preserving input order, so per-task request order is exactly
-    /// the input order.
-    fn shard_groups<'h>(
-        &self,
-        handles: impl Iterator<Item = &'h TaskHandle>,
-    ) -> Vec<(usize, Vec<usize>)> {
-        let mut groups: Vec<Vec<usize>> = vec![Vec::new(); self.shards.len()];
-        for (i, h) in handles.enumerate() {
-            groups[self.shard_of(h)].push(i);
-        }
-        groups
-            .into_iter()
-            .enumerate()
-            .filter(|(_, g)| !g.is_empty())
-            .collect()
-    }
+/// One pool item of a wave: a task's entry (`None` for an unknown handle)
+/// and the input indices of its requests, in input order.
+type WaveItem<'e> = (Option<&'e mut TaskEntry>, Vec<usize>);
 
+/// Group a wave by distinct task, in order of first appearance, and borrow
+/// each task's entry as a disjoint `&mut` in one pass over the task map.
+fn wave_items<'e, 'h>(
+    task_map: &'e mut [HashMap<TaskHandle, TaskEntry>],
+    handles: impl Iterator<Item = &'h TaskHandle>,
+) -> Vec<WaveItem<'e>> {
+    let mut slot: HashMap<&TaskHandle, usize> = HashMap::new();
+    let mut items: Vec<WaveItem<'e>> = Vec::new();
+    for (i, h) in handles.enumerate() {
+        let k = *slot.entry(h).or_insert_with(|| {
+            items.push((None, Vec::new()));
+            items.len() - 1
+        });
+        items[k].1.push(i);
+    }
+    for part in task_map {
+        for (h, entry) in part.iter_mut() {
+            if let Some(&k) = slot.get(h) {
+                items[k].0 = Some(entry);
+            }
+        }
+    }
+    items
+}
+
+impl OnlineTuneController {
     /// Step 1, batched (Figure 1): suggest a configuration for every
     /// request in the wave. Results come back in input order; each task's
     /// trace is bitwise identical to driving it through
@@ -130,34 +151,29 @@ impl OnlineTuneController {
         self.telemetry.incr(metric::FLEET_WAVES);
         self.telemetry
             .add(metric::FLEET_REQUESTS, requests.len() as u64);
-        let groups = self.shard_groups(requests.iter().map(|r| r.handle));
-        let pool = self.fleet.pool.clone();
-        let this = &*self;
-        let per_group: Vec<Vec<(usize, Result<Configuration, ControllerError>)>> =
-            pool.map(&groups, |_, (shard_idx, idxs)| {
-                let _adopted = this.telemetry.trace_adopt(ctx.clone());
-                let _shard_trace = this.telemetry.trace_span_keyed("shard", *shard_idx as u64);
-                let mut shard = this.lock_shard(*shard_idx);
-                idxs.iter()
-                    .map(|&i| {
-                        let req = &requests[i];
-                        let _task_trace = this
-                            .telemetry
-                            .trace_span_keyed("task", trace_key(req.handle.as_str()));
-                        let res = match shard.get_mut(req.handle) {
-                            Some(entry) => entry
-                                .tuner
-                                .suggest(req.context)
-                                .map_err(ControllerError::Tuner),
-                            None => Err(ControllerError::UnknownTask),
-                        };
-                        (i, res)
-                    })
-                    .collect()
-            });
+        let telemetry = &self.telemetry;
+        let mut items = wave_items(&mut self.shards, requests.iter().map(|r| r.handle));
+        let per_task = self.fleet.pool.map_mut(&mut items, |_, (entry, idxs)| {
+            let _adopted = telemetry.trace_adopt(ctx.clone());
+            idxs.iter()
+                .map(|&i| {
+                    let req = &requests[i];
+                    let _task_trace =
+                        telemetry.trace_span_keyed("task", trace_key(req.handle.as_str()));
+                    let res = match entry {
+                        Some(entry) => entry
+                            .tuner
+                            .suggest(req.context)
+                            .map_err(ControllerError::Tuner),
+                        None => Err(ControllerError::UnknownTask),
+                    };
+                    (i, res)
+                })
+                .collect()
+        });
         wave_trace.finish();
         drop(span);
-        scatter(requests.len(), per_group)
+        scatter(requests.len(), per_task)
     }
 
     /// Step 2, batched (Figure 1): absorb a wave of completed execution
@@ -174,24 +190,21 @@ impl OnlineTuneController {
         self.telemetry.incr(metric::FLEET_WAVES);
         self.telemetry
             .add(metric::FLEET_REPORTS, reports.len() as u64);
-        let groups = self.shard_groups(reports.iter().map(|r| r.handle));
-        let pool = self.fleet.pool.clone();
-        let this = &*self;
+        let (telemetry, repository, shared) =
+            (&self.telemetry, &self.repository, &self.shared_meta);
+        let mut items = wave_items(&mut self.shards, reports.iter().map(|r| r.handle));
         type Absorbed = Vec<(usize, Result<Option<Vec<f64>>, ControllerError>)>;
-        let per_group: Vec<Absorbed> = pool.map(&groups, |_, (shard_idx, idxs)| {
-            let _adopted = this.telemetry.trace_adopt(ctx.clone());
-            let _shard_trace = this.telemetry.trace_span_keyed("shard", *shard_idx as u64);
-            let mut shard = this.lock_shard(*shard_idx);
+        let per_task: Vec<Absorbed> = self.fleet.pool.map_mut(&mut items, |_, (entry, idxs)| {
+            let _adopted = telemetry.trace_adopt(ctx.clone());
             idxs.iter()
                 .map(|&i| {
                     let rep = &reports[i];
-                    let _task_trace = this
-                        .telemetry
-                        .trace_span_keyed("task", trace_key(rep.handle.as_str()));
-                    let res = match shard.get_mut(rep.handle) {
+                    let _task_trace =
+                        telemetry.trace_span_keyed("task", trace_key(rep.handle.as_str()));
+                    let res = match entry {
                         Some(entry) => Self::absorb_report(
-                            &this.repository,
-                            &this.shared_meta,
+                            repository,
+                            shared,
                             entry,
                             rep,
                             RunOutcome::Completed,
@@ -204,7 +217,7 @@ impl OnlineTuneController {
         });
         wave_trace.finish();
         drop(span);
-        let absorbed = scatter(reports.len(), per_group);
+        let absorbed = scatter(reports.len(), per_task);
         // Deterministic post-wave phase: refit bookkeeping and warm-start
         // injections in input order.
         absorbed
@@ -223,11 +236,11 @@ impl OnlineTuneController {
 }
 
 /// Scatter `(input index, result)` pairs back into input order.
-fn scatter<R>(n: usize, per_group: Vec<Vec<(usize, R)>>) -> Vec<R> {
+fn scatter<R>(n: usize, per_task: Vec<Vec<(usize, R)>>) -> Vec<R> {
     let mut out: Vec<Option<R>> = Vec::with_capacity(n);
     out.resize_with(n, || None);
-    for group in per_group {
-        for (i, r) in group {
+    for task in per_task {
+        for (i, r) in task {
             out[i] = Some(r);
         }
     }
@@ -414,6 +427,38 @@ mod tests {
                 "trace diverged at shards={shards} threads={threads}"
             );
         }
+    }
+
+    #[test]
+    fn a_wave_is_one_pool_item_per_task_at_any_shard_count() {
+        // One shard holds all 8 tasks; the wave still fans out per task.
+        let pool = Pool::new(4);
+        let mut fleet = OnlineTuneController::with_options(
+            Arc::new(DataRepository::new()),
+            FleetOptions {
+                shards: 1,
+                pool: pool.clone(),
+            },
+        );
+        let handles: Vec<TaskHandle> = (0..8)
+            .map(|i| {
+                let opts = TunerOptions {
+                    budget: 3,
+                    ..Default::default()
+                };
+                fleet.create_task(&format!("task-{i}"), toy_space(), opts)
+            })
+            .collect();
+        let requests: Vec<FleetRequest> = handles
+            .iter()
+            .map(|h| FleetRequest {
+                handle: h,
+                context: &[],
+            })
+            .collect();
+        assert!(fleet.request_configs(&requests).iter().all(Result::is_ok));
+        let s = pool.stats();
+        assert_eq!((s.parallel_maps, s.parallel_tasks), (1, 8));
     }
 
     #[test]

@@ -371,7 +371,8 @@ impl ConfigGenerator {
                     .iter()
                     .map(|o| o.objective)
                     .collect();
-                self.subspace_mgr.refresh_ranking(&x, &y, opts.seed);
+                self.subspace_mgr
+                    .refresh_ranking(&x, &y, opts.seed, &opts.pool);
             }
         }
     }

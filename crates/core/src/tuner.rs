@@ -76,10 +76,12 @@ pub struct TunerOptions {
     pub incremental: IncrementalPolicy,
     /// Seed for all randomized components.
     pub seed: u64,
-    /// Worker pool shared by surrogate fitting, acquisition maximization,
-    /// and forest growing. Defaults to [`Pool::from_env`] (`OTUNE_THREADS`
-    /// or the machine's parallelism); suggestions are bitwise-identical
-    /// for every pool width.
+    /// Worker pool for the tuner's own maps: surrogate fitting (the meta
+    /// ensemble's target fits included), acquisition maximization, and
+    /// fANOVA forest growing. Base-task surrogates, which a fleet shares
+    /// through one store, are fitted on [`Pool::global`]. Defaults to
+    /// [`Pool::from_env`] (`OTUNE_THREADS` or the machine's parallelism);
+    /// suggestions are bitwise-identical for every pool width.
     pub pool: Pool,
 }
 
@@ -247,7 +249,7 @@ impl OnlineTuner {
             generator,
             resource_fn,
             space,
-            meta_cache: MetaCache::new(opts.incremental),
+            meta_cache: MetaCache::new(opts.incremental, opts.pool.clone()),
             base_fps: None,
             opts,
             history: Vec::new(),

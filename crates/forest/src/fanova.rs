@@ -10,6 +10,7 @@
 use crate::forest::{ForestConfig, RandomForest};
 use crate::tree::LeafBox;
 use crate::ForestError;
+use otune_pool::Pool;
 
 /// A fitted fANOVA decomposition.
 #[derive(Debug, Clone)]
@@ -21,13 +22,25 @@ pub struct Fanova {
 }
 
 impl Fanova {
-    /// Fit on encoded observations in the unit cube.
+    /// Fit on encoded observations in the unit cube, growing trees on the
+    /// process-wide [`Pool::global`].
     pub fn fit(x: &[Vec<f64>], y: &[f64], seed: u64) -> Result<Self, ForestError> {
+        Self::fit_with_pool(x, y, seed, Pool::global())
+    }
+
+    /// [`Fanova::fit`] growing one tree per task of `pool`; the result is
+    /// the same for every pool width.
+    pub fn fit_with_pool(
+        x: &[Vec<f64>],
+        y: &[f64],
+        seed: u64,
+        pool: &Pool,
+    ) -> Result<Self, ForestError> {
         if x.is_empty() {
             return Err(ForestError::Empty);
         }
         let dim = x[0].len();
-        let forest = RandomForest::fit(x, y, ForestConfig::for_fanova(dim, seed))?;
+        let forest = RandomForest::fit_with_pool(x, y, ForestConfig::for_fanova(dim, seed), pool)?;
         let root: Vec<(f64, f64)> = vec![(0.0, 1.0); dim];
         let partitions = forest.trees().iter().map(|t| t.leaf_boxes(&root)).collect();
         Ok(Fanova {

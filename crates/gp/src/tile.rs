@@ -17,7 +17,7 @@ use otune_linalg::simd::LANES;
 const BLOCK: usize = 8;
 
 /// A tile of candidates packed dim-major by feature kind, in blocks of
-/// [`BLOCK`] lanes: block `b` holds, for each numeric dimension in
+/// `BLOCK` = 8 lanes: block `b` holds, for each numeric dimension in
 /// order, the values of candidates `8b..8b+8`, then the same for the
 /// categorical and data-size dimensions. A partial last block is padded
 /// with zeros, whose outputs are never read. Reused as scratch.

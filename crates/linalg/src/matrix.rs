@@ -173,8 +173,8 @@ impl Matrix {
     ///
     /// Uses a transposed-B, cache-blocked kernel: `other` is transposed once
     /// so every inner product streams two contiguous rows, and the output is
-    /// walked in [`MATMUL_BLOCK`]² tiles so the active A/Bᵀ panels stay cache
-    /// resident. Each output element accumulates its `k` terms in ascending
+    /// walked in `MATMUL_BLOCK`² (64 × 64) tiles so the active A/Bᵀ panels
+    /// stay cache resident. Each output element accumulates its `k` terms in ascending
     /// order from `0.0`, so the result is bitwise identical to the naive
     /// triple loop (and to [`Matrix::matmul_into`]).
     ///

@@ -63,17 +63,20 @@ pub struct MetaCache {
     sample: Option<(usize, u64, Arc<DistanceSample>)>,
     target: SurrogateCache,
     weight: WeightMemo,
+    /// The tuner's pool, which every target fit runs on.
+    pool: Pool,
 }
 
 impl MetaCache {
     /// Empty caches over a store of their own; the target surrogate is
-    /// maintained under `policy`.
-    pub fn new(policy: IncrementalPolicy) -> Self {
+    /// maintained under `policy`, and target fits run on `pool`.
+    pub fn new(policy: IncrementalPolicy, pool: Pool) -> Self {
         MetaCache {
             store: Arc::new(SharedMetaStore::new()),
             sample: None,
             target: SurrogateCache::new(SurrogateInput::Objective, policy),
             weight: WeightMemo::default(),
+            pool,
         }
     }
 
@@ -108,7 +111,7 @@ impl MetaCache {
         MetaCache {
             target: self.target.clone(),
             // The policy only reaches the target cache, replaced above.
-            ..MetaCache::new(IncrementalPolicy::default())
+            ..MetaCache::new(IncrementalPolicy::default(), self.pool.clone())
         }
     }
 
@@ -142,7 +145,7 @@ impl MetaCache {
             return None;
         }
         self.target
-            .prepare(space, stripped, seed, telemetry, Pool::global())
+            .prepare(space, stripped, seed, telemetry, &self.pool)
             .ok()
     }
 
@@ -183,7 +186,7 @@ impl MetaCache {
             if let Some(gp) = &mut self.weight.gp {
                 self.weight.preds.push(gp.predict_mean(&x_k));
                 self.weight.truth.push(y_k);
-                if gp.update(x_k, y_k, &policy, cfg, Pool::global()).is_err() {
+                if gp.update(x_k, y_k, &policy, cfg, &self.pool).is_err() {
                     self.weight.gp = None;
                 }
             }
@@ -195,7 +198,8 @@ impl MetaCache {
                     .map(|o| space.encode(&o.config))
                     .collect();
                 let yt: Vec<f64> = stripped[..=k].iter().map(|o| o.objective).collect();
-                self.weight.gp = GaussianProcess::fit(kinds.clone(), xt, &yt, cfg).ok();
+                self.weight.gp =
+                    GaussianProcess::fit_with_pool(kinds.clone(), xt, &yt, cfg, &self.pool).ok();
             }
             self.weight.fps.push(fps[k]);
         }
@@ -257,7 +261,7 @@ mod tests {
             observations: obs(&s, 12, 1),
         };
         let tm = telemetry();
-        let cache = MetaCache::new(IncrementalPolicy::default());
+        let cache = MetaCache::new(IncrementalPolicy::default(), Pool::global().clone());
         let a = cache.store().base_surrogate(&s, &base(&s, &t), 0, &tm).0;
         let b = cache.store().base_surrogate(&s, &base(&s, &t), 0, &tm).0;
         assert!(Arc::ptr_eq(&a.unwrap(), &b.unwrap()));
@@ -278,8 +282,8 @@ mod tests {
         };
         let tm = telemetry();
         let store = Arc::new(crate::SharedMetaStore::new());
-        let mut c1 = MetaCache::new(IncrementalPolicy::default());
-        let mut c2 = MetaCache::new(IncrementalPolicy::default());
+        let mut c1 = MetaCache::new(IncrementalPolicy::default(), Pool::global().clone());
+        let mut c2 = MetaCache::new(IncrementalPolicy::default(), Pool::global().clone());
         c1.set_shared(Arc::clone(&store));
         c2.set_shared(Arc::clone(&store));
         let a = c1.store().base_surrogate(&s, &base(&s, &t), 0, &tm).0;
@@ -290,7 +294,7 @@ mod tests {
         let snap = tm.snapshot().unwrap();
         assert_eq!(snap.counters[metric::SHARED_META_MISSES], 1);
         assert_eq!(snap.counters[metric::SHARED_META_HITS], 1);
-        let lone = MetaCache::new(IncrementalPolicy::default());
+        let lone = MetaCache::new(IncrementalPolicy::default(), Pool::global().clone());
         let c = lone.store().base_surrogate(&s, &base(&s, &t), 0, &tm).0;
         let x = vec![0.37];
         assert_eq!(
@@ -308,7 +312,7 @@ mod tests {
             observations: obs(&s, 10, 2),
         };
         let tm = telemetry();
-        let cache = MetaCache::new(IncrementalPolicy::default());
+        let cache = MetaCache::new(IncrementalPolicy::default(), Pool::global().clone());
         cache.store().base_surrogate(&s, &base(&s, &t), 0, &tm);
         t.observations[0].objective += 1.0;
         cache.store().base_surrogate(&s, &base(&s, &t), 0, &tm);
@@ -321,14 +325,14 @@ mod tests {
         let s = space();
         let history = obs(&s, 14, 3);
         let tm = Telemetry::disabled();
-        let mut warm = MetaCache::new(IncrementalPolicy::default());
+        let mut warm = MetaCache::new(IncrementalPolicy::default(), Pool::global().clone());
         // Feed the memoized cache one point at a time.
         let mut w_warm = 0.0;
         for n in 4..=history.len() {
             w_warm = warm.target_weight(&s, &history[..n], 0, &tm);
         }
         // A cold cache sees the full history at once.
-        let mut cold = MetaCache::new(IncrementalPolicy::default());
+        let mut cold = MetaCache::new(IncrementalPolicy::default(), Pool::global().clone());
         let w_cold = cold.target_weight(&s, &history, 0, &tm);
         assert_eq!(w_warm.to_bits(), w_cold.to_bits());
     }
@@ -338,7 +342,7 @@ mod tests {
         let s = space();
         let mut history = obs(&s, 8, 4);
         let tm = telemetry();
-        let mut cache = MetaCache::new(IncrementalPolicy::default());
+        let mut cache = MetaCache::new(IncrementalPolicy::default(), Pool::global().clone());
         cache.target_weight(&s, &history[..6], 0, &tm);
         cache.target_weight(&s, &history, 0, &tm);
         let snap = tm.snapshot().unwrap();
@@ -357,7 +361,7 @@ mod tests {
         let s = space();
         let history = obs(&s, 12, 5);
         let tm = Telemetry::disabled();
-        let mut cache = MetaCache::new(IncrementalPolicy::default());
+        let mut cache = MetaCache::new(IncrementalPolicy::default(), Pool::global().clone());
         let mut w = 0.0;
         for n in 4..=history.len() {
             w = cache.target_weight(&s, &history[..n], 0, &tm);
@@ -399,7 +403,7 @@ mod tests {
         .surrogate(&s, 0)
         .unwrap();
         let tm = telemetry();
-        let mut cache = MetaCache::new(IncrementalPolicy::default());
+        let mut cache = MetaCache::new(IncrementalPolicy::default(), Pool::global().clone());
         let sample = cache.distance_sample(&s, 40, 0);
         assert!(Arc::ptr_eq(&sample, &cache.distance_sample(&s, 40, 0)));
         let preds_for = |cache: &MetaCache, t: &TaskRecord| {

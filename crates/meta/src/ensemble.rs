@@ -25,6 +25,7 @@ use crate::distance::prediction_distance;
 use crate::similarity::TaskRecord;
 use otune_bo::{history_fingerprint, Observation, SurrogateInput};
 use otune_gp::{GaussianProcess, IncrementalPolicy};
+use otune_pool::Pool;
 use otune_space::ConfigSpace;
 use otune_telemetry::Telemetry;
 use std::borrow::Cow;
@@ -110,7 +111,7 @@ impl EnsembleSurrogate {
             .iter()
             .map(|t| BaseTask::from_record(space, t))
             .collect();
-        let mut cache = MetaCache::new(IncrementalPolicy::default());
+        let mut cache = MetaCache::new(IncrementalPolicy::default(), Pool::global().clone());
         Self::build_cached(
             space,
             &bases,
@@ -479,7 +480,7 @@ mod tests {
             let round1 = record(&s, "t1", restart_at, seed + 50, target_fn).observations;
             let round2 = record(&s, "t2", 7, seed + 60, |a| target_fn(1.0 - a)).observations;
             let probes: Vec<f64> = (0..9).map(|i| i as f64 / 8.0).collect();
-            let mut cache = MetaCache::new(IncrementalPolicy::default());
+            let mut cache = MetaCache::new(IncrementalPolicy::default(), Pool::global().clone());
             if shared {
                 cache.set_shared(Arc::new(crate::SharedMetaStore::new()));
             }

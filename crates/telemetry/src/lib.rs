@@ -208,7 +208,7 @@ impl Telemetry {
     }
 
     /// Open a trace span whose id is pinned by a caller-chosen key
-    /// (task hash, shard index, candidate index) — required for spans
+    /// (task hash, candidate index) — required for spans
     /// opened concurrently under one parent.
     pub fn trace_span_keyed(&self, name: &'static str, key: u64) -> TraceSpan {
         self.trace_open(name, Some(key))

@@ -3,7 +3,7 @@
 //!
 //! A *trace* is one top-level operation — a fleet wave, a standalone
 //! `suggest`, an `observe` — decomposed into a tree of named spans
-//! (wave → shard → task → tuner step → generator phase → surrogate fit →
+//! (wave → task → tuner step → generator phase → surrogate fit →
 //! Cholesky/EIC kernels). Design constraints, in order:
 //!
 //! * **Deterministic identity.** Trace, span, and parent IDs are derived
@@ -19,7 +19,7 @@
 //!   call stack via a thread-local span stack. Across threads (pool
 //!   workers), the caller captures a [`TraceCtx`] and the worker adopts
 //!   it; parallel siblings must use [`Telemetry::trace_span_keyed`] with a
-//!   caller-chosen key (task hash, shard index, candidate index) so their
+//!   caller-chosen key (task hash, candidate index) so their
 //!   IDs do not depend on scheduling order.
 //!
 //! Closed spans are buffered in-memory (bounded, with a dropped-span
@@ -413,10 +413,8 @@ pub fn spans_from_events(events: &[crate::Event]) -> Vec<SpanRecord> {
 
 /// The deterministic identity of a span set: every field except the
 /// measurements (`worker`, `start_ns`, `dur_ns`), sorted canonically.
-/// Two runs of the same seeded workload at the same shard count produce
-/// equal structural keys at any pool width (`OTUNE_THREADS`). Across
-/// shard counts (`OTUNE_SHARDS`) the keys differ: `shard` spans follow
-/// the shard layout.
+/// Two runs of the same seeded workload produce equal structural keys at
+/// any pool width (`OTUNE_THREADS`) and any shard count (`OTUNE_SHARDS`).
 pub fn structural_key(spans: &[SpanRecord]) -> Vec<(u64, u64, u64, String, String)> {
     let mut key: Vec<_> = spans
         .iter()
