@@ -7,7 +7,10 @@ use crate::Tuner;
 use otune_bo::{
     best_observation, expected_improvement, fit_surrogate, prob_below, Observation, SurrogateInput,
 };
+use otune_gp::GpConfig;
+use otune_pool::Pool;
 use otune_space::{ConfigSpace, Configuration};
+use otune_telemetry::Telemetry;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
@@ -20,6 +23,8 @@ pub struct CherryPick {
     n_init: usize,
     n_candidates: usize,
     seed: u64,
+    /// Worker pool for its model fits, sized from the environment.
+    pool: Pool,
 }
 
 impl CherryPick {
@@ -32,6 +37,7 @@ impl CherryPick {
             n_init: 3,
             n_candidates: 400,
             seed,
+            pool: Pool::from_env(),
         }
     }
 }
@@ -54,10 +60,17 @@ impl Tuner for CherryPick {
         };
         let stripped: Vec<Observation> = history.iter().map(strip).collect();
         let _ = context;
-        let (Ok(obj_gp), Ok(rt_gp)) = (
-            fit_surrogate(&self.space, &stripped, SurrogateInput::Objective, self.seed),
-            fit_surrogate(&self.space, &stripped, SurrogateInput::Runtime, self.seed),
-        ) else {
+        let cfg = GpConfig {
+            seed: self.seed,
+            ..GpConfig::default()
+        };
+        let fit = |input| {
+            let tm = Telemetry::disabled();
+            fit_surrogate(&self.space, &stripped, input, cfg, &self.pool, &tm)
+        };
+        let (Ok(obj_gp), Ok(rt_gp)) =
+            (fit(SurrogateInput::Objective), fit(SurrogateInput::Runtime))
+        else {
             return self.space.sample(&mut self.rng);
         };
         let incumbent = best_observation(history, self.t_max, None)

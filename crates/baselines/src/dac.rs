@@ -12,6 +12,7 @@ use crate::ga::{GaParams, GeneticAlgorithm};
 use crate::Tuner;
 use otune_bo::Observation;
 use otune_forest::{ForestConfig, RandomForest, TreeConfig};
+use otune_pool::Pool;
 use otune_space::{ConfigSpace, Configuration};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -22,6 +23,8 @@ pub struct Dac {
     ga: GeneticAlgorithm,
     rng: StdRng,
     min_history: usize,
+    /// Worker pool for its model fits, sized from the environment.
+    pool: Pool,
 }
 
 impl Dac {
@@ -32,6 +35,7 @@ impl Dac {
             ga: GeneticAlgorithm::new(GaParams::default()),
             rng: StdRng::seed_from_u64(seed ^ 0xDAC),
             min_history: 8,
+            pool: Pool::from_env(),
         }
     }
 }
@@ -71,7 +75,7 @@ impl Tuner for Dac {
             },
             ..ForestConfig::default()
         };
-        let Ok(level1) = RandomForest::fit(&x, &y, coarse_cfg) else {
+        let Ok(level1) = RandomForest::fit(&x, &y, coarse_cfg, &self.pool) else {
             return self.space.sample(&mut self.rng);
         };
         // Level 2: residual model.
@@ -90,7 +94,7 @@ impl Tuner for Dac {
             seed: 7,
             ..ForestConfig::default()
         };
-        let level2 = RandomForest::fit(&x, &residuals, fine_cfg).ok();
+        let level2 = RandomForest::fit(&x, &residuals, fine_cfg, &self.pool).ok();
 
         let space = self.space.clone();
         let ctx: Vec<f64> = {

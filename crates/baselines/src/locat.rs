@@ -7,7 +7,10 @@ use crate::{spearman, Tuner};
 use otune_bo::{
     best_observation, expected_improvement, fit_surrogate, Observation, SurrogateInput,
 };
+use otune_gp::GpConfig;
+use otune_pool::Pool;
 use otune_space::{ConfigSpace, Configuration, Subspace};
+use otune_telemetry::Telemetry;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
@@ -22,6 +25,8 @@ pub struct Locat {
     important: Option<Vec<usize>>,
     n_candidates: usize,
     seed: u64,
+    /// Worker pool for its model fits, sized from the environment.
+    pool: Pool,
 }
 
 impl Locat {
@@ -35,6 +40,7 @@ impl Locat {
             important: None,
             n_candidates: 400,
             seed,
+            pool: Pool::from_env(),
         }
     }
 
@@ -89,8 +95,19 @@ impl Tuner for Locat {
                 ..o.clone()
             })
             .collect();
-        let Ok(gp) = fit_surrogate(&self.space, &logged, SurrogateInput::Objective, self.seed)
-        else {
+        let cfg = GpConfig {
+            seed: self.seed,
+            ..GpConfig::default()
+        };
+        let tm = Telemetry::disabled();
+        let Ok(gp) = fit_surrogate(
+            &self.space,
+            &logged,
+            SurrogateInput::Objective,
+            cfg,
+            &self.pool,
+            &tm,
+        ) else {
             return sub.sample(&mut self.rng);
         };
         let ctx_width = history[0].context.len();

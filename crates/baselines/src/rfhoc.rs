@@ -7,6 +7,7 @@ use crate::ga::{GaParams, GeneticAlgorithm};
 use crate::Tuner;
 use otune_bo::Observation;
 use otune_forest::{ForestConfig, RandomForest};
+use otune_pool::Pool;
 use otune_space::{ConfigSpace, Configuration};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -18,6 +19,8 @@ pub struct Rfhoc {
     rng: StdRng,
     /// Observations required before the model is trusted.
     min_history: usize,
+    /// Worker pool for its model fits, sized from the environment.
+    pool: Pool,
 }
 
 impl Rfhoc {
@@ -28,6 +31,7 @@ impl Rfhoc {
             ga: GeneticAlgorithm::new(GaParams::default()),
             rng: StdRng::seed_from_u64(seed),
             min_history: 8,
+            pool: Pool::from_env(),
         }
     }
 }
@@ -42,7 +46,7 @@ impl Tuner for Rfhoc {
             .map(|o| self.space.encode(&o.config))
             .collect();
         let y: Vec<f64> = history.iter().map(|o| o.objective).collect();
-        let Ok(forest) = RandomForest::fit(&x, &y, ForestConfig::default()) else {
+        let Ok(forest) = RandomForest::fit(&x, &y, ForestConfig::default(), &self.pool) else {
             return self.space.sample(&mut self.rng);
         };
         let space = self.space.clone();

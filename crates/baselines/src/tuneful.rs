@@ -8,7 +8,10 @@ use otune_bo::{
     best_observation, expected_improvement, fit_surrogate, Observation, SurrogateInput,
 };
 use otune_forest::Fanova;
+use otune_gp::GpConfig;
+use otune_pool::Pool;
 use otune_space::{ConfigSpace, Configuration, Subspace};
+use otune_telemetry::Telemetry;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
@@ -24,6 +27,8 @@ pub struct Tuneful {
     important: Option<Vec<usize>>,
     n_candidates: usize,
     seed: u64,
+    /// Worker pool for its model fits, sized from the environment.
+    pool: Pool,
 }
 
 impl Tuneful {
@@ -38,6 +43,7 @@ impl Tuneful {
             important: None,
             n_candidates: 400,
             seed,
+            pool: Pool::from_env(),
         }
     }
 }
@@ -58,7 +64,7 @@ impl Tuner for Tuneful {
                 .map(|o| self.space.encode(&o.config))
                 .collect();
             let y: Vec<f64> = history.iter().map(|o| o.objective).collect();
-            let ranking = match Fanova::fit(&x, &y, self.seed) {
+            let ranking = match Fanova::fit(&x, &y, self.seed, &self.pool) {
                 Ok(f) => f.ranking(),
                 Err(_) => (0..self.space.len()).collect(),
             };
@@ -82,8 +88,19 @@ impl Tuner for Tuneful {
                 ..o.clone()
             })
             .collect();
-        let Ok(gp) = fit_surrogate(&self.space, &stripped, SurrogateInput::Objective, self.seed)
-        else {
+        let cfg = GpConfig {
+            seed: self.seed,
+            ..GpConfig::default()
+        };
+        let tm = Telemetry::disabled();
+        let Ok(gp) = fit_surrogate(
+            &self.space,
+            &stripped,
+            SurrogateInput::Objective,
+            cfg,
+            &self.pool,
+            &tm,
+        ) else {
             return sub.sample(&mut self.rng);
         };
         let mut best: Option<(Configuration, f64)> = None;

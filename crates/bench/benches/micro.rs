@@ -3,7 +3,7 @@
 //! full tuner iteration.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
-use otune_core::{OnlineTuner, TunerOptions};
+use otune_core::{OnlineTuner, Telemetry, TunerOptions};
 use otune_forest::Fanova;
 use otune_gp::{FeatureKind, GaussianProcess, GpConfig};
 use otune_pool::Pool;
@@ -27,15 +27,18 @@ fn training_data(n: usize, d: usize, seed: u64) -> (Vec<Vec<f64>>, Vec<f64>) {
 
 fn bench_gp(c: &mut Criterion) {
     let mut group = c.benchmark_group("gp");
+    let (env_pool, tm) = (Pool::from_env(), Telemetry::disabled());
     for &n in &[10usize, 30, 100] {
         let (x, y) = training_data(n, 31, 1);
         let kinds = vec![FeatureKind::Numeric; 31];
         group.bench_with_input(BenchmarkId::new("fit", n), &n, |b, _| {
             b.iter(|| {
-                GaussianProcess::fit(kinds.clone(), x.clone(), &y, GpConfig::default()).unwrap()
+                let cfg = GpConfig::default();
+                GaussianProcess::fit(kinds.clone(), x.clone(), &y, cfg, &env_pool, &tm).unwrap()
             })
         });
-        let gp = GaussianProcess::fit(kinds.clone(), x.clone(), &y, GpConfig::default()).unwrap();
+        let cfg = GpConfig::default();
+        let gp = GaussianProcess::fit(kinds.clone(), x.clone(), &y, cfg, &env_pool, &tm).unwrap();
         let probe = vec![0.5; 31];
         group.bench_with_input(BenchmarkId::new("predict", n), &n, |b, _| {
             b.iter(|| black_box(gp.predict(black_box(&probe))))
@@ -60,14 +63,8 @@ fn bench_gp(c: &mut Criterion) {
         let pool = Pool::new(4);
         group.bench_with_input(BenchmarkId::new("fit-pooled4", n), &n, |b, _| {
             b.iter(|| {
-                GaussianProcess::fit_with_pool(
-                    kinds.clone(),
-                    x.clone(),
-                    &y,
-                    GpConfig::default(),
-                    &pool,
-                )
-                .unwrap()
+                let cfg = GpConfig::default();
+                GaussianProcess::fit(kinds.clone(), x.clone(), &y, cfg, &pool, &tm).unwrap()
             })
         });
     }
@@ -76,9 +73,10 @@ fn bench_gp(c: &mut Criterion) {
 
 fn bench_fanova(c: &mut Criterion) {
     let (x, y) = training_data(100, 30, 2);
+    let pool = Pool::from_env();
     c.bench_function("fanova/fit+importance (100x30)", |b| {
         b.iter(|| {
-            let f = Fanova::fit(&x, &y, 3).unwrap();
+            let f = Fanova::fit(&x, &y, 3, &pool).unwrap();
             black_box(f.importance())
         })
     });

@@ -184,6 +184,7 @@ fn timed_refits(
                     &IncrementalPolicy::never_research(),
                     *cfg,
                     &pool,
+                    &telemetry,
                 )
                 .expect("rank-one update");
             }
@@ -195,7 +196,7 @@ fn timed_refits(
                 .collect();
             let start = Instant::now();
             for (x, y, cfg) in refits {
-                GaussianProcess::fit_with_pool(kinds.clone(), x, y, cfg, &pool)
+                GaussianProcess::fit(kinds.clone(), x, y, cfg, &pool, &telemetry)
                     .expect("same-hyper full refit");
             }
             samples.push(start.elapsed().as_secs_f64());
@@ -292,7 +293,7 @@ fn main() {
                refit_* times the maintenance step alone (absorbing one appended \
                observation into both fitted models) at the GP level: \
                incremental = GaussianProcess::update rank-one factor extension, \
-               full = same-hyper GaussianProcess::fit_with_pool of both models",
+               full = same-hyper GaussianProcess::fit of both models",
         results: entries,
     };
     std::fs::write(

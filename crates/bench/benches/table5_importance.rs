@@ -9,6 +9,7 @@
 
 use otune_bench::{write_csv, Table};
 use otune_forest::Fanova;
+use otune_pool::Pool;
 use otune_space::{spark_param_names, spark_space, ClusterScale};
 use otune_sparksim::ProductionTaskGenerator;
 
@@ -47,7 +48,8 @@ fn main() {
     // space-filling evaluations: 25 tuned observations alone are too few
     // for a stable 30-dimensional decomposition. fANOVA runs on the log
     // objective — raw costs would let spill blow-ups own all variance.
-    let histories = otune_pool::Pool::global().map(&tasks, |_, task| {
+    let pool = Pool::from_env();
+    let histories = pool.map(&tasks, |_, task| {
         let mut history = otune_bench::experiments::production_history(task, budget, 42 + task.id);
         let job = task.job();
         let probes = space.low_discrepancy(n_extra, 7 + task.id);
@@ -68,7 +70,7 @@ fn main() {
     for (ti, history) in histories.iter().enumerate() {
         let x: Vec<Vec<f64>> = history.iter().map(|o| space.encode(&o.config)).collect();
         let y: Vec<f64> = history.iter().map(|o| o.objective.max(1e-9).ln()).collect();
-        if let Ok(f) = Fanova::fit(&x, &y, 7 + ti as u64) {
+        if let Ok(f) = Fanova::fit(&x, &y, 7 + ti as u64, &pool) {
             per_task.push(f.importance());
         }
     }

@@ -59,23 +59,6 @@ pub struct RunTrace {
 }
 
 impl RunTrace {
-    /// Best objective among the first `k` iterations (feasible-first).
-    pub fn best_within(&self, k: usize) -> f64 {
-        let k = k.min(self.objectives.len());
-        let feas = (0..k)
-            .filter(|&i| self.feasible[i])
-            .map(|i| self.objectives[i])
-            .fold(f64::INFINITY, f64::min);
-        if feas.is_finite() {
-            feas
-        } else {
-            self.objectives[..k]
-                .iter()
-                .cloned()
-                .fold(f64::INFINITY, f64::min)
-        }
-    }
-
     /// Index of the best feasible iteration within the whole run.
     pub fn best_index(&self) -> usize {
         let mut best = 0;
@@ -111,18 +94,6 @@ impl RunTrace {
             return 0.0;
         }
         self.feasible.iter().filter(|f| !**f).count() as f64 / self.feasible.len() as f64
-    }
-
-    /// Running minimum of the objective (the "Min Cost" curve).
-    pub fn best_curve(&self) -> Vec<f64> {
-        let mut best = f64::INFINITY;
-        self.objectives
-            .iter()
-            .map(|&o| {
-                best = best.min(o);
-                best
-            })
-            .collect()
     }
 }
 
@@ -235,7 +206,7 @@ mod tests {
         let trace = run_baseline(&s, &mut rs, 1);
         assert_eq!(trace.objectives.len(), 6);
         assert_eq!(trace.feasible.len(), 6);
-        assert!(trace.best_within(6).is_finite());
+        assert!(trace.objectives.iter().all(|o| o.is_finite()));
     }
 
     #[test]
@@ -243,8 +214,12 @@ mod tests {
         let s = setup(10);
         let trace = run_otune(&s, TunerOptions::default(), 2);
         assert_eq!(trace.objectives.len(), 10);
-        let curve = trace.best_curve();
-        assert!(curve.last().unwrap() <= curve.first().unwrap());
+        let best = trace
+            .objectives
+            .iter()
+            .cloned()
+            .fold(f64::INFINITY, f64::min);
+        assert!(best <= trace.objectives[0]);
     }
 
     #[test]

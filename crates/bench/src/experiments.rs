@@ -302,7 +302,8 @@ pub fn production_sweep(n_tasks: usize, budget: usize, seed: u64) -> Vec<ProdOut
     let n_pioneers = (n_tasks / 10).clamp(1, 40).min(n_tasks);
 
     // Phase 1: pioneers, tuned cold (parallel).
-    let pioneer_outcomes = Pool::global().map(&tasks[..n_pioneers], |_, task| {
+    let pool = Pool::from_env();
+    let pioneer_outcomes = pool.map(&tasks[..n_pioneers], |_, task| {
         tune_production_task(task, budget, vec![], seed ^ task.id)
     });
 
@@ -327,7 +328,7 @@ pub fn production_sweep(n_tasks: usize, budget: usize, seed: u64) -> Vec<ProdOut
     let med_mem = median(&mut mem_ratio).clamp(0.05, 1.5);
 
     // Phase 2: the rest, warm-started with scaled manual configs.
-    let rest_outcomes = Pool::global().map(&tasks[n_pioneers..], |_, task| {
+    let rest_outcomes = pool.map(&tasks[n_pioneers..], |_, task| {
         let space = task.space();
         let manual = executor_params(&task.manual_config);
         let scale_cfg = |fi: f64, fm: f64| {

@@ -119,7 +119,9 @@ impl Agd {
 mod tests {
     use super::*;
     use otune_gp::{FeatureKind, GaussianProcess, GpConfig};
+    use otune_pool::Pool;
     use otune_space::{ConfigSpace, ParamValue, Parameter};
+    use otune_telemetry::Telemetry;
 
     /// 2-parameter space: `n` (instances-like) and `m` (memory-like).
     fn space() -> ConfigSpace {
@@ -141,6 +143,8 @@ mod tests {
             x,
             &y,
             GpConfig::default(),
+            &Pool::from_env(),
+            &Telemetry::disabled(),
         )
         .unwrap()
     }
@@ -238,6 +242,8 @@ mod tests {
             x,
             &y,
             GpConfig::default(),
+            &Pool::from_env(),
+            &Telemetry::disabled(),
         )
         .unwrap();
         let agd = Agd::default();

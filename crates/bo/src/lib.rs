@@ -34,8 +34,8 @@ pub use acquisition::{
 pub use agd::Agd;
 pub use observation::{best_observation, usable_measurement, within_constraints, Observation};
 pub use optimizer::{
-    distinct_feasible, fill_candidates, maximize_eic, maximize_eic_with, AcquisitionChoice,
-    CandidateParams, EicObjective,
+    distinct_feasible, fill_candidates, maximize_eic, AcquisitionChoice, CandidateParams,
+    EicObjective,
 };
 pub use safe::SafeRegion;
 pub use store::{

@@ -84,35 +84,11 @@ pub struct AcquisitionChoice {
 /// GP safe regions (§4.2). When the candidate set contains no safe point,
 /// the *least-violating* candidate is returned — the conservative
 /// exploration fallback of SafeOpt-style methods.
-#[allow(clippy::too_many_arguments)]
-pub fn maximize_eic(
-    sub: &Subspace,
-    context: &[f64],
-    objective: &EicObjective<'_>,
-    safe_regions: &[SafeRegion<'_>],
-    analytic_feasible: Option<&dyn Fn(&Configuration) -> bool>,
-    incumbent: Option<&Configuration>,
-    params: CandidateParams,
-    rng: &mut StdRng,
-) -> AcquisitionChoice {
-    maximize_eic_with(
-        sub,
-        context,
-        objective,
-        safe_regions,
-        analytic_feasible,
-        incumbent,
-        params,
-        rng,
-        &Telemetry::disabled(),
-        Pool::global(),
-    )
-}
-
-/// [`maximize_eic`] with instrumentation and an explicit worker pool:
-/// records the number of EIC evaluations per call (`eic_evals_per_iter`
+///
+/// Records the number of EIC evaluations per call (`eic_evals_per_iter`
 /// histogram: the safe survivors) and counts candidates rejected by the
-/// GP safe region (`safe_region_rejections` counter, exact).
+/// GP safe region (`safe_region_rejections` counter, exact) on
+/// `telemetry`.
 ///
 /// The candidates live in one flat [`CandidateRows`] matrix and are
 /// never materialised as configurations: deduplication compares value
@@ -131,7 +107,7 @@ pub fn maximize_eic(
 /// EIC bits and safety flag — is that of scoring every candidate exactly,
 /// at every pool width.
 #[allow(clippy::too_many_arguments)]
-pub fn maximize_eic_with(
+pub fn maximize_eic(
     sub: &Subspace,
     context: &[f64],
     objective: &EicObjective<'_>,
@@ -140,8 +116,8 @@ pub fn maximize_eic_with(
     incumbent: Option<&Configuration>,
     params: CandidateParams,
     rng: &mut StdRng,
-    telemetry: &Telemetry,
     pool: &Pool,
+    telemetry: &Telemetry,
 ) -> AcquisitionChoice {
     let _trace = telemetry.trace_span("eic_maximize");
     let space = sub.space();
@@ -306,6 +282,8 @@ mod tests {
             x,
             &y,
             GpConfig::default(),
+            &Pool::from_env(),
+            &Telemetry::disabled(),
         )
         .unwrap()
     }
@@ -324,6 +302,8 @@ mod tests {
             x,
             &y,
             GpConfig::default(),
+            &Pool::from_env(),
+            &Telemetry::disabled(),
         )
         .unwrap()
     }
@@ -348,6 +328,8 @@ mod tests {
             None,
             CandidateParams::default(),
             &mut rng,
+            &Pool::from_env(),
+            &Telemetry::disabled(),
         );
         let a = choice.config[0].as_float().unwrap();
         assert!((a - 0.2).abs() < 0.25, "chose a = {a}");
@@ -372,6 +354,8 @@ mod tests {
             x,
             &y,
             GpConfig::default(),
+            &Pool::from_env(),
+            &Telemetry::disabled(),
         )
         .unwrap();
         let rgp = runtime_gp();
@@ -391,6 +375,8 @@ mod tests {
             None,
             CandidateParams::default(),
             &mut rng,
+            &Pool::from_env(),
+            &Telemetry::disabled(),
         );
         let a = choice.config[0].as_float().unwrap();
         assert!(a < 0.55, "stayed in the safe zone, a = {a}");
@@ -420,6 +406,8 @@ mod tests {
             None,
             CandidateParams::default(),
             &mut rng,
+            &Pool::from_env(),
+            &Telemetry::disabled(),
         );
         assert!(!choice.from_safe_region);
         // Least violation = smallest runtime = smallest a.
@@ -448,6 +436,8 @@ mod tests {
             None,
             CandidateParams::default(),
             &mut rng,
+            &Pool::from_env(),
+            &Telemetry::disabled(),
         );
         assert!(choice.config[1].as_float().unwrap() > 0.8);
     }
@@ -491,6 +481,8 @@ mod tests {
                 local_scale: 0.1,
             },
             &mut rng,
+            &Pool::from_env(),
+            &Telemetry::disabled(),
         );
         let asked = asked.into_inner();
         assert!(asked.len() <= 6, "each configuration is tested once");
@@ -508,7 +500,15 @@ mod tests {
             .collect();
         let y: Vec<f64> = x.iter().map(|v| v.iter().sum()).collect();
         let kinds = crate::surrogate::surrogate_kinds(space, 0);
-        GaussianProcess::fit(kinds, x, &y, GpConfig::default()).unwrap()
+        GaussianProcess::fit(
+            kinds,
+            x,
+            &y,
+            GpConfig::default(),
+            &Pool::from_env(),
+            &Telemetry::disabled(),
+        )
+        .unwrap()
     }
 
     #[test]
@@ -527,6 +527,8 @@ mod tests {
             x,
             &y,
             GpConfig::default(),
+            &Pool::from_env(),
+            &Telemetry::disabled(),
         )
         .unwrap();
         let rgp = runtime_gp();
@@ -545,6 +547,8 @@ mod tests {
             None,
             CandidateParams::default(),
             &mut rng,
+            &Pool::from_env(),
+            &Telemetry::disabled(),
         );
         let a = choice.config[0].as_float().unwrap();
         assert!(a < 0.6, "EIC avoids the low-feasibility zone, a = {a}");
@@ -565,7 +569,7 @@ mod tests {
         };
         let mut rng = StdRng::seed_from_u64(8);
         let (telemetry, _sink) = Telemetry::ring(4);
-        let choice = maximize_eic_with(
+        let choice = maximize_eic(
             &sub,
             &[],
             &obj,
@@ -574,8 +578,8 @@ mod tests {
             None,
             CandidateParams::default(),
             &mut rng,
-            &telemetry,
             &Pool::new(4),
+            &telemetry,
         );
         assert!(choice.from_safe_region);
         let snap = telemetry.snapshot().unwrap();
@@ -607,7 +611,7 @@ mod tests {
                 constraints: vec![(&rgp, 400.0)],
             };
             let mut rng = StdRng::seed_from_u64(13);
-            maximize_eic_with(
+            maximize_eic(
                 &sub,
                 &[],
                 &obj,
@@ -616,8 +620,8 @@ mod tests {
                 Some(&incumbent),
                 CandidateParams::default(),
                 &mut rng,
-                &Telemetry::disabled(),
                 pool,
+                &Telemetry::disabled(),
             )
         };
         let seq = run(&Pool::sequential());
@@ -647,7 +651,7 @@ mod tests {
                 constraints: vec![(constraint_gp, 400.0)],
             };
             let mut rng = StdRng::seed_from_u64(21);
-            maximize_eic_with(
+            maximize_eic(
                 &sub,
                 &[],
                 &obj,
@@ -656,8 +660,8 @@ mod tests {
                 None,
                 CandidateParams::default(),
                 &mut rng,
+                &Pool::from_env(),
                 &Telemetry::disabled(),
-                Pool::global(),
             )
         };
         let shared = run(&rgp);
@@ -697,6 +701,8 @@ mod tests {
                 local_scale: 0.05,
             },
             &mut rng,
+            &Pool::from_env(),
+            &Telemetry::disabled(),
         );
         // With a tight incumbent and a tight y_best, the winner should sit
         // near the optimum basin.

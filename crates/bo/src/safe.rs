@@ -76,12 +76,22 @@ impl<'a> SafeRegion<'a> {
 mod tests {
     use super::*;
     use otune_gp::{FeatureKind, GpConfig};
+    use otune_pool::Pool;
+    use otune_telemetry::Telemetry;
 
     fn runtime_gp() -> GaussianProcess {
         // Runtime rises steeply with x: observations along a line.
         let x: Vec<Vec<f64>> = (0..10).map(|i| vec![i as f64 / 9.0]).collect();
         let y: Vec<f64> = x.iter().map(|v| 100.0 + 400.0 * v[0]).collect();
-        GaussianProcess::fit(vec![FeatureKind::Numeric], x, &y, GpConfig::default()).unwrap()
+        GaussianProcess::fit(
+            vec![FeatureKind::Numeric],
+            x,
+            &y,
+            GpConfig::default(),
+            &Pool::from_env(),
+            &Telemetry::disabled(),
+        )
+        .unwrap()
     }
 
     #[test]

@@ -13,7 +13,7 @@
 //! hyperparameter winner.
 
 use crate::observation::Observation;
-use crate::surrogate::{encode_with_context, surrogate_kinds, SurrogateInput};
+use crate::surrogate::{encode_with_context, fit_surrogate, SurrogateInput};
 use otune_gp::{GaussianProcess, GpConfig, GpError, IncrementalPolicy, UpdateOutcome};
 use otune_pool::Pool;
 use otune_space::ConfigSpace;
@@ -40,11 +40,7 @@ pub fn observation_fingerprint(space: &ConfigSpace, o: &Observation, input: Surr
     for v in encode_with_context(space, &o.config, &o.context) {
         fnv_mix(&mut h, v.to_bits());
     }
-    let y = match input {
-        SurrogateInput::Objective => o.objective,
-        SurrogateInput::Runtime => o.runtime,
-    };
-    fnv_mix(&mut h, y.to_bits());
+    fnv_mix(&mut h, input.target(o).to_bits());
     h
 }
 
@@ -92,13 +88,6 @@ impl SurrogateCache {
         self.fps.clear();
     }
 
-    fn target(&self, o: &Observation) -> f64 {
-        match self.input {
-            SurrogateInput::Objective => o.objective,
-            SurrogateInput::Runtime => o.runtime,
-        }
-    }
-
     /// Return a surrogate fitted on exactly `obs`, reusing cached state
     /// whenever `obs` extends the previously seen history.
     pub fn prepare(
@@ -137,11 +126,7 @@ impl SurrogateCache {
                 let mut extended = true;
                 for (o, &fp) in obs[n_cached..].iter().zip(&fps[n_cached..]) {
                     let x = encode_with_context(space, &o.config, &o.context);
-                    let y = match input {
-                        SurrogateInput::Objective => o.objective,
-                        SurrogateInput::Runtime => o.runtime,
-                    };
-                    match model.update_traced(x, y, &policy, cfg, pool, telemetry) {
+                    match model.update(x, input.target(o), &policy, cfg, pool, telemetry) {
                         Ok(outcome) => {
                             telemetry.incr(match outcome {
                                 UpdateOutcome::Incremental => metric::SURROGATE_INCREMENTAL_UPDATES,
@@ -171,24 +156,12 @@ impl SurrogateCache {
         self.clear();
         let _span = telemetry.span(metric::GP_FIT_S);
         let _trace = telemetry.trace_span("gp_full_fit");
-        let kinds = surrogate_kinds(space, obs[0].context.len());
-        let x: Vec<Vec<f64>> = obs
-            .iter()
-            .map(|o| encode_with_context(space, &o.config, &o.context))
-            .collect();
-        let y: Vec<f64> = obs.iter().map(|o| self.target(o)).collect();
-        let gp = GaussianProcess::fit_traced(
-            kinds,
-            x,
-            &y,
-            GpConfig {
-                seed,
-                warm_hyper,
-                ..GpConfig::default()
-            },
-            pool,
-            telemetry,
-        )?;
+        let cfg = GpConfig {
+            seed,
+            warm_hyper,
+            ..GpConfig::default()
+        };
+        let gp = fit_surrogate(space, obs, self.input, cfg, pool, telemetry)?;
         telemetry.incr(metric::GP_HYPER_SEARCHES);
         telemetry.add(metric::CHOL_JITTER_RETRIES, u64::from(gp.jitter_retries()));
         let gp = Arc::new(gp);
@@ -290,10 +263,10 @@ mod tests {
         let mut cache =
             SurrogateCache::new(SurrogateInput::Objective, IncrementalPolicy::default());
         let a = cache
-            .prepare(&s, &obs, 0, &telemetry, Pool::global())
+            .prepare(&s, &obs, 0, &telemetry, &Pool::from_env())
             .unwrap();
         let b = cache
-            .prepare(&s, &obs, 0, &telemetry, Pool::global())
+            .prepare(&s, &obs, 0, &telemetry, &Pool::from_env())
             .unwrap();
         assert!(Arc::ptr_eq(&a, &b));
         let snap = telemetry.snapshot().unwrap();
@@ -310,31 +283,26 @@ mod tests {
         let policy = IncrementalPolicy::never_research();
         let mut cache = SurrogateCache::new(SurrogateInput::Runtime, policy);
         cache
-            .prepare(&s, &obs[..10], 0, &telemetry, Pool::global())
+            .prepare(&s, &obs[..10], 0, &telemetry, &Pool::from_env())
             .unwrap();
         let extended = cache
-            .prepare(&s, &obs, 0, &telemetry, Pool::global())
+            .prepare(&s, &obs, 0, &telemetry, &Pool::from_env())
             .unwrap();
         let snap = telemetry.snapshot().unwrap();
         assert_eq!(snap.counters[metric::SURROGATE_INCREMENTAL_UPDATES], 2);
 
         // Same-hyper full refit must agree bitwise on the append-only path.
-        let kinds = surrogate_kinds(&s, 1);
-        let x: Vec<Vec<f64>> = obs
-            .iter()
-            .map(|o| encode_with_context(&s, &o.config, &o.context))
-            .collect();
-        let y: Vec<f64> = obs.iter().map(|o| o.runtime).collect();
-        let full = GaussianProcess::fit_with_pool(
-            kinds,
-            x,
-            &y,
+        let full = fit_surrogate(
+            &s,
+            &obs,
+            SurrogateInput::Runtime,
             GpConfig {
                 optimize_hypers: false,
                 warm_hyper: Some(extended.kernel().hyper),
                 ..GpConfig::default()
             },
-            Pool::global(),
+            &Pool::from_env(),
+            &Telemetry::disabled(),
         )
         .unwrap();
         let probe = encode_with_context(&s, &obs[3].config, &[0.5]);
@@ -352,12 +320,12 @@ mod tests {
         let mut cache =
             SurrogateCache::new(SurrogateInput::Objective, IncrementalPolicy::default());
         cache
-            .prepare(&s, &obs, 0, &telemetry, Pool::global())
+            .prepare(&s, &obs, 0, &telemetry, &Pool::from_env())
             .unwrap();
         // Rewrite an old target — e.g. a transform change upstream.
         obs[2].objective += 1.0;
         cache
-            .prepare(&s, &obs, 0, &telemetry, Pool::global())
+            .prepare(&s, &obs, 0, &telemetry, &Pool::from_env())
             .unwrap();
         let snap = telemetry.snapshot().unwrap();
         assert_eq!(snap.counters[metric::SURROGATE_CACHE_MISSES], 2);
@@ -371,10 +339,10 @@ mod tests {
         let telemetry = registryd();
         let mut cache = SurrogateCache::new(SurrogateInput::Runtime, IncrementalPolicy::default());
         cache
-            .prepare(&s, &obs, 0, &telemetry, Pool::global())
+            .prepare(&s, &obs, 0, &telemetry, &Pool::from_env())
             .unwrap();
         cache
-            .prepare(&s, &obs[..5], 0, &telemetry, Pool::global())
+            .prepare(&s, &obs[..5], 0, &telemetry, &Pool::from_env())
             .unwrap();
         let snap = telemetry.snapshot().unwrap();
         assert_eq!(snap.counters[metric::SURROGATE_CACHE_MISSES], 2);
@@ -391,32 +359,28 @@ mod tests {
         let mut cache =
             SurrogateCache::new(SurrogateInput::Objective, IncrementalPolicy::default());
         cache
-            .prepare(&s, &obs[..3], 0, &telemetry, Pool::global())
+            .prepare(&s, &obs[..3], 0, &telemetry, &Pool::from_env())
             .unwrap();
         let mut gp = None;
         for n in 4..=obs.len() {
             gp = Some(
                 cache
-                    .prepare(&s, &obs[..n], 0, &telemetry, Pool::global())
+                    .prepare(&s, &obs[..n], 0, &telemetry, &Pool::from_env())
                     .unwrap(),
             );
         }
         let gp = gp.unwrap();
-        let x: Vec<Vec<f64>> = obs
-            .iter()
-            .map(|o| encode_with_context(&s, &o.config, &o.context))
-            .collect();
-        let y: Vec<f64> = obs.iter().map(|o| o.objective).collect();
-        let full = GaussianProcess::fit_with_pool(
-            surrogate_kinds(&s, 1),
-            x,
-            &y,
+        let full = fit_surrogate(
+            &s,
+            &obs,
+            SurrogateInput::Objective,
             GpConfig {
                 optimize_hypers: false,
                 warm_hyper: Some(gp.kernel().hyper),
                 ..GpConfig::default()
             },
-            Pool::global(),
+            &Pool::from_env(),
+            &Telemetry::disabled(),
         )
         .unwrap();
         let probe = encode_with_context(&s, &obs[0].config, &[0.3]);

@@ -9,11 +9,10 @@
 use otune_forest::Fanova;
 use otune_pool::Pool;
 use otune_space::{ConfigSpace, Configuration, Subspace};
-use serde::{Deserialize, Serialize};
 
 /// Sub-space evolution parameters (paper defaults: `τ_succ = 3`,
 /// `τ_fail = 5`, `K_min = 4`, `K_init = 10`, step ±2).
-#[derive(Debug, Clone, Copy, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy)]
 pub struct SubspaceParams {
     /// Initial size `K_init`.
     pub k_init: usize,
@@ -44,7 +43,7 @@ impl SubspaceParams {
 }
 
 /// Tracks the sub-space size and parameter ranking across iterations.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct AdaptiveSubspace {
     params: SubspaceParams,
     k: usize,
@@ -117,7 +116,7 @@ impl AdaptiveSubspace {
         if x.len() < 4 {
             return;
         }
-        if let Ok(f) = Fanova::fit_with_pool(x, y, seed, pool) {
+        if let Ok(f) = Fanova::fit(x, y, seed, pool) {
             let ranking = f.ranking();
             if ranking.len() == self.ranking.len() {
                 self.ranking = ranking;

@@ -2,14 +2,16 @@
 
 use crate::observation::Observation;
 use otune_gp::{FeatureKind, GaussianProcess, GpConfig, GpError};
+use otune_pool::Pool;
 use otune_space::{ConfigSpace, Configuration, DimKind};
+use otune_telemetry::Telemetry;
 
 /// Anything that yields a posterior `(mean, variance)` at an encoded
 /// point — a plain GP or the meta-learning ensemble surrogate — as a
 /// mixture of GP members.
 ///
 /// The tiled screen-and-score pass in
-/// [`maximize_eic_with`](crate::maximize_eic_with) reads the members'
+/// [`maximize_eic`](crate::maximize_eic) reads the members'
 /// posteriors off shared distance tiles and mixes them through
 /// [`Predictor::combine`]. It relies on two properties of `combine`: the
 /// mean does not depend on the member variances, and the variance is
@@ -56,6 +58,16 @@ pub enum SurrogateInput {
     Runtime,
 }
 
+impl SurrogateInput {
+    /// The modeled metric of `o`: the surrogate's target.
+    pub(crate) fn target(self, o: &Observation) -> f64 {
+        match self {
+            SurrogateInput::Objective => o.objective,
+            SurrogateInput::Runtime => o.runtime,
+        }
+    }
+}
+
 /// Feature kinds for the surrogate input: one per configuration dimension
 /// (from the space) plus one `DataSize` kind per context feature.
 pub fn surrogate_kinds(space: &ConfigSpace, n_context: usize) -> Vec<FeatureKind> {
@@ -82,8 +94,11 @@ pub fn encode_with_context(
     v
 }
 
-/// Fit a GP on the runhistory for the chosen metric, searching the
-/// hyperparameters on the process-wide [`otune_pool::Pool::global`].
+/// Fit a GP on the runhistory for the chosen metric: the one function
+/// that turns observations into a surrogate. `cfg` carries the search
+/// seed and, for a refit, the previous winner as its `warm_hyper`; the
+/// hyperparameter search runs on `pool` and traces on `telemetry` as
+/// [`GaussianProcess::fit`] does.
 ///
 /// Context widths must be consistent across observations; the context of
 /// the first observation defines the expected width.
@@ -91,7 +106,9 @@ pub fn fit_surrogate(
     space: &ConfigSpace,
     obs: &[Observation],
     input: SurrogateInput,
-    seed: u64,
+    cfg: GpConfig,
+    pool: &Pool,
+    telemetry: &Telemetry,
 ) -> Result<GaussianProcess, GpError> {
     if obs.is_empty() {
         return Err(GpError::Empty);
@@ -102,22 +119,8 @@ pub fn fit_surrogate(
         .iter()
         .map(|o| encode_with_context(space, &o.config, &o.context))
         .collect();
-    let y: Vec<f64> = obs
-        .iter()
-        .map(|o| match input {
-            SurrogateInput::Objective => o.objective,
-            SurrogateInput::Runtime => o.runtime,
-        })
-        .collect();
-    GaussianProcess::fit(
-        kinds,
-        x,
-        &y,
-        GpConfig {
-            seed,
-            ..GpConfig::default()
-        },
-    )
+    let y: Vec<f64> = obs.iter().map(|o| input.target(o)).collect();
+    GaussianProcess::fit(kinds, x, &y, cfg, pool, telemetry)
 }
 
 #[cfg(test)]
@@ -175,8 +178,24 @@ mod tests {
     fn objective_and_runtime_surrogates_differ() {
         let s = space();
         let obs = make_obs(&s, 20);
-        let f = fit_surrogate(&s, &obs, SurrogateInput::Objective, 0).unwrap();
-        let t = fit_surrogate(&s, &obs, SurrogateInput::Runtime, 0).unwrap();
+        let f = fit_surrogate(
+            &s,
+            &obs,
+            SurrogateInput::Objective,
+            GpConfig::default(),
+            &Pool::from_env(),
+            &Telemetry::disabled(),
+        )
+        .unwrap();
+        let t = fit_surrogate(
+            &s,
+            &obs,
+            SurrogateInput::Runtime,
+            GpConfig::default(),
+            &Pool::from_env(),
+            &Telemetry::disabled(),
+        )
+        .unwrap();
         let x = encode_with_context(&s, &obs[0].config, &obs[0].context);
         // Objective increases with `a`, runtime decreases — the two
         // surrogates must disagree in direction.
@@ -198,7 +217,14 @@ mod tests {
     fn empty_history_errors() {
         let s = space();
         assert!(matches!(
-            fit_surrogate(&s, &[], SurrogateInput::Objective, 0),
+            fit_surrogate(
+                &s,
+                &[],
+                SurrogateInput::Objective,
+                GpConfig::default(),
+                &Pool::from_env(),
+                &Telemetry::disabled()
+            ),
             Err(GpError::Empty)
         ));
     }

@@ -1,5 +1,5 @@
 //! The tiled screen-and-score pass behind
-//! [`maximize_eic_with`](crate::maximize_eic_with).
+//! [`maximize_eic`](crate::maximize_eic).
 //!
 //! The candidates are cut into fixed tiles of [`TILE`]. Per tile, every
 //! distinct training set gets one distance pass, which every GP fitted on

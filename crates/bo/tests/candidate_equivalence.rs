@@ -1,6 +1,6 @@
 //! The flat candidate pipeline against its reference implementation.
 //!
-//! `maximize_eic_with` samples, deduplicates, filters, screens and scores
+//! `maximize_eic` samples, deduplicates, filters, screens and scores
 //! its candidates as one flat matrix of encoded rows and value words,
 //! decoding only the winner. The oracle below is the same pipeline over
 //! `Configuration`s: `lift`-based sub-space samples, `neighbor`
@@ -12,7 +12,7 @@
 //! winner, and leave the RNG at the same position.
 
 use otune_bo::{
-    distinct_feasible, fill_candidates, maximize_eic_with, surrogate_kinds, CandidateParams,
+    distinct_feasible, fill_candidates, maximize_eic, surrogate_kinds, CandidateParams,
     EicObjective, SafeRegion,
 };
 use otune_gp::{GaussianProcess, GpConfig};
@@ -272,8 +272,24 @@ fn surrogates(case: &Case) -> (GaussianProcess, GaussianProcess) {
         ..GpConfig::default()
     };
     (
-        GaussianProcess::fit(kinds.clone(), xs.clone(), &objective, config).unwrap(),
-        GaussianProcess::fit(kinds, xs, &runtime, config).unwrap(),
+        GaussianProcess::fit(
+            kinds.clone(),
+            xs.clone(),
+            &objective,
+            config,
+            &Pool::from_env(),
+            &Telemetry::disabled(),
+        )
+        .unwrap(),
+        GaussianProcess::fit(
+            kinds,
+            xs,
+            &runtime,
+            config,
+            &Pool::from_env(),
+            &Telemetry::disabled(),
+        )
+        .unwrap(),
     )
 }
 
@@ -324,7 +340,7 @@ proptest! {
         let (want_config, want_eic, want_safe) =
             oracle_choice(&c, &configs, &encoded, &objective, &region);
         let mut rng = StdRng::seed_from_u64(c.seed);
-        let choice = maximize_eic_with(
+        let choice = maximize_eic(
             &sub,
             &c.context,
             &objective,
@@ -333,8 +349,8 @@ proptest! {
             c.incumbent.as_ref(),
             c.params,
             &mut rng,
-            &Telemetry::disabled(),
             &Pool::new(2),
+            &Telemetry::disabled(),
         );
         prop_assert_eq!(&choice.config, &want_config);
         prop_assert_eq!(choice.eic.to_bits(), want_eic.to_bits());

@@ -8,6 +8,7 @@ use otune_bo::{Observation, SafeRegion};
 use otune_gp::{FeatureKind, GaussianProcess, GpConfig};
 use otune_pool::Pool;
 use otune_space::{Configuration, ParamValue};
+use otune_telemetry::Telemetry;
 use proptest::prelude::*;
 
 /// The constraint threshold the scenarios tune under.
@@ -52,7 +53,7 @@ fn fit_runtime_gp(history: &[Observation], seed: u64, threads: usize) -> Gaussia
         .map(|o| vec![o.config[0].as_float().unwrap()])
         .collect();
     let y: Vec<f64> = history.iter().map(|o| (o.runtime / T_MAX).ln()).collect();
-    GaussianProcess::fit_with_pool(
+    GaussianProcess::fit(
         vec![FeatureKind::Numeric],
         x,
         &y,
@@ -61,6 +62,7 @@ fn fit_runtime_gp(history: &[Observation], seed: u64, threads: usize) -> Gaussia
             ..GpConfig::default()
         },
         &Pool::new(threads),
+        &Telemetry::disabled(),
     )
     .expect("valid history")
 }

@@ -1,6 +1,6 @@
 //! The tiled screen-and-score pass against the unpruned path.
 //!
-//! `maximize_eic_with` decides the safe screen and the EIC ranking from
+//! `maximize_eic` decides the safe screen and the EIC ranking from
 //! variance bounds and solves `L⁻¹k` only where they cannot decide. The
 //! oracle here is the unpruned path: every candidate's posterior from
 //! `predict_batch` (the batched oracle, bitwise scalar `predict`) for
@@ -14,7 +14,7 @@
 //! `safe_region_rejections` count and `eic_evals_per_iter`.
 
 use otune_bo::{
-    distinct_feasible, eic, expected_improvement, fill_candidates, maximize_eic_with, prob_below,
+    distinct_feasible, eic, expected_improvement, fill_candidates, maximize_eic, prob_below,
     surrogate_kinds, CandidateParams, EicObjective, Predictor, SafeRegion,
 };
 use otune_gp::{GaussianProcess, GpConfig, KernelHyper, Rows};
@@ -95,7 +95,15 @@ fn gp(kinds: &[otune_gp::FeatureKind], rows: &[Vec<f64>], rng: &mut StdRng) -> G
         warm_hyper: Some(hyper),
         ..GpConfig::default()
     };
-    GaussianProcess::fit(kinds.to_vec(), rows.to_vec(), &y, cfg).unwrap()
+    GaussianProcess::fit(
+        kinds.to_vec(),
+        rows.to_vec(),
+        &y,
+        cfg,
+        &Pool::from_env(),
+        &Telemetry::disabled(),
+    )
+    .unwrap()
 }
 
 /// `n` training rows: sampled configurations plus context, with some
@@ -266,7 +274,7 @@ fn check(seed: u64, params: CandidateParams, floats_only: bool) -> Result<usize,
     for width in [1, 2, 4] {
         let (telemetry, _sink) = Telemetry::ring(4);
         let mut rng = StdRng::seed_from_u64(run_seed);
-        let choice = maximize_eic_with(
+        let choice = maximize_eic(
             &sub,
             &context,
             &objective,
@@ -275,8 +283,8 @@ fn check(seed: u64, params: CandidateParams, floats_only: bool) -> Result<usize,
             Some(&incumbent),
             params,
             &mut rng,
-            &telemetry,
             &Pool::new(width),
+            &telemetry,
         );
         let snap = telemetry.snapshot().unwrap();
         prop_assert_eq!(&choice.config, &want_config, "width {}", width);

@@ -435,6 +435,9 @@ fn tune_fleet(
 
     let space = spark_space(ClusterScale::hibench());
     let workloads = HibenchTask::all();
+    // Every task's tuner runs its maps on the wave pool, so `--threads`
+    // bounds them all.
+    let pool = fleet.pool.clone();
     let mut ctl = OnlineTuneController::with_options(
         std::sync::Arc::new(otune_core::DataRepository::new()),
         fleet,
@@ -475,6 +478,7 @@ fn tune_fleet(
             budget,
             enable_meta: true,
             seed,
+            pool: pool.clone(),
             ..TunerOptions::default()
         };
         let task_id = format!("{}-{i}", workload.name());
@@ -1583,7 +1587,7 @@ fn importance(task: HibenchTask, samples: usize, out: &mut dyn Write) -> std::io
             Objective::cost().eval(r.runtime_s, r.resource).ln()
         })
         .collect();
-    let f = Fanova::fit(&x, &y, 2).expect("valid history");
+    let f = Fanova::fit(&x, &y, 2, &Pool::from_env()).expect("valid history");
     let imp = f.importance();
     writeln!(
         out,
@@ -2242,6 +2246,44 @@ mod tests {
         assert!(String::from_utf8(buf)
             .unwrap()
             .contains("bad --fault-profile"));
+    }
+
+    /// `--threads T` sizes every pool the run uses: the wave pool and
+    /// each task's tuner pool, whose gauges the summary prints.
+    #[test]
+    fn tune_fleet_threads_bound_every_tuner_pool() {
+        let gauges = |threads: usize| -> (f64, f64) {
+            let mut buf = Vec::new();
+            let code = run(
+                Command::TuneFleet {
+                    tasks: 3,
+                    budget: 5,
+                    shards: None,
+                    threads: Some(threads),
+                    seed: 4,
+                    events: None,
+                    trace: None,
+                    prom: None,
+                    corpus: None,
+                },
+                &mut buf,
+            )
+            .unwrap();
+            assert_eq!(code, 0);
+            let text = String::from_utf8(buf).unwrap();
+            assert!(text.contains(&format!("{threads} thread(s)")), "{text}");
+            let gauge = |name: &str| -> f64 {
+                text.lines()
+                    .find_map(|l| {
+                        let mut cols = l.split_whitespace();
+                        (cols.next() == Some(name)).then(|| cols.next().unwrap().parse().unwrap())
+                    })
+                    .unwrap_or_else(|| panic!("no {name} gauge in {text}"))
+            };
+            (gauge("pool_threads"), gauge("pool_parallel_maps"))
+        };
+        assert_eq!(gauges(1), (1.0, 0.0));
+        assert_eq!(gauges(3).0, 3.0);
     }
 
     #[test]

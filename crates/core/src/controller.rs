@@ -30,8 +30,8 @@ use crate::repository::DataRepository;
 use crate::tuner::{OnlineTuner, TunerError, TunerOptions};
 use otune_bo::within_constraints;
 use otune_meta::{
-    warm_start_configs_with, CorpusRecord, SharedMetaStore, SimilarityLearner, TaskRecord,
-    TuningCorpus, DEFAULT_MAX_DISTANCE, DEFAULT_RETRIEVAL_K,
+    warm_start_configs, CorpusRecord, SharedMetaStore, SimilarityLearner, TaskRecord, TuningCorpus,
+    DEFAULT_MAX_DISTANCE, DEFAULT_RETRIEVAL_K,
 };
 use otune_space::{ConfigSpace, Configuration};
 use otune_telemetry::{metric, EventKind, Telemetry};
@@ -470,7 +470,8 @@ impl OnlineTuneController {
     /// Retrain the similarity model if it is stale: missing, the eligible
     /// source-task set changed, or [`N_REFIT`] reports have accumulated
     /// since the last fit. Base surrogates and pairwise labels come from the
-    /// shared meta store, so refits only pay for new tasks and new pairs.
+    /// shared meta store, so refits only pay for new tasks and new pairs;
+    /// a base the store misses is fitted on the fleet's pool.
     pub(crate) fn refresh_similarity(&mut self, space: &ConfigSpace) {
         let sources = self.source_tasks("");
         let ids: Vec<String> = sources.iter().map(|t| t.task_id.clone()).collect();
@@ -482,12 +483,13 @@ impl OnlineTuneController {
             return;
         }
         self.telemetry.incr(metric::SIMILARITY_REFITS);
-        self.sim.model = SimilarityLearner::train_with_store(
+        self.sim.model = SimilarityLearner::train(
             space,
             &sources,
             self.n_similarity_samples,
             0,
             &self.shared_meta,
+            &self.fleet.pool,
             &self.telemetry,
         );
         self.sim.trained_on = ids;
@@ -514,7 +516,7 @@ impl OnlineTuneController {
         let Some(entry) = self.shards[idx].get_mut(handle) else {
             return;
         };
-        let warm = warm_start_configs_with(model, features, &sources, n_sources, &entry.telemetry);
+        let warm = warm_start_configs(model, features, &sources, n_sources, &entry.telemetry);
         if warm.is_empty() {
             return;
         }

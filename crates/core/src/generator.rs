@@ -14,7 +14,7 @@
 
 use crate::tuner::TunerOptions;
 use otune_bo::{
-    best_observation, maximize_eic_with, AdaptiveSubspace, Agd, CandidateParams, EicObjective,
+    best_observation, maximize_eic, AdaptiveSubspace, Agd, CandidateParams, EicObjective,
     Observation, Predictor, SafeRegion, SubspaceParams, SurrogateStore,
 };
 use otune_space::{ConfigSpace, Configuration, Subspace};
@@ -311,7 +311,7 @@ impl ConfigGenerator {
                 .map(|r| (r.surrogate(), r.threshold()))
                 .collect(),
         };
-        let choice = maximize_eic_with(
+        let choice = maximize_eic(
             &sub,
             context,
             &eic_obj,
@@ -320,8 +320,8 @@ impl ConfigGenerator {
             Some(&incumbent.config),
             CandidateParams::default(),
             &mut self.rng,
-            &self.telemetry,
             &opts.pool,
+            &self.telemetry,
         );
         Suggestion {
             config: choice.config,

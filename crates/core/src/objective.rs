@@ -1,14 +1,12 @@
 //! The generalized tuning formulation (Eq. 1).
 
-use serde::{Deserialize, Serialize};
-
 /// The generalized objective `f(x) = T(x)^β · R(x)^{1−β}`, `β ∈ [0, 1]`.
 ///
 /// * `β = 1` — minimize runtime (the "fastest configuration").
 /// * `β = 0` — minimize the resource amount.
 /// * `β = 0.5` — minimize execution cost (√(T·R); the square root is a
 ///   monotone transform, so the optimizer is unchanged).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Objective {
     /// The runtime/resource trade-off exponent.
     pub beta: f64,

@@ -76,12 +76,12 @@ pub struct TunerOptions {
     pub incremental: IncrementalPolicy,
     /// Seed for all randomized components.
     pub seed: u64,
-    /// Worker pool for the tuner's own maps: surrogate fitting (the meta
-    /// ensemble's target fits included), acquisition maximization, and
-    /// fANOVA forest growing. Base-task surrogates, which a fleet shares
-    /// through one store, are fitted on [`Pool::global`]. Defaults to
-    /// [`Pool::from_env`] (`OTUNE_THREADS` or the machine's parallelism);
-    /// suggestions are bitwise-identical for every pool width.
+    /// Worker pool for every map the tuner runs: surrogate fitting (the
+    /// meta ensemble's target fits included), acquisition maximization,
+    /// fANOVA forest growing, and the fits of base tasks its ensemble
+    /// builds miss in their store. Defaults to [`Pool::from_env`]
+    /// (`OTUNE_THREADS` or the machine's parallelism); suggestions are
+    /// bitwise-identical for every pool width.
     pub pool: Pool,
 }
 
@@ -423,8 +423,6 @@ impl OnlineTuner {
             metric::POOL_PARALLEL_TASKS,
             pool_stats.parallel_tasks as f64,
         );
-        self.telemetry
-            .gauge(metric::SIMD_BLOCKS, otune_linalg::simd::blocks() as f64);
 
         // Stopping criterion: negligible expected improvement (§3.3).
         if self.opts.ei_stop_ratio > 0.0

@@ -22,25 +22,15 @@ pub struct Fanova {
 }
 
 impl Fanova {
-    /// Fit on encoded observations in the unit cube, growing trees on the
-    /// process-wide [`Pool::global`].
-    pub fn fit(x: &[Vec<f64>], y: &[f64], seed: u64) -> Result<Self, ForestError> {
-        Self::fit_with_pool(x, y, seed, Pool::global())
-    }
-
-    /// [`Fanova::fit`] growing one tree per task of `pool`; the result is
-    /// the same for every pool width.
-    pub fn fit_with_pool(
-        x: &[Vec<f64>],
-        y: &[f64],
-        seed: u64,
-        pool: &Pool,
-    ) -> Result<Self, ForestError> {
+    /// Fit on encoded observations in the unit cube, growing one tree per
+    /// item of a map on `pool`; the result is the same for every pool
+    /// width.
+    pub fn fit(x: &[Vec<f64>], y: &[f64], seed: u64, pool: &Pool) -> Result<Self, ForestError> {
         if x.is_empty() {
             return Err(ForestError::Empty);
         }
         let dim = x[0].len();
-        let forest = RandomForest::fit_with_pool(x, y, ForestConfig::for_fanova(dim, seed), pool)?;
+        let forest = RandomForest::fit(x, y, ForestConfig::for_fanova(dim, seed), pool)?;
         let root: Vec<(f64, f64)> = vec![(0.0, 1.0); dim];
         let partitions = forest.trees().iter().map(|t| t.leaf_boxes(&root)).collect();
         Ok(Fanova {
@@ -247,7 +237,7 @@ mod tests {
     #[test]
     fn dominant_dimension_ranks_first() {
         let (x, y) = data(250, 4, |r| 10.0 * r[2] + 0.5 * r[0]);
-        let f = Fanova::fit(&x, &y, 1).unwrap();
+        let f = Fanova::fit(&x, &y, 1, &Pool::from_env()).unwrap();
         let imp = f.importance();
         assert_eq!(f.ranking()[0], 2, "importances: {imp:?}");
         assert!(imp[2] > 0.7, "{imp:?}");
@@ -257,7 +247,7 @@ mod tests {
     #[test]
     fn irrelevant_dimensions_score_near_zero() {
         let (x, y) = data(250, 5, |r| (6.0 * r[0]).sin());
-        let f = Fanova::fit(&x, &y, 2).unwrap();
+        let f = Fanova::fit(&x, &y, 2, &Pool::from_env()).unwrap();
         let imp = f.importance();
         for d in 1..5 {
             assert!(imp[d] < 0.12, "dim {d}: {imp:?}");
@@ -275,7 +265,7 @@ mod tests {
                 0.0
             }
         });
-        let f = Fanova::fit(&x, &y, 3).unwrap();
+        let f = Fanova::fit(&x, &y, 3, &Pool::from_env()).unwrap();
         let imp = f.importance();
         let inter = f.pairwise_importance(0, 1);
         assert!(inter > 0.25, "interaction visible: {inter}, main {imp:?}");
@@ -287,7 +277,7 @@ mod tests {
     #[test]
     fn importances_are_fractions() {
         let (x, y) = data(150, 6, |r| r[0] * 2.0 + r[1] * r[2]);
-        let f = Fanova::fit(&x, &y, 4).unwrap();
+        let f = Fanova::fit(&x, &y, 4, &Pool::from_env()).unwrap();
         for v in f.importance() {
             assert!((0.0..=1.0).contains(&v), "{v}");
         }
@@ -297,7 +287,7 @@ mod tests {
     fn constant_target_yields_zero_importance() {
         let (x, _) = data(60, 3, |_| 0.0);
         let y = vec![5.0; 60];
-        let f = Fanova::fit(&x, &y, 5).unwrap();
+        let f = Fanova::fit(&x, &y, 5, &Pool::from_env()).unwrap();
         assert!(f.importance().iter().all(|&v| v == 0.0));
         assert_eq!(f.pairwise_importance(0, 1), 0.0);
     }
@@ -306,7 +296,7 @@ mod tests {
     #[should_panic(expected = "invalid pair")]
     fn pairwise_rejects_same_dim() {
         let (x, y) = data(50, 3, |r| r[0]);
-        let f = Fanova::fit(&x, &y, 6).unwrap();
+        let f = Fanova::fit(&x, &y, 6, &Pool::from_env()).unwrap();
         let _ = f.pairwise_importance(1, 1);
     }
 }

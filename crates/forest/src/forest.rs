@@ -5,10 +5,9 @@ use crate::ForestError;
 use otune_pool::Pool;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use serde::{Deserialize, Serialize};
 
 /// Forest-training options.
-#[derive(Debug, Clone, Copy, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy)]
 pub struct ForestConfig {
     /// Number of trees.
     pub n_trees: usize,
@@ -48,26 +47,21 @@ impl ForestConfig {
 }
 
 /// A fitted random forest (mean aggregation).
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct RandomForest {
     trees: Vec<RegressionTree>,
     dim: usize,
 }
 
 impl RandomForest {
-    /// Fit a forest on rows `x` and targets `y`, growing trees on the
-    /// process-wide [`Pool::global`].
-    pub fn fit(x: &[Vec<f64>], y: &[f64], cfg: ForestConfig) -> Result<Self, ForestError> {
-        Self::fit_with_pool(x, y, cfg, Pool::global())
-    }
-
-    /// Fit a forest with one tree per pool task.
+    /// Fit a forest on rows `x` and targets `y`, one tree per item of a
+    /// map on `pool`.
     ///
     /// Each tree draws its bootstrap sample and split randomness from its
     /// own RNG, seeded from `(cfg.seed, tree index)` — so the forest is a
     /// pure function of the config and data, identical for every pool
     /// width.
-    pub fn fit_with_pool(
+    pub fn fit(
         x: &[Vec<f64>],
         y: &[f64],
         cfg: ForestConfig,
@@ -159,7 +153,7 @@ mod tests {
     #[test]
     fn fits_nonlinear_function_better_than_mean() {
         let (x, y) = friedman_like(200);
-        let f = RandomForest::fit(&x, &y, ForestConfig::default()).unwrap();
+        let f = RandomForest::fit(&x, &y, ForestConfig::default(), &Pool::from_env()).unwrap();
         let mean = otune_mean(&y);
         let (mut sse_forest, mut sse_mean) = (0.0, 0.0);
         for (xi, yi) in x.iter().zip(&y) {
@@ -172,8 +166,8 @@ mod tests {
     #[test]
     fn deterministic_given_seed() {
         let (x, y) = friedman_like(50);
-        let a = RandomForest::fit(&x, &y, ForestConfig::default()).unwrap();
-        let b = RandomForest::fit(&x, &y, ForestConfig::default()).unwrap();
+        let a = RandomForest::fit(&x, &y, ForestConfig::default(), &Pool::from_env()).unwrap();
+        let b = RandomForest::fit(&x, &y, ForestConfig::default(), &Pool::from_env()).unwrap();
         assert_eq!(a.predict(&x[0]), b.predict(&x[0]));
         let c = RandomForest::fit(
             &x,
@@ -182,6 +176,7 @@ mod tests {
                 seed: 9,
                 ..ForestConfig::default()
             },
+            &Pool::from_env(),
         )
         .unwrap();
         assert_ne!(a.predict(&x[7]), c.predict(&x[7]));
@@ -191,9 +186,9 @@ mod tests {
     fn fit_is_pool_width_invariant() {
         let (x, y) = friedman_like(60);
         let cfg = ForestConfig::default();
-        let seq = RandomForest::fit_with_pool(&x, &y, cfg, &Pool::sequential()).unwrap();
+        let seq = RandomForest::fit(&x, &y, cfg, &Pool::sequential()).unwrap();
         for width in [2, 4, 8] {
-            let par = RandomForest::fit_with_pool(&x, &y, cfg, &Pool::new(width)).unwrap();
+            let par = RandomForest::fit(&x, &y, cfg, &Pool::new(width)).unwrap();
             for xi in x.iter().take(10) {
                 assert_eq!(
                     seq.predict(xi).to_bits(),
@@ -207,15 +202,21 @@ mod tests {
     #[test]
     fn variance_shrinks_in_dense_regions() {
         let (x, y) = friedman_like(150);
-        let f = RandomForest::fit(&x, &y, ForestConfig::default()).unwrap();
+        let f = RandomForest::fit(&x, &y, ForestConfig::default(), &Pool::from_env()).unwrap();
         let (_, var) = f.predict_with_variance(&x[0]);
         assert!(var.is_finite() && var >= 0.0);
     }
 
     #[test]
     fn errors_propagate() {
-        assert!(RandomForest::fit(&[], &[], ForestConfig::default()).is_err());
-        assert!(RandomForest::fit(&[vec![1.0]], &[1.0, 2.0], ForestConfig::default()).is_err());
+        assert!(RandomForest::fit(&[], &[], ForestConfig::default(), &Pool::from_env()).is_err());
+        assert!(RandomForest::fit(
+            &[vec![1.0]],
+            &[1.0, 2.0],
+            ForestConfig::default(),
+            &Pool::from_env()
+        )
+        .is_err());
     }
 
     #[test]

@@ -3,10 +3,9 @@
 use crate::ForestError;
 use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
-use serde::{Deserialize, Serialize};
 
 /// Tree-growing options.
-#[derive(Debug, Clone, Copy, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy)]
 pub struct TreeConfig {
     /// Maximum depth (root = depth 0).
     pub max_depth: usize,
@@ -26,7 +25,7 @@ impl Default for TreeConfig {
     }
 }
 
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 enum Node {
     Leaf {
         value: f64,
@@ -40,7 +39,7 @@ enum Node {
 }
 
 /// A fitted regression tree.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct RegressionTree {
     nodes: Vec<Node>,
     dim: usize,

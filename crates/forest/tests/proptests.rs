@@ -1,6 +1,7 @@
 //! Property-based tests for trees, forests, and fANOVA.
 
 use otune_forest::{Fanova, ForestConfig, RandomForest, RegressionTree, TreeConfig};
+use otune_pool::Pool;
 use proptest::prelude::*;
 use rand::{rngs::StdRng, SeedableRng};
 
@@ -46,8 +47,8 @@ proptest! {
     #[test]
     fn forest_bounded_and_deterministic((x, y) in dataset(30, 3)) {
         let cfg = ForestConfig { n_trees: 8, ..ForestConfig::default() };
-        let f1 = RandomForest::fit(&x, &y, cfg).unwrap();
-        let f2 = RandomForest::fit(&x, &y, cfg).unwrap();
+        let f1 = RandomForest::fit(&x, &y, cfg, &Pool::from_env()).unwrap();
+        let f2 = RandomForest::fit(&x, &y, cfg, &Pool::from_env()).unwrap();
         let (lo, hi) = y.iter().fold((f64::INFINITY, f64::NEG_INFINITY), |(l, h), &v| {
             (l.min(v), h.max(v))
         });
@@ -64,7 +65,7 @@ proptest! {
     /// the total variance budget plus interactions (≤ dims is a loose cap).
     #[test]
     fn fanova_importances_are_fractions((x, y) in dataset(40, 4)) {
-        let f = Fanova::fit(&x, &y, 3).unwrap();
+        let f = Fanova::fit(&x, &y, 3, &Pool::from_env()).unwrap();
         let imp = f.importance();
         prop_assert_eq!(imp.len(), 4);
         for v in &imp {

@@ -10,10 +10,9 @@
 use otune_forest::{ForestError, RegressionTree, TreeConfig};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use serde::{Deserialize, Serialize};
 
 /// Boosting options.
-#[derive(Debug, Clone, Copy, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy)]
 pub struct GbdtConfig {
     /// Number of boosting rounds (trees).
     pub n_rounds: usize,
@@ -44,7 +43,7 @@ impl Default for GbdtConfig {
 }
 
 /// A fitted gradient-boosted ensemble.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct GbdtRegressor {
     base: f64,
     learning_rate: f64,

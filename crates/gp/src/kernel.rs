@@ -1,11 +1,10 @@
 //! The mixed Matérn / Hamming / SE product kernel (§3.3).
 
 use otune_linalg::simd::LANES;
-use serde::{Deserialize, Serialize};
 
 /// What kind of feature an input dimension carries — selects the kernel
 /// component that handles it.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum FeatureKind {
     /// Numeric Spark parameter → Matérn-5/2.
     Numeric,
@@ -17,7 +16,7 @@ pub enum FeatureKind {
 
 /// Kernel hyperparameters: one lengthscale per feature group plus signal
 /// variance and observation noise. All strictly positive.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct KernelHyper {
     /// Matérn lengthscale for numeric dims.
     pub len_numeric: f64,
@@ -70,7 +69,7 @@ impl KernelHyper {
 /// The mixed product kernel over encoded configurations:
 ///
 /// `k(x, x') = σ_f² · k_M52(x_num) · k_Ham(x_cat) · k_SE(x_ds)`
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct MixedKernel {
     kinds: Vec<FeatureKind>,
     /// Current hyperparameters.
@@ -225,7 +224,6 @@ impl MixedKernel {
         if count == 0 {
             return;
         }
-        let mut blocks = 0u64;
         let mut j0 = 0;
         while j0 < count {
             let lanes = (count - j0).min(LANES);
@@ -245,10 +243,8 @@ impl MixedKernel {
             }
             let k = kernel_lanes(h, &sq, &mm, &se, hamming);
             out[j0..j0 + lanes].copy_from_slice(&k[..lanes]);
-            blocks += u64::from(lanes == LANES);
             j0 += lanes;
         }
-        otune_linalg::simd::record_blocks(blocks);
     }
 
     /// The SE factor over packed datasize segments, in `eval`'s exact

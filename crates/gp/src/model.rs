@@ -170,42 +170,22 @@ pub struct GaussianProcess {
 
 impl GaussianProcess {
     /// Fit a GP on encoded inputs `x` (all rows the same length, matching
-    /// `kinds`) and targets `y`, using the process-wide [`Pool::global`]
-    /// for the hyperparameter search.
-    pub fn fit(
-        kinds: Vec<FeatureKind>,
-        x: Vec<Vec<f64>>,
-        y: &[f64],
-        cfg: GpConfig,
-    ) -> Result<Self, GpError> {
-        Self::fit_with_pool(kinds, x, y, cfg, Pool::global())
-    }
-
-    /// Fit a GP, evaluating LML hyperparameter candidates on `pool`.
+    /// `kinds`) and targets `y`, evaluating LML hyperparameter candidates
+    /// on `pool`.
     ///
     /// Every candidate's LML is a pure function of the candidate, so the
     /// evaluations run in parallel; the winner is then chosen by folding
     /// the results in candidate order with a strict `>`, which replicates
     /// the sequential first-max selection exactly. The fitted model is
     /// therefore bitwise-identical for every pool width.
-    pub fn fit_with_pool(
-        kinds: Vec<FeatureKind>,
-        x: Vec<Vec<f64>>,
-        y: &[f64],
-        cfg: GpConfig,
-        pool: &Pool,
-    ) -> Result<Self, GpError> {
-        Self::fit_traced(kinds, x, y, cfg, pool, &Telemetry::disabled())
-    }
-
-    /// [`GaussianProcess::fit_with_pool`] with hierarchical tracing: the
-    /// hyperparameter search is wrapped in a `hyper_search` span, each
-    /// candidate evaluation in a keyed `hyper_candidate` span (adopted
-    /// onto pool worker threads), and the O(n²)/O(n³) kernels in
+    ///
+    /// Traced handles see the hyperparameter search as a `hyper_search`
+    /// span, each candidate evaluation as a keyed `hyper_candidate` span
+    /// (adopted onto pool worker threads), and the O(n²)/O(n³) kernels as
     /// `kernel_assembly`/`chol_factor` spans. Tracing never perturbs the
     /// RNG stream or candidate fold, so the fitted model is bitwise
-    /// identical with tracing on or off, at any pool width.
-    pub fn fit_traced(
+    /// identical with tracing on or off.
+    pub fn fit(
         kinds: Vec<FeatureKind>,
         x: Vec<Vec<f64>>,
         y: &[f64],
@@ -374,15 +354,13 @@ impl GaussianProcess {
         let mut k = Matrix::zeros(n, n);
         let mut hamming = Vec::new();
         kernel.hamming_table_into(dist.n_cat(), &mut hamming);
-        let mut groups = 0;
         for i in 0..n {
             let row = k.row_mut(i);
-            groups += dist.kernel_row(i, i + 1, &kernel.hyper, &hamming, |j0, vals| {
+            dist.kernel_row(i, i + 1, &kernel.hyper, &hamming, |j0, vals| {
                 let take = (i + 1 - j0).min(LANES);
                 row[j0..j0 + take].copy_from_slice(&vals[..take]);
             });
         }
-        otune_linalg::simd::record_blocks(groups);
         for i in 0..n {
             for j in 0..i {
                 k[(j, i)] = k[(i, j)];
@@ -402,7 +380,10 @@ impl GaussianProcess {
             let _span = telemetry.trace_span("kernel_assembly");
             Self::build_cov(kernel, dist)?
         };
-        let chol = Cholesky::decompose_traced(&k, telemetry)?;
+        let chol = {
+            let _span = telemetry.trace_span("chol_factor");
+            Cholesky::decompose(&k)?
+        };
         let alpha = chol.solve(ys)?;
         let lml = -0.5 * otune_linalg::dot(ys, &alpha)
             - 0.5 * chol.log_det()
@@ -429,22 +410,11 @@ impl GaussianProcess {
     /// the previous valid fit. A failed *degradation* re-search is not an
     /// error: the fixed-hyper update already produced a valid model, which
     /// is kept.
+    ///
+    /// Traced handles see the factor growth as a `chol_extend` span, the
+    /// posterior refresh as `posterior_refresh`, and a triggered
+    /// re-search as the spans of [`GaussianProcess::fit`].
     pub fn update(
-        &mut self,
-        x_new: Vec<f64>,
-        y_new: f64,
-        policy: &IncrementalPolicy,
-        cfg: GpConfig,
-        pool: &Pool,
-    ) -> Result<UpdateOutcome, GpError> {
-        self.update_traced(x_new, y_new, policy, cfg, pool, &Telemetry::disabled())
-    }
-
-    /// [`GaussianProcess::update`] with hierarchical tracing: the factor
-    /// growth runs under a `chol_extend` span, the posterior refresh
-    /// under `posterior_refresh`, and any triggered hyperparameter
-    /// re-search inherits the traced fit path.
-    pub fn update_traced(
         &mut self,
         x_new: Vec<f64>,
         y_new: f64,
@@ -569,7 +539,7 @@ impl GaussianProcess {
             warm_hyper: Some(self.kernel.hyper),
             ..cfg
         };
-        *self = Self::fit_traced(
+        *self = Self::fit(
             self.kernel.kinds().to_vec(),
             self.x.clone(),
             &self.y,
@@ -779,10 +749,9 @@ impl GaussianProcess {
         mean.resize(w, 0.0);
         max_k2.clear();
         max_k2.resize(w, 0.0);
-        let mut groups = 0;
         for (i, &alpha_i) in self.alpha.iter().enumerate() {
             let row = &mut k[i * w..(i + 1) * w];
-            groups += dist.kernel_row(i, w, &self.kernel.hyper, hamming, |j0, vals| {
+            dist.kernel_row(i, w, &self.kernel.hyper, hamming, |j0, vals| {
                 row[j0..j0 + LANES].copy_from_slice(vals);
                 for t in 0..LANES {
                     mean[j0 + t] += vals[t] * alpha_i;
@@ -790,7 +759,6 @@ impl GaussianProcess {
                 }
             });
         }
-        otune_linalg::simd::record_blocks(groups);
     }
 
     /// The posterior mean at column `j` of this GP's `kt`, on the target
@@ -919,6 +887,16 @@ impl Default for GpBatchScratch {
 mod tests {
     use super::*;
 
+    /// [`GaussianProcess::fit`] on the environment's pool, untraced.
+    fn fit(
+        kinds: Vec<FeatureKind>,
+        x: Vec<Vec<f64>>,
+        y: &[f64],
+        cfg: GpConfig,
+    ) -> Result<GaussianProcess, GpError> {
+        GaussianProcess::fit(kinds, x, y, cfg, &Pool::from_env(), &Telemetry::disabled())
+    }
+
     fn numeric_kinds(d: usize) -> Vec<FeatureKind> {
         vec![FeatureKind::Numeric; d]
     }
@@ -931,7 +909,7 @@ mod tests {
     fn interpolates_smooth_function() {
         let x = grid_1d(12);
         let y: Vec<f64> = x.iter().map(|v| (v[0] * 6.0).sin()).collect();
-        let gp = GaussianProcess::fit(numeric_kinds(1), x, &y, GpConfig::default()).unwrap();
+        let gp = fit(numeric_kinds(1), x, &y, GpConfig::default()).unwrap();
         for test in [0.15, 0.43, 0.77] {
             let (mu, var) = gp.predict(&[test]);
             assert!((mu - (test * 6.0).sin()).abs() < 0.15, "μ({test}) = {mu}");
@@ -943,7 +921,7 @@ mod tests {
     fn uncertainty_grows_away_from_data() {
         let x = vec![vec![0.4], vec![0.5], vec![0.6]];
         let y = vec![1.0, 1.1, 0.9];
-        let gp = GaussianProcess::fit(
+        let gp = fit(
             numeric_kinds(1),
             x,
             &y,
@@ -962,8 +940,7 @@ mod tests {
     fn predictions_near_training_points_match_targets() {
         let x = grid_1d(8);
         let y: Vec<f64> = x.iter().map(|v| 3.0 * v[0] + 1.0).collect();
-        let gp =
-            GaussianProcess::fit(numeric_kinds(1), x.clone(), &y, GpConfig::default()).unwrap();
+        let gp = fit(numeric_kinds(1), x.clone(), &y, GpConfig::default()).unwrap();
         for (xi, yi) in x.iter().zip(&y) {
             let mu = gp.predict_mean(xi);
             assert!((mu - yi).abs() < 0.1, "{mu} vs {yi}");
@@ -974,7 +951,7 @@ mod tests {
     fn handles_constant_targets() {
         let x = grid_1d(5);
         let y = vec![42.0; 5];
-        let gp = GaussianProcess::fit(numeric_kinds(1), x, &y, GpConfig::default()).unwrap();
+        let gp = fit(numeric_kinds(1), x, &y, GpConfig::default()).unwrap();
         let (mu, var) = gp.predict(&[0.33]);
         assert!((mu - 42.0).abs() < 1e-6);
         assert!(var.is_finite());
@@ -983,11 +960,11 @@ mod tests {
     #[test]
     fn errors_on_bad_input() {
         assert!(matches!(
-            GaussianProcess::fit(numeric_kinds(1), vec![], &[], GpConfig::default()),
+            fit(numeric_kinds(1), vec![], &[], GpConfig::default()),
             Err(GpError::Empty)
         ));
         assert!(matches!(
-            GaussianProcess::fit(
+            fit(
                 numeric_kinds(2),
                 vec![vec![0.0]],
                 &[1.0],
@@ -996,7 +973,7 @@ mod tests {
             Err(GpError::ShapeMismatch)
         ));
         assert!(matches!(
-            GaussianProcess::fit(
+            fit(
                 numeric_kinds(1),
                 vec![vec![0.0], vec![1.0]],
                 &[1.0],
@@ -1005,7 +982,7 @@ mod tests {
             Err(GpError::ShapeMismatch)
         ));
         assert!(matches!(
-            GaussianProcess::fit(
+            fit(
                 numeric_kinds(1),
                 vec![vec![0.0]],
                 &[f64::NAN],
@@ -1019,7 +996,7 @@ mod tests {
     fn hyperparameter_fitting_improves_lml() {
         let x = grid_1d(15);
         let y: Vec<f64> = x.iter().map(|v| (v[0] * 12.0).sin()).collect();
-        let fixed = GaussianProcess::fit(
+        let fixed = fit(
             numeric_kinds(1),
             x.clone(),
             &y,
@@ -1029,7 +1006,7 @@ mod tests {
             },
         )
         .unwrap();
-        let fitted = GaussianProcess::fit(numeric_kinds(1), x, &y, GpConfig::default()).unwrap();
+        let fitted = fit(numeric_kinds(1), x, &y, GpConfig::default()).unwrap();
         assert!(fitted.log_marginal_likelihood() >= fixed.log_marginal_likelihood());
     }
 
@@ -1046,7 +1023,7 @@ mod tests {
             y.push(5.0 + 0.1 * num);
         }
         let kinds = vec![FeatureKind::Numeric, FeatureKind::Categorical];
-        let gp = GaussianProcess::fit(kinds, x, &y, GpConfig::default()).unwrap();
+        let gp = fit(kinds, x, &y, GpConfig::default()).unwrap();
         let lo = gp.predict_mean(&[0.5, 0.0]);
         let hi = gp.predict_mean(&[0.5, 1.0]);
         assert!(hi - lo > 2.0, "categorical split visible: {lo} vs {hi}");
@@ -1063,7 +1040,7 @@ mod tests {
             x.push(vec![0.5, ds]);
             y.push(10.0 * ds);
         }
-        let gp = GaussianProcess::fit(kinds, x, &y, GpConfig::default()).unwrap();
+        let gp = fit(kinds, x, &y, GpConfig::default()).unwrap();
         let a = gp.predict_mean(&[0.5, 0.35]);
         assert!((a - 3.5).abs() < 0.7, "{a}");
     }
@@ -1073,7 +1050,7 @@ mod tests {
         // Duplicated x with conflicting y must not explode.
         let x = vec![vec![0.5], vec![0.5], vec![0.5], vec![0.2], vec![0.8]];
         let y = vec![1.0, 1.4, 0.6, 0.0, 2.0];
-        let gp = GaussianProcess::fit(numeric_kinds(1), x, &y, GpConfig::default()).unwrap();
+        let gp = fit(numeric_kinds(1), x, &y, GpConfig::default()).unwrap();
         let (mu, var) = gp.predict(&[0.5]);
         assert!(mu > 0.5 && mu < 1.5, "{mu}");
         assert!(var > 0.0);
@@ -1083,7 +1060,7 @@ mod tests {
     fn batch_matches_single() {
         let x = grid_1d(6);
         let y: Vec<f64> = x.iter().map(|v| v[0] * v[0]).collect();
-        let gp = GaussianProcess::fit(numeric_kinds(1), x, &y, GpConfig::default()).unwrap();
+        let gp = fit(numeric_kinds(1), x, &y, GpConfig::default()).unwrap();
         let batch = gp.predict_batch(Rows::new(&[0.1, 0.9], 1));
         assert_eq!(batch[0], gp.predict(&[0.1]));
         assert_eq!(batch[1], gp.predict(&[0.9]));
@@ -1093,8 +1070,8 @@ mod tests {
     fn deterministic_fit() {
         let x = grid_1d(10);
         let y: Vec<f64> = x.iter().map(|v| (v[0] * 3.0).cos()).collect();
-        let a = GaussianProcess::fit(numeric_kinds(1), x.clone(), &y, GpConfig::default()).unwrap();
-        let b = GaussianProcess::fit(numeric_kinds(1), x, &y, GpConfig::default()).unwrap();
+        let a = fit(numeric_kinds(1), x.clone(), &y, GpConfig::default()).unwrap();
+        let b = fit(numeric_kinds(1), x, &y, GpConfig::default()).unwrap();
         assert_eq!(a.predict(&[0.37]), b.predict(&[0.37]));
     }
 }

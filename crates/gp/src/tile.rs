@@ -130,7 +130,6 @@ impl DistanceTile {
         self.sq_ds.clear();
         self.sq_ds
             .resize(if tile.uniform_ds { rows } else { rows * width }, 0.0);
-        let mut blocks = 0u64;
         for i in 0..rows {
             let a = train.row(i);
             for b in 0..tile.blocks {
@@ -163,7 +162,6 @@ impl DistanceTile {
                     }
                     self.sq_ds[at..at + BLOCK].copy_from_slice(&sq);
                 }
-                blocks += 1;
             }
             if tile.uniform_ds && tile.len > 0 {
                 let mut sq = 0.0;
@@ -174,7 +172,6 @@ impl DistanceTile {
                 self.sq_ds[i] = sq;
             }
         }
-        otune_linalg::simd::record_blocks(blocks);
     }
 
     /// Number of training rows.
@@ -196,9 +193,7 @@ impl DistanceTile {
     /// `0..count`, handed to `emit(j0, k)` one 4-lane group `j0..j0+4`
     /// at a time. A group may run past `count` into padding; callers
     /// write only the columns they own. `hamming` is
-    /// [`crate::MixedKernel::hamming_table_into`] at `h`. Returns the
-    /// number of groups evaluated, for the caller to publish once to the
-    /// `simd_blocks` gauge.
+    /// [`crate::MixedKernel::hamming_table_into`] at `h`.
     #[inline]
     pub(crate) fn kernel_row(
         &self,
@@ -207,11 +202,10 @@ impl DistanceTile {
         h: &KernelHyper,
         hamming: &[f64],
         mut emit: impl FnMut(usize, &[f64; LANES]),
-    ) -> u64 {
+    ) {
         debug_assert!(count <= self.width && hamming.len() > self.n_cat);
         let base = i * self.width;
         let row_se = self.uniform_ds.then(|| se_from(self.sq_ds[i], h));
-        let mut groups = 0u64;
         let mut j0 = 0;
         while j0 < count {
             let at = base + j0;
@@ -222,9 +216,7 @@ impl DistanceTile {
                 None => std::array::from_fn(|t| se_from(self.sq_ds[at + t], h)),
             };
             emit(j0, &kernel_lanes(h, sq, mm, &se, hamming));
-            groups += 1;
             j0 += LANES;
         }
-        groups
     }
 }

@@ -4,8 +4,19 @@
 
 use otune_gp::{FeatureKind, GaussianProcess, GpBatchScratch, GpConfig, GpScratch, Rows};
 use otune_pool::Pool;
+use otune_telemetry::Telemetry;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
+
+/// [`GaussianProcess::fit`] on the environment's pool, untraced.
+fn fit(
+    kinds: Vec<FeatureKind>,
+    x: Vec<Vec<f64>>,
+    y: &[f64],
+    cfg: GpConfig,
+) -> Result<GaussianProcess, otune_gp::GpError> {
+    GaussianProcess::fit(kinds, x, y, cfg, &Pool::from_env(), &Telemetry::disabled())
+}
 
 fn mixed_kinds() -> Vec<FeatureKind> {
     vec![
@@ -52,7 +63,7 @@ fn rows(flat: &[f64]) -> Rows<'_> {
 #[test]
 fn predict_batch_matches_scalar_sequence() {
     let (x, y) = training_data(25, 7);
-    let gp = GaussianProcess::fit(mixed_kinds(), x, &y, GpConfig::default()).unwrap();
+    let gp = fit(mixed_kinds(), x, &y, GpConfig::default()).unwrap();
     let cands = candidates(100, 99);
     let batch = gp.predict_batch(rows(&flat(&cands)));
     assert_eq!(batch.len(), cands.len());
@@ -70,7 +81,7 @@ fn predict_batch_matches_scalar_sequence() {
 #[test]
 fn predict_with_scratch_matches_predict() {
     let (x, y) = training_data(15, 5);
-    let gp = GaussianProcess::fit(mixed_kinds(), x, &y, GpConfig::default()).unwrap();
+    let gp = fit(mixed_kinds(), x, &y, GpConfig::default()).unwrap();
     let mut scratch = GpScratch::default();
     for c in candidates(20, 21) {
         assert_eq!(gp.predict(&c), gp.predict_with_scratch(&c, &mut scratch));
@@ -80,7 +91,7 @@ fn predict_with_scratch_matches_predict() {
 #[test]
 fn batch_scratch_reuse_across_shapes_is_safe() {
     let (x, y) = training_data(12, 9);
-    let gp = GaussianProcess::fit(mixed_kinds(), x, &y, GpConfig::default()).unwrap();
+    let gp = fit(mixed_kinds(), x, &y, GpConfig::default()).unwrap();
     let mut scratch = GpBatchScratch::default();
     let mut out = Vec::new();
     for m in [40, 3, 0, 17] {
@@ -103,16 +114,23 @@ fn parallel_fit_selects_same_hyperparameters_as_sequential() {
             seed,
             ..GpConfig::default()
         };
-        let seq =
-            GaussianProcess::fit_with_pool(mixed_kinds(), x.clone(), &y, cfg, &Pool::sequential())
-                .unwrap();
+        let seq = GaussianProcess::fit(
+            mixed_kinds(),
+            x.clone(),
+            &y,
+            cfg,
+            &Pool::sequential(),
+            &Telemetry::disabled(),
+        )
+        .unwrap();
         for width in [2, 4] {
-            let par = GaussianProcess::fit_with_pool(
+            let par = GaussianProcess::fit(
                 mixed_kinds(),
                 x.clone(),
                 &y,
                 cfg,
                 &Pool::new(width),
+                &Telemetry::disabled(),
             )
             .unwrap();
             assert_eq!(

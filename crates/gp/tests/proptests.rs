@@ -4,7 +4,19 @@ use otune_gp::{
     CandidateTile, DistanceTile, FeatureKind, GaussianProcess, GpConfig, KernelHyper, KernelTile,
     MixedKernel, PackedSet, Rows,
 };
+use otune_pool::Pool;
+use otune_telemetry::Telemetry;
 use proptest::prelude::*;
+
+/// [`GaussianProcess::fit`] on the environment's pool, untraced.
+fn fit(
+    kinds: Vec<FeatureKind>,
+    x: Vec<Vec<f64>>,
+    y: &[f64],
+    cfg: GpConfig,
+) -> Result<GaussianProcess, otune_gp::GpError> {
+    GaussianProcess::fit(kinds, x, y, cfg, &Pool::from_env(), &Telemetry::disabled())
+}
 
 fn kind() -> impl Strategy<Value = FeatureKind> {
     (0u8..3).prop_map(|t| match t {
@@ -30,7 +42,7 @@ proptest! {
         probe in proptest::collection::vec(0.0f64..1.0, 3),
     ) {
         let kinds = vec![FeatureKind::Numeric, FeatureKind::Numeric, FeatureKind::Categorical];
-        let gp = GaussianProcess::fit(kinds, x, &y, GpConfig::default()).unwrap();
+        let gp = fit(kinds, x, &y, GpConfig::default()).unwrap();
         let (m, v) = gp.predict(&probe);
         prop_assert!(m.is_finite());
         prop_assert!(v.is_finite() && v >= 0.0);
@@ -73,7 +85,7 @@ proptest! {
             .map(|i| vec![i as f64 / 5.0 + rng.gen::<f64>() * 0.01])
             .collect();
         let y: Vec<f64> = x.iter().map(|v| (v[0] * 3.0).sin() * 5.0).collect();
-        let gp = GaussianProcess::fit(
+        let gp = fit(
             vec![FeatureKind::Numeric],
             x.clone(),
             &y,
@@ -97,8 +109,8 @@ proptest! {
         let y: Vec<f64> = x.iter().map(|v| (v[0] * 4.0).cos()).collect();
         let y2: Vec<f64> = y.iter().map(|v| v * scale + shift).collect();
         let cfg = GpConfig { optimize_hypers: false, ..GpConfig::default() };
-        let g1 = GaussianProcess::fit(vec![FeatureKind::Numeric], x.clone(), &y, cfg).unwrap();
-        let g2 = GaussianProcess::fit(vec![FeatureKind::Numeric], x, &y2, cfg).unwrap();
+        let g1 = fit(vec![FeatureKind::Numeric], x.clone(), &y, cfg).unwrap();
+        let g2 = fit(vec![FeatureKind::Numeric], x, &y2, cfg).unwrap();
         let p1 = g1.predict_mean(&[0.33]);
         let p2 = g2.predict_mean(&[0.33]);
         prop_assert!((p2 - (p1 * scale + shift)).abs() < 1e-6 * (1.0 + scale + shift.abs()));
@@ -119,7 +131,7 @@ proptest! {
         let x: Vec<Vec<f64>> = (0..n).map(|_| (0..d).map(|_| rng.gen()).collect()).collect();
         let y: Vec<f64> = (0..n).map(|_| rng.gen_range(-50.0..50.0)).collect();
         let cfg = GpConfig { optimize_hypers: optimize, n_candidates: 6, seed, ..GpConfig::default() };
-        let gp = GaussianProcess::fit(kinds, x.clone(), &y, cfg).unwrap();
+        let gp = fit(kinds, x.clone(), &y, cfg).unwrap();
         let probes = x.into_iter().chain((0..8).map(|_| (0..d).map(|_| rng.gen()).collect()));
         for p in probes {
             prop_assert_eq!(gp.predict_mean(&p).to_bits(), gp.predict(&p).0.to_bits());
@@ -199,18 +211,24 @@ proptest! {
         let kinds = vec![FeatureKind::Numeric, FeatureKind::Numeric];
         let cfg = GpConfig { optimize_hypers: false, ..GpConfig::default() };
 
-        let mut inc = GaussianProcess::fit(kinds.clone(), x[..n - 1].to_vec(), &y[..n - 1], cfg)
+        let mut inc = fit(kinds.clone(), x[..n - 1].to_vec(), &y[..n - 1], cfg)
             .unwrap();
         let policy = IncrementalPolicy::never_research();
-        inc.update(x[n - 1].clone(), y[n - 1], &policy, cfg, otune_pool::Pool::global())
-            .unwrap();
+        inc.update(
+            x[n - 1].clone(),
+            y[n - 1],
+            &policy,
+            cfg,
+            &Pool::from_env(),
+            &Telemetry::disabled(),
+        )
+        .unwrap();
 
-        let full = GaussianProcess::fit_with_pool(
+        let full = fit(
             kinds,
             x.clone(),
             &y,
             GpConfig { warm_hyper: Some(inc.kernel().hyper), ..cfg },
-            otune_pool::Pool::global(),
         )
         .unwrap();
         let probe = vec![rng.gen::<f64>(), rng.gen::<f64>()];
@@ -277,7 +295,7 @@ proptest! {
             if tiny_noise { -30.0 } else { rng.gen_range(-9.0..-1.0) },
         ]);
         let cfg = GpConfig { optimize_hypers: false, warm_hyper: Some(hyper), ..GpConfig::default() };
-        let gp = GaussianProcess::fit(kinds.clone(), x.clone(), &y, cfg).unwrap();
+        let gp = fit(kinds.clone(), x.clone(), &y, cfg).unwrap();
 
         let cands: Vec<f64> = (0..m)
             .flat_map(|j| if j % 3 == 0 { x[j % n].clone() } else { draw(&mut rng, shared_ctx) })

@@ -19,14 +19,6 @@ pub struct Cholesky {
 }
 
 impl Cholesky {
-    /// [`Cholesky::decompose`] under a `chol_factor` trace span, so GP
-    /// fit traces attribute O(n³) factorization time separately from
-    /// kernel assembly. Non-tracing handles pay one branch.
-    pub fn decompose_traced(a: &Matrix, telemetry: &otune_telemetry::Telemetry) -> Result<Self> {
-        let _span = telemetry.trace_span("chol_factor");
-        Self::decompose(a)
-    }
-
     /// Factor `a`, adding diagonal jitter if needed.
     ///
     /// Returns [`LinalgError::NotSquare`] for non-square inputs and
@@ -108,7 +100,6 @@ impl Cholesky {
     ) -> std::result::Result<(), (usize, f64)> {
         const LANES: usize = crate::simd::LANES;
         let n = a.rows();
-        let mut blocks = 0u64;
         for i in 0..n {
             let arow = a.row(i);
             let (prev, row_i) = l.rows_split_mut(i);
@@ -138,7 +129,6 @@ impl Cholesky {
                     }
                     row_i[j] = sum / row_j[j];
                 }
-                blocks += 1;
                 j0 += LANES;
             }
             // Scalar remainder: fewer than LANES off-diagonals left.
@@ -156,12 +146,10 @@ impl Cholesky {
                 sum -= v * v;
             }
             if sum <= 0.0 || !sum.is_finite() {
-                crate::simd::record_blocks(blocks);
                 return Err((i, sum - jitter));
             }
             row_i[i] = sum.sqrt();
         }
-        crate::simd::record_blocks(blocks);
         Ok(())
     }
 
@@ -356,7 +344,6 @@ impl Cholesky {
             });
         }
         let m = b.cols();
-        let mut blocks = 0u64;
         for i in 0..n {
             let lrow = self.l.row(i);
             let (prev, row_i) = b.rows_split_mut(i);
@@ -378,7 +365,6 @@ impl Cholesky {
                     v -= l3 * y3[c];
                     *o = v;
                 }
-                blocks += 1;
                 k0 += LANES;
             }
             for k in k0..i {
@@ -393,7 +379,6 @@ impl Cholesky {
                 *o /= d;
             }
         }
-        crate::simd::record_blocks(blocks);
         Ok(())
     }
 
@@ -484,10 +469,11 @@ mod tests {
     fn factor_reconstructs_input() {
         let a = spd3();
         let ch = Cholesky::decompose(&a).unwrap();
-        let rec = ch.l().matmul(&ch.l().transpose()).unwrap();
+        let l = ch.l();
         for i in 0..3 {
             for j in 0..3 {
-                assert!((rec[(i, j)] - a[(i, j)]).abs() < 1e-10, "at ({i},{j})");
+                let rec: f64 = (0..3).map(|k| l[(i, k)] * l[(j, k)]).sum();
+                assert!((rec - a[(i, j)]).abs() < 1e-10, "at ({i},{j})");
             }
         }
         assert_eq!(ch.jitter(), 0.0);

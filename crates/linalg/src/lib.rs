@@ -70,13 +70,6 @@ pub fn dot(a: &[f64], b: &[f64]) -> f64 {
     a.iter().zip(b).map(|(x, y)| x * y).sum()
 }
 
-/// Squared Euclidean distance between two equal-length slices.
-#[inline]
-pub fn sq_dist(a: &[f64], b: &[f64]) -> f64 {
-    debug_assert_eq!(a.len(), b.len());
-    a.iter().zip(b).map(|(x, y)| (x - y) * (x - y)).sum()
-}
-
 /// Mean of a slice; `0.0` for an empty slice.
 pub fn mean(v: &[f64]) -> f64 {
     if v.is_empty() {
@@ -112,11 +105,6 @@ mod tests {
     #[test]
     fn dot_product_empty() {
         assert_eq!(dot(&[], &[]), 0.0);
-    }
-
-    #[test]
-    fn sq_dist_basic() {
-        assert_eq!(sq_dist(&[0.0, 0.0], &[3.0, 4.0]), 25.0);
     }
 
     #[test]

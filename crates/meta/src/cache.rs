@@ -63,13 +63,14 @@ pub struct MetaCache {
     sample: Option<(usize, u64, Arc<DistanceSample>)>,
     target: SurrogateCache,
     weight: WeightMemo,
-    /// The tuner's pool, which every target fit runs on.
+    /// The tuner's pool, which every target fit, and every base fit this
+    /// cache misses, runs on.
     pool: Pool,
 }
 
 impl MetaCache {
     /// Empty caches over a store of their own; the target surrogate is
-    /// maintained under `policy`, and target fits run on `pool`.
+    /// maintained under `policy`, and fits run on `pool`.
     pub fn new(policy: IncrementalPolicy, pool: Pool) -> Self {
         MetaCache {
             store: Arc::new(SharedMetaStore::new()),
@@ -91,6 +92,11 @@ impl MetaCache {
     /// The memo of base-task knowledge this cache reads.
     pub(crate) fn store(&self) -> &SharedMetaStore {
         &self.store
+    }
+
+    /// The tuner's pool: base fits this cache misses run on it too.
+    pub(crate) fn pool(&self) -> &Pool {
+        &self.pool
     }
 
     /// Drop the per-target state: the sample, the target surrogate and
@@ -186,7 +192,8 @@ impl MetaCache {
             if let Some(gp) = &mut self.weight.gp {
                 self.weight.preds.push(gp.predict_mean(&x_k));
                 self.weight.truth.push(y_k);
-                if gp.update(x_k, y_k, &policy, cfg, &self.pool).is_err() {
+                let update = gp.update(x_k, y_k, &policy, cfg, &self.pool, &Telemetry::disabled());
+                if update.is_err() {
                     self.weight.gp = None;
                 }
             }
@@ -198,8 +205,15 @@ impl MetaCache {
                     .map(|o| space.encode(&o.config))
                     .collect();
                 let yt: Vec<f64> = stripped[..=k].iter().map(|o| o.objective).collect();
-                self.weight.gp =
-                    GaussianProcess::fit_with_pool(kinds.clone(), xt, &yt, cfg, &self.pool).ok();
+                self.weight.gp = GaussianProcess::fit(
+                    kinds.clone(),
+                    xt,
+                    &yt,
+                    cfg,
+                    &self.pool,
+                    &Telemetry::disabled(),
+                )
+                .ok();
             }
             self.weight.fps.push(fps[k]);
         }
@@ -261,9 +275,15 @@ mod tests {
             observations: obs(&s, 12, 1),
         };
         let tm = telemetry();
-        let cache = MetaCache::new(IncrementalPolicy::default(), Pool::global().clone());
-        let a = cache.store().base_surrogate(&s, &base(&s, &t), 0, &tm).0;
-        let b = cache.store().base_surrogate(&s, &base(&s, &t), 0, &tm).0;
+        let cache = MetaCache::new(IncrementalPolicy::default(), Pool::from_env());
+        let a = cache
+            .store()
+            .base_surrogate(&s, &base(&s, &t), 0, cache.pool(), &tm)
+            .0;
+        let b = cache
+            .store()
+            .base_surrogate(&s, &base(&s, &t), 0, cache.pool(), &tm)
+            .0;
         assert!(Arc::ptr_eq(&a.unwrap(), &b.unwrap()));
         let snap = tm.snapshot().unwrap();
         assert_eq!(snap.counters[metric::SHARED_META_HITS], 1);
@@ -282,20 +302,29 @@ mod tests {
         };
         let tm = telemetry();
         let store = Arc::new(crate::SharedMetaStore::new());
-        let mut c1 = MetaCache::new(IncrementalPolicy::default(), Pool::global().clone());
-        let mut c2 = MetaCache::new(IncrementalPolicy::default(), Pool::global().clone());
+        let mut c1 = MetaCache::new(IncrementalPolicy::default(), Pool::from_env());
+        let mut c2 = MetaCache::new(IncrementalPolicy::default(), Pool::from_env());
         c1.set_shared(Arc::clone(&store));
         c2.set_shared(Arc::clone(&store));
-        let a = c1.store().base_surrogate(&s, &base(&s, &t), 0, &tm).0;
-        let b = c2.store().base_surrogate(&s, &base(&s, &t), 0, &tm).0;
+        let a = c1
+            .store()
+            .base_surrogate(&s, &base(&s, &t), 0, c1.pool(), &tm)
+            .0;
+        let b = c2
+            .store()
+            .base_surrogate(&s, &base(&s, &t), 0, c2.pool(), &tm)
+            .0;
         let (a, b) = (a.unwrap(), b.unwrap());
         assert!(Arc::ptr_eq(&a, &b));
         assert_eq!(store.n_bases(), 1);
         let snap = tm.snapshot().unwrap();
         assert_eq!(snap.counters[metric::SHARED_META_MISSES], 1);
         assert_eq!(snap.counters[metric::SHARED_META_HITS], 1);
-        let lone = MetaCache::new(IncrementalPolicy::default(), Pool::global().clone());
-        let c = lone.store().base_surrogate(&s, &base(&s, &t), 0, &tm).0;
+        let lone = MetaCache::new(IncrementalPolicy::default(), Pool::from_env());
+        let c = lone
+            .store()
+            .base_surrogate(&s, &base(&s, &t), 0, lone.pool(), &tm)
+            .0;
         let x = vec![0.37];
         assert_eq!(
             a.predict_mean(&x).to_bits(),
@@ -312,10 +341,14 @@ mod tests {
             observations: obs(&s, 10, 2),
         };
         let tm = telemetry();
-        let cache = MetaCache::new(IncrementalPolicy::default(), Pool::global().clone());
-        cache.store().base_surrogate(&s, &base(&s, &t), 0, &tm);
+        let cache = MetaCache::new(IncrementalPolicy::default(), Pool::from_env());
+        cache
+            .store()
+            .base_surrogate(&s, &base(&s, &t), 0, cache.pool(), &tm);
         t.observations[0].objective += 1.0;
-        cache.store().base_surrogate(&s, &base(&s, &t), 0, &tm);
+        cache
+            .store()
+            .base_surrogate(&s, &base(&s, &t), 0, cache.pool(), &tm);
         let snap = tm.snapshot().unwrap();
         assert_eq!(snap.counters[metric::SHARED_META_MISSES], 2);
     }
@@ -325,14 +358,14 @@ mod tests {
         let s = space();
         let history = obs(&s, 14, 3);
         let tm = Telemetry::disabled();
-        let mut warm = MetaCache::new(IncrementalPolicy::default(), Pool::global().clone());
+        let mut warm = MetaCache::new(IncrementalPolicy::default(), Pool::from_env());
         // Feed the memoized cache one point at a time.
         let mut w_warm = 0.0;
         for n in 4..=history.len() {
             w_warm = warm.target_weight(&s, &history[..n], 0, &tm);
         }
         // A cold cache sees the full history at once.
-        let mut cold = MetaCache::new(IncrementalPolicy::default(), Pool::global().clone());
+        let mut cold = MetaCache::new(IncrementalPolicy::default(), Pool::from_env());
         let w_cold = cold.target_weight(&s, &history, 0, &tm);
         assert_eq!(w_warm.to_bits(), w_cold.to_bits());
     }
@@ -342,7 +375,7 @@ mod tests {
         let s = space();
         let mut history = obs(&s, 8, 4);
         let tm = telemetry();
-        let mut cache = MetaCache::new(IncrementalPolicy::default(), Pool::global().clone());
+        let mut cache = MetaCache::new(IncrementalPolicy::default(), Pool::from_env());
         cache.target_weight(&s, &history[..6], 0, &tm);
         cache.target_weight(&s, &history, 0, &tm);
         let snap = tm.snapshot().unwrap();
@@ -361,7 +394,7 @@ mod tests {
         let s = space();
         let history = obs(&s, 12, 5);
         let tm = Telemetry::disabled();
-        let mut cache = MetaCache::new(IncrementalPolicy::default(), Pool::global().clone());
+        let mut cache = MetaCache::new(IncrementalPolicy::default(), Pool::from_env());
         let mut w = 0.0;
         for n in 4..=history.len() {
             w = cache.target_weight(&s, &history[..n], 0, &tm);
@@ -375,13 +408,47 @@ mod tests {
         for k in 3..history.len() {
             let xt = history[..k].iter().map(|o| s.encode(&o.config)).collect();
             let yt: Vec<f64> = history[..k].iter().map(|o| o.objective).collect();
-            let gp = GaussianProcess::fit(surrogate_kinds(&s, 0), xt, &yt, cfg).unwrap();
+            let gp =
+                GaussianProcess::fit(surrogate_kinds(&s, 0), xt, &yt, cfg, &Pool::from_env(), &tm)
+                    .unwrap();
             preds.push(gp.predict_mean(&s.encode(&history[k].config)));
             truth.push(history[k].objective);
         }
         let lo = preds.len().saturating_sub(WEIGHT_FOLD_WINDOW);
         let oracle = ((kendall_tau(&preds[lo..], &truth[lo..]) + 1.0) / 2.0).clamp(0.05, 1.0);
         assert_eq!(w.to_bits(), oracle.to_bits());
+    }
+
+    /// A base fit runs on the pool of the cache that misses it: a build
+    /// over two fresh bases records each fit's hyperparameter-search maps
+    /// (the initial candidate batch plus three refinement sweeps) on that
+    /// cache's pool, and a cache that finds them in a shared store records
+    /// none.
+    #[test]
+    fn base_fits_run_on_the_missing_caches_pool() {
+        let s = space();
+        let bases: Vec<TaskRecord> = (0..2u64)
+            .map(|b| TaskRecord {
+                task_id: format!("b{b}"),
+                meta_features: vec![0.0],
+                observations: obs(&s, 12, 20 + b),
+            })
+            .collect();
+        let tasks: Vec<BaseTask<'_>> = bases.iter().map(|t| base(&s, t)).collect();
+        let store = Arc::new(SharedMetaStore::new());
+        let (first, second) = (Pool::new(1), Pool::new(1));
+        let mut c1 = MetaCache::new(IncrementalPolicy::default(), first.clone());
+        c1.set_shared(Arc::clone(&store));
+        let mut c2 = MetaCache::new(IncrementalPolicy::default(), second.clone());
+        c2.set_shared(store);
+        let tm = telemetry();
+        // No target history: a build fits only the bases.
+        for cache in [&mut c1, &mut c2] {
+            crate::EnsembleSurrogate::build_cached(&s, &tasks, &[], 30, 0, cache, &tm).unwrap();
+        }
+        let maps = |p: &Pool| (p.stats().sequential_maps, p.stats().parallel_maps);
+        assert_eq!(maps(&first), (8, 0));
+        assert_eq!(maps(&second), (0, 0));
     }
 
     /// Base predictions at the sample are the oracle's, computed once per
@@ -400,15 +467,19 @@ mod tests {
             meta_features: vec![0.0],
             observations: other,
         }
-        .surrogate(&s, 0)
+        .surrogate(&s, 0, &Pool::from_env())
         .unwrap();
         let tm = telemetry();
-        let mut cache = MetaCache::new(IncrementalPolicy::default(), Pool::global().clone());
+        let mut cache = MetaCache::new(IncrementalPolicy::default(), Pool::from_env());
         let sample = cache.distance_sample(&s, 40, 0);
         assert!(Arc::ptr_eq(&sample, &cache.distance_sample(&s, 40, 0)));
         let preds_for = |cache: &MetaCache, t: &TaskRecord| {
             let task = base(&s, t);
-            let gp = cache.store().base_surrogate(&s, &task, 0, &tm).0.unwrap();
+            let gp = cache
+                .store()
+                .base_surrogate(&s, &task, 0, cache.pool(), &tm)
+                .0
+                .unwrap();
             let preds = cache
                 .store()
                 .base_predictions(task.fingerprint(), 0, &sample, &gp);
@@ -423,7 +494,7 @@ mod tests {
         t.observations[3].objective += 2.0;
         let edited = preds_for(&cache, &t);
         assert!(!Arc::ptr_eq(&first, &edited), "an edit recomputes");
-        let expect = sample.predict(&t.surrogate(&s, 0).unwrap());
+        let expect = sample.predict(&t.surrogate(&s, 0, &Pool::from_env()).unwrap());
         assert_eq!(
             edited.iter().map(|v| v.to_bits()).collect::<Vec<_>>(),
             expect.iter().map(|v| v.to_bits()).collect::<Vec<_>>()

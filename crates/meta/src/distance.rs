@@ -168,7 +168,15 @@ mod tests {
                 }
             })
             .collect();
-        fit_surrogate(space, &obs, SurrogateInput::Objective, 0).unwrap()
+        fit_surrogate(
+            space,
+            &obs,
+            SurrogateInput::Objective,
+            otune_gp::GpConfig::default(),
+            &otune_pool::Pool::from_env(),
+            &otune_telemetry::Telemetry::disabled(),
+        )
+        .unwrap()
     }
 
     #[test]

@@ -24,8 +24,7 @@ use crate::cache::MetaCache;
 use crate::distance::prediction_distance;
 use crate::similarity::TaskRecord;
 use otune_bo::{history_fingerprint, Observation, SurrogateInput};
-use otune_gp::{GaussianProcess, IncrementalPolicy};
-use otune_pool::Pool;
+use otune_gp::GaussianProcess;
 use otune_space::ConfigSpace;
 use otune_telemetry::Telemetry;
 use std::borrow::Cow;
@@ -95,40 +94,14 @@ pub struct EnsembleSurrogate {
 
 impl EnsembleSurrogate {
     /// Build the ensemble from previous-task records and the target task's
-    /// runhistory. Returns `None` when neither any base task nor the target
-    /// has enough history for a surrogate.
-    ///
-    /// Convenience wrapper over [`Self::build_cached`] with a throwaway
-    /// cache and store — every member is fitted from scratch.
-    pub fn build(
-        space: &ConfigSpace,
-        base_tasks: &[TaskRecord],
-        target_obs: &[Observation],
-        n_sample: usize,
-        seed: u64,
-    ) -> Option<Self> {
-        let bases: Vec<BaseTask<'_>> = base_tasks
-            .iter()
-            .map(|t| BaseTask::from_record(space, t))
-            .collect();
-        let mut cache = MetaCache::new(IncrementalPolicy::default(), Pool::global().clone());
-        Self::build_cached(
-            space,
-            &bases,
-            target_obs,
-            n_sample,
-            seed,
-            &mut cache,
-            &Telemetry::disabled(),
-        )
-    }
-
-    /// [`Self::build`] with persistent caches: frozen base-task surrogates
+    /// runhistory, through persistent caches: frozen base-task surrogates
     /// and their predictions at the distance sample are read from the
-    /// cache's store, which computes them once per distinct history, the
-    /// target surrogate is extended incrementally while the runhistory
-    /// only grows, and the target-weight validation folds are memoized.
-    /// The result is bitwise the from-scratch build's.
+    /// cache's store, which computes them once per distinct history (a
+    /// missed base is fitted on the cache's pool), the target surrogate is
+    /// extended incrementally while the runhistory only grows, and the
+    /// target-weight validation folds are memoized. The result is bitwise
+    /// the build through a fresh cache. Returns `None` when neither any
+    /// base task nor the target has enough history for a surrogate.
     pub fn build_cached(
         space: &ConfigSpace,
         base_tasks: &[BaseTask<'_>],
@@ -142,7 +115,10 @@ impl EnsembleSurrogate {
         let mut first_stats = None;
         let mut bases: Vec<(&BaseTask<'_>, Arc<GaussianProcess>, (f64, f64))> = Vec::new();
         for task in base_tasks {
-            let (gp, stats) = cache.store().base_surrogate(space, task, seed, telemetry);
+            let (gp, stats) =
+                cache
+                    .store()
+                    .base_surrogate(space, task, seed, cache.pool(), telemetry);
             first_stats.get_or_insert(stats);
             if let Some(gp) = gp {
                 bases.push((task, gp, stats));
@@ -283,8 +259,35 @@ fn otune_linalg_std(v: &[f64]) -> f64 {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use otune_gp::IncrementalPolicy;
+    use otune_pool::Pool;
     use otune_space::{ConfigSpace, Parameter};
     use rand::{rngs::StdRng, SeedableRng};
+
+    /// [`EnsembleSurrogate::build_cached`] through a fresh cache and
+    /// store, untraced: every member is fitted from scratch.
+    fn build(
+        space: &ConfigSpace,
+        base_tasks: &[TaskRecord],
+        target_obs: &[Observation],
+        n_sample: usize,
+        seed: u64,
+    ) -> Option<EnsembleSurrogate> {
+        let bases: Vec<BaseTask<'_>> = base_tasks
+            .iter()
+            .map(|t| BaseTask::from_record(space, t))
+            .collect();
+        let mut cache = MetaCache::new(IncrementalPolicy::default(), Pool::from_env());
+        EnsembleSurrogate::build_cached(
+            space,
+            &bases,
+            target_obs,
+            n_sample,
+            seed,
+            &mut cache,
+            &Telemetry::disabled(),
+        )
+    }
 
     fn space() -> ConfigSpace {
         ConfigSpace::new(vec![Parameter::float("a", 0.0, 1.0, 0.5)])
@@ -334,7 +337,7 @@ mod tests {
         ];
         // Only two target observations — no target surrogate possible.
         let target = record(&s, "t", 2, 3, target_fn).observations;
-        let ens = EnsembleSurrogate::build(&s, &bases, &target, 40, 0).unwrap();
+        let ens = build(&s, &bases, &target, 40, 0).unwrap();
         assert_eq!(ens.n_members(), 2);
         // The ensemble should rank the optimum basin below the edges.
         let (at_opt, _) = ens.predict(&[0.3]);
@@ -350,7 +353,7 @@ mod tests {
             record(&s, "bad", 20, 2, |a| -target_fn(a)), // reversed landscape
         ];
         let target = record(&s, "t", 12, 3, target_fn).observations;
-        let ens = EnsembleSurrogate::build(&s, &bases, &target, 60, 0).unwrap();
+        let ens = build(&s, &bases, &target, 60, 0).unwrap();
         let w = ens.weights();
         assert_eq!(ens.n_members(), 3);
         assert!(w[0] > w[1], "aligned base outweighs reversed base: {w:?}");
@@ -364,7 +367,7 @@ mod tests {
             record(&s, "b2", 15, 2, |a| a * 2.0),
         ];
         let target = record(&s, "t", 8, 3, |a| a).observations;
-        let ens = EnsembleSurrogate::build(&s, &bases, &target, 40, 0).unwrap();
+        let ens = build(&s, &bases, &target, 40, 0).unwrap();
         let sum: f64 = ens.weights().iter().sum();
         assert!((sum - 1.0).abs() < 1e-9, "{sum}");
     }
@@ -372,16 +375,16 @@ mod tests {
     #[test]
     fn no_history_anywhere_returns_none() {
         let s = space();
-        assert!(EnsembleSurrogate::build(&s, &[], &[], 20, 0).is_none());
+        assert!(build(&s, &[], &[], 20, 0).is_none());
         let tiny = record(&s, "tiny", 2, 5, |a| a);
-        assert!(EnsembleSurrogate::build(&s, &[tiny], &[], 20, 0).is_none());
+        assert!(build(&s, &[tiny], &[], 20, 0).is_none());
     }
 
     #[test]
     fn target_only_ensemble_works() {
         let s = space();
         let target = record(&s, "t", 10, 3, target_fn).observations;
-        let ens = EnsembleSurrogate::build(&s, &[], &target, 20, 0).unwrap();
+        let ens = build(&s, &[], &target, 20, 0).unwrap();
         assert_eq!(ens.n_members(), 1);
         assert!((ens.weights()[0] - 1.0).abs() < 1e-9);
         let (at_opt, _) = ens.predict(&[0.3]);
@@ -401,7 +404,7 @@ mod tests {
             record(&s, "b2", 20, 2, |a| target_fn(a) + 2.0),
         ];
         let target = record(&s, "t", 10, 3, target_fn).observations;
-        let ens = EnsembleSurrogate::build(&s, &bases, &target, 40, 0).unwrap();
+        let ens = build(&s, &bases, &target, 40, 0).unwrap();
         let xs: Vec<f64> = (0..64).map(|i| i as f64 / 63.0).collect();
         let rows = otune_gp::Rows::new(&xs, 1);
         let per_member: Vec<Vec<(f64, f64)>> = ens
@@ -423,7 +426,7 @@ mod tests {
         let s = space();
         let bases = vec![record(&s, "b", 12, 1, |a| a)];
         let target = record(&s, "t", 5, 2, |a| a).observations;
-        let ens = EnsembleSurrogate::build(&s, &bases, &target, 20, 0).unwrap();
+        let ens = build(&s, &bases, &target, 20, 0).unwrap();
         for i in 0..10 {
             let (_, v) = ens.predict(&[i as f64 / 9.0]);
             assert!(v > 0.0);
@@ -456,9 +459,9 @@ mod tests {
         /// its entries — equals the from-scratch build bit for bit. The
         /// oracle gets a fresh store and re-derives everything the caches
         /// memoize; it shares only the incrementally extended target
-        /// surrogate, which a literal `build` would refit with a fresh
-        /// hyper search. Until the first extension (≤ 3 target points)
-        /// the oracle is the literal `build`.
+        /// surrogate, which a build through a fresh cache would refit
+        /// with a fresh hyper search. Until the first extension (≤ 3
+        /// target points) the oracle is a build through a fresh cache.
         #[test]
         fn cached_builds_match_scratch_builds_bitwise(
             seed in 0u64..1_000,
@@ -480,7 +483,7 @@ mod tests {
             let round1 = record(&s, "t1", restart_at, seed + 50, target_fn).observations;
             let round2 = record(&s, "t2", 7, seed + 60, |a| target_fn(1.0 - a)).observations;
             let probes: Vec<f64> = (0..9).map(|i| i as f64 / 8.0).collect();
-            let mut cache = MetaCache::new(IncrementalPolicy::default(), Pool::global().clone());
+            let mut cache = MetaCache::new(IncrementalPolicy::default(), Pool::from_env());
             if shared {
                 cache.set_shared(Arc::new(crate::SharedMetaStore::new()));
             }
@@ -495,7 +498,7 @@ mod tests {
                     );
                     let cached = cached.as_ref().map(|e| build_bits(e, &probes));
                     let scratch = if n <= 3 {
-                        EnsembleSurrogate::build(&s, &bases, &round[..n], 30, seed)
+                        build(&s, &bases, &round[..n], 30, seed)
                     } else {
                         EnsembleSurrogate::build_cached(
                             &s, &tasks, &round[..n], 30, seed, &mut twin, &tm,
@@ -529,7 +532,7 @@ mod tests {
         let s = space();
         let bases = vec![record(&s, "b1", 12, 1, target_fn)];
         let target = record(&s, "t", 6, 3, target_fn).observations;
-        let ens = EnsembleSurrogate::build(&s, &bases, &target, 20, 0).unwrap();
+        let ens = build(&s, &bases, &target, 20, 0).unwrap();
         for gp in otune_bo::Predictor::members(&ens) {
             assert_eq!(gp.kernel().dim(), s.len());
         }

@@ -48,4 +48,4 @@ pub use ensemble::{BaseTask, EnsembleSurrogate};
 pub use features::{extract_meta_features, META_FEATURE_COUNT};
 pub use shared::SharedMetaStore;
 pub use similarity::{SimilarityLearner, TaskRecord};
-pub use warmstart::{warm_start_configs, warm_start_configs_with};
+pub use warmstart::warm_start_configs;

@@ -27,9 +27,10 @@
 //! bitwise identical whether its entries were computed by itself, by
 //! another task, or served from the memo. The store is append-only —
 //! base-task histories are frozen, so entries are never invalidated, only
-//! added. Entries are computed outside the store lock; when two callers
-//! race on a missing key, both compute identical bits and the first to
-//! store it wins.
+//! added. Each key is computed once: the first caller to miss it computes
+//! it outside the store lock, and a caller that races on the same key
+//! waits for that value instead of computing a duplicate. A base fit runs
+//! on the pool of the caller that missed it.
 //!
 //! [`MetaCache`]: crate::MetaCache
 
@@ -38,12 +39,13 @@ use crate::distance::{prediction_distance, DistanceSample};
 use crate::ensemble::{objective_stats, BaseTask};
 use crate::similarity::TaskRecord;
 use otune_gp::GaussianProcess;
+use otune_pool::Pool;
 use otune_space::{ConfigSpace, Configuration};
 use otune_telemetry::{metric, Telemetry};
 use std::collections::HashMap;
 use std::hash::Hash;
 use std::io;
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Mutex, OnceLock};
 
 /// What the store knows of one base task: its frozen surrogate (`None`
 /// when the history is too small for one, so it is not re-attempted) and
@@ -52,11 +54,11 @@ use std::sync::{Arc, Mutex};
 /// from the first base.
 pub(crate) type BaseEntry = (Option<Arc<GaussianProcess>>, (f64, f64));
 
-/// Fit a base-task entry from scratch: the pure function the store
-/// memoizes.
-fn fit_base_entry(space: &ConfigSpace, task: &TaskRecord, seed: u64) -> BaseEntry {
+/// Fit a base-task entry from scratch on `pool`: the pure function the
+/// store memoizes.
+fn fit_base_entry(space: &ConfigSpace, task: &TaskRecord, seed: u64, pool: &Pool) -> BaseEntry {
     (
-        task.surrogate(space, seed).map(Arc::new),
+        task.surrogate(space, seed, pool).map(Arc::new),
         objective_stats(&task.observations),
     )
 }
@@ -65,27 +67,34 @@ fn fit_base_entry(space: &ConfigSpace, task: &TaskRecord, seed: u64) -> BaseEntr
 /// `(history fingerprint, fit seed, sample fingerprint)`.
 type PredictionKey = (u64, u64, u64);
 
+/// One memo map: each key's cell is filled exactly once.
+type Memo<K, V> = Mutex<HashMap<K, Arc<OnceLock<V>>>>;
+
 /// Append-only memo lookup: the value stored under `key`, or `compute()`
-/// stored and returned. `compute` runs outside the lock so concurrent
-/// shards never serialize on it; it must be pure, so a racing duplicate
-/// computes identical bits and every caller gets the first stored value.
-/// The flag reports whether the lookup hit.
+/// stored and returned. The key's cell is taken under the map lock and
+/// filled outside it, so lookups of other keys never wait on `compute`;
+/// a caller that races on the same key waits for the one computation and
+/// gets its value. `compute` must not look up `map` itself. The flag
+/// reports whether the lookup hit, i.e. did not run `compute`.
 fn memoize<K: Eq + Hash, V: Clone>(
-    map: &Mutex<HashMap<K, V>>,
+    map: &Memo<K, V>,
     key: K,
     compute: impl FnOnce() -> V,
 ) -> (V, bool) {
-    if let Some(v) = map.lock().expect("shared meta store lock").get(&key) {
-        return (v.clone(), true);
-    }
-    let v = compute();
-    let stored = map
-        .lock()
-        .expect("shared meta store lock")
-        .entry(key)
-        .or_insert(v)
+    let cell = Arc::clone(
+        map.lock()
+            .expect("shared meta store lock")
+            .entry(key)
+            .or_default(),
+    );
+    let mut hit = true;
+    let v = cell
+        .get_or_init(|| {
+            hit = false;
+            compute()
+        })
         .clone();
-    (stored, false)
+    (v, hit)
 }
 
 /// The persistent tuning corpus plus its memoized retrieval index. The
@@ -102,12 +111,12 @@ struct CorpusState {
 #[derive(Debug, Default)]
 pub struct SharedMetaStore {
     /// Base-task entries by `(task id, history fingerprint, fit seed)`.
-    bases: Mutex<HashMap<(String, u64, u64), BaseEntry>>,
+    bases: Memo<(String, u64, u64), BaseEntry>,
     /// Base-surrogate predictions at distance samples.
-    predictions: Mutex<HashMap<PredictionKey, Arc<[f64]>>>,
+    predictions: Memo<PredictionKey, Arc<[f64]>>,
     /// Pairwise surrogate distances by
     /// `(fingerprint a, fingerprint b, fit seed, sample fingerprint)`.
-    distances: Mutex<HashMap<(u64, u64, u64, u64), f64>>,
+    distances: Memo<(u64, u64, u64, u64), f64>,
     /// Optional persistent tuning corpus for zero-execution retrieval.
     corpus: Mutex<Option<CorpusState>>,
 }
@@ -138,19 +147,20 @@ impl SharedMetaStore {
 
     /// The entry of base task `task` under fit seed `seed`: computed on
     /// the first lookup of its `(id, history fingerprint, seed)` and served
-    /// from the store afterwards. The task's record is built, and a
-    /// `base_fit` span opened, only on a miss.
+    /// from the store afterwards. The task's record is built, a `base_fit`
+    /// span opened and the surrogate fitted on `pool`, only on a miss.
     pub(crate) fn base_surrogate(
         &self,
         space: &ConfigSpace,
         task: &BaseTask<'_>,
         seed: u64,
+        pool: &Pool,
         telemetry: &Telemetry,
     ) -> BaseEntry {
         let key = (task.task_id().to_string(), task.fingerprint(), seed);
         let (entry, hit) = memoize(&self.bases, key, || {
             let _trace = telemetry.trace_span("base_fit");
-            fit_base_entry(space, &task.record(), seed)
+            fit_base_entry(space, &task.record(), seed, pool)
         });
         telemetry.incr(if hit {
             metric::SHARED_META_HITS
@@ -334,7 +344,13 @@ mod tests {
         seed: u64,
         tm: &Telemetry,
     ) -> BaseEntry {
-        store.base_surrogate(space, &BaseTask::from_record(space, t), seed, tm)
+        store.base_surrogate(
+            space,
+            &BaseTask::from_record(space, t),
+            seed,
+            &Pool::from_env(),
+            tm,
+        )
     }
 
     #[test]
@@ -494,11 +510,15 @@ mod tests {
         assert_eq!(store.n_distances(), 36);
     }
 
-    /// Two threads that miss the same prediction entry at once both
-    /// compute it; they get bitwise-equal vectors and the store keeps one.
+    /// Threads that look up one missing key at once run its computation
+    /// once: the first computes, the others wait for its value and count
+    /// as hits. The computation finishes only after every thread holds
+    /// the key's cell, so each lookup races the computation in flight.
     #[test]
     fn racing_prediction_misses_store_one_entry() {
+        use std::sync::atomic::{AtomicUsize, Ordering};
         use std::sync::Barrier;
+        const THREADS: usize = 4;
         let s = space();
         let t = task(&s, "b", 12, 9);
         let tm = telemetry();
@@ -507,27 +527,38 @@ mod tests {
         let fp = history_fingerprint(&s, &t.observations, SurrogateInput::Objective);
         let sample = DistanceSample::new(&s, 50, 0);
         let key = (fp, 0, sample.fingerprint());
-        let barrier = Barrier::new(2);
-        let (a, b) = std::thread::scope(|scope| {
-            let race = || {
-                // Each thread passes the barrier only after its own lookup
-                // missed, so both compute before either stores.
-                memoize(&store.predictions, key, || {
-                    barrier.wait();
-                    Arc::<[f64]>::from(sample.predict(&gp))
+        let barrier = Barrier::new(THREADS);
+        let calls = AtomicUsize::new(0);
+        let results: Vec<(Arc<[f64]>, bool)> = std::thread::scope(|scope| {
+            let handles: Vec<_> = (0..THREADS)
+                .map(|_| {
+                    scope.spawn(|| {
+                        barrier.wait();
+                        memoize(&store.predictions, key, || {
+                            calls.fetch_add(1, Ordering::SeqCst);
+                            // The map's reference plus one per thread.
+                            let holders =
+                                || Arc::strong_count(&store.predictions.lock().unwrap()[&key]);
+                            while holders() < THREADS + 1 {
+                                std::thread::yield_now();
+                            }
+                            Arc::<[f64]>::from(sample.predict(&gp))
+                        })
+                    })
                 })
-            };
-            let a = scope.spawn(race);
-            let b = scope.spawn(race);
-            (a.join().unwrap(), b.join().unwrap())
+                .collect();
+            handles.into_iter().map(|h| h.join().unwrap()).collect()
         });
-        assert!(!a.1 && !b.1, "both lookups missed");
+        assert_eq!(calls.load(Ordering::SeqCst), 1, "one computation");
+        let misses = results.iter().filter(|(_, hit)| !hit).count();
+        assert_eq!(misses, 1, "one miss, the rest hits");
         let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
-        assert_eq!(bits(&a.0), bits(&b.0));
+        for (v, _) in &results {
+            assert_eq!(bits(v), bits(&results[0].0));
+        }
         assert_eq!(store.n_predictions(), 1);
         // Later lookups hit the stored vector.
         let c = store.base_predictions(fp, 0, &sample, &gp);
-        assert_eq!(bits(&c), bits(&a.0));
-        assert_eq!(store.n_predictions(), 1);
+        assert_eq!(bits(&c), bits(&results[0].0));
     }
 }

@@ -12,15 +12,15 @@ use crate::ensemble::BaseTask;
 use crate::shared::SharedMetaStore;
 use otune_bo::{fit_surrogate, Observation, SurrogateInput};
 use otune_gbdt::{GbdtConfig, GbdtRegressor};
-use otune_gp::GaussianProcess;
+use otune_gp::{GaussianProcess, GpConfig};
+use otune_pool::Pool;
 use otune_space::ConfigSpace;
 use otune_telemetry::Telemetry;
-use serde::{Deserialize, Serialize};
 use std::sync::Arc;
 
 /// A previous tuning task — its meta-features and runhistory — as a
 /// meta-learning source.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct TaskRecord {
     /// Stable identifier (workload name + owner, in the real service).
     pub task_id: String,
@@ -44,8 +44,14 @@ impl TaskRecord {
     }
 
     /// Fit a configuration-only surrogate on this task's history (context
-    /// stripped so surrogates of different tasks share an input space).
-    pub fn surrogate(&self, space: &ConfigSpace, seed: u64) -> Option<GaussianProcess> {
+    /// stripped so surrogates of different tasks share an input space),
+    /// searching its hyperparameters on `pool`.
+    pub fn surrogate(
+        &self,
+        space: &ConfigSpace,
+        seed: u64,
+        pool: &Pool,
+    ) -> Option<GaussianProcess> {
         if self.observations.len() < 3 {
             return None;
         }
@@ -57,7 +63,19 @@ impl TaskRecord {
                 ..o.clone()
             })
             .collect();
-        fit_surrogate(space, &stripped, SurrogateInput::Objective, seed).ok()
+        let cfg = GpConfig {
+            seed,
+            ..GpConfig::default()
+        };
+        fit_surrogate(
+            space,
+            &stripped,
+            SurrogateInput::Objective,
+            cfg,
+            pool,
+            &Telemetry::disabled(),
+        )
+        .ok()
     }
 }
 
@@ -69,8 +87,12 @@ pub struct SimilarityLearner {
 }
 
 impl SimilarityLearner {
-    /// Train `M_reg` from historical task records:
-    /// [`Self::train_with_store`] on a fresh store.
+    /// Train `M_reg` from historical task records, reading base
+    /// surrogates from `store` (fitted on `pool` at most once per task
+    /// history) and memoizing pairwise distances there by history
+    /// fingerprint, so a scheduled refit only pays for pairs it has never
+    /// labeled. Fits and labels are pure functions of their keyed inputs,
+    /// so the model does not depend on what the store held.
     ///
     /// Needs at least two tasks with ≥ 3 observations each. `n_sample`
     /// configurations are used for each pairwise Kendall-τ label.
@@ -79,23 +101,8 @@ impl SimilarityLearner {
         tasks: &[TaskRecord],
         n_sample: usize,
         seed: u64,
-    ) -> Option<Self> {
-        let store = SharedMetaStore::new();
-        Self::train_with_store(space, tasks, n_sample, seed, &store, &Telemetry::disabled())
-    }
-
-    /// [`SimilarityLearner::train`] backed by a fleet-wide
-    /// [`SharedMetaStore`]: base surrogates come from the store (fitted at
-    /// most once per task history) and pairwise distances are memoized by
-    /// history fingerprint, so a scheduled refit only pays for pairs it has
-    /// never labeled. Fits and labels are pure functions of their keyed
-    /// inputs, so the model does not depend on what the store held.
-    pub fn train_with_store(
-        space: &ConfigSpace,
-        tasks: &[TaskRecord],
-        n_sample: usize,
-        seed: u64,
         store: &SharedMetaStore,
+        pool: &Pool,
         telemetry: &Telemetry,
     ) -> Option<Self> {
         let sample = DistanceSample::new(space, n_sample, seed);
@@ -103,7 +110,7 @@ impl SimilarityLearner {
             .iter()
             .filter_map(|t| {
                 let task = BaseTask::from_record(space, t);
-                let (gp, _) = store.base_surrogate(space, &task, seed, telemetry);
+                let (gp, _) = store.base_surrogate(space, &task, seed, pool, telemetry);
                 gp.map(|gp| (t, task.fingerprint(), gp))
             })
             .collect();
@@ -169,6 +176,19 @@ mod tests {
     use otune_space::{ConfigSpace, Parameter};
     use rand::{rngs::StdRng, SeedableRng};
 
+    /// [`SimilarityLearner::train`] on a fresh store, on the
+    /// environment's pool, untraced.
+    fn train(
+        space: &ConfigSpace,
+        tasks: &[TaskRecord],
+        n_sample: usize,
+        seed: u64,
+    ) -> Option<SimilarityLearner> {
+        let store = SharedMetaStore::new();
+        let tm = Telemetry::disabled();
+        SimilarityLearner::train(space, tasks, n_sample, seed, &store, &Pool::from_env(), &tm)
+    }
+
     fn space() -> ConfigSpace {
         ConfigSpace::new(vec![
             Parameter::float("a", 0.0, 1.0, 0.5),
@@ -215,7 +235,7 @@ mod tests {
             task(&s, "down2", -1.0, 0.5, 5),
             task(&s, "down3", -1.0, 1.0, 6),
         ];
-        let learner = SimilarityLearner::train(&s, &tasks, 40, 0).unwrap();
+        let learner = train(&s, &tasks, 40, 0).unwrap();
         let new_up = vec![1.0, 0.25, 0.25, 1.0];
         let d_up = learner.predict(&new_up, &tasks[0].meta_features);
         let d_down = learner.predict(&new_up, &tasks[3].meta_features);
@@ -241,12 +261,12 @@ mod tests {
             task(&s, "b", 1.0, 0.5, 2),
             task(&s, "c", -1.0, 0.0, 3),
         ];
-        let direct = SimilarityLearner::train(&s, &tasks, 30, 0).unwrap();
-        let store = crate::SharedMetaStore::new();
-        let tm = otune_telemetry::Telemetry::disabled();
-        SimilarityLearner::train_with_store(&s, &tasks, 30, 0, &store, &tm).unwrap();
+        let direct = train(&s, &tasks, 30, 0).unwrap();
+        let store = SharedMetaStore::new();
+        let (pool, tm) = (Pool::from_env(), Telemetry::disabled());
+        SimilarityLearner::train(&s, &tasks, 30, 0, &store, &pool, &tm).unwrap();
         assert_eq!(store.n_distances(), 3);
-        let memo = SimilarityLearner::train_with_store(&s, &tasks, 30, 0, &store, &tm).unwrap();
+        let memo = SimilarityLearner::train(&s, &tasks, 30, 0, &store, &pool, &tm).unwrap();
         assert_eq!(store.n_distances(), 3);
         assert_eq!(store.n_bases(), 3);
         let probe = [
@@ -261,9 +281,9 @@ mod tests {
     #[test]
     fn training_requires_multiple_tasks() {
         let s = space();
-        assert!(SimilarityLearner::train(&s, &[], 20, 0).is_none());
+        assert!(train(&s, &[], 20, 0).is_none());
         let one = vec![task(&s, "solo", 1.0, 0.0, 9)];
-        assert!(SimilarityLearner::train(&s, &one, 20, 0).is_none());
+        assert!(train(&s, &one, 20, 0).is_none());
     }
 
     #[test]
@@ -281,14 +301,14 @@ mod tests {
         let s = space();
         let mut t = task(&s, "t", 1.0, 0.0, 12);
         t.observations.truncate(2);
-        assert!(t.surrogate(&s, 0).is_none());
+        assert!(t.surrogate(&s, 0, &Pool::from_env()).is_none());
     }
 
     #[test]
     fn predictions_are_clamped() {
         let s = space();
         let tasks = vec![task(&s, "a", 1.0, 0.0, 1), task(&s, "b", -1.0, 0.0, 2)];
-        let learner = SimilarityLearner::train(&s, &tasks, 30, 0).unwrap();
+        let learner = train(&s, &tasks, 30, 0).unwrap();
         let wild = vec![100.0, -100.0, 50.0, 1.0];
         let d = learner.predict(&wild, &tasks[0].meta_features);
         assert!((0.0..=1.0).contains(&d));

@@ -12,24 +12,9 @@ use otune_telemetry::{metric, Telemetry};
 /// Initial configurations for a new task: the best configuration of each
 /// of the `n_sources` most similar tasks (deduplicated, in similarity
 /// order). Returns an empty vector when there is nothing to transfer.
+/// Each transferred configuration increments the `warm_start_hits`
+/// counter.
 pub fn warm_start_configs(
-    learner: &SimilarityLearner,
-    target_meta: &[f64],
-    tasks: &[TaskRecord],
-    n_sources: usize,
-) -> Vec<Configuration> {
-    warm_start_configs_with(
-        learner,
-        target_meta,
-        tasks,
-        n_sources,
-        &Telemetry::disabled(),
-    )
-}
-
-/// [`warm_start_configs`] with instrumentation: each transferred
-/// configuration increments the `warm_start_hits` counter.
-pub fn warm_start_configs_with(
     learner: &SimilarityLearner,
     target_meta: &[f64],
     tasks: &[TaskRecord],
@@ -67,6 +52,14 @@ mod tests {
     use otune_bo::Observation;
     use otune_space::{ConfigSpace, ParamValue, Parameter};
     use rand::{rngs::StdRng, SeedableRng};
+
+    /// The similarity model of `tasks`, trained on a fresh store.
+    fn train(space: &ConfigSpace, tasks: &[TaskRecord]) -> SimilarityLearner {
+        let store = crate::SharedMetaStore::new();
+        let pool = otune_pool::Pool::from_env();
+        SimilarityLearner::train(space, tasks, 40, 0, &store, &pool, &Telemetry::disabled())
+            .unwrap()
+    }
 
     fn space() -> ConfigSpace {
         ConfigSpace::new(vec![
@@ -111,10 +104,16 @@ mod tests {
             task(&s, "down2", -1.0, 5),
             task(&s, "down3", -1.0, 6),
         ];
-        let learner = SimilarityLearner::train(&s, &tasks, 40, 0).unwrap();
+        let learner = train(&s, &tasks);
         // A new ascending task: transferred configs should have small `a`
         // (the minimizer of sign=+1 tasks).
-        let configs = warm_start_configs(&learner, &[1.0, 0.0, 0.0, 1.0], &tasks, 3);
+        let configs = warm_start_configs(
+            &learner,
+            &[1.0, 0.0, 0.0, 1.0],
+            &tasks,
+            3,
+            &Telemetry::disabled(),
+        );
         assert!(!configs.is_empty() && configs.len() <= 3);
         for c in &configs {
             let a = c[0].as_float().unwrap();
@@ -157,8 +156,14 @@ mod tests {
             t
         };
         let tasks = vec![mk("a"), mk("b"), task(&s, "c", -1.0, 12)];
-        let learner = SimilarityLearner::train(&s, &tasks, 40, 0).unwrap();
-        let configs = warm_start_configs(&learner, &[1.0, 0.0, 0.0, 1.0], &tasks, 3);
+        let learner = train(&s, &tasks);
+        let configs = warm_start_configs(
+            &learner,
+            &[1.0, 0.0, 0.0, 1.0],
+            &tasks,
+            3,
+            &Telemetry::disabled(),
+        );
         let keys: std::collections::HashSet<String> =
             configs.iter().map(|c| c.dedup_key()).collect();
         assert_eq!(keys.len(), configs.len(), "no duplicate transfers");

@@ -20,6 +20,12 @@
 //! vendored `crossbeam` shim), which keeps the pool free of lifetime
 //! gymnastics: closures may borrow the caller's stack.
 //!
+//! **One pool per caller.** There is no process-wide pool. Every compute
+//! entry point (a GP fit or update, a forest or fANOVA fit, an acquisition
+//! maximization, a base-task fit) takes the pool it runs on, so a tuner's
+//! width bounds every map its suggestions run and its usage counters
+//! record all of them.
+//!
 //! **One level of parallelism.** A map issued on a worker of a *saturated*
 //! map — a parallel map with at least as many items as its pool has
 //! threads — runs inline on that worker and counts as a sequential map:
@@ -37,7 +43,7 @@
 use parking_lot::Mutex;
 use std::cell::Cell;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, OnceLock};
+use std::sync::Arc;
 
 /// Environment variable controlling the default worker count.
 pub const THREADS_ENV: &str = "OTUNE_THREADS";
@@ -129,14 +135,6 @@ impl Pool {
         let threads =
             from_env.unwrap_or_else(|| std::thread::available_parallelism().map_or(1, |n| n.get()));
         Pool::new(threads)
-    }
-
-    /// A process-wide shared pool, sized once from the environment on
-    /// first use. Entry points that are not reached by an explicitly
-    /// plumbed pool handle use this.
-    pub fn global() -> &'static Pool {
-        static GLOBAL: OnceLock<Pool> = OnceLock::new();
-        GLOBAL.get_or_init(Pool::from_env)
     }
 
     /// Target worker count.

@@ -5,7 +5,7 @@ use rand::Rng;
 use serde::{Deserialize, Serialize};
 
 /// The domain `Λⁱ` of a single Spark parameter.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub enum Domain {
     /// Integer range `[lo, hi]` (inclusive). `log` selects log-uniform
     /// encoding/sampling, appropriate for buffer-size style parameters.
@@ -36,16 +36,6 @@ pub enum Domain {
 }
 
 impl Domain {
-    /// Number of distinct values for discrete domains; `None` for floats.
-    pub fn cardinality(&self) -> Option<u64> {
-        match self {
-            Domain::Int { lo, hi, .. } => Some((hi - lo + 1) as u64),
-            Domain::Float { .. } => None,
-            Domain::Categorical { choices } => Some(choices.len() as u64),
-            Domain::Bool => Some(2),
-        }
-    }
-
     /// Whether the domain is numeric (int or float) as opposed to
     /// categorical/boolean. Numeric domains use the Matérn kernel and can be
     /// moved by approximate gradient descent; the rest use the Hamming kernel.
@@ -359,7 +349,7 @@ impl std::fmt::Display for ParamValue {
 }
 
 /// A named, typed Spark parameter with its default value.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Parameter {
     /// Spark property name, e.g. `spark.executor.memory`.
     pub name: String,
@@ -526,36 +516,6 @@ mod tests {
             log: false,
         };
         assert!(f.validate(&ParamValue::Float(f64::NAN), "p").is_err());
-    }
-
-    #[test]
-    fn cardinality() {
-        assert_eq!(
-            Domain::Int {
-                lo: 3,
-                hi: 7,
-                log: false
-            }
-            .cardinality(),
-            Some(5)
-        );
-        assert_eq!(Domain::Bool.cardinality(), Some(2));
-        assert_eq!(
-            Domain::Categorical {
-                choices: vec!["a".into(), "b".into()]
-            }
-            .cardinality(),
-            Some(2)
-        );
-        assert_eq!(
-            Domain::Float {
-                lo: 0.0,
-                hi: 1.0,
-                log: false
-            }
-            .cardinality(),
-            None
-        );
     }
 
     #[test]

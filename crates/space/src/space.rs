@@ -2,12 +2,11 @@
 
 use crate::{Configuration, HaltonSequence, ParamValue, Parameter, Result, SpaceError};
 use rand::Rng;
-use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
 
 /// The kind of a dimension in the encoded representation — decides which
 /// kernel component handles it and whether AGD may move it.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum DimKind {
     /// Int/float dimensions: Matérn kernel, AGD-movable.
     Numeric,
@@ -16,10 +15,9 @@ pub enum DimKind {
 }
 
 /// A product space of typed parameters (`Λ_cs = Λ¹ × … × Λᴺ`).
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct ConfigSpace {
     params: Vec<Parameter>,
-    #[serde(skip)]
     by_name: HashMap<String, usize>,
 }
 
@@ -181,18 +179,6 @@ impl ConfigSpace {
     }
 }
 
-impl ConfigSpace {
-    /// Rebuild the name index after deserialization.
-    pub fn rebuild_index(&mut self) {
-        self.by_name = self
-            .params
-            .iter()
-            .enumerate()
-            .map(|(i, p)| (p.name.clone(), i))
-            .collect();
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -322,15 +308,5 @@ mod tests {
                 DimKind::Categorical
             ]
         );
-    }
-
-    #[test]
-    fn serde_round_trip_with_index_rebuild() {
-        let s = toy_space();
-        let json = serde_json::to_string(&s).unwrap();
-        let mut back: ConfigSpace = serde_json::from_str(&json).unwrap();
-        back.rebuild_index();
-        assert_eq!(back.index_of("codec").unwrap(), 2);
-        assert_eq!(back.len(), 4);
     }
 }

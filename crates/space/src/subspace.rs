@@ -76,13 +76,6 @@ impl Subspace {
         &self.space
     }
 
-    /// Replace the base configuration (e.g. when a new incumbent is found).
-    pub fn set_base(&mut self, base: Configuration) -> Result<()> {
-        self.space.validate(&base)?;
-        self.base = base;
-        Ok(())
-    }
-
     /// Lift a point of the reduced unit cube `[0,1]^K` into a full
     /// configuration: free dims decoded from `u`, frozen dims from the base.
     pub fn lift(&self, u: &[f64]) -> Configuration {
@@ -398,15 +391,5 @@ mod tests {
             assert_eq!(n[2], start[2]);
             assert_eq!(n[3], start[3]);
         }
-    }
-
-    #[test]
-    fn set_base_validates() {
-        let s = toy_space();
-        let mut sub = Subspace::new(&s, vec![0], s.default_configuration()).unwrap();
-        let bad = Configuration::new(vec![ParamValue::Int(99); 4]);
-        assert!(sub.set_base(bad).is_err());
-        let good = s.default_configuration();
-        assert!(sub.set_base(good).is_ok());
     }
 }

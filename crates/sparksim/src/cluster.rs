@@ -1,9 +1,7 @@
 //! Cluster capacity model.
 
-use serde::{Deserialize, Serialize};
-
 /// A homogeneous compute cluster (or a Tencent-platform resource group).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ClusterSpec {
     /// Number of worker nodes.
     pub nodes: u32,
@@ -48,16 +46,6 @@ impl ClusterSpec {
         }
     }
 
-    /// Total cores in the cluster.
-    pub fn total_cores(&self) -> u32 {
-        self.nodes * self.cores_per_node
-    }
-
-    /// Total memory in GB.
-    pub fn total_mem_gb(&self) -> f64 {
-        self.nodes as f64 * self.mem_per_node_gb
-    }
-
     /// How many executors of the given shape actually fit. YARN-style bin
     /// packing approximated per node: an executor needs `cores` vcores and
     /// `mem_gb` memory; executors cannot span nodes.
@@ -77,13 +65,6 @@ impl ClusterSpec {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn totals() {
-        let c = ClusterSpec::hibench();
-        assert_eq!(c.total_cores(), 128);
-        assert_eq!(c.total_mem_gb(), 1024.0);
-    }
 
     #[test]
     fn fit_respects_request() {

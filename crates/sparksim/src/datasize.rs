@@ -8,11 +8,10 @@
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use serde::{Deserialize, Serialize};
 
 /// Deterministic per-period data-size generator with daily/weekly
 /// seasonality and mild noise.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct DataSizeModel {
     /// Mean input size in GB.
     pub base_gb: f64,

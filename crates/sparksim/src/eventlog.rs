@@ -3,18 +3,14 @@
 //! §5.1: meta-features are extracted from the SparkEventLog, summarizing
 //! stage-level information (actions/transformations used) and task-level
 //! information (read/write/CPU intensity). The simulator emits the same
-//! information in structured form; [`EventLog::to_json`] provides the
-//! durable representation stored in the data repository.
-
-use bytes::{BufMut, Bytes, BytesMut};
-use serde::{Deserialize, Serialize};
+//! information in structured form.
 
 /// Aggregate task statistics within one stage.
 ///
 /// Real Spark logs one event per task; tasks within a stage are exchangeable
 /// in our model, so the simulator directly emits the per-stage aggregates
 /// the meta-feature extractor would compute from them.
-#[derive(Debug, Clone, Copy, PartialEq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub struct TaskStats {
     /// Mean task duration in seconds.
     pub mean_duration_s: f64,
@@ -43,7 +39,7 @@ pub struct TaskStats {
 }
 
 /// One completed stage.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct StageEvent {
     /// Stage id in submission order.
     pub stage_id: u32,
@@ -62,7 +58,7 @@ pub struct StageEvent {
 }
 
 /// A complete event log for one job execution.
-#[derive(Debug, Clone, PartialEq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Default)]
 pub struct EventLog {
     /// Application (workload) name.
     pub app_name: String,
@@ -79,14 +75,6 @@ pub struct EventLog {
 }
 
 impl EventLog {
-    /// Total shuffle-write volume across stages, GB.
-    pub fn total_shuffle_gb(&self) -> f64 {
-        self.stages
-            .iter()
-            .map(|s| s.tasks.shuffle_write_gb * s.num_tasks as f64)
-            .sum()
-    }
-
     /// Total task count.
     pub fn total_tasks(&self) -> u32 {
         self.stages.iter().map(|s| s.num_tasks).sum()
@@ -96,18 +84,6 @@ impl EventLog {
     /// our DAG model).
     pub fn duration_s(&self) -> f64 {
         self.stages.iter().map(|s| s.duration_s).sum()
-    }
-
-    /// Serialize to a JSON byte buffer for the data repository.
-    pub fn to_json(&self) -> Bytes {
-        let mut buf = BytesMut::new().writer();
-        serde_json::to_writer(&mut buf, self).expect("event logs are always serializable");
-        buf.into_inner().freeze()
-    }
-
-    /// Parse an event log back from JSON bytes.
-    pub fn from_json(bytes: &[u8]) -> Result<Self, serde_json::Error> {
-        serde_json::from_slice(bytes)
     }
 }
 
@@ -165,15 +141,6 @@ mod tests {
         let log = sample_log();
         assert_eq!(log.total_tasks(), 100);
         assert!((log.duration_s() - 160.0).abs() < 1e-12);
-        assert!((log.total_shuffle_gb() - 1.6).abs() < 1e-12);
-    }
-
-    #[test]
-    fn json_round_trip() {
-        let log = sample_log();
-        let bytes = log.to_json();
-        let back = EventLog::from_json(&bytes).unwrap();
-        assert_eq!(back, log);
     }
 
     #[test]
@@ -181,6 +148,5 @@ mod tests {
         let log = EventLog::default();
         assert_eq!(log.total_tasks(), 0);
         assert_eq!(log.duration_s(), 0.0);
-        assert!(EventLog::from_json(&log.to_json()).is_ok());
     }
 }

@@ -2,11 +2,10 @@
 
 use crate::eventlog::EventLog;
 use crate::fault::ExecutionStatus;
-use serde::{Deserialize, Serialize};
 
 /// The outcome of one simulated job execution — everything the tuner and
 /// the paper's metrics need.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct ExecutionResult {
     /// Wall-clock runtime in seconds, `T(x)` (noisy).
     pub runtime_s: f64,
@@ -24,9 +23,7 @@ pub struct ExecutionResult {
     pub data_size_gb: f64,
     /// Structured event log for meta-feature extraction.
     pub event_log: EventLog,
-    /// How the run ended (clean, degraded, or failed). Defaults to
-    /// `Success` for results recorded before fault injection existed.
-    #[serde(default)]
+    /// How the run ended (clean, degraded, or failed).
     pub status: ExecutionStatus,
 }
 

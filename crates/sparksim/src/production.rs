@@ -16,10 +16,9 @@ use crate::workload::{StageProfile, WorkloadProfile};
 use otune_space::{spark_space, ClusterScale, ConfigSpace, Configuration, ParamValue, SparkParam};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use serde::{Deserialize, Serialize};
 
 /// How often a periodic task runs.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Schedule {
     /// Executed once an hour (like the Table 2 SQL tasks).
     Hourly,

@@ -1,10 +1,8 @@
 //! Workload profiles: the shape of a Spark job.
 
-use serde::{Deserialize, Serialize};
-
 /// One stage of a job's DAG, with the coefficients that drive the cost
 /// model in [`engine`](crate::engine).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct StageProfile {
     /// Human-readable stage name (e.g. `"map"`, `"reduceByKey"`).
     pub name: String,
@@ -82,7 +80,7 @@ impl StageProfile {
 }
 
 /// A complete workload: the unit a tuning task optimizes.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct WorkloadProfile {
     /// Workload name (e.g. `"terasort"`).
     pub name: String,
@@ -120,19 +118,6 @@ impl WorkloadProfile {
             ser_sensitivity: 1.0,
         }
     }
-
-    /// Total bytes processed per full pass (stage inputs + shuffle
-    /// volumes), used to sanity-scale runtimes in tests.
-    pub fn bytes_per_pass(&self) -> f64 {
-        let mut total = 0.0;
-        let mut shuffle_in = 0.0;
-        for s in &self.stages {
-            let stage_in = s.input_frac * self.input_gb + shuffle_in;
-            total += stage_in;
-            shuffle_in = stage_in * s.shuffle_write_frac;
-        }
-        total
-    }
 }
 
 #[cfg(test)]
@@ -148,13 +133,6 @@ mod tests {
     }
 
     #[test]
-    fn bytes_per_pass_chains_shuffles() {
-        let w = WorkloadProfile::simple("wc", 100.0, 4.0, 0.5);
-        // Stage 1 reads 100, writes 50 shuffle; stage 2 reads 50.
-        assert!((w.bytes_per_pass() - 150.0).abs() < 1e-9);
-    }
-
-    #[test]
     fn builders_apply() {
         let s = StageProfile::map("m", 1.0, 2.0, 0.1)
             .with_skew(0.7)
@@ -165,13 +143,5 @@ mod tests {
         assert_eq!(s.mem_expansion, 3.0);
         assert!(s.cacheable);
         assert_eq!(s.operations, vec!["flatMap".to_string(), "map".to_string()]);
-    }
-
-    #[test]
-    fn serde_round_trip() {
-        let w = WorkloadProfile::simple("wc", 10.0, 1.0, 0.3);
-        let json = serde_json::to_string(&w).unwrap();
-        let back: WorkloadProfile = serde_json::from_str(&json).unwrap();
-        assert_eq!(back, w);
     }
 }

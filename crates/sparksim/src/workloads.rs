@@ -8,10 +8,9 @@
 //! difference is what the sub-space and meta-learning machinery exploits.
 
 use crate::workload::{StageProfile, WorkloadProfile};
-use serde::{Deserialize, Serialize};
 
 /// The 16 HiBench-style workloads available in the simulator.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum HibenchTask {
     /// Naive Bayes training — serialization-heavy ML shuffle.
     Bayes,

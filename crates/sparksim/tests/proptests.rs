@@ -70,16 +70,4 @@ proptest! {
         let clean = noisy.clone().with_noise(0.0);
         prop_assert_eq!(clean.run(&cfg, idx).runtime_s, clean.run(&cfg, 0).runtime_s);
     }
-
-    /// Event logs serialize and parse losslessly for arbitrary configs.
-    #[test]
-    fn event_log_json_round_trip(u in unit_vec()) {
-        let space = spark_space(ClusterScale::hibench());
-        let cfg = space.decode(&u);
-        let job = SimJob::new(ClusterSpec::hibench(), hibench_task(HibenchTask::PageRank))
-            .with_noise(0.0);
-        let log = job.run(&cfg, 0).event_log;
-        let back = otune_sparksim::EventLog::from_json(&log.to_json()).unwrap();
-        prop_assert_eq!(back, log);
-    }
 }

@@ -90,9 +90,6 @@ pub mod metric {
     /// Counter: warm-start injections served from the cached similarity
     /// model without retraining.
     pub const SIMILARITY_REUSES: &str = "similarity_reuses";
-    /// Gauge: cumulative 4-lane blocks executed by the SIMD-style
-    /// linalg/kernel paths in this process.
-    pub const SIMD_BLOCKS: &str = "simd_blocks";
     /// Counter: zero-execution first suggestions served from the corpus
     /// retrieval index (a neighbor cleared the similarity threshold).
     pub const RETRIEVAL_HITS: &str = "retrieval_hits";

@@ -290,7 +290,7 @@ pub(crate) struct OpenSpan {
 // ---------------------------------------------------------------------------
 
 /// Aggregated timing of one phase (span name) across a span set.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct PhaseRow {
     /// Span name.
     pub name: String,
@@ -307,7 +307,7 @@ pub struct PhaseRow {
 /// The exclusive times of all phases sum exactly to the root spans' total
 /// wall-clock (`wall_ns`), modulo untraced gaps — this is what turns
 /// "suggest = 110 ms" into "62 ms kernel assembly, 31 ms hyper search, …".
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct AttributionReport {
     /// Distinct traces in the span set.
     pub traces: u64,

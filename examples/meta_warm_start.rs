@@ -11,7 +11,8 @@
 //! best-cost-so-far trajectory of each variant.
 
 use otune_core::prelude::*;
-use otune_meta::{extract_meta_features, warm_start_configs, SimilarityLearner};
+use otune_meta::{extract_meta_features, warm_start_configs, SharedMetaStore, SimilarityLearner};
+use otune_pool::Pool;
 
 /// Build a (history, meta-features) record by tuning a source task.
 fn record_for(task: HibenchTask, budget: usize, seed: u64) -> TaskRecord {
@@ -98,13 +99,16 @@ fn main() {
 
     // Similarity model + warm-start configs for the new TeraSort task.
     let space = spark_space(ClusterScale::hibench());
-    let learner = SimilarityLearner::train(&space, &sources, 50, 0).expect("enough source tasks");
+    let (pool, telemetry) = (Pool::from_env(), Telemetry::disabled());
+    let store = SharedMetaStore::new();
+    let learner = SimilarityLearner::train(&space, &sources, 50, 0, &store, &pool, &telemetry)
+        .expect("enough source tasks");
     let target_log = SimJob::new(ClusterSpec::hibench(), hibench_task(HibenchTask::TeraSort))
         .with_noise(0.0)
         .run(&space.default_configuration(), 0)
         .event_log;
     let target_features = extract_meta_features(&target_log);
-    let warm = warm_start_configs(&learner, &target_features, &sources, 3);
+    let warm = warm_start_configs(&learner, &target_features, &sources, 3, &telemetry);
     let ranked = learner.rank_tasks(&target_features, &sources);
     println!(
         "most similar sources to terasort: {:?}\n",

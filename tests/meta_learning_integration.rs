@@ -2,7 +2,15 @@
 //! warm-starting and the ensemble surrogate wired through the tuner.
 
 use otune_core::prelude::*;
-use otune_meta::{extract_meta_features, warm_start_configs, SimilarityLearner};
+use otune_meta::{extract_meta_features, warm_start_configs, SharedMetaStore, SimilarityLearner};
+use otune_pool::Pool;
+
+/// The similarity model of `sources`, trained on a fresh store.
+fn train(space: &ConfigSpace, sources: &[TaskRecord]) -> SimilarityLearner {
+    let store = SharedMetaStore::new();
+    let (pool, tm) = (Pool::from_env(), Telemetry::disabled());
+    SimilarityLearner::train(space, sources, 40, 0, &store, &pool, &tm).expect("trains")
+}
 
 fn record_for(task: HibenchTask, budget: usize, seed: u64) -> TaskRecord {
     let space = spark_space(ClusterScale::hibench());
@@ -41,7 +49,7 @@ fn similarity_model_trains_on_simulated_histories() {
         record_for(HibenchTask::KMeans, 10, 3),
         record_for(HibenchTask::LR, 10, 4),
     ];
-    let learner = SimilarityLearner::train(&space, &sources, 40, 0).expect("trains");
+    let learner = train(&space, &sources);
 
     // Self-distance (identical meta-features) must be among the smallest.
     let v = &sources[0].meta_features;
@@ -65,7 +73,7 @@ fn warm_start_improves_early_iterations() {
         record_for(HibenchTask::WordCount, 12, 6),
         record_for(HibenchTask::KMeans, 12, 7),
     ];
-    let learner = SimilarityLearner::train(&space, &sources, 40, 0).expect("trains");
+    let learner = train(&space, &sources);
 
     let job = SimJob::new(ClusterSpec::hibench(), hibench_task(HibenchTask::TeraSort));
     let log = job
@@ -73,7 +81,8 @@ fn warm_start_improves_early_iterations() {
         .with_noise(0.0)
         .run(&space.default_configuration(), 0)
         .event_log;
-    let warm = warm_start_configs(&learner, &extract_meta_features(&log), &sources, 3);
+    let features = extract_meta_features(&log);
+    let warm = warm_start_configs(&learner, &features, &sources, 3, &Telemetry::disabled());
     assert!(!warm.is_empty());
 
     let early_best = |warm_configs: Vec<Configuration>| {
