@@ -9,10 +9,10 @@
 //! * `tuner-shared` — the same tuners attached to one fleet-wide
 //!   [`SharedMetaStore`]: the first task fits each base surrogate, every
 //!   other task reuses it.
-//! * `fleet-seq` — the controller's batched wave API with 1 shard on a
-//!   1-thread pool (the wave overhead floor).
-//! * `fleet-sharded` — batched waves on a 4-thread pool, one pool item
-//!   per task (the 8 shards only partition the task map).
+//! * `fleet-seq` — the controller's batched wave API on a 1-thread pool
+//!   (the wave overhead floor).
+//! * `fleet-parallel` — batched waves on a 4-thread pool, one pool item
+//!   per task.
 //!
 //! A fifth arm, `cold-retrieval`, registers every task with pre-known
 //! meta-features against a tuning corpus mirroring the base runhistories:
@@ -186,7 +186,6 @@ fn base_corpus(bases: &[TaskRecord]) -> TuningCorpus {
 fn run_fleet_with(
     n_tasks: usize,
     bases: &[TaskRecord],
-    shards: usize,
     threads: usize,
     retrieval: bool,
 ) -> ArmResult {
@@ -194,8 +193,8 @@ fn run_fleet_with(
     let mut ctl = OnlineTuneController::with_options(
         Arc::new(DataRepository::new()),
         FleetOptions {
-            shards,
             pool: Pool::new(threads),
+            ..FleetOptions::default()
         },
     );
     if retrieval {
@@ -265,7 +264,6 @@ fn run_fleet_with(
 struct Entry {
     arm: &'static str,
     n_tasks: usize,
-    shards: usize,
     threads: usize,
     shared_cache: bool,
     suggestions_per_s: f64,
@@ -294,70 +292,54 @@ fn main() {
 
     let mut table = Table::new(
         "Fleet throughput — suggestions/sec and reports/sec",
-        &["tasks", "arm", "shards", "threads", "suggest/s", "report/s"],
+        &["tasks", "arm", "threads", "suggest/s", "report/s"],
     );
     let mut entries = Vec::new();
     let mut warm_speedup_at_largest = 0.0;
     for &n_tasks in fleet_sizes {
         let n_calls = (n_tasks * BUDGET) as f64;
-        let arms: [(&'static str, usize, usize, bool, ArmResult); 5] = [
-            (
-                "tuner-cold",
-                1,
-                1,
-                false,
-                run_tuners(n_tasks, &bases, false),
-            ),
-            (
-                "tuner-shared",
-                1,
-                1,
-                true,
-                run_tuners(n_tasks, &bases, true),
-            ),
+        let arms: [(&'static str, usize, bool, ArmResult); 5] = [
+            ("tuner-cold", 1, false, run_tuners(n_tasks, &bases, false)),
+            ("tuner-shared", 1, true, run_tuners(n_tasks, &bases, true)),
             (
                 "fleet-seq",
                 1,
-                1,
                 true,
-                run_fleet_with(n_tasks, &bases, 1, 1, false),
+                run_fleet_with(n_tasks, &bases, 1, false),
             ),
             (
-                "fleet-sharded",
-                8,
+                "fleet-parallel",
                 4,
                 true,
-                run_fleet_with(n_tasks, &bases, 8, 4, false),
+                run_fleet_with(n_tasks, &bases, 4, false),
             ),
             (
                 "cold-retrieval",
                 1,
-                1,
                 true,
-                run_fleet_with(n_tasks, &bases, 1, 1, true),
+                run_fleet_with(n_tasks, &bases, 1, true),
             ),
         ];
         // Determinism cross-check: sharing caches and batching waves must
         // not change a single suggestion. The cold-retrieval arm is
         // excluded by design — retrieval replaces its burn-in prefix.
-        for (arm, _, _, _, res) in &arms[1..4] {
+        for (arm, _, _, res) in &arms[1..4] {
             assert_eq!(
-                res.traces, arms[0].4.traces,
+                res.traces, arms[0].3.traces,
                 "arm {arm} changed a task trace at {n_tasks} tasks"
             );
         }
         assert_ne!(
-            arms[4].4.traces, arms[0].4.traces,
+            arms[4].3.traces, arms[0].3.traces,
             "cold-retrieval arm did not engage retrieval at {n_tasks} tasks"
         );
-        let cold_rate = n_calls / arms[0].4.suggest_s;
-        let warm_rate = n_calls / arms[1].4.suggest_s;
+        let cold_rate = n_calls / arms[0].3.suggest_s;
+        let warm_rate = n_calls / arms[1].3.suggest_s;
         warm_speedup_at_largest = warm_rate / cold_rate;
-        for (arm, shards, threads, shared, res) in arms {
+        for (arm, threads, shared, res) in arms {
             table.row(vec![
                 n_tasks.to_string(),
                 arm.to_string(),
-                shards.to_string(),
                 threads.to_string(),
                 format!("{:.1}", n_calls / res.suggest_s),
                 format!("{:.1}", n_calls / res.report_s),
@@ -365,7 +347,6 @@ fn main() {
             entries.push(Entry {
                 arm,
                 n_tasks,
-                shards,
                 threads,
                 shared_cache: shared,
                 suggestions_per_s: n_calls / res.suggest_s,
@@ -398,7 +379,7 @@ fn main() {
                tuner-cold refits base surrogates per task, the other arms \
                share one fleet-wide meta store. suggestions/sec counts whole \
                suggest calls (waves for the fleet arms); single-core rates — \
-               fleet-sharded additionally fans waves across a 4-thread pool",
+               fleet-parallel additionally fans waves across a 4-thread pool",
         warm_speedup_at_largest,
         results: entries,
     };

@@ -77,11 +77,6 @@ impl SurrogateCache {
         }
     }
 
-    /// The cached fitted model, if any.
-    pub fn surrogate(&self) -> Option<&Arc<GaussianProcess>> {
-        self.gp.as_ref()
-    }
-
     /// Drop all cached state (the next `prepare` runs a full fit).
     pub fn clear(&mut self) {
         self.gp = None;
@@ -186,16 +181,6 @@ impl SurrogateStore {
             runtime: SurrogateCache::new(SurrogateInput::Runtime, policy),
             objective: SurrogateCache::new(SurrogateInput::Objective, policy),
         }
-    }
-
-    /// The runtime-metric cache.
-    pub fn runtime(&self) -> &SurrogateCache {
-        &self.runtime
-    }
-
-    /// The objective-metric cache.
-    pub fn objective(&self) -> &SurrogateCache {
-        &self.objective
     }
 
     /// Drop all cached state.

@@ -1,6 +1,7 @@
 //! Minimal argument parsing for the `otune` binary.
 
 use std::collections::HashMap;
+use std::time::Duration;
 
 /// A parsed CLI invocation.
 #[derive(Debug, Clone, PartialEq)]
@@ -46,8 +47,6 @@ pub enum Command {
         tasks: usize,
         /// Periodic executions per task.
         budget: usize,
-        /// Task-map partition count override (default: `OTUNE_SHARDS` or 8).
-        shards: Option<usize>,
         /// Wave-pool width override (default: `OTUNE_THREADS`).
         threads: Option<usize>,
         /// RNG seed.
@@ -146,9 +145,9 @@ pub enum Command {
     Top {
         /// JSONL event-stream path.
         file: String,
-        /// Refresh every S seconds until interrupted (default: render
+        /// Refresh at this interval until interrupted (default: render
         /// once and exit).
-        watch: Option<f64>,
+        watch: Option<Duration>,
     },
     /// Inspect, build, or query a persistent tuning corpus.
     Corpus {
@@ -232,9 +231,9 @@ USAGE:
     --fault-profile oom:0.1,straggler:0.05,lost:0.02,tmax:120,seed:7
   (rates per run; `tmax` in seconds kills runs over budget; omitted
   keys default to 0 / off).
-  otune tune-fleet [--tasks N] [--budget N] [--shards S] [--threads T]
-                   [--seed S] [--events FILE] [--trace FILE]
-                   [--prom FILE] [--corpus FILE]
+  otune tune-fleet [--tasks N] [--budget N] [--threads T] [--seed S]
+                   [--events FILE] [--trace FILE] [--prom FILE]
+                   [--corpus FILE]
 
   --corpus attaches a persistent tuning corpus (append-only JSONL):
   cold tasks bootstrap their first suggestions from k-NN retrieval
@@ -278,7 +277,8 @@ USAGE:
   otune help
 
   Each subcommand rejects flags it does not list above. Counts and
-  seeds are non-negative integers; --beta and --watch take decimals.
+  seeds are non-negative integers, and --seeds and --samples are at
+  least 1; --beta and --watch take decimals, and --watch is positive.
   --trace enables hierarchical tracing (deterministic span ids, seeded
   by --seed) and writes a Chrome-trace/Perfetto JSON file loadable at
   ui.perfetto.dev; `otune trace` converts the spans embedded in a
@@ -326,10 +326,7 @@ pub fn parse_args(argv: &[String]) -> Result<Command, ParseError> {
             "task beta budget seed out events fault-profile trace corpus",
             "no-safety no-subspace no-agd",
         ),
-        ("tune-fleet", _) => (
-            "tasks budget shards threads seed events trace prom corpus",
-            "",
-        ),
+        ("tune-fleet", _) => ("tasks budget threads seed events trace prom corpus", ""),
         ("tune-serve", _) => (
             "journal tasks budget seed beta max-retries checkpoint-every fault-profile events sync",
             "auto",
@@ -392,7 +389,6 @@ pub fn parse_args(argv: &[String]) -> Result<Command, ParseError> {
         "tune-fleet" => Ok(Command::TuneFleet {
             tasks: int(&flags, "tasks")?.unwrap_or(50),
             budget: int(&flags, "budget")?.unwrap_or(5),
-            shards: int(&flags, "shards")?,
             threads: int(&flags, "threads")?,
             seed: int(&flags, "seed")?.unwrap_or(0),
             events: get("events"),
@@ -462,11 +458,11 @@ pub fn parse_args(argv: &[String]) -> Result<Command, ParseError> {
         "compare" => Ok(Command::Compare {
             task: req_task()?,
             budget: int(&flags, "budget")?.unwrap_or(30),
-            seeds: int(&flags, "seeds")?.unwrap_or(2),
+            seeds: at_least_one(&flags, "seeds")?.unwrap_or(2),
         }),
         "importance" => Ok(Command::Importance {
             task: req_task()?,
-            samples: int(&flags, "samples")?.unwrap_or(150),
+            samples: at_least_one(&flags, "samples")?.unwrap_or(150),
         }),
         "events" => Ok(Command::Events {
             file: get("file").ok_or_else(|| ParseError("missing required --file FILE".into()))?,
@@ -494,13 +490,22 @@ pub fn parse_args(argv: &[String]) -> Result<Command, ParseError> {
         }),
         "top" => Ok(Command::Top {
             file: get("file").ok_or_else(|| ParseError("missing required --file FILE".into()))?,
-            watch: match get("watch") {
-                None => None,
-                Some(v) => Some(
+            watch: get("watch")
+                .map(|v| {
+                    // NaN, infinities, non-positive values and intervals
+                    // past `Duration`'s range (~1.8e19 s) are all rejected
+                    // here, not after the first frame.
                     v.parse::<f64>()
-                        .map_err(|_| ParseError(format!("--watch expects seconds, got {v:?}")))?,
-                ),
-            },
+                        .ok()
+                        .filter(|&s| s > 0.0)
+                        .and_then(|s| Duration::try_from_secs_f64(s).ok())
+                        .ok_or_else(|| {
+                            ParseError(format!(
+                                "--watch expects a positive number of seconds, at most 1.8e19, got {v:?}"
+                            ))
+                        })
+                })
+                .transpose()?,
         }),
         // `help`, `--help` or `-h`: every other name was rejected above.
         _ => Ok(Command::Help),
@@ -520,6 +525,18 @@ fn int<T: std::str::FromStr>(
                 .map_err(|_| ParseError(format!("--{k} expects a non-negative integer, got {v:?}")))
         })
         .transpose()
+}
+
+/// An optional count flag that must be at least 1: zero seeds or samples
+/// leave nothing to average or fit.
+fn at_least_one<T: std::str::FromStr + PartialOrd + From<u8>>(
+    flags: &HashMap<String, String>,
+    k: &str,
+) -> Result<Option<T>, ParseError> {
+    match int::<T>(flags, k)? {
+        Some(n) if n < T::from(1) => Err(ParseError(format!("--{k} must be at least 1, got 0"))),
+        n => Ok(n),
+    }
 }
 
 /// Split `--key value` pairs and boolean `--switch` flags, rejecting any
@@ -695,7 +712,7 @@ mod tests {
             parse_args(&argv("top --file run.jsonl --watch 2")).unwrap(),
             Command::Top {
                 file: "run.jsonl".into(),
-                watch: Some(2.0),
+                watch: Some(Duration::from_secs(2)),
             }
         );
         assert!(parse_args(&argv("trace")).is_err());
@@ -751,6 +768,22 @@ mod tests {
         ] {
             assert!(err(bad).contains("expects a non-negative integer"), "{bad}");
         }
+        // Zero seeds or samples and unusable refresh intervals fail at
+        // parse time instead of printing NaN or panicking mid-run.
+        for bad in [
+            "compare --task sort --seeds 0",
+            "importance --task sort --samples 0",
+        ] {
+            assert!(err(bad).contains("must be at least 1"), "{bad}");
+        }
+        for watch in ["inf", "1e300", "nan", "0", "-1"] {
+            let e = err(&format!("top --file run.jsonl --watch {watch}"));
+            assert!(e.contains("--watch expects a positive"), "{watch}: {e}");
+        }
+        // The task map has no partitions: the old count flag is unknown,
+        // not silently ignored.
+        let e = err("tune-fleet --shards 2");
+        assert!(e.contains("unknown flag --shards"), "{e}");
     }
 
     #[test]
@@ -767,7 +800,6 @@ mod tests {
             Command::TuneFleet {
                 tasks: 50,
                 budget: 5,
-                shards: None,
                 threads: None,
                 seed: 0,
                 events: None,
@@ -778,13 +810,12 @@ mod tests {
         );
         assert_eq!(
             parse_args(&argv(
-                "tune-fleet --tasks 200 --budget 3 --shards 4 --threads 2 --seed 9 --events f.jsonl --trace t.json --prom m.prom"
+                "tune-fleet --tasks 200 --budget 3 --threads 2 --seed 9 --events f.jsonl --trace t.json --prom m.prom"
             ))
             .unwrap(),
             Command::TuneFleet {
                 tasks: 200,
                 budget: 3,
-                shards: Some(4),
                 threads: Some(2),
                 seed: 9,
                 events: Some("f.jsonl".into()),
@@ -793,7 +824,7 @@ mod tests {
                 corpus: None,
             }
         );
-        assert!(parse_args(&argv("tune-fleet --shards x")).is_err());
+        assert!(parse_args(&argv("tune-fleet --threads x")).is_err());
     }
 
     #[test]

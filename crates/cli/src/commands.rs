@@ -91,7 +91,6 @@ pub fn run(cmd: Command, out: &mut dyn Write) -> std::io::Result<i32> {
         Command::TuneFleet {
             tasks,
             budget,
-            shards,
             threads,
             seed,
             events,
@@ -99,7 +98,7 @@ pub fn run(cmd: Command, out: &mut dyn Write) -> std::io::Result<i32> {
             prom,
             corpus,
         } => tune_fleet(
-            tasks, budget, shards, threads, seed, events, trace, prom, corpus, out,
+            tasks, budget, threads, seed, events, trace, prom, corpus, out,
         ),
         Command::TuneServe {
             journal,
@@ -403,7 +402,6 @@ fn tune(
 fn tune_fleet(
     tasks: usize,
     budget: usize,
-    shards: Option<usize>,
     threads: Option<usize>,
     seed: u64,
     events: Option<String>,
@@ -412,13 +410,9 @@ fn tune_fleet(
     corpus: Option<String>,
     out: &mut dyn Write,
 ) -> std::io::Result<i32> {
-    let mut fleet = FleetOptions::from_env();
-    if let Some(s) = shards {
-        fleet.shards = s.max(1);
-    }
-    if let Some(t) = threads {
-        fleet.pool = Pool::new(t.max(1));
-    }
+    // Every task's tuner runs its maps on the wave pool, so `--threads`
+    // bounds them all.
+    let pool = threads.map_or_else(Pool::from_env, Pool::new);
     let telemetry = match (&events, &trace) {
         (Some(p), Some(_)) => Telemetry::new_traced(Box::new(JsonlSink::create(p)?), seed),
         (Some(p), None) => Telemetry::new(Box::new(JsonlSink::create(p)?)),
@@ -428,19 +422,18 @@ fn tune_fleet(
     };
     writeln!(
         out,
-        "fleet tuning: {tasks} task(s), budget {budget}, {} shard(s), {} thread(s)",
-        fleet.shards,
-        fleet.pool.threads(),
+        "fleet tuning: {tasks} task(s), budget {budget}, {} thread(s)",
+        pool.threads(),
     )?;
 
     let space = spark_space(ClusterScale::hibench());
     let workloads = HibenchTask::all();
-    // Every task's tuner runs its maps on the wave pool, so `--threads`
-    // bounds them all.
-    let pool = fleet.pool.clone();
     let mut ctl = OnlineTuneController::with_options(
         std::sync::Arc::new(otune_core::DataRepository::new()),
-        fleet,
+        FleetOptions {
+            pool: pool.clone(),
+            ..FleetOptions::default()
+        },
     );
     ctl.set_telemetry(telemetry.clone());
     // With a corpus attached, each task's manual-default calibration run
@@ -813,7 +806,6 @@ fn corpus_cmd(action: CorpusAction, file: &str, out: &mut dyn Write) -> std::io:
             tune_fleet(
                 tasks,
                 budget,
-                None,
                 None,
                 seed,
                 None,
@@ -1209,7 +1201,11 @@ fn write_attribution(report: &AttributionReport, out: &mut dyn Write) -> std::io
 /// `otune top`: one rendered frame of fleet state from a JSONL event
 /// stream — per-task incumbents, wave latency percentiles, failure and
 /// fallback counts, cache hit rates from the metrics sidecar.
-fn top_cmd(file: &str, watch: Option<f64>, out: &mut dyn Write) -> std::io::Result<i32> {
+fn top_cmd(
+    file: &str,
+    watch: Option<std::time::Duration>,
+    out: &mut dyn Write,
+) -> std::io::Result<i32> {
     let Some(interval) = watch else {
         return render_top(file, out);
     };
@@ -1223,7 +1219,7 @@ fn top_cmd(file: &str, watch: Option<f64>, out: &mut dyn Write) -> std::io::Resu
             return Ok(code);
         }
         out.flush()?;
-        std::thread::sleep(std::time::Duration::from_secs_f64(interval.max(0.1)));
+        std::thread::sleep(interval.max(std::time::Duration::from_millis(100)));
     }
 }
 
@@ -1438,7 +1434,7 @@ fn render_top(file: &str, out: &mut dyn Write) -> std::io::Result<i32> {
 }
 
 /// Print a metrics snapshot as a summary table. Fleet runs surface the
-/// sharding gauges (`fleet_shards`, `fleet_tasks`), wave spans
+/// `fleet_tasks` gauge, wave spans
 /// (`fleet_wave_s`), shared-cache hit counters (`shared_meta_*`,
 /// `shared_dist_*`) and similarity refit counters here alongside the
 /// per-task tuning metrics.
@@ -2258,7 +2254,6 @@ mod tests {
                 Command::TuneFleet {
                     tasks: 3,
                     budget: 5,
-                    shards: None,
                     threads: Some(threads),
                     seed: 4,
                     events: None,
@@ -2298,7 +2293,6 @@ mod tests {
             Command::TuneFleet {
                 tasks: 4,
                 budget: 2,
-                shards: Some(2),
                 threads: Some(2),
                 seed: 1,
                 events: Some(events_path.clone()),
@@ -2314,7 +2308,7 @@ mod tests {
         assert!(text.contains("suggestions/sec"), "{text}");
         assert!(text.contains("4/4 task(s) hold an incumbent"), "{text}");
         // The fleet metrics surface in the printed snapshot...
-        assert!(text.contains("fleet_shards"), "{text}");
+        assert!(text.contains("fleet_tasks"), "{text}");
         assert!(text.contains("fleet_waves"), "{text}");
         assert!(text.contains("fleet_wave_s"), "{text}");
         // The trace side outputs exist and parse: Perfetto JSON with the
@@ -2329,7 +2323,6 @@ mod tests {
             .filter_map(|e| e.get("name").and_then(|n| n.as_str()))
             .collect();
         assert!(names.contains(&"fleet_wave_suggest"), "{names:?}");
-        assert!(!names.contains(&"shard"), "tasks sit right under the wave");
         assert!(names.contains(&"task"), "{names:?}");
         assert!(names.contains(&"suggest"), "{names:?}");
         let prom_text = std::fs::read_to_string(&prom_path).unwrap();

@@ -14,13 +14,11 @@
 //!
 //! At fleet scale batched waves (see [`crate::fleet`]) fan per-task work
 //! across a worker pool, one pool item per task: each item holds its
-//! task's entry as a disjoint `&mut`, taken under `&mut self`, so no
-//! worker locks anything. The task map is split into
-//! [`FleetOptions::shards`] partitions by a stable hash of the task id;
-//! the partition decides only where a task is stored, never how a wave
-//! runs. Cross-task meta-knowledge — base-task surrogates, their sample
-//! predictions and pairwise distances — lives in one fleet-wide
-//! [`SharedMetaStore`] that every tuner reads it through, and the
+//! task's entry in the one task map as a disjoint `&mut`, taken under
+//! `&mut self`, so no worker locks anything. Cross-task meta-knowledge —
+//! base-task surrogates, their sample predictions and pairwise distances
+//! — lives in one fleet-wide [`SharedMetaStore`] that every tuner reads
+//! it through, and the
 //! similarity model `M_reg` is refit on a schedule (every `N_REFIT` = 32
 //! reports, or when the eligible source-task set changes) instead of per
 //! report.
@@ -33,6 +31,7 @@ use otune_meta::{
     warm_start_configs, CorpusRecord, SharedMetaStore, SimilarityLearner, TaskRecord, TuningCorpus,
     DEFAULT_MAX_DISTANCE, DEFAULT_RETRIEVAL_K,
 };
+use otune_pool::Pool;
 use otune_space::{ConfigSpace, Configuration};
 use otune_telemetry::{metric, EventKind, Telemetry};
 use std::collections::HashMap;
@@ -103,11 +102,12 @@ pub(crate) struct SimilarityState {
 /// The multi-task online tuning service.
 pub struct OnlineTuneController {
     pub(crate) repository: Arc<DataRepository>,
-    /// Task map hashed into `fleet.shards` disjoint partitions. Batched
-    /// waves take disjoint `&mut` entries out of it under `&mut self`, so
-    /// nothing locks it.
-    pub(crate) shards: Vec<HashMap<TaskHandle, TaskEntry>>,
-    pub(crate) fleet: FleetOptions,
+    /// Task map. Batched waves take disjoint `&mut` entries out of it
+    /// under `&mut self`, so nothing locks it.
+    pub(crate) tasks: HashMap<TaskHandle, TaskEntry>,
+    /// Pool fanning each wave's tasks across workers (and fitting the
+    /// similarity model's bases).
+    pub(crate) pool: Pool,
     /// The fleet's one memo of base-task knowledge (plus its corpus),
     /// which every task's tuner reads its ensemble bases through.
     pub(crate) shared_meta: Arc<SharedMetaStore>,
@@ -120,31 +120,19 @@ pub struct OnlineTuneController {
     pub(crate) telemetry: Telemetry,
 }
 
-/// FNV-1a over the task id: stable across processes, so a task always maps
-/// to the same shard regardless of registration order or platform.
-fn fnv1a(s: &str) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for b in s.as_bytes() {
-        h ^= u64::from(*b);
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    h
-}
-
 impl OnlineTuneController {
     /// A controller with a fresh repository and fleet options from the
-    /// environment (`OTUNE_SHARDS`, `OTUNE_THREADS`).
+    /// environment (`OTUNE_THREADS`).
     pub fn new() -> Self {
         Self::with_options(Arc::new(DataRepository::new()), FleetOptions::from_env())
     }
 
-    /// A controller with explicit fleet options (shard count, wave pool).
+    /// A controller with explicit fleet options (the wave pool).
     pub fn with_options(repository: Arc<DataRepository>, fleet: FleetOptions) -> Self {
-        let n_shards = fleet.shards.max(1);
         OnlineTuneController {
             repository,
-            shards: (0..n_shards).map(|_| HashMap::new()).collect(),
-            fleet,
+            tasks: HashMap::new(),
+            pool: fleet.pool,
             shared_meta: Arc::new(SharedMetaStore::new()),
             sim: SimilarityState::default(),
             n_warm_sources: 3,
@@ -156,7 +144,6 @@ impl OnlineTuneController {
     /// Attach a telemetry handle; tasks created afterwards emit their
     /// events through task-labeled clones of it.
     pub fn set_telemetry(&mut self, telemetry: Telemetry) {
-        telemetry.gauge(metric::FLEET_SHARDS, self.shards.len() as f64);
         self.telemetry = telemetry;
     }
 
@@ -185,17 +172,6 @@ impl OnlineTuneController {
         self.shared_meta.set_corpus(corpus);
     }
 
-    /// The shard index a handle hashes to.
-    pub(crate) fn shard_of(&self, handle: &TaskHandle) -> usize {
-        (fnv1a(handle.as_str()) % self.shards.len() as u64) as usize
-    }
-
-    /// A task's entry.
-    pub(crate) fn entry_mut(&mut self, handle: &TaskHandle) -> Option<&mut TaskEntry> {
-        let idx = self.shard_of(handle);
-        self.shards[idx].get_mut(handle)
-    }
-
     /// Register a tuning task. Returns its handle.
     pub fn create_task(
         &mut self,
@@ -214,8 +190,7 @@ impl OnlineTuneController {
         let mut tuner = OnlineTuner::new(space, options);
         tuner.set_telemetry(telemetry.clone());
         tuner.set_shared_meta(Arc::clone(&self.shared_meta));
-        let idx = self.shard_of(&handle);
-        self.shards[idx].insert(
+        self.tasks.insert(
             handle.clone(),
             TaskEntry {
                 tuner,
@@ -282,17 +257,15 @@ impl OnlineTuneController {
 
     /// Number of registered tasks.
     pub fn n_tasks(&self) -> usize {
-        self.shards.iter().map(HashMap::len).sum()
+        self.tasks.len()
     }
 
     /// A task's lifecycle state.
     pub fn state(&self, handle: &TaskHandle) -> Result<TaskState, ControllerError> {
-        self.with_entry(handle, |e| {
-            if e.tuner.is_stopped() {
-                TaskState::Stopped
-            } else {
-                TaskState::Tuning
-            }
+        Ok(if self.tuner(handle)?.is_stopped() {
+            TaskState::Stopped
+        } else {
+            TaskState::Tuning
         })
     }
 
@@ -303,7 +276,10 @@ impl OnlineTuneController {
         handle: &TaskHandle,
         context: &[f64],
     ) -> Result<Configuration, ControllerError> {
-        let entry = self.entry_mut(handle).ok_or(ControllerError::UnknownTask)?;
+        let entry = self
+            .tasks
+            .get_mut(handle)
+            .ok_or(ControllerError::UnknownTask)?;
         entry.tuner.suggest(context).map_err(ControllerError::Tuner)
     }
 
@@ -338,12 +314,12 @@ impl OnlineTuneController {
         report: &FleetReport<'_>,
         outcome: RunOutcome,
     ) -> Result<(), ControllerError> {
-        let repository = Arc::clone(&self.repository);
-        let shared = Arc::clone(&self.shared_meta);
         let entry = self
-            .entry_mut(report.handle)
+            .tasks
+            .get_mut(report.handle)
             .ok_or(ControllerError::UnknownTask)?;
-        let inject = Self::absorb_report(&repository, &shared, entry, report, outcome)?;
+        let inject =
+            Self::absorb_report(&self.repository, &self.shared_meta, entry, report, outcome)?;
         self.sim.reports_since_refit += 1;
         if let Some(features) = inject {
             self.maybe_inject(report.handle, &features);
@@ -423,25 +399,14 @@ impl OnlineTuneController {
         &self,
         handle: &TaskHandle,
     ) -> Result<Option<Configuration>, ControllerError> {
-        self.with_entry(handle, |e| e.tuner.best().map(|o| o.config.clone()))
+        Ok(self.tuner(handle)?.best().map(|o| o.config.clone()))
     }
 
     /// Direct access to a task's tuner (diagnostics and tests).
-    pub fn tuner(&mut self, handle: &TaskHandle) -> Result<&OnlineTuner, ControllerError> {
-        self.entry_mut(handle)
-            .map(|e| &e.tuner)
-            .ok_or(ControllerError::UnknownTask)
-    }
-
-    fn with_entry<R>(
-        &self,
-        handle: &TaskHandle,
-        f: impl FnOnce(&TaskEntry) -> R,
-    ) -> Result<R, ControllerError> {
-        let idx = self.shard_of(handle);
-        self.shards[idx]
+    pub fn tuner(&self, handle: &TaskHandle) -> Result<&OnlineTuner, ControllerError> {
+        self.tasks
             .get(handle)
-            .map(f)
+            .map(|e| &e.tuner)
             .ok_or(ControllerError::UnknownTask)
     }
 
@@ -449,20 +414,19 @@ impl OnlineTuneController {
     /// task being tuned) with meta-features and at least
     /// [`MIN_SOURCE_OBSERVATIONS`] recorded observations, in task-id order,
     /// exported from its tuner.
-    fn source_tasks(&mut self, exclude: &str) -> Vec<TaskRecord> {
-        let repository = Arc::clone(&self.repository);
-        repository
+    fn source_tasks(&self, exclude: &str) -> Vec<TaskRecord> {
+        self.repository
             .featured_tasks()
             .into_iter()
             .filter(|id| id != exclude)
             .filter_map(|id| {
                 // Count before cloning: on a fleet's first wave every task
                 // reports features and none has enough history yet.
-                let tuner = &self.entry_mut(&TaskHandle(Arc::from(id.as_str())))?.tuner;
+                let tuner = &self.tasks.get(&TaskHandle(Arc::from(id.as_str())))?.tuner;
                 if tuner.n_recorded() < MIN_SOURCE_OBSERVATIONS {
                     return None;
                 }
-                Some(tuner.export_record(&id, repository.meta_features(&id)?))
+                Some(tuner.export_record(&id, self.repository.meta_features(&id)?))
             })
             .collect()
     }
@@ -489,7 +453,7 @@ impl OnlineTuneController {
             self.n_similarity_samples,
             0,
             &self.shared_meta,
-            &self.fleet.pool,
+            &self.pool,
             &self.telemetry,
         );
         self.sim.trained_on = ids;
@@ -504,7 +468,7 @@ impl OnlineTuneController {
         if sources.len() < 2 {
             return;
         }
-        let Some(space) = self.entry_mut(handle).map(|e| e.tuner.space().clone()) else {
+        let Some(space) = self.tasks.get(handle).map(|e| e.tuner.space().clone()) else {
             return;
         };
         self.refresh_similarity(&space);
@@ -512,8 +476,7 @@ impl OnlineTuneController {
         let Some(model) = self.sim.model.as_ref() else {
             return;
         };
-        let idx = self.shard_of(handle);
-        let Some(entry) = self.shards[idx].get_mut(handle) else {
+        let Some(entry) = self.tasks.get_mut(handle) else {
             return;
         };
         let warm = warm_start_configs(model, features, &sources, n_sources, &entry.telemetry);
@@ -964,45 +927,5 @@ mod tests {
         assert_eq!(observed, reference);
         assert_eq!(recording.shared_meta().corpus_len(), 6);
         assert_eq!(plain.shared_meta().corpus_len(), 0);
-    }
-
-    #[test]
-    fn shard_assignment_is_deterministic() {
-        let repo = Arc::new(DataRepository::new());
-        let mut ctl = OnlineTuneController::with_options(
-            repo,
-            FleetOptions {
-                shards: 4,
-                ..FleetOptions::default()
-            },
-        );
-        let handles: Vec<TaskHandle> = (0..16)
-            .map(|i| {
-                ctl.create_task(
-                    &format!("task-{i}"),
-                    toy_space(),
-                    TunerOptions {
-                        budget: 2,
-                        ..Default::default()
-                    },
-                )
-            })
-            .collect();
-        assert_eq!(ctl.n_tasks(), 16);
-        // Same id, same shard — and every task is findable.
-        for h in &handles {
-            let a = ctl.shard_of(h);
-            let b = ctl.shard_of(&TaskHandle(Arc::from(h.as_str())));
-            assert_eq!(a, b);
-            assert!(ctl.state(h).is_ok());
-        }
-        // Shards partition the fleet: each task sits in the shard its id
-        // hashes to, and nowhere else.
-        for h in &handles {
-            let home = ctl.shard_of(h);
-            for (i, shard) in ctl.shards.iter().enumerate() {
-                assert_eq!(shard.contains_key(h), i == home, "{h} in shard {i}");
-            }
-        }
     }
 }

@@ -14,8 +14,7 @@
 //!   [`FleetOptions::pool`], one pool item per task. Each item holds its
 //!   task's entry as a disjoint `&mut`, taken under `&mut self`, so no two
 //!   workers ever touch the same task and none locks anything. The wave's
-//!   width is the number of distinct tasks in it; the shard count and how
-//!   task ids hash play no part.
+//!   width is the number of distinct tasks in it.
 //! * **One level of parallelism** — a wave with at least as many tasks as
 //!   the pool has threads saturates it, so the pool maps inside each task
 //!   (tile passes, hyper searches, forest fits) run inline on the worker
@@ -27,12 +26,11 @@
 //! the step itself. Within a wave, each task's requests are processed in
 //! input order. A task's suggestion trace is therefore bitwise identical
 //! whether it is driven sequentially or through waves, at any
-//! `OTUNE_SHARDS` and any `OTUNE_THREADS`, and regardless of how tasks are
-//! interleaved across waves. The one scoped exception: warm-start
-//! injection reads *other* tasks' histories (from their tuners) and
-//! meta-features, so traces of tasks using meta-feature transfer depend
-//! (as they always have) on the order in which other tasks' results
-//! arrive. Waves apply injections in a deterministic post-wave phase in
+//! `OTUNE_THREADS`, and regardless of how tasks are interleaved across
+//! waves. The one scoped exception: warm-start injection reads *other*
+//! tasks' histories (from their tuners) and meta-features, so traces of
+//! tasks using meta-feature transfer depend (as they always have) on the
+//! order in which other tasks' results arrive. Waves apply injections in a deterministic post-wave phase in
 //! request order.
 
 use crate::controller::{ControllerError, OnlineTuneController, RunOutcome, TaskEntry, TaskHandle};
@@ -41,34 +39,22 @@ use otune_space::Configuration;
 use otune_telemetry::{metric, trace_key};
 use std::collections::HashMap;
 
-/// Environment variable selecting the shard count.
-pub const SHARDS_ENV: &str = "OTUNE_SHARDS";
-
-/// Default shard count when `OTUNE_SHARDS` is unset.
-const DEFAULT_SHARDS: usize = 8;
-
 /// Fleet-level controller options.
 #[derive(Debug, Clone)]
 pub struct FleetOptions {
-    /// Partitions the task map is hashed into (≥ 1). Decides only which
-    /// partition stores a task: never how a wave fans out, and never any
-    /// suggestion or span.
+    /// Always 1, and read by nothing in the workspace: the field exists
+    /// only for the end-to-end benchmark's `shards` output line.
     pub shards: usize,
     /// Pool fanning each wave's tasks across workers.
     pub pool: Pool,
 }
 
 impl FleetOptions {
-    /// Options from the environment: `OTUNE_SHARDS` for the shard count,
-    /// `OTUNE_THREADS` (via [`Pool::from_env`]) for the wave pool.
+    /// Options from the environment: `OTUNE_THREADS` (via
+    /// [`Pool::from_env`]) sizes the wave pool.
     pub fn from_env() -> Self {
-        let shards = std::env::var(SHARDS_ENV)
-            .ok()
-            .and_then(|s| s.trim().parse::<usize>().ok())
-            .filter(|&n| n >= 1)
-            .unwrap_or(DEFAULT_SHARDS);
         FleetOptions {
-            shards,
+            shards: 1,
             pool: Pool::from_env(),
         }
     }
@@ -114,7 +100,7 @@ type WaveItem<'e> = (Option<&'e mut TaskEntry>, Vec<usize>);
 /// Group a wave by distinct task, in order of first appearance, and borrow
 /// each task's entry as a disjoint `&mut` in one pass over the task map.
 fn wave_items<'e, 'h>(
-    task_map: &'e mut [HashMap<TaskHandle, TaskEntry>],
+    tasks: &'e mut HashMap<TaskHandle, TaskEntry>,
     handles: impl Iterator<Item = &'h TaskHandle>,
 ) -> Vec<WaveItem<'e>> {
     let mut slot: HashMap<&TaskHandle, usize> = HashMap::new();
@@ -126,11 +112,9 @@ fn wave_items<'e, 'h>(
         });
         items[k].1.push(i);
     }
-    for part in task_map {
-        for (h, entry) in part.iter_mut() {
-            if let Some(&k) = slot.get(h) {
-                items[k].0 = Some(entry);
-            }
+    for (h, entry) in tasks.iter_mut() {
+        if let Some(&k) = slot.get(h) {
+            items[k].0 = Some(entry);
         }
     }
     items
@@ -152,8 +136,8 @@ impl OnlineTuneController {
         self.telemetry
             .add(metric::FLEET_REQUESTS, requests.len() as u64);
         let telemetry = &self.telemetry;
-        let mut items = wave_items(&mut self.shards, requests.iter().map(|r| r.handle));
-        let per_task = self.fleet.pool.map_mut(&mut items, |_, (entry, idxs)| {
+        let mut items = wave_items(&mut self.tasks, requests.iter().map(|r| r.handle));
+        let per_task = self.pool.map_mut(&mut items, |_, (entry, idxs)| {
             let _adopted = telemetry.trace_adopt(ctx.clone());
             idxs.iter()
                 .map(|&i| {
@@ -192,9 +176,9 @@ impl OnlineTuneController {
             .add(metric::FLEET_REPORTS, reports.len() as u64);
         let (telemetry, repository, shared) =
             (&self.telemetry, &self.repository, &self.shared_meta);
-        let mut items = wave_items(&mut self.shards, reports.iter().map(|r| r.handle));
+        let mut items = wave_items(&mut self.tasks, reports.iter().map(|r| r.handle));
         type Absorbed = Vec<(usize, Result<Option<Vec<f64>>, ControllerError>)>;
-        let per_task: Vec<Absorbed> = self.fleet.pool.map_mut(&mut items, |_, (entry, idxs)| {
+        let per_task: Vec<Absorbed> = self.pool.map_mut(&mut items, |_, (entry, idxs)| {
             let _adopted = telemetry.trace_adopt(ctx.clone());
             idxs.iter()
                 .map(|&i| {
@@ -270,12 +254,12 @@ mod tests {
         (400.0 / n + 30.0 / m + 10.0, n * (1.0 + 0.5 * m))
     }
 
-    fn controller(shards: usize, threads: usize) -> OnlineTuneController {
+    fn controller(threads: usize) -> OnlineTuneController {
         OnlineTuneController::with_options(
             Arc::new(DataRepository::new()),
             FleetOptions {
-                shards,
                 pool: Pool::new(threads),
+                ..FleetOptions::default()
             },
         )
     }
@@ -289,7 +273,7 @@ mod tests {
             ..Default::default()
         };
         // Sequentially driven reference fleet.
-        let mut seq = controller(1, 1);
+        let mut seq = controller(1);
         let seq_handles: Vec<TaskHandle> = (0..n_tasks)
             .map(|i| seq.create_task(&format!("task-{i}"), toy_space(), opts.clone()))
             .collect();
@@ -302,8 +286,8 @@ mod tests {
                 seq_traces[t].push(cfg);
             }
         }
-        // Wave-driven fleet, sharded and parallel.
-        let mut fleet = controller(4, 4);
+        // Wave-driven fleet on a 4-thread pool.
+        let mut fleet = controller(4);
         let handles: Vec<TaskHandle> = (0..n_tasks)
             .map(|i| fleet.create_task(&format!("task-{i}"), toy_space(), opts.clone()))
             .collect();
@@ -347,13 +331,13 @@ mod tests {
     /// to completion, then `n_cold` tasks registered with pre-known
     /// features and driven through batched waves. Returns the cold tasks'
     /// suggestion traces.
-    fn cold_start_traces(shards: usize, threads: usize) -> Vec<Vec<Configuration>> {
+    fn cold_start_traces(threads: usize) -> Vec<Vec<Configuration>> {
         let (n_seed, n_cold, budget) = (4, 6, 3);
         let opts = TunerOptions {
             budget,
             ..Default::default()
         };
-        let mut fleet = controller(shards, threads);
+        let mut fleet = controller(threads);
         fleet.set_corpus(otune_meta::TuningCorpus::in_memory());
         for s in 0..n_seed {
             let h = fleet.create_task(&format!("seed-{s}"), toy_space(), opts.clone());
@@ -416,28 +400,28 @@ mod tests {
 
     #[test]
     fn retrieval_bootstrap_is_identical_at_any_shard_and_thread_count() {
-        // k-NN retrieval reads a corpus built by interleaved shard workers;
+        // k-NN retrieval reads a corpus built by interleaved wave workers;
         // the bootstrap (and every downstream suggestion) must not depend
-        // on OTUNE_SHARDS / OTUNE_THREADS.
-        let reference = cold_start_traces(1, 1);
-        for (shards, threads) in [(2, 2), (4, 4), (8, 3)] {
+        // on OTUNE_THREADS.
+        let reference = cold_start_traces(1);
+        for threads in [2, 3, 4] {
             assert_eq!(
-                cold_start_traces(shards, threads),
+                cold_start_traces(threads),
                 reference,
-                "trace diverged at shards={shards} threads={threads}"
+                "trace diverged at threads={threads}"
             );
         }
     }
 
     #[test]
     fn a_wave_is_one_pool_item_per_task_at_any_shard_count() {
-        // One shard holds all 8 tasks; the wave still fans out per task.
+        // 8 tasks on a 4-thread pool: the wave is one map of 8 items.
         let pool = Pool::new(4);
         let mut fleet = OnlineTuneController::with_options(
             Arc::new(DataRepository::new()),
             FleetOptions {
-                shards: 1,
                 pool: pool.clone(),
+                ..FleetOptions::default()
             },
         );
         let handles: Vec<TaskHandle> = (0..8)
@@ -463,7 +447,7 @@ mod tests {
 
     #[test]
     fn wave_results_come_back_in_input_order() {
-        let mut fleet = controller(4, 2);
+        let mut fleet = controller(2);
         let ha = fleet.create_task(
             "a",
             toy_space(),
@@ -494,7 +478,7 @@ mod tests {
         // Two requests for the same task in one wave: the second must fail
         // deterministically (a suggestion is already pending), exactly as
         // it would when driven sequentially.
-        let mut fleet = controller(2, 2);
+        let mut fleet = controller(2);
         let h = fleet.create_task(
             "dup",
             toy_space(),
@@ -521,7 +505,7 @@ mod tests {
     #[test]
     fn fleet_telemetry_counts_waves() {
         let (tm, _sink) = otune_telemetry::Telemetry::ring(64);
-        let mut fleet = controller(2, 1);
+        let mut fleet = controller(1);
         fleet.set_telemetry(tm);
         let h = fleet.create_task(
             "t",
@@ -550,7 +534,6 @@ mod tests {
         assert_eq!(snap.counters[metric::FLEET_WAVES], 2);
         assert_eq!(snap.counters[metric::FLEET_REQUESTS], 1);
         assert_eq!(snap.counters[metric::FLEET_REPORTS], 1);
-        assert_eq!(snap.gauges[metric::FLEET_SHARDS], 2.0);
         assert_eq!(snap.gauges[metric::FLEET_TASKS], 1.0);
         assert_eq!(snap.histograms[metric::FLEET_WAVE_S].count, 2);
     }

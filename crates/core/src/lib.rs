@@ -55,7 +55,7 @@ pub mod tuner;
 
 pub use context::{calendar_context, datasize_context};
 pub use controller::{ControllerError, OnlineTuneController, TaskHandle, TaskState};
-pub use fleet::{FleetOptions, FleetReport, FleetRequest, SHARDS_ENV};
+pub use fleet::{FleetOptions, FleetReport, FleetRequest};
 pub use generator::{ConfigGenerator, Suggestion};
 pub use objective::Objective;
 pub use repository::DataRepository;

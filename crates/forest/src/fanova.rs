@@ -15,7 +15,6 @@ use otune_pool::Pool;
 /// A fitted fANOVA decomposition.
 #[derive(Debug, Clone)]
 pub struct Fanova {
-    forest: RandomForest,
     /// Per-tree leaf partitions of the unit cube.
     partitions: Vec<Vec<LeafBox>>,
     dim: usize,
@@ -33,21 +32,12 @@ impl Fanova {
         let forest = RandomForest::fit(x, y, ForestConfig::for_fanova(dim, seed), pool)?;
         let root: Vec<(f64, f64)> = vec![(0.0, 1.0); dim];
         let partitions = forest.trees().iter().map(|t| t.leaf_boxes(&root)).collect();
-        Ok(Fanova {
-            forest,
-            partitions,
-            dim,
-        })
+        Ok(Fanova { partitions, dim })
     }
 
     /// Dimensionality.
     pub fn dim(&self) -> usize {
         self.dim
-    }
-
-    /// The underlying forest.
-    pub fn forest(&self) -> &RandomForest {
-        &self.forest
     }
 
     /// Main-effect importance of every dimension: the fraction of each

@@ -99,11 +99,6 @@ impl GbdtRegressor {
         self.base + self.learning_rate * self.trees.iter().map(|t| t.predict(x)).sum::<f64>()
     }
 
-    /// Number of boosted trees.
-    pub fn n_trees(&self) -> usize {
-        self.trees.len()
-    }
-
     /// Training RMSE over a dataset (diagnostic).
     pub fn rmse(&self, x: &[Vec<f64>], y: &[f64]) -> f64 {
         let sse: f64 = x

@@ -581,11 +581,6 @@ impl GaussianProcess {
         &self.x
     }
 
-    /// The raw training targets.
-    pub fn train_y(&self) -> &[f64] {
-        &self.y
-    }
-
     /// Posterior predictive mean and variance at `x` (original target scale).
     ///
     /// Allocation-free after warm-up: reuses a thread-local

@@ -914,20 +914,19 @@ impl JobEngine {
 
     /// The reduce phase: fold every task's tuner state into the fleet
     /// summary (best incumbents, failure counts, DLQ membership).
-    pub fn build_summary(&mut self) -> Result<FleetSummary, JobError> {
+    pub fn build_summary(&self) -> Result<FleetSummary, JobError> {
         let mut tasks = Vec::with_capacity(self.tasks.len());
-        for i in 0..self.tasks.len() {
-            let handle = self.tasks[i].handle.clone();
-            let tuner = self.ctl.tuner(&handle)?;
+        for task in &self.tasks {
+            let tuner = self.ctl.tuner(&task.handle)?;
             let history = tuner.history();
             let best = tuner.best();
             tasks.push(TaskSummary {
-                task_id: self.tasks[i].task_id.clone(),
+                task_id: task.task_id.clone(),
                 n_observations: history.len(),
                 n_failures: history.iter().filter(|o| o.failed).count(),
                 best_runtime_s: best.map(|o| o.runtime),
                 best_config: best.map(|o| o.config.clone()),
-                dead_lettered: self.tasks[i].dead,
+                dead_lettered: task.dead,
             });
         }
         Ok(FleetSummary {
@@ -981,9 +980,8 @@ impl JobEngine {
 
     /// A task's full suggestion trace: the configurations it observed, in
     /// order (golden-trace identity checks key on this).
-    pub fn suggestion_trace(&mut self, task: usize) -> Result<Vec<Configuration>, JobError> {
-        let handle = self.tasks[task].handle.clone();
-        let tuner = self.ctl.tuner(&handle)?;
+    pub fn suggestion_trace(&self, task: usize) -> Result<Vec<Configuration>, JobError> {
+        let tuner = self.ctl.tuner(&self.tasks[task].handle)?;
         Ok(tuner.history().iter().map(|o| o.config.clone()).collect())
     }
 

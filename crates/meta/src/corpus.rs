@@ -27,8 +27,8 @@
 //! Determinism contract: ties in neighbor distance break on the lower
 //! task index (first-seen append order), all sorting uses `total_cmp`,
 //! and the blend is a fixed-order weighted sum — so retrieval output is
-//! bitwise-identical across thread counts, shard counts, and platforms
-//! given the same corpus file.
+//! bitwise-identical across thread counts and platforms given the same
+//! corpus file.
 
 use otune_bo::usable_measurement;
 use otune_space::{ConfigSpace, Configuration};
@@ -292,8 +292,8 @@ impl TuningCorpus {
     ///
     /// Column values are sorted (`total_cmp`) before summation, so the
     /// statistics are bitwise-independent of record order — a corpus
-    /// built by interleaved fleet shards standardizes identically to a
-    /// sequentially built one.
+    /// built by interleaved fleet wave workers standardizes identically
+    /// to a sequentially built one.
     pub fn compute_stats(&self, dim: usize) -> Option<CorpusStats> {
         let rows: Vec<&[f64]> = self
             .records
@@ -372,9 +372,10 @@ impl TuningCorpus {
                 }
             }
         }
-        // Fleet shards append in nondeterministic cross-task order; sorting
-        // by task id makes the index (and its `nearest` tie-breaking)
-        // bitwise-independent of how the corpus was interleaved.
+        // Fleet wave workers append in nondeterministic cross-task order;
+        // sorting by task id makes the index (and its `nearest`
+        // tie-breaking) bitwise-independent of how the corpus was
+        // interleaved.
         order.sort_by(|a, b| a.task_id.cmp(&b.task_id));
         let stats = self.compute_stats(dim).unwrap_or(CorpusStats {
             mean: vec![0.0; dim],

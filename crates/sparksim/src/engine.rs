@@ -189,19 +189,9 @@ impl SimJob {
         self
     }
 
-    /// The attached fault schedule, if any.
-    pub fn faults(&self) -> Option<&FaultProfile> {
-        self.faults.as_ref()
-    }
-
     /// The workload profile.
     pub fn workload(&self) -> &WorkloadProfile {
         &self.workload
-    }
-
-    /// The cluster spec.
-    pub fn cluster(&self) -> &ClusterSpec {
-        &self.cluster
     }
 
     /// Execute the job's baseline input size at the given run index.

@@ -60,9 +60,6 @@ pub mod metric {
     /// Counter: failure-streak fallbacks to the last known-safe
     /// configuration (`τ_consec` consecutive failed runs).
     pub const FALLBACKS_TRIGGERED: &str = "fallbacks_triggered";
-    /// Gauge: shards the fleet controller hashes its task map into
-    /// (`OTUNE_SHARDS`).
-    pub const FLEET_SHARDS: &str = "fleet_shards";
     /// Gauge: tasks currently registered with the fleet controller.
     pub const FLEET_TASKS: &str = "fleet_tasks";
     /// Counter: batched request/report waves executed.

@@ -9,9 +9,9 @@
 //! * **Deterministic identity.** Trace, span, and parent IDs are derived
 //!   from a seed, the span's name, and its position in the tree — never
 //!   from the wall clock or allocation addresses — so the *structure* of a
-//!   trace is bitwise-identical across runs, pool widths, and shard
-//!   counts. Only the timing fields (`start_ns`/`dur_ns`) and the worker
-//!   id vary; [`structural_key`] strips exactly those.
+//!   trace is bitwise-identical across runs and pool widths. Only the
+//!   timing fields (`start_ns`/`dur_ns`) and the worker id vary;
+//!   [`structural_key`] strips exactly those.
 //! * **Zero overhead when off.** A handle without tracing returns an
 //!   inert guard: no clock read, no allocation, no thread-local touch
 //!   beyond one branch.
@@ -414,7 +414,7 @@ pub fn spans_from_events(events: &[crate::Event]) -> Vec<SpanRecord> {
 /// The deterministic identity of a span set: every field except the
 /// measurements (`worker`, `start_ns`, `dur_ns`), sorted canonically.
 /// Two runs of the same seeded workload produce equal structural keys at
-/// any pool width (`OTUNE_THREADS`) and any shard count (`OTUNE_SHARDS`).
+/// any pool width (`OTUNE_THREADS`).
 pub fn structural_key(spans: &[SpanRecord]) -> Vec<(u64, u64, u64, String, String)> {
     let mut key: Vec<_> = spans
         .iter()

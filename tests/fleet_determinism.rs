@@ -1,8 +1,8 @@
 //! Fleet determinism: a task's suggestion trace is bitwise identical
 //! whether it is driven sequentially or through batched waves — at any
-//! shard count (`OTUNE_SHARDS`), any pool width (`OTUNE_THREADS`), and
-//! under any interleaving of tasks across waves. Sharding decides *where*
-//! a task's step runs, never *what* it computes.
+//! pool width (`OTUNE_THREADS`) and under any interleaving of tasks across
+//! waves. A wave decides *where* a task's step runs, never *what* it
+//! computes.
 
 use otune_core::fleet::{FleetOptions, FleetReport, FleetRequest};
 use otune_core::prelude::*;
@@ -46,8 +46,7 @@ fn bits(space: &ConfigSpace, cfg: &Configuration) -> Vec<u64> {
     space.encode(cfg).iter().map(|v| v.to_bits()).collect()
 }
 
-/// FNV-1a over the task id — mirrors the controller's shard hash, which is
-/// documented stable across processes and platforms.
+/// FNV-1a over the task id: a stable hash to group tasks by.
 fn fnv1a(s: &str) -> u64 {
     let mut h: u64 = 0xcbf2_9ce4_8422_2325;
     for b in s.as_bytes() {
@@ -84,8 +83,8 @@ fn sequential_traces(options: OptionsFn) -> Vec<Trace> {
     let mut ctl = OnlineTuneController::with_options(
         Arc::new(DataRepository::new()),
         FleetOptions {
-            shards: 1,
             pool: Pool::new(1),
+            ..FleetOptions::default()
         },
     );
     let handles = register_fleet(&mut ctl, options);
@@ -146,12 +145,12 @@ fn wave_traces(
     traces
 }
 
-fn sharded_controller(shards: usize, threads: usize) -> OnlineTuneController {
+fn wave_controller(threads: usize) -> OnlineTuneController {
     OnlineTuneController::with_options(
         Arc::new(DataRepository::new()),
         FleetOptions {
-            shards,
             pool: Pool::new(threads),
+            ..FleetOptions::default()
         },
     )
 }
@@ -160,8 +159,9 @@ fn round_robin(_wave: u64, handles: &[TaskHandle]) -> Vec<usize> {
     (0..handles.len()).collect()
 }
 
-/// All of one shard's tasks, then the next shard's (4-way grouping).
-fn shard_major(_wave: u64, handles: &[TaskHandle]) -> Vec<usize> {
+/// Tasks grouped 4 ways by the hash of their ids: all of one group's
+/// tasks, then the next group's.
+fn hash_grouped(_wave: u64, handles: &[TaskHandle]) -> Vec<usize> {
     let mut idxs: Vec<usize> = (0..handles.len()).collect();
     idxs.sort_by_key(|&t| (fnv1a(handles[t].as_str()) % 4, t));
     idxs
@@ -193,22 +193,20 @@ fn wave_traces_match_sequential_bitwise_across_shards_and_interleavings() {
     type OrderFn = fn(u64, &[TaskHandle]) -> Vec<usize>;
     let orders: [(&str, OrderFn); 3] = [
         ("round-robin", round_robin),
-        ("shard-major", shard_major),
+        ("hash-grouped", hash_grouped),
         ("seeded-shuffle", seeded_shuffle),
     ];
     for (input, options) in inputs {
         let golden = sequential_traces(options);
-        for shards in [1usize, 4] {
-            for (name, order) in orders {
-                let traces = wave_traces(sharded_controller(shards, 4), order, options);
-                assert_eq!(
-                    traces, golden,
-                    "{input}: interleaving {name} with {shards} shard(s) changed a task trace"
-                );
-            }
+        for (name, order) in orders {
+            let traces = wave_traces(wave_controller(4), order, options);
+            assert_eq!(
+                traces, golden,
+                "{input}: interleaving {name} changed a task trace"
+            );
         }
-        // And under whatever OTUNE_SHARDS / OTUNE_THREADS the environment
-        // (CI matrix) selects.
+        // And under whatever OTUNE_THREADS the environment (CI matrix)
+        // selects.
         let traces = wave_traces(OnlineTuneController::new(), round_robin, options);
         assert_eq!(
             traces, golden,

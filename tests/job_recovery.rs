@@ -87,7 +87,7 @@ fn golden() -> &'static GoldenRun {
 fn inspect(journal: &Path) -> (FleetSummary, Vec<Vec<Vec<u64>>>) {
     let space = spark_space(ClusterScale::hibench());
     let (telemetry, _sink) = otune_core::telemetry::Telemetry::ring(4096);
-    let mut engine = JobEngine::open(journal, telemetry).expect("journal resumes");
+    let engine = JobEngine::open(journal, telemetry).expect("journal resumes");
     assert!(engine.is_completed(), "campaign must have completed");
     let summary = engine.summary().unwrap().clone();
     let traces = (0..engine.n_tasks())

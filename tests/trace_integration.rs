@@ -2,8 +2,8 @@
 //! through the controller must produce one coherent span tree per wave —
 //! wave → task → suggest → surrogate/acquisition kernels — whose
 //! *structure* is a pure function of the workload: identical across pool
-//! widths and shard counts, reconstructible from the JSONL event stream,
-//! and absent entirely on untraced handles.
+//! widths, reconstructible from the JSONL event stream, and absent
+//! entirely on untraced handles.
 
 use otune_core::fleet::{FleetOptions, FleetReport, FleetRequest};
 use otune_core::prelude::*;
@@ -34,13 +34,13 @@ fn toy_eval(task: usize, c: &Configuration) -> (f64, f64) {
 }
 
 /// Drive `N_TASKS` toy tasks through `BUDGET` batched waves on a
-/// controller with the given sharding/pool layout.
-fn drive_fleet(telemetry: Telemetry, shards: usize, threads: usize) -> Telemetry {
+/// controller whose wave pool has `threads` workers.
+fn drive_fleet(telemetry: Telemetry, threads: usize) -> Telemetry {
     let mut ctl = OnlineTuneController::with_options(
         Arc::new(DataRepository::new()),
         FleetOptions {
-            shards,
             pool: Pool::new(threads),
+            ..FleetOptions::default()
         },
     );
     ctl.set_telemetry(telemetry.clone());
@@ -118,7 +118,7 @@ fn name_counts(spans: &[SpanRecord]) -> BTreeMap<&str, usize> {
 #[test]
 fn fleet_wave_spans_nest_through_the_full_stack() {
     let (telemetry, _sink) = Telemetry::ring_traced(1, 11);
-    let telemetry = drive_fleet(telemetry, 2, 2);
+    let telemetry = drive_fleet(telemetry, 2);
     let spans = telemetry.traces();
     assert!(!spans.is_empty());
     assert_eq!(telemetry.traces_dropped(), 0, "buffer held the whole run");
@@ -133,10 +133,6 @@ fn fleet_wave_spans_nest_through_the_full_stack() {
     // Every task stepped in every suggest wave, directly under the wave.
     assert_eq!(counts["suggest"], N_TASKS * BUDGET);
     assert_eq!(counts["task"], 2 * N_TASKS * BUDGET);
-    assert!(
-        !counts.contains_key("shard"),
-        "no span between wave and task"
-    );
 
     // The documented hierarchy holds at every level.
     for s in &spans {
@@ -178,8 +174,8 @@ fn fleet_wave_spans_nest_through_the_full_stack() {
 fn trace_structure_is_invariant_across_pool_widths() {
     let (seq, _s1) = Telemetry::ring_traced(1, 11);
     let (par, _s2) = Telemetry::ring_traced(1, 11);
-    let seq = drive_fleet(seq, 4, 1);
-    let par = drive_fleet(par, 4, 4);
+    let seq = drive_fleet(seq, 1);
+    let par = drive_fleet(par, 4);
     let a = seq.traces();
     let b = par.traces();
     assert_eq!(a.len(), b.len());
@@ -191,29 +187,16 @@ fn trace_structure_is_invariant_across_pool_widths() {
 }
 
 #[test]
-fn shard_count_changes_no_span() {
-    let (one, _s1) = Telemetry::ring_traced(1, 11);
-    let (four, _s2) = Telemetry::ring_traced(1, 11);
-    let one = drive_fleet(one, 1, 2).traces();
-    let four = drive_fleet(four, 4, 2).traces();
-    // A wave fans out per task whatever partition holds the task, so
-    // every span — wave roots, per-task steps, kernel work — is the same
-    // at any shard count, down to its id and parent.
-    assert_eq!(name_counts(&one), name_counts(&four));
-    assert_eq!(structural_key(&one), structural_key(&four));
-}
-
-#[test]
 fn untraced_and_disabled_handles_record_no_spans_under_fleet_load() {
     let (untraced, sink) = Telemetry::ring(1 << 16);
-    let untraced = drive_fleet(untraced, 2, 2);
+    let untraced = drive_fleet(untraced, 2);
     assert!(!untraced.is_tracing());
     assert!(untraced.traces().is_empty());
     // Metrics and events still flow; tracing is strictly opt-in.
     assert!(untraced.snapshot().unwrap().counters["fleet_waves"] >= 2);
     assert!(!sink.events().is_empty());
 
-    let disabled = drive_fleet(Telemetry::disabled(), 2, 2);
+    let disabled = drive_fleet(Telemetry::disabled(), 2);
     assert!(disabled.traces().is_empty());
     assert!(disabled.snapshot().is_none());
 }
@@ -222,7 +205,7 @@ fn untraced_and_disabled_handles_record_no_spans_under_fleet_load() {
 fn jsonl_stream_reconstructs_the_in_memory_trace() {
     let path = std::env::temp_dir().join("otune-trace-integration.jsonl");
     let telemetry = Telemetry::new_traced(Box::new(JsonlSink::create(&path).unwrap()), 11);
-    let telemetry = drive_fleet(telemetry, 2, 2);
+    let telemetry = drive_fleet(telemetry, 2);
     telemetry.flush();
 
     let healed = read_healed::<Event>(&path).unwrap();
